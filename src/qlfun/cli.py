@@ -124,7 +124,8 @@ def run_command(command: str, params: dict, as_json: bool, fn) -> None:
                                "partial": exc.partial.to_json_dict()},
              "error", started, as_json)
         sys.exit(2)
-    except (ValueError, ZeroDivisionError, CharacterError) as exc:
+    except (ValueError, ZeroDivisionError, CharacterError, click.ClickException) as exc:
+        # a usage error raised inside the body gets its envelope too
         emit(command, params, {"message": str(exc)}, "error", started, as_json)
         sys.exit(2)
     emit(command, params, result, status, started, as_json)
@@ -348,8 +349,10 @@ def verify_thm5(p: int, q: Optional[str], n_list: str, r_list: str,
         points = [(p, q_text, n, r)
                   for n in _int_list(n_list) for r in _int_list(r_list)]
         work = [(pp, qq, n, r, precision) for pp, qq, n, r in points]
-        if jobs > 1 and len(work) > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # a fork pool starts all of its workers at once
+        workers = min(jobs, len(work), os.cpu_count() or 1)
+        if workers > 1:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 reports = list(pool.map(_thm5_point, work))
         else:
             reports = [_thm5_point(w) for w in work]

@@ -8,8 +8,11 @@ arguments through guarded binomial series.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from contextlib import contextmanager
+from contextvars import ContextVar
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, List, Optional, Union
 
@@ -110,6 +113,60 @@ def lq_neg_series_path(
     return acc + acc  # times 2
 
 
+@dataclass
+class SeriesCache:
+    """Values computed inside one evaluation scope, keyed on the function and
+    its arguments (the QContext among them), with hit and miss counts."""
+
+    values: dict = field(default_factory=dict)
+    hits: int = 0
+    misses: int = 0
+
+
+_ACTIVE_CACHE: ContextVar[Optional[SeriesCache]] = ContextVar(
+    "qlfun_series_cache", default=None)
+
+
+@contextmanager
+def series_cache() -> Iterator[SeriesCache]:
+    """Open a fresh evaluation scope.  Inside it H_pq, K_partial, T_partial
+    and the unit power <a>^(-s) are each computed once per key.  The values
+    are dropped when the scope exits, so the scope is the cache's only bound;
+    the hit and miss counts stay readable."""
+    cache = SeriesCache()
+    token = _ACTIVE_CACHE.set(cache)
+    try:
+        yield cache
+    finally:
+        _ACTIVE_CACHE.reset(token)
+        cache.values.clear()
+
+
+def _scoped(fn):
+    """Memoize ``fn`` in the active series cache; outside a scope, call through."""
+
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        cache = _ACTIVE_CACHE.get()
+        if cache is None:
+            return fn(*args, **kwargs)
+        key = (fn, args, frozenset(kwargs.items()))
+        if key in cache.values:
+            cache.hits += 1
+            return cache.values[key]
+        cache.misses += 1
+        value = cache.values[key] = fn(*args, **kwargs)
+        return value
+
+    return wrapper
+
+
+@_scoped
+def _unit_pow(a: int, s: PadicExponent, ctx: QContext) -> SeriesResult:
+    """<a>^(-s), shared by the H, K and T series of the same (a, s)."""
+    return padic_pow(angle_bracket(a, ctx), -s, ctx)
+
+
 def _binom_neg(s: PadicExponent, j: int, ctx: QContext):
     """binom(-s, j): exact Fraction for integer s, p-adic otherwise."""
     if isinstance(s, int):
@@ -132,6 +189,7 @@ def _require_padic_params(prm: PartialZetaParams, ctx: QContext, name: str) -> N
     ctx.require_q_not_one(name)
 
 
+@_scoped
 def H_pq(s: PadicExponent, prm: PartialZetaParams, ctx: QContext) -> SeriesResult:
     """p-adic interpolation of the partial zeta value:
     ((-1)^a / 2) <a>^(-s) sum_j binom(-s, j) q^(ja) ([F]/[a])^j E_{j,q^F},
@@ -141,7 +199,7 @@ def H_pq(s: PadicExponent, prm: PartialZetaParams, ctx: QContext) -> SeriesResul
     _require_padic_params(prm, ctx, "H_pq")
     a, F = prm.a, prm.F
     q = ctx.q
-    unit_pow = padic_pow(angle_bracket(a, ctx), -s, ctx)
+    unit_pow = _unit_pow(a, s, ctx)
     ratio = q_int(F, q) / q_int(a, q)
     qF = q**F
 
@@ -187,6 +245,7 @@ def l_pq(
     return merge_series(acc + acc, parts)
 
 
+@_scoped
 def T_partial(n: int, s: PadicExponent, prm: PartialZetaParams, ctx: QContext) -> SeriesResult:
     """Boundary-term series of the alternating power-sum expansion:
     (-1)^a <a>^(-s) sum_k binom(-s,k) ([F]/[a])^k q^(ak) ((-1)^n q^(nFk) - 1) E_{k,q^F}.
@@ -197,7 +256,7 @@ def T_partial(n: int, s: PadicExponent, prm: PartialZetaParams, ctx: QContext) -
     _require_padic_params(prm, ctx, "T_partial")
     a, F = prm.a, prm.F
     q = ctx.q
-    unit_pow = padic_pow(angle_bracket(a, ctx), -s, ctx)
+    unit_pow = _unit_pow(a, s, ctx)
     ratio = q_int(F, q) / q_int(a, q)
     qF = q**F
     sign_n = (-1) ** n
@@ -217,6 +276,7 @@ def T_partial(n: int, s: PadicExponent, prm: PartialZetaParams, ctx: QContext) -
     return merge_series(value, [unit_pow, body])
 
 
+@_scoped
 def K_partial(n: int, s: PadicExponent, prm: PartialZetaParams, ctx: QContext) -> SeriesResult:
     """Correction series carrying the q-power twist left over when q^(nFl)
     is expanded around 1:
@@ -229,16 +289,14 @@ def K_partial(n: int, s: PadicExponent, prm: PartialZetaParams, ctx: QContext) -
     _require_padic_params(prm, ctx, "K_partial")
     a, F = prm.a, prm.F
     q = ctx.q
-    unit_pow = padic_pow(angle_bracket(a, ctx), -s, ctx)
+    unit_pow = _unit_pow(a, s, ctx)
     ratio = q_int(F, q) / q_int(a, q)
     qF = q**F
-    nF_count = q_int(n * F, q)
+    qnF = q ** (n * F)
 
     def inner(l: int) -> Fraction:
-        total = Fraction(0)
-        for j in range(1, l + 1):
-            total += math.comb(l, j) * nF_count**j * (q - 1) ** j
-        return total
+        # sum_{j=1}^{l} C(l,j) ([nF] (q-1))^j = q^(nFl) - 1, since [nF] (q-1) = q^(nF) - 1
+        return qnF**l - 1
 
     def terms() -> Iterator[PadicNumber]:
         power = Fraction(1)

@@ -96,6 +96,13 @@ def binom_rat(t: IntOrRational, k: int) -> Fraction:
     """Falling-factorial binomial t(t-1)...(t-k+1)/k!, exact for rational t."""
     if k < 0:
         raise ValueError("binom_rat requires k >= 0")
+    if isinstance(t, Fraction) and t.denominator == 1:
+        t = t.numerator
+    if isinstance(t, int):
+        if t >= 0:
+            return Fraction(math.comb(t, k))
+        # upper negation: binom(t, k) = (-1)^k binom(k - t - 1, k)
+        return Fraction((-1) ** k * math.comb(k - t - 1, k))
     t = Fraction(t)
     num = Fraction(1)
     for i in range(k):

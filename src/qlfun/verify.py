@@ -16,13 +16,23 @@ oracle.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .characters import DirichletCharacter
-from .lfun import H_pq, K_full, K_partial, PartialZetaParams, T_full, T_partial, l_pq
+from .lfun import (
+    H_pq,
+    K_full,
+    K_partial,
+    PartialZetaParams,
+    T_full,
+    T_partial,
+    l_pq,
+    series_cache,
+)
 from .numerics import (
     INF,
     PadicNumber,
@@ -212,7 +222,10 @@ class Thm5Report:
     expansion; ``chain_residual_valuation`` against the re-derived chain.
     ``step_residuals`` localizes the first deviating identity when the
     printed form fails (a residual below the target precision means the
-    step as printed does not hold at that grid point).
+    step as printed does not hold at that grid point).  ``precision`` is
+    the target the report was computed at, and the cache counts are those
+    of the evaluation scope that built it; none of the three is part of
+    the JSON form.
     """
 
     lhs: PadicNumber
@@ -222,13 +235,16 @@ class Thm5Report:
     step_residuals: Dict[str, Valuation]
     chain_residual_valuation: Valuation
     first_failing_step: Optional[str]
+    precision: int
+    cache_hits: int = 0
+    cache_misses: int = 0
 
     def passes(self, target: Optional[int] = None) -> bool:
         """True when either the printed expansion or the re-derived chain
         reproduces the exact sum at target precision (with the regrouping
         and expansion steps independently verified)."""
         if target is None:
-            target = 8
+            target = self.precision
         printed_ok = self.residual_valuation >= target
         chain_ok = (self.chain_residual_valuation >= target
                     and self.step_residuals["eq24"] >= target
@@ -259,9 +275,9 @@ def _partial_sum_exact(n: int, r: int, a: int, ctx: QContext) -> Fraction:
     return total
 
 
-def _eq24_series(n: int, r: int, a: int, ctx: QContext) -> SeriesResult:
-    """Binomial expansion of the partial sum: both groups of the expansion
-    step, summed as a guarded series in the expansion order s."""
+def _eq24_groups(n: int, r: int, a: int, ctx: QContext) -> Iterator[Tuple[Fraction, Fraction]]:
+    """Exact terms of the binomial expansion of the partial sum, in the
+    expansion order s: (polynomial-part group 1, boundary group 2)."""
     F = ctx.p
     q = ctx.q
     qF = q**F
@@ -271,51 +287,31 @@ def _eq24_series(n: int, r: int, a: int, ctx: QContext) -> SeriesResult:
     inv_ar = count_a ** (-r)
     sign_a = (-1) ** a
     sign_n = (-1) ** n
-
-    def terms():
-        power = Fraction(1)  # (q^a [F]/[a])^s
-        s = 0
-        while True:
-            inner = Fraction(0)
-            for l in range(s):
-                inner += (math.comb(s, l) * q ** (n * F * l)
-                          * euler_number(l, qF) * count_nF ** (s - l))
-            group1 = -(binom_rat(-r, s) * inv_ar * power * sign_a
-                       * Fraction(sign_n, 2) * inner)
-            group2 = -(binom_rat(-r, s) * inv_ar * power * sign_a
-                       * (sign_n * q ** (F * s * n) - 1) / 2
-                       * euler_number(s, qF))
-            yield ctx.embed(group1 + group2)
-            power *= q**a * ratio
-            s += 1
-
-    return sum_guarded(terms(), ctx, description="eq24 series")
+    power = Fraction(1)  # (q^a [F]/[a])^s
+    s = 0
+    while True:
+        inner = Fraction(0)
+        for l in range(s):
+            inner += (math.comb(s, l) * q ** (n * F * l)
+                      * euler_number(l, qF) * count_nF ** (s - l))
+        head = -binom_rat(-r, s) * inv_ar * power * sign_a
+        yield (head * Fraction(sign_n, 2) * inner,
+               head * (sign_n * q ** (F * s * n) - 1) / 2 * euler_number(s, qF))
+        power *= q**a * ratio
+        s += 1
 
 
-def _group1_series(n: int, r: int, a: int, ctx: QContext) -> SeriesResult:
-    """Only the first (polynomial-part) group of the expansion step."""
-    F = ctx.p
-    q = ctx.q
-    qF = q**F
-    count_a = q_int(a, q)
-    ratio = q_int(F, q) / count_a
-    count_nF = q_int(n, qF)
-    inv_ar = count_a ** (-r)
-    sign = Fraction((-1) ** a * (-1) ** n, 2)
+def _eq24_series(groups: Iterable[Tuple[Fraction, Fraction]], ctx: QContext) -> SeriesResult:
+    """Both groups of the expansion step, summed as a guarded series."""
+    return sum_guarded((ctx.embed(g1 + g2) for g1, g2 in groups), ctx,
+                       description="eq24 series")
 
-    def terms():
-        power = Fraction(1)
-        s = 0
-        while True:
-            inner = Fraction(0)
-            for l in range(s):
-                inner += (math.comb(s, l) * q ** (n * F * l)
-                          * euler_number(l, qF) * count_nF ** (s - l))
-            yield ctx.embed(-(binom_rat(-r, s) * inv_ar * power * sign * inner))
-            power *= q**a * ratio
-            s += 1
 
-    return sum_guarded(terms(), ctx, description="group1 series")
+def _group1_series(groups: Iterable[Tuple[Fraction, Fraction]], ctx: QContext) -> SeriesResult:
+    """Only the first (polynomial-part) group of the expansion step, with its
+    own stop rule."""
+    return sum_guarded((ctx.embed(g1) for g1, _ in groups), ctx,
+                       description="group1 series")
 
 
 def _boundary_piece(n: int, r: int, a: int, ctx: QContext) -> Tuple[PadicNumber, SeriesResult]:
@@ -367,56 +363,64 @@ def _residual_sentinel(a: PadicNumber, b: PadicNumber) -> Valuation:
 
 def thm5_report(n: int, r: int, ctx: QContext) -> Thm5Report:
     """Run one grid point: exact sum, printed expansion, re-derived chain,
-    and per-step residual valuations."""
-    lhs_exact = thm5_lhs_exact(n, r, ctx)
-    lhs = ctx.embed(lhs_exact)
-    printed = thm5_rhs(n, r, ctx)
+    and per-step residual valuations.  Each call opens a fresh series cache,
+    so the printed and chain routes share their H/K/T values while a rerun
+    starts cold."""
+    with series_cache() as cache:
+        lhs_exact = thm5_lhs_exact(n, r, ctx)
+        lhs = ctx.embed(lhs_exact)
+        printed = thm5_rhs(n, r, ctx)
 
-    eq24_vals: List[Valuation] = []
-    eq26_vals: List[Valuation] = []
-    eq27_vals: List[Valuation] = []
-    chain_total = ctx.zero()
-    for a in range(1, ctx.p):
-        partial_exact = ctx.embed(_partial_sum_exact(n, r, a, ctx))
-        series24 = _eq24_series(n, r, a, ctx)
-        eq24_vals.append(_residual_sentinel(partial_exact, series24.value))
+        eq24_vals: List[Valuation] = []
+        eq26_vals: List[Valuation] = []
+        eq27_vals: List[Valuation] = []
+        chain_total = ctx.zero()
+        for a in range(1, ctx.p):
+            partial_exact = ctx.embed(_partial_sum_exact(n, r, a, ctx))
+            # both sums read one stream of exact terms, each computed once
+            groups24, groups1 = itertools.tee(_eq24_groups(n, r, a, ctx))
+            series24 = _eq24_series(groups24, ctx)
+            eq24_vals.append(_residual_sentinel(partial_exact, series24.value))
 
-        group1 = _group1_series(n, r, a, ctx)
-        boundary, _ = _boundary_piece(n, r, a, ctx)
-        eq26_vals.append(_residual_sentinel(partial_exact, group1.value + boundary))
+            group1 = _group1_series(groups1, ctx)
+            boundary, _ = _boundary_piece(n, r, a, ctx)
+            eq26_vals.append(_residual_sentinel(partial_exact, group1.value + boundary))
 
-        hk_value = _expansion_group(n, r, a, ctx)
-        eq27_vals.append(_residual_sentinel(group1.value, hk_value))
+            hk_value = _expansion_group(n, r, a, ctx)
+            eq27_vals.append(_residual_sentinel(group1.value, hk_value))
 
-        chain_total = chain_total + hk_value + boundary
-    chain_value = ctx.embed(2) * chain_total
+            chain_total = chain_total + hk_value + boundary
+        chain_value = ctx.embed(2) * chain_total
 
-    # regrouping of the exact index set: an exact rational identity
-    regrouped = 2 * sum(_partial_sum_exact(n, r, a, ctx) for a in range(1, ctx.p))
-    eq30_val: Valuation = INF if regrouped == lhs_exact else v_p(regrouped - lhs_exact, ctx.p)
+        # regrouping of the exact index set: an exact rational identity
+        regrouped = 2 * sum(_partial_sum_exact(n, r, a, ctx) for a in range(1, ctx.p))
+        eq30_val: Valuation = INF if regrouped == lhs_exact else v_p(regrouped - lhs_exact, ctx.p)
 
-    step_residuals: Dict[str, Valuation] = {
-        "eq24": _min_valuation(eq24_vals),
-        "eq26": _min_valuation(eq26_vals),
-        "eq27": _min_valuation(eq27_vals),
-        "eq30": eq30_val,
-        "assembly": _residual_sentinel(chain_value, printed.value),
-    }
-    first_failing = None
-    for label in STEP_LABELS:
-        if step_residuals[label] < ctx.precision:
-            first_failing = label
-            break
+        step_residuals: Dict[str, Valuation] = {
+            "eq24": _min_valuation(eq24_vals),
+            "eq26": _min_valuation(eq26_vals),
+            "eq27": _min_valuation(eq27_vals),
+            "eq30": eq30_val,
+            "assembly": _residual_sentinel(chain_value, printed.value),
+        }
+        first_failing = None
+        for label in STEP_LABELS:
+            if step_residuals[label] < ctx.precision:
+                first_failing = label
+                break
 
-    return Thm5Report(
-        lhs=lhs.at_absolute_precision(ctx.precision),
-        rhs=printed.value.at_absolute_precision(ctx.precision),
-        residual_valuation=_residual_sentinel(lhs, printed.value),
-        truncation_index=printed.last_index,
-        step_residuals=step_residuals,
-        chain_residual_valuation=_residual_sentinel(lhs, chain_value),
-        first_failing_step=first_failing,
-    )
+        return Thm5Report(
+            lhs=lhs.at_absolute_precision(ctx.precision),
+            rhs=printed.value.at_absolute_precision(ctx.precision),
+            residual_valuation=_residual_sentinel(lhs, printed.value),
+            truncation_index=printed.last_index,
+            step_residuals=step_residuals,
+            chain_residual_valuation=_residual_sentinel(lhs, chain_value),
+            first_failing_step=first_failing,
+            precision=ctx.precision,
+            cache_hits=cache.hits,
+            cache_misses=cache.misses,
+        )
 
 
 def thm5_qone_surrogate(n: int, r: int, ctx: QContext) -> dict:

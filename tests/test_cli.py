@@ -5,6 +5,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from qlfun import cli as cli_mod
 from qlfun.cli import main
 
 
@@ -167,6 +168,52 @@ def test_usage_errors_exit_two(runner):
     unknown = invoke(runner, ["qeuler", "number", "-m", "1", "--q", "2",
                               "--frobnicate"])
     assert unknown.exit_code == 2
+
+
+@pytest.mark.parametrize("args,env", [
+    (["lfun", "lpq", "-s", "1", "--p", "3", "--json"], {"QEULER_PREC": "abc"}),
+    (["qeuler", "gen", "-n", "1", "--chi", "trivial", "--json"], None),
+])
+def test_usage_error_inside_a_command_gets_an_envelope(runner, args, env):
+    result = invoke(runner, args, env=env)
+    assert result.exit_code == 2
+    envelope = json_result(result)
+    assert envelope["status"] == "error"
+    assert envelope["result"]["message"]
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its size, maps serially."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        RecordingPool.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("jobs,cpus,want", [
+    ("1000", 4, [2]),   # clamped to the number of points
+    ("1000", 1, []),    # one CPU: no pool at all
+    ("2", 8, [2]),
+])
+def test_verify_thm5_jobs_is_clamped(runner, monkeypatch, jobs, cpus, want):
+    monkeypatch.setattr(cli_mod, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli_mod.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    result = invoke(runner, ["verify", "thm5", "--p", "3", "-n", "1", "-r", "1,2",
+                             "--jobs", jobs, "--json"])
+    assert result.exit_code == 0
+    assert RecordingPool.sizes == want
+    assert len(json_result(result)["result"]) == 2
 
 
 def test_domain_errors_reported_as_error(runner):

@@ -17,6 +17,7 @@ from qlfun.lfun import (
     lq_neg,
     lq_neg_series_path,
     partial_zeta_neg,
+    series_cache,
 )
 from qlfun.numerics import (
     QContext,
@@ -314,3 +315,55 @@ def test_series_metadata_contract():
     payload = res.to_json_dict()
     assert payload["converged"] is True
     assert set(payload) == {"value", "last_index", "tail_valuation_bound", "converged"}
+
+
+# ---------------------------------------------------------------------------
+# evaluation-scoped series cache
+# ---------------------------------------------------------------------------
+
+def test_series_cache_scope_gives_the_same_values():
+    s_padic = CTX34.embed(Fraction(1, 2))
+    cases = [(s, PartialZetaParams(a, 3)) for s in (-2, 1, 3, s_padic) for a in (1, 2)]
+
+    def evaluate():
+        return [(H_pq(s, prm, CTX34), K_partial(2, s, prm, CTX34),
+                 T_partial(1, s, prm, CTX34)) for s, prm in cases]
+
+    outside = evaluate()
+    with series_cache() as cache:
+        inside = evaluate()
+        again = evaluate()
+        assert len(cache.values) == 4 * len(cases)
+    assert inside == outside
+    assert again == outside
+    # per case: H, K, T and one <a>^(-s) computed; K and T reuse H's unit
+    # power, and the second pass hits all three series
+    assert cache.misses == 4 * len(cases)
+    assert cache.hits == 5 * len(cases)
+    assert not cache.values  # dropped with the scope
+    # outside a scope nothing is recorded
+    evaluate()
+    assert (cache.hits, cache.misses) == (5 * len(cases), 4 * len(cases))
+
+
+def test_series_cache_is_dropped_with_its_scope():
+    prm = PartialZetaParams(1, 3)
+    with series_cache() as outer:
+        H_pq(1, prm, CTX34)
+        with series_cache() as inner:
+            H_pq(1, prm, CTX34)
+        assert inner.misses == outer.misses > 0
+        assert inner.hits == outer.hits == 0
+        H_pq(1, prm, CTX34)
+        assert outer.hits == 1
+
+
+@pytest.mark.parametrize("q", [Fraction(4), Fraction(-2), Fraction(7, 4), Fraction(1, 4)])
+@pytest.mark.parametrize("n,F", [(1, 3), (2, 3), (1, 5), (3, 15)])
+def test_k_inner_sum_is_a_power_minus_one(q, n, F):
+    # sum_{j=1}^{l} C(l,j) [nF]^j (q-1)^j == q^(nFl) - 1, the K series' inner sum
+    count = q_int(n * F, q)
+    for l in range(8):
+        total = sum((math.comb(l, j) * count**j * (q - 1) ** j
+                     for j in range(1, l + 1)), Fraction(0))
+        assert total == q ** (n * F * l) - 1

@@ -86,6 +86,19 @@ def test_binom_rat_pascal(t, k):
     assert binom_rat(t, k) + binom_rat(t, k + 1) == binom_rat(t + 1, k + 1)
 
 
+@given(t=st.integers(-30, 30), k=st.integers(0, 30))
+@settings(max_examples=200, deadline=None)
+def test_binom_rat_integer_path_is_the_falling_factorial(t, k):
+    product = Fraction(1)
+    for i in range(k):
+        product *= t - i
+    want = product / factorial(k)
+    for arg in (t, Fraction(t)):
+        got = binom_rat(arg, k)
+        assert isinstance(got, Fraction)
+        assert got == want
+
+
 # ---------------------------------------------------------------------------
 # reduction of exact rationals
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from qlfun.verify import (
     thm5_report,
     thm5_rhs,
 )
-from qlfun.verify import _outer_coeff
+from qlfun.verify import Thm5Report, _outer_coeff
 
 CTX34 = QContext(p=3, q=Fraction(4), precision=8)
 CTX56 = QContext(p=5, q=Fraction(6), precision=8)
@@ -170,6 +170,33 @@ def test_thm5_report_is_stable_across_reruns():
     rep1 = thm5_report(1, 1, CTX34)
     rep2 = thm5_report(1, 1, CTX34)
     assert rep1.to_json_dict() == rep2.to_json_dict()
+
+
+def test_thm5_reruns_start_on_an_empty_series_cache():
+    # each report opens its own scope: a rerun recomputes every series
+    # instead of reading the first run's values back
+    rep1 = thm5_report(1, 2, CTX34)
+    rep2 = thm5_report(1, 2, CTX34)
+    assert rep1.cache_misses > 0
+    assert rep1.cache_hits > 0  # the printed and chain routes share H/K/T
+    assert (rep2.cache_hits, rep2.cache_misses) == (rep1.cache_hits, rep1.cache_misses)
+    assert rep1.to_json_dict() == rep2.to_json_dict()
+
+
+def test_thm5_report_records_its_precision():
+    rep = thm5_report(1, 1, CTX34)
+    assert rep.precision == CTX34.precision
+    assert "precision" not in rep.to_json_dict()
+
+
+def test_thm5_passes_defaults_to_the_report_precision():
+    one = CTX34.one()
+    steps = {"eq24": 10, "eq26": 10, "eq27": 10, "eq30": INF, "assembly": 10}
+    rep = Thm5Report(lhs=one, rhs=one, residual_valuation=10, truncation_index=5,
+                     step_residuals=steps, chain_residual_valuation=10,
+                     first_failing_step="eq24", precision=12)
+    assert rep.passes() is False
+    assert rep.passes(10) is True
 
 
 def test_thm5_report_json_shape():
