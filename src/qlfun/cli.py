@@ -409,28 +409,8 @@ def verify_identities(as_json: bool) -> None:
     params: dict = {}
 
     def body():
-        sample_qs = [Fraction(2), Fraction(1, 2), Fraction(4),
-                     Fraction(1 + 3), Fraction(1 + 5)]
-        checks = {}
-        checks["poly_paths_agree"] = all(
-            qeuler_mod.euler_poly(n, x, qq) == qeuler_mod.euler_poly_moments(n, x, qq)
-            for qq in sample_qs for n in range(9) for x in range(7))
-        checks["distribution_relation"] = all(
-            qeuler_mod.euler_poly(n, x, qq) == qeuler_mod.distribution_sum(n, x, m, qq)
-            for qq in sample_qs for m in (1, 3, 5) for n in range(7) for x in range(4))
-        checks["power_sum_closed_form"] = all(
-            qeuler_mod.alt_power_sum_brute(n, m, qq) == qeuler_mod.alt_power_sum_closed(n, m, qq)
-            for qq in sample_qs for n in range(1, 9) for m in range(1, 7))
-        checks["misprint_regression"] = (
-            verify_mod.alt_power_sum_misprinted(2, 1, Fraction(2)) == Fraction(-7)
-            and qeuler_mod.alt_power_sum_brute(2, 1, Fraction(2)) == Fraction(-2))
-        checks["inverse_power_sum"] = all(
-            verify_mod.remark_check(pp, qq)
-            for pp in (3, 5, 7) for qq in (Fraction(2), Fraction(5), Fraction(7, 3)))
-        checks["binomial_identities"] = verify_mod.binom_identities_check(
-            range(1, 9), range(7), range(7))
-        ok = all(checks.values())
-        return checks, "ok" if ok else "assertion_failed"
+        checks = verify_mod.identity_suite()
+        return checks, "ok" if all(checks.values()) else "assertion_failed"
 
     run_command("verify identities", params, as_json, body)
 

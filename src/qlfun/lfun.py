@@ -14,7 +14,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, List, Optional, Union
+from typing import Callable, Iterator, List, Optional, Union
 
 from .characters import DirichletCharacter, chi_eval, chi_eval_exact
 from .numerics import (
@@ -23,8 +23,7 @@ from .numerics import (
     QContext,
     SeriesResult,
     angle_bracket,
-    binom_rat,
-    binom_padic,
+    binom_stream,
     merge_series,
     padic_pow,
     q_int,
@@ -167,26 +166,40 @@ def _unit_pow(a: int, s: PadicExponent, ctx: QContext) -> SeriesResult:
     return padic_pow(angle_bracket(a, ctx), -s, ctx)
 
 
-def _binom_neg(s: PadicExponent, j: int, ctx: QContext):
-    """binom(-s, j): exact Fraction for integer s, p-adic otherwise."""
-    if isinstance(s, int):
-        return binom_rat(-s, j)
-    return binom_padic(-s, j, ctx)
-
-
-def _series_term(coeff, exact: Fraction, ctx: QContext) -> PadicNumber:
-    """coeff * exact as a PadicNumber, keeping exact paths exact."""
-    if isinstance(coeff, Fraction):
-        return ctx.embed(coeff * exact)
-    return coeff * ctx.embed(exact)
-
-
 def _require_padic_params(prm: PartialZetaParams, ctx: QContext, name: str) -> None:
     if prm.F % ctx.p != 0:
         raise ValueError(f"{name} requires p | F")
     if prm.a % ctx.p == 0:
         raise ValueError(f"{name} requires gcd(a, p) = 1")
     ctx.require_q_not_one(name)
+
+
+def _twisted_series(s: PadicExponent, prm: PartialZetaParams, ctx: QContext,
+                    scale: Union[int, Fraction], description: str,
+                    factor: Optional[Callable[[int], Fraction]] = None) -> SeriesResult:
+    """scale <a>^(-s) sum_j binom(-s, j) (q^a [F]/[a])^j E_{j,q^F} [factor(j)],
+    the series shared by H_pq, K_partial and T_partial.
+
+    Each term is a product of separately reduced factors: reduction to p-adic
+    digits is multiplicative, so this equals reducing the exact product.  The
+    optional exact factor (a difference) is formed exactly before it is
+    reduced."""
+    a, F = prm.a, prm.F
+    q = ctx.q
+    unit_pow = _unit_pow(a, s, ctx)
+    step = ctx.embed(q_int(F, q) / q_int(a, q) * q**a)
+    qF = q**F
+
+    def terms() -> Iterator[PadicNumber]:
+        power = ctx.embed(1)  # not ctx.one(): that would cap the digits at working precision
+        for j, coeff in enumerate(binom_stream(-s, ctx)):
+            term = coeff * power * ctx.embed(euler_number(j, qF))
+            yield term if factor is None else term * ctx.embed(factor(j))
+            power = power * step
+
+    body = sum_guarded(terms(), ctx, description=description)
+    value = ctx.embed(scale) * unit_pow.value * body.value
+    return merge_series(value, [unit_pow, body])
 
 
 @_scoped
@@ -197,24 +210,7 @@ def H_pq(s: PadicExponent, prm: PartialZetaParams, ctx: QContext) -> SeriesResul
     value is the Teichmuller-twisted exact partial zeta value.
     """
     _require_padic_params(prm, ctx, "H_pq")
-    a, F = prm.a, prm.F
-    q = ctx.q
-    unit_pow = _unit_pow(a, s, ctx)
-    ratio = q_int(F, q) / q_int(a, q)
-    qF = q**F
-
-    def terms() -> Iterator[PadicNumber]:
-        power = Fraction(1)
-        j = 0
-        while True:
-            yield _series_term(_binom_neg(s, j, ctx),
-                               power * euler_number(j, qF), ctx)
-            power *= ratio * q**a
-            j += 1
-
-    body = sum_guarded(terms(), ctx, description="H_pq series")
-    value = ctx.embed(Fraction((-1) ** a, 2)) * unit_pow.value * body.value
-    return merge_series(value, [unit_pow, body])
+    return _twisted_series(s, prm, ctx, Fraction((-1) ** prm.a, 2), "H_pq series")
 
 
 def l_pq(
@@ -254,26 +250,9 @@ def T_partial(n: int, s: PadicExponent, prm: PartialZetaParams, ctx: QContext) -
     if n < 1:
         raise ValueError("T_partial requires n >= 1")
     _require_padic_params(prm, ctx, "T_partial")
-    a, F = prm.a, prm.F
-    q = ctx.q
-    unit_pow = _unit_pow(a, s, ctx)
-    ratio = q_int(F, q) / q_int(a, q)
-    qF = q**F
-    sign_n = (-1) ** n
-
-    def terms() -> Iterator[PadicNumber]:
-        power = Fraction(1)
-        k = 0
-        while True:
-            factor = sign_n * q ** (n * F * k) - 1
-            yield _series_term(_binom_neg(s, k, ctx),
-                               power * factor * euler_number(k, qF), ctx)
-            power *= ratio * q**a
-            k += 1
-
-    body = sum_guarded(terms(), ctx, description="T series")
-    value = ctx.embed((-1) ** a) * unit_pow.value * body.value
-    return merge_series(value, [unit_pow, body])
+    q, F = ctx.q, prm.F
+    return _twisted_series(s, prm, ctx, (-1) ** prm.a, "T series",
+                           lambda k: (-1) ** n * q ** (n * F * k) - 1)
 
 
 @_scoped
@@ -287,29 +266,10 @@ def K_partial(n: int, s: PadicExponent, prm: PartialZetaParams, ctx: QContext) -
     if n < 1:
         raise ValueError("K_partial requires n >= 1")
     _require_padic_params(prm, ctx, "K_partial")
-    a, F = prm.a, prm.F
-    q = ctx.q
-    unit_pow = _unit_pow(a, s, ctx)
-    ratio = q_int(F, q) / q_int(a, q)
-    qF = q**F
-    qnF = q ** (n * F)
-
-    def inner(l: int) -> Fraction:
-        # sum_{j=1}^{l} C(l,j) ([nF] (q-1))^j = q^(nFl) - 1, since [nF] (q-1) = q^(nF) - 1
-        return qnF**l - 1
-
-    def terms() -> Iterator[PadicNumber]:
-        power = Fraction(1)
-        l = 0
-        while True:
-            yield _series_term(_binom_neg(s, l, ctx),
-                               power * euler_number(l, qF) * inner(l), ctx)
-            power *= ratio * q**a
-            l += 1
-
-    body = sum_guarded(terms(), ctx, description="K series")
-    value = ctx.embed(Fraction((-1) ** a, 2)) * unit_pow.value * body.value
-    return merge_series(value, [unit_pow, body])
+    qnF = ctx.q ** (n * prm.F)
+    # sum_{j=1}^{l} C(l,j) ([nF] (q-1))^j = q^(nFl) - 1, since [nF] (q-1) = q^(nF) - 1
+    return _twisted_series(s, prm, ctx, Fraction((-1) ** prm.a, 2), "K series",
+                           lambda l: qnF**l - 1)
 
 
 def _full_sum(partial_fn, chi: DirichletCharacter, ctx: QContext) -> SeriesResult:

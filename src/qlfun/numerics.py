@@ -14,6 +14,7 @@ working precision, truncation guard) travel in a :class:`QContext`.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -50,21 +51,21 @@ def is_odd_prime(p: int) -> bool:
     return True
 
 
+def _strip_p(n: int, p: int) -> tuple[int, int]:
+    """(n / p**v, v) for the largest v with p**v dividing the nonzero integer n."""
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return n, v
+
+
 def v_p(x: IntOrRational, p: int) -> Valuation:
     """p-adic valuation of an exact integer or fraction (inf for 0)."""
     if x == 0:
         return INF
     x = Fraction(x)
-    v = 0
-    n = x.numerator
-    while n % p == 0:
-        n //= p
-        v += 1
-    d = x.denominator
-    while d % p == 0:
-        d //= p
-        v -= 1
-    return v
+    return _strip_p(x.numerator, p)[1] - _strip_p(x.denominator, p)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -307,13 +308,13 @@ def reduce_mod_pN(r: IntOrRational, p: int, N: int) -> PadicNumber:
     r = Fraction(r)
     if r == 0:
         return PadicNumber.zero(p)
-    val = v_p(r, p)
-    scaled = r / Fraction(p) ** int(val)
+    # strip p from numerator and denominator as integers: no gcd on the
+    # (often very large) numerator and denominator
+    num, v_num = _strip_p(r.numerator, p)
+    den, v_den = _strip_p(r.denominator, p)
     modulus = p**N
-    num = scaled.numerator % modulus
-    den_inv = pow(scaled.denominator % modulus, -1, modulus)
-    return PadicNumber(p=p, valuation=int(val), unit=(num * den_inv) % modulus,
-                       precision=N)
+    unit = num % modulus * pow(den % modulus, -1, modulus) % modulus
+    return PadicNumber(p=p, valuation=v_num - v_den, unit=unit, precision=N)
 
 
 def residual_valuation(a: PadicNumber, b: PadicNumber) -> Valuation:
@@ -496,27 +497,36 @@ def merge_series(value: PadicNumber, parts: Iterable[SeriesResult]) -> SeriesRes
 PadicExponent = Union[int, PadicNumber]
 
 
-def binom_padic(s: PadicExponent, k: int, ctx: QContext) -> PadicNumber:
-    """Binomial coefficient s(s-1)...(s-k+1)/k! for a p-adic integer s.
+def binom_stream(s: PadicExponent, ctx: QContext) -> Iterator[PadicNumber]:
+    """binom(s, k) = s(s-1)...(s-k+1)/k! for k = 0, 1, 2, ... and a p-adic
+    integer s, from one running product and one running integer k!.
 
-    For an embedded integer the value is exact; for a genuinely p-adic s
-    the division by k! costs v_p(k!) digits of absolute precision, which
-    the result's precision field reflects.
+    For an integer s every value is the exact binomial, embedded; for a
+    genuinely p-adic s the division by k! costs v_p(k!) digits of absolute
+    precision, which each value's precision field reflects.  Once the
+    product is a p-adic zero (s an embedded integer 0 <= s < k) it is no
+    longer multiplied.
     """
+    if isinstance(s, int):
+        for k in itertools.count():
+            yield ctx.embed(binom_rat(s, k))
+    if not s.is_zero and s.valuation < 0:
+        raise PadicError("binom_stream requires a p-adic integer")
+    prod = ctx.one()
+    factorial = 1
+    for k in itertools.count():
+        yield prod / ctx.embed(factorial)
+        if not prod.is_zero:
+            prod = prod * (s - ctx.embed(k))
+        factorial *= k + 1
+
+
+def binom_padic(s: PadicExponent, k: int, ctx: QContext) -> PadicNumber:
+    """Binomial coefficient s(s-1)...(s-k+1)/k! for a p-adic integer s: the
+    k-th value of :func:`binom_stream`."""
     if k < 0:
         raise ValueError("binom_padic requires k >= 0")
-    if isinstance(s, int):
-        return ctx.embed(binom_rat(s, k))
-    if not s.is_zero and s.valuation < 0:
-        raise PadicError("binom_padic requires a p-adic integer")
-    if k == 0:
-        return ctx.one()
-    prod = ctx.one()
-    for i in range(k):
-        prod = prod * (s - ctx.embed(i))
-        if prod.is_zero:
-            break
-    return prod / ctx.embed(math.factorial(k))
+    return next(itertools.islice(binom_stream(s, ctx), k, None))
 
 
 def padic_pow(u: PadicNumber, s: PadicExponent, ctx: QContext) -> SeriesResult:
@@ -531,11 +541,9 @@ def padic_pow(u: PadicNumber, s: PadicExponent, ctx: QContext) -> SeriesResult:
 
     def terms() -> Iterator[PadicNumber]:
         power = ctx.one()
-        k = 0
-        while True:
-            yield binom_padic(s, k, ctx) * power
+        for coeff in binom_stream(s, ctx):
+            yield coeff * power
             power = power * t
-            k += 1
 
     return sum_guarded(terms(), ctx, description="binomial power series")
 

@@ -47,7 +47,14 @@ from .numerics import (
     teichmuller,
     v_p,
 )
-from .qeuler import euler_number, euler_poly
+from .qeuler import (
+    alt_power_sum_brute,
+    alt_power_sum_closed,
+    distribution_sum,
+    euler_number,
+    euler_poly,
+    euler_poly_moments,
+)
 
 STEP_LABELS = ("eq24", "eq26", "eq27", "eq30", "assembly")
 
@@ -147,6 +154,32 @@ def binom_identities_check(r_range: Sequence[int], k_range: Sequence[int],
                 if lhs23 != rhs23:
                     return False
     return True
+
+
+def identity_suite() -> Dict[str, bool]:
+    """The exact identity suite, each check by name: dual-path polynomial
+    values, the multiplication-by-m relation, power-sum closed forms (with
+    the misprinted-variant regression pinned), the inverse power-sum
+    identity and the binomial coefficient identities."""
+    qs = [Fraction(2), Fraction(1, 2), Fraction(4), Fraction(1 + 3), Fraction(1 + 5)]
+    return {
+        "poly_paths_agree": all(
+            euler_poly(n, x, q) == euler_poly_moments(n, x, q)
+            for q in qs for n in range(9) for x in range(7)),
+        "distribution_relation": all(
+            euler_poly(n, x, q) == distribution_sum(n, x, m, q)
+            for q in qs for m in (1, 3, 5) for n in range(7) for x in range(4)),
+        "power_sum_closed_form": all(
+            alt_power_sum_brute(n, m, q) == alt_power_sum_closed(n, m, q)
+            for q in qs for n in range(1, 9) for m in range(1, 7)),
+        "misprint_regression": (
+            alt_power_sum_misprinted(2, 1, Fraction(2)) == Fraction(-7)
+            and alt_power_sum_brute(2, 1, Fraction(2)) == Fraction(-2)),
+        "inverse_power_sum": all(
+            remark_check(p, q)
+            for p in (3, 5, 7) for q in (Fraction(2), Fraction(5), Fraction(7, 3))),
+        "binomial_identities": binom_identities_check(range(1, 9), range(7), range(7)),
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -33,16 +33,14 @@ from qlfun.numerics import (
 from qlfun.qeuler import (
     alt_power_sum_brute,
     alt_power_sum_closed,
-    distribution_sum,
     euler_number,
-    euler_poly,
-    euler_poly_moments,
     gen_euler_number,
     volkenborn_approx,
 )
 from qlfun.verify import (
     alt_power_sum_misprinted,
     classical_euler_number,
+    identity_suite,
     thm5_report,
     thm5_rhs,
 )
@@ -60,40 +58,15 @@ def report(number: int, description: str, ok: bool, elapsed: float) -> None:
 # ---------------------------------------------------------------------------
 
 def test_criterion_1_exact_identity_suite():
+    # dual-path polynomial values, the multiplication-by-m relation, power-sum
+    # closed forms and the misprint regression, the inverse power-sum identity
+    # and the binomial coefficient identities: the suite `verify identities` runs
     start = time.monotonic()
-    ok = True
-
-    # dual-path polynomial values
-    for q in SAMPLE_QS:
-        for n in range(9):
-            for x in range(7):
-                ok = ok and euler_poly(n, x, q) == euler_poly_moments(n, x, q)
-
-    # multiplication-by-m relation
-    for q in SAMPLE_QS:
-        for m in (1, 3, 5):
-            for n in range(7):
-                for x in range(4):
-                    ok = ok and euler_poly(n, x, q) == distribution_sum(n, x, m, q)
-
-    # alternating power sums: closed form against the literal sum
-    for q in SAMPLE_QS:
-        for n in range(1, 9):
-            for m in range(1, 7):
-                ok = ok and alt_power_sum_brute(n, m, q) == alt_power_sum_closed(n, m, q)
-
-    # inverse power-sum identity
-    from qlfun.verify import remark_check
-    for p in (3, 5, 7):
-        for q in (Fraction(2), Fraction(5), Fraction(7, 3)):
-            ok = ok and remark_check(p, q)
-
-    # binomial coefficient identities
-    from qlfun.verify import binom_identities_check
-    ok = ok and binom_identities_check(range(1, 9), range(7), range(7))
-
+    checks = identity_suite()
     elapsed = time.monotonic() - start
-    ok = ok and elapsed < 10.0
+    failing = [name for name, held in checks.items() if not held]
+    assert len(checks) >= 6 and not failing, f"failing checks: {failing}"
+    ok = elapsed < 10.0
     report(1, "exact identity suite (zero tolerance, < 10 s)", ok, elapsed)
 
 

@@ -1,7 +1,9 @@
 """Partial zeta values, q-l-values, and their p-adic interpolations."""
 
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -367,3 +369,38 @@ def test_k_inner_sum_is_a_power_minus_one(q, n, F):
         total = sum((math.comb(l, j) * count**j * (q - 1) ** j
                      for j in range(1, l + 1)), Fraction(0))
         assert total == q ** (n * F * l) - 1
+
+
+# ---------------------------------------------------------------------------
+# golden series values
+# ---------------------------------------------------------------------------
+
+#: to_json_dict() of each case below, as computed when every series term was
+#: formed as one exact rational and then reduced; the per-factor reduction of
+#: the terms must reproduce every digit and every series field
+GOLDEN = json.loads((Path(__file__).parent / "data" / "series_golden.json").read_text())
+
+
+def golden_cases():
+    for p in (3, 5, 7):
+        ctx = QContext(p=p, q=Fraction(p + 1), precision=8)
+        chi = DirichletCharacter.teichmuller_power(1, p)
+        exponents = [("int:2", 2), ("int:3", 3),
+                     ("padic:1/2", ctx.embed(Fraction(1, 2))),
+                     ("padic:-3/4", ctx.embed(Fraction(-3, 4))),
+                     ("embedded:-2", ctx.embed(-2))]
+        for name, s in exponents:
+            for a in (1, 2):
+                yield f"H_pq/p{p}/a{a}/{name}", H_pq(s, PartialZetaParams(a, p), ctx)
+            prm = PartialZetaParams(2, p)
+            for n in (1, 2):
+                yield f"K_partial/p{p}/a2/n{n}/{name}", K_partial(n, s, prm, ctx)
+                yield f"T_partial/p{p}/a2/n{n}/{name}", T_partial(n, s, prm, ctx)
+            yield f"l_pq/p{p}/teich1/{name}", l_pq(s, chi, ctx)
+
+
+def test_series_values_match_the_golden_file():
+    got = {name: result.to_json_dict() for name, result in golden_cases()}
+    assert set(got) == set(GOLDEN)
+    mismatched = sorted(name for name in got if got[name] != GOLDEN[name])
+    assert not mismatched, f"{len(mismatched)} cases differ, first {mismatched[:3]}"

@@ -1,6 +1,7 @@
 """Exact rational primitives and truncated p-adic arithmetic."""
 
 from fractions import Fraction
+from itertools import islice
 from math import factorial, inf
 
 import pytest
@@ -14,6 +15,7 @@ from qlfun.numerics import (
     angle_bracket,
     binom_padic,
     binom_rat,
+    binom_stream,
     padic_pow,
     q_int,
     q_int_alt,
@@ -135,6 +137,34 @@ def test_reduce_is_a_ring_morphism(a, b):
         assert (ra * rb - reduce_mod_pN(a * b, p, N)).is_zero
     if a + b != 0:
         assert (ra + rb - reduce_mod_pN(a + b, p, N)).is_zero
+
+
+def reduce_by_division(r: Fraction, p: int, N: int) -> PadicNumber:
+    """The reduction as first written: divide out p**v_p(r) as a Fraction."""
+    val = v_p(r, p)
+    scaled = r / Fraction(p) ** val
+    modulus = p**N
+    unit = scaled.numerator % modulus * pow(scaled.denominator % modulus, -1, modulus)
+    return PadicNumber(p=p, valuation=val, unit=unit % modulus, precision=N)
+
+
+@given(r=rationals, shift=st.integers(min_value=-6, max_value=6),
+       p=st.sampled_from([3, 5, 7]))
+@settings(max_examples=80, deadline=None)
+def test_reduce_strips_p_like_the_fraction_route(r, shift, p):
+    r = r * Fraction(p) ** shift
+    assert reduce_mod_pN(r, p, 12) == reduce_by_division(r, p, 12)
+
+
+@given(x=st.fractions(min_value=-200, max_value=200, max_denominator=10**6),
+       y=st.fractions(min_value=-200, max_value=200, max_denominator=10**6),
+       p=st.sampled_from([3, 5, 7]))
+@settings(max_examples=100, deadline=None)
+def test_embed_is_multiplicative_as_dataclasses(x, y, p):
+    # the reason a series term may be reduced factor by factor
+    ctx = QContext(p=p, q=Fraction(p + 1), precision=8)
+    assert ctx.embed(x * y) == ctx.embed(x) * ctx.embed(y)
+    assert ctx.embed(0 * y) == ctx.embed(0) * ctx.embed(y)
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +344,37 @@ def test_binom_padic_records_factorial_loss():
     got = binom_padic(ctx.embed(7), 6, ctx)  # v_5(6!) = 1
     assert residual_valuation(got, ctx.embed(7)) >= ctx.working_precision - 1
     assert got.abs_precision >= ctx.working_precision - v_p(factorial(6), 5)
+
+
+def binom_rebuilt(s: PadicNumber, k: int, ctx: QContext) -> PadicNumber:
+    """binom(s, k) as a product rebuilt for this k alone, stopped once it is
+    a p-adic zero."""
+    prod = ctx.one()
+    for i in range(k):
+        prod = prod * (s - ctx.embed(i))
+        if prod.is_zero:
+            break
+    return prod / ctx.embed(factorial(k))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_binom_stream_matches_binom_padic(p):
+    ctx = QContext(p=p, q=Fraction(p + 1), precision=8)
+    padic = [ctx.embed(Fraction(1, 2)), ctx.embed(Fraction(-7, 4)), ctx.embed(Fraction(p, 4))]
+    embedded = [ctx.embed(n) for n in (0, 1, 3, p, 2 * p + 1)]  # the product hits zero
+    for s in padic + embedded + [0, 2, -3, 11]:
+        stream = list(islice(binom_stream(s, ctx), 40))
+        assert stream == [binom_padic(s, k, ctx) for k in range(40)]
+        if isinstance(s, int):
+            assert stream == [ctx.embed(binom_rat(s, k)) for k in range(40)]
+        else:
+            assert stream == [binom_rebuilt(s, k, ctx) for k in range(40)]
+
+
+def test_binom_stream_rejects_non_integral_exponent():
+    ctx = QContext(p=5, q=Fraction(6), precision=8)
+    with pytest.raises(PadicError):
+        next(binom_stream(ctx.embed(Fraction(1, 5)), ctx))
 
 
 # ---------------------------------------------------------------------------
