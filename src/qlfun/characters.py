@@ -127,6 +127,7 @@ class DirichletCharacter:
 
     @property
     def conductor(self) -> int:
+        """Least period of the character: lcm of the atom conductors."""
         c = 1
         for atom in self.factors:
             c = math.lcm(c, atom.conductor)
@@ -157,11 +158,6 @@ class DirichletCharacter:
             else:
                 parts.append(f"quad:{atom.d}")
         return "*".join(parts) if parts else "trivial"
-
-
-def conductor(chi: DirichletCharacter) -> int:
-    """Least period of the character: lcm of the atom conductors."""
-    return chi.conductor
 
 
 def twist(chi: DirichletCharacter, t: int, p: Optional[int] = None) -> DirichletCharacter:

@@ -9,11 +9,11 @@ with ``--json``.  Exit codes: 0 ok, 1 verification assertion failed,
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from typing import Optional
 
@@ -21,7 +21,7 @@ import click
 
 from . import verify as verify_mod
 from .characters import CharacterError, parse_character
-from .lfun import H_pq, K_full, K_partial, PartialZetaParams, T_full, T_partial, l_pq, lq_neg
+from .lfun import H_pq, K_full, K_partial, PartialZetaParams, T_full, T_partial, l_pq
 from .numerics import INF, PadicNumber, QContext, SeriesResult, SeriesDivergenceError
 from .qeuler import gen_euler_number, volkenborn_approx
 from . import qeuler as qeuler_mod
@@ -132,6 +132,19 @@ def run_command(command: str, params: dict, as_json: bool, fn) -> None:
     sys.exit(EXIT_CODES[status])
 
 
+def _twisted_euler(n: int, chi: str, p: Optional[int], q: Optional[str],
+                   prec: Optional[int]):
+    """Body of ``qeuler gen`` and ``lfun lq``: the n-th twisted q-Euler
+    number, exact for {0,+-1}-valued characters and p-adic otherwise."""
+    character = parse_character(chi, p)
+    if character.is_plus_minus_one_valued:
+        return gen_euler_number(n, character, q=_resolve_q(q, p)), "ok"
+    if p is None:
+        raise click.UsageError("--p is required for p-adic-valued characters")
+    ctx = _context(p, q, prec)
+    return at_target(gen_euler_number(n, character, ctx=ctx), ctx), "ok"
+
+
 def json_option(fn):
     return click.option("--json", "as_json", is_flag=True,
                         help="emit a single JSON envelope")(fn)
@@ -182,17 +195,7 @@ def qeuler_poly(n: int, x: int, q: str, as_json: bool) -> None:
 def qeuler_gen(n: int, chi: str, p: Optional[int], q: Optional[str],
                prec: Optional[int], as_json: bool) -> None:
     params = {"n": n, "chi": chi, "p": p, "q": q, "prec": prec}
-
-    def body():
-        character = parse_character(chi, p)
-        if character.is_plus_minus_one_valued:
-            return gen_euler_number(n, character, q=_resolve_q(q, p)), "ok"
-        if p is None:
-            raise click.UsageError("--p is required for p-adic-valued characters")
-        ctx = _context(p, q, prec)
-        return at_target(gen_euler_number(n, character, ctx=ctx), ctx), "ok"
-
-    run_command("qeuler gen", params, as_json, body)
+    run_command("qeuler gen", params, as_json, lambda: _twisted_euler(n, chi, p, q, prec))
 
 
 @qeuler.command("volkenborn")
@@ -225,18 +228,9 @@ def lfun() -> None:
 @json_option
 def lfun_lq(k: int, chi: str, q: Optional[str], p: Optional[int],
             prec: Optional[int], as_json: bool) -> None:
+    """Dirichlet-type q-l-value at -k: the k-th twisted q-Euler number."""
     params = {"k": k, "chi": chi, "q": q, "p": p, "prec": prec}
-
-    def body():
-        character = parse_character(chi, p)
-        if character.is_plus_minus_one_valued:
-            return lq_neg(k, character, q=_resolve_q(q, p)), "ok"
-        if p is None:
-            raise click.UsageError("--p is required for p-adic-valued characters")
-        ctx = _context(p, q, prec)
-        return at_target(lq_neg(k, character, ctx=ctx), ctx), "ok"
-
-    run_command("lfun lq", params, as_json, body)
+    run_command("lfun lq", params, as_json, lambda: _twisted_euler(k, chi, p, q, prec))
 
 
 @lfun.command("lpq")
@@ -318,44 +312,24 @@ def verify() -> None:
     """Verification suites; exit 0 only if all asserted invariants hold."""
 
 
-def _thm5_point(args) -> dict:
-    p, q_text, n, r, prec = args
-    ctx = QContext(p=p, q=Fraction(q_text), precision=prec)
-    report = verify_mod.thm5_report(n, r, ctx)
-    out = report.to_json_dict()
-    out["n"] = n
-    out["r"] = r
-    out["p"] = p
-    out["passes"] = report.passes(prec)
-    return out
-
-
 @verify.command("thm5")
 @click.option("--p", type=int, required=True)
 @click.option("--q", "q", type=str, default=None)
 @click.option("-n", "n_list", type=str, required=True, help="value or comma list")
 @click.option("-r", "r_list", type=str, required=True, help="value or comma list")
 @click.option("--prec", type=int, default=None)
-@click.option("--jobs", type=int, default=1)
 @json_option
 def verify_thm5(p: int, q: Optional[str], n_list: str, r_list: str,
-                prec: Optional[int], jobs: int, as_json: bool) -> None:
-    params = {"p": p, "q": q, "n": n_list, "r": r_list, "prec": prec, "jobs": jobs}
+                prec: Optional[int], as_json: bool) -> None:
+    """Power-sum expansion harness over the n x r grid, in one series cache."""
+    params = {"p": p, "q": q, "n": n_list, "r": r_list, "prec": prec}
 
     def body():
-        precision = prec if prec is not None else _default_precision()
-        q_frac = _resolve_q(q, p)
-        q_text = f"{q_frac.numerator}/{q_frac.denominator}"
-        points = [(p, q_text, n, r)
-                  for n in _int_list(n_list) for r in _int_list(r_list)]
-        work = [(pp, qq, n, r, precision) for pp, qq, n, r in points]
-        # a fork pool starts all of its workers at once
-        workers = min(jobs, len(work), os.cpu_count() or 1)
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                reports = list(pool.map(_thm5_point, work))
-        else:
-            reports = [_thm5_point(w) for w in work]
+        ctx = _context(p, q, prec)
+        ns, rs = _int_list(n_list), _int_list(r_list)
+        reports = [dict(rep.to_json_dict(), n=n, r=r, p=p, passes=rep.passes())
+                   for (n, r), rep in zip(itertools.product(ns, rs),
+                                          verify_mod.thm5_grid(ns, rs, ctx))]
         result = reports[0] if len(reports) == 1 else reports
         ok = all(rep["passes"] for rep in reports)
         return result, "ok" if ok else "assertion_failed"

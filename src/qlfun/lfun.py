@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterator, List, Optional, Union
 
-from .characters import DirichletCharacter, chi_eval, chi_eval_exact
+from .characters import DirichletCharacter, chi_eval
 from .numerics import (
     PadicExponent,
     PadicNumber,
@@ -29,7 +29,7 @@ from .numerics import (
     q_int,
     sum_guarded,
 )
-from .qeuler import FractionalArg, euler_number, euler_poly_frac, gen_euler_number
+from .qeuler import FractionalArg, chi_weighted_sum, euler_number, euler_poly_frac
 
 
 @dataclass(frozen=True)
@@ -67,26 +67,16 @@ def partial_zeta_neg(n: int, prm: PartialZetaParams, q) -> Fraction:
     return _h_neg_term(n, prm.a, prm.F, q)
 
 
-def lq_neg(
-    k: int,
-    chi: DirichletCharacter,
-    q=None,
-    ctx: Optional[QContext] = None,
-) -> Union[Fraction, PadicNumber]:
-    """Dirichlet-type q-l-value at -k: the k-th twisted q-Euler number."""
-    if k < 0:
-        raise ValueError("lq_neg requires k >= 0")
-    return gen_euler_number(k, chi, q=q, ctx=ctx)
-
-
 def lq_neg_series_path(
     k: int,
     chi: DirichletCharacter,
     q=None,
     ctx: Optional[QContext] = None,
 ) -> Union[Fraction, PadicNumber]:
-    """Independent route to the same value: 2 sum_{a=1}^{F} chi(a) H(-k, a:F)
-    over the conductor F, with the a = F term evaluated at argument 1."""
+    """Independent route to the Dirichlet-type q-l-value at -k (the k-th
+    twisted q-Euler number, :func:`gen_euler_number`): 2 sum_{a=1}^{F}
+    chi(a) H(-k, a:F) over the conductor F, with the a = F term evaluated
+    at argument 1."""
     if k < 0:
         raise ValueError("lq_neg_series_path requires k >= 0")
     if q is None:
@@ -95,21 +85,7 @@ def lq_neg_series_path(
         q = ctx.q
     q = Fraction(q)
     F = chi.conductor
-    if chi.is_plus_minus_one_valued:
-        total = Fraction(0)
-        for a in range(1, F + 1):
-            c = chi_eval_exact(chi, a)
-            if c:
-                total += c * _h_neg_term(k, a, F, q)
-        return 2 * total
-    if ctx is None:
-        raise ValueError("lq_neg_series_path needs a QContext for p-adic characters")
-    acc = ctx.zero()
-    for a in range(1, F + 1):
-        c = chi_eval(chi, a, ctx)
-        if not c.is_zero:
-            acc = acc + c * ctx.embed(_h_neg_term(k, a, F, q))
-    return acc + acc  # times 2
+    return chi_weighted_sum(chi, range(1, F + 1), lambda a: _h_neg_term(k, a, F, q), 2, ctx)
 
 
 @dataclass
@@ -213,6 +189,24 @@ def H_pq(s: PadicExponent, prm: PartialZetaParams, ctx: QContext) -> SeriesResul
     return _twisted_series(s, prm, ctx, Fraction((-1) ** prm.a, 2), "H_pq series")
 
 
+def _unit_sum(partial: Callable[[PartialZetaParams], SeriesResult],
+              chi: DirichletCharacter, F: int, ctx: QContext) -> SeriesResult:
+    """2 sum over units a <= F of chi(a) partial(a : F), the character-weighted
+    sum behind l_pq, T_full and K_full."""
+    acc = ctx.zero()
+    parts: List[SeriesResult] = []
+    for a in range(1, F + 1):
+        if a % ctx.p == 0:
+            continue
+        c = chi_eval(chi, a, ctx)
+        if c.is_zero:
+            continue
+        part = partial(PartialZetaParams(a, F))
+        parts.append(part)
+        acc = acc + c * part.value
+    return merge_series(acc + acc, parts)
+
+
 def l_pq(
     s: PadicExponent,
     chi: DirichletCharacter,
@@ -227,18 +221,7 @@ def l_pq(
         raise ValueError("l_pq requires an odd multiple of p for F")
     if F % cond != 0:
         raise ValueError("l_pq requires conductor(chi) | F")
-    acc = ctx.zero()
-    parts: List[SeriesResult] = []
-    for a in range(1, F + 1):
-        if a % ctx.p == 0:
-            continue
-        c = chi_eval(chi, a, ctx)
-        if c.is_zero:
-            continue
-        part = H_pq(s, PartialZetaParams(a, F), ctx)
-        parts.append(part)
-        acc = acc + c * part.value
-    return merge_series(acc + acc, parts)
+    return _unit_sum(lambda prm: H_pq(s, prm, ctx), chi, F, ctx)
 
 
 @_scoped
@@ -272,25 +255,11 @@ def K_partial(n: int, s: PadicExponent, prm: PartialZetaParams, ctx: QContext) -
                            lambda l: qnF**l - 1)
 
 
-def _full_sum(partial_fn, chi: DirichletCharacter, ctx: QContext) -> SeriesResult:
-    """2 sum_{a=1}^{p-1} chi(a) * partial(a : p), with F fixed to p."""
-    acc = ctx.zero()
-    parts: List[SeriesResult] = []
-    for a in range(1, ctx.p):
-        c = chi_eval(chi, a, ctx)
-        if c.is_zero:
-            continue
-        part = partial_fn(PartialZetaParams(a, ctx.p))
-        parts.append(part)
-        acc = acc + c * part.value
-    return merge_series(acc + acc, parts)
-
-
 def T_full(n: int, s: PadicExponent, chi: DirichletCharacter, ctx: QContext) -> SeriesResult:
     """Character-weighted aggregate of the boundary-term series at F = p."""
-    return _full_sum(lambda prm: T_partial(n, s, prm, ctx), chi, ctx)
+    return _unit_sum(lambda prm: T_partial(n, s, prm, ctx), chi, ctx.p, ctx)
 
 
 def K_full(n: int, s: PadicExponent, chi: DirichletCharacter, ctx: QContext) -> SeriesResult:
     """Character-weighted aggregate of the correction series at F = p."""
-    return _full_sum(lambda prm: K_partial(n, s, prm, ctx), chi, ctx)
+    return _unit_sum(lambda prm: K_partial(n, s, prm, ctx), chi, ctx.p, ctx)

@@ -318,7 +318,9 @@ def reduce_mod_pN(r: IntOrRational, p: int, N: int) -> PadicNumber:
 
 
 def residual_valuation(a: PadicNumber, b: PadicNumber) -> Valuation:
-    """Known lower bound for v_p(a - b); inf when indistinguishable."""
+    """Known lower bound for v_p(a - b).  When a and b are indistinguishable
+    this is the zero difference's finite bound (the smaller absolute
+    precision), not inf."""
     return (a - b).valuation
 
 

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
 from .characters import DirichletCharacter, chi_eval, chi_eval_exact
 from .numerics import (
@@ -166,6 +166,36 @@ def distribution_sum(n: int, x: int, m: int, q: IntOrRational) -> Fraction:
     return q_int(m, q) ** n * total
 
 
+def chi_weighted_sum(
+    chi: DirichletCharacter,
+    indices: Iterable[int],
+    exact_term: Callable[[int], Fraction],
+    scale: IntOrRational,
+    ctx: Optional[QContext],
+) -> Union[Fraction, PadicNumber]:
+    """scale * sum over a in indices of chi(a) exact_term(a).
+
+    Exact when the character is {0,+-1}-valued; otherwise the character
+    values are p-adic, a context is required, and the sum is a PadicNumber
+    mod p**working_precision.
+    """
+    if chi.is_plus_minus_one_valued:
+        total = Fraction(0)
+        for a in indices:
+            c = chi_eval_exact(chi, a)
+            if c:
+                total += c * exact_term(a)
+        return scale * total
+    if ctx is None:
+        raise ValueError("p-adic-valued characters need a QContext")
+    acc = ctx.zero()
+    for a in indices:
+        c = chi_eval(chi, a, ctx)
+        if not c.is_zero:
+            acc = acc + c * ctx.embed(exact_term(a))
+    return acc * ctx.embed(scale)
+
+
 def gen_euler_number(
     n: int,
     chi: DirichletCharacter,
@@ -186,29 +216,14 @@ def gen_euler_number(
             raise ValueError("gen_euler_number needs q or a context")
         q = ctx.q
     q = Fraction(q)
+    if ctx is not None and ctx.q != q:
+        raise ValueError("q argument disagrees with the context")
     f = chi.conductor
     if f % 2 == 0:
         raise ValueError("gen_euler_number requires an odd conductor")
-    scale = q_int(f, q) ** n
-    if chi.is_plus_minus_one_valued:
-        total = Fraction(0)
-        for a in range(f):
-            c = chi_eval_exact(chi, a)
-            if c:
-                total += c * (-1) ** a * euler_poly_frac(n, FractionalArg(a, f), q)
-        return scale * total
-    if ctx is None:
-        raise ValueError("gen_euler_number needs a QContext for p-adic-valued characters")
-    if ctx.q != q:
-        raise ValueError("q argument disagrees with the context")
-    acc = ctx.zero()
-    for a in range(f):
-        c = chi_eval(chi, a, ctx)
-        if c.is_zero:
-            continue
-        term = (-1) ** a * euler_poly_frac(n, FractionalArg(a, f), q)
-        acc = acc + c * ctx.embed(term)
-    return acc * ctx.embed(scale)
+    return chi_weighted_sum(
+        chi, range(f), lambda a: (-1) ** a * euler_poly_frac(n, FractionalArg(a, f), q),
+        q_int(f, q) ** n, ctx)
 
 
 def volkenborn_approx(m: int, level: int, ctx: QContext) -> Fraction:

@@ -28,6 +28,7 @@ from .lfun import (
     K_full,
     K_partial,
     PartialZetaParams,
+    SeriesCache,
     T_full,
     T_partial,
     l_pq,
@@ -256,9 +257,11 @@ class Thm5Report:
     ``step_residuals`` localizes the first deviating identity when the
     printed form fails (a residual below the target precision means the
     step as printed does not hold at that grid point).  ``precision`` is
-    the target the report was computed at, and the cache counts are those
-    of the evaluation scope that built it; none of the three is part of
-    the JSON form.
+    the target the report was computed at, and the cache counts are this
+    point's own lookups in the series cache it ran in (from ``thm5_grid``,
+    one cache shared with the grid's other points, so a value an earlier
+    point computed counts as a hit); none of the three is part of the JSON
+    form.
     """
 
     lhs: PadicNumber
@@ -389,71 +392,87 @@ def _min_valuation(vals: Sequence[Valuation]) -> Valuation:
 
 def _residual_sentinel(a: PadicNumber, b: PadicNumber) -> Valuation:
     """Residual valuation with the report convention: the infinity sentinel
-    whenever the two values are indistinguishable at the available precision."""
+    whenever the two values are indistinguishable at the available precision.
+    Reports (and their JSON form) encode that case as ``inf``, where
+    :func:`residual_valuation` returns the zero difference's finite bound."""
     d = a - b
     return INF if d.is_zero else d.valuation
 
 
+def _thm5_point(n: int, r: int, ctx: QContext, cache: SeriesCache) -> Thm5Report:
+    """One grid point inside the open series cache: exact sum, printed
+    expansion, re-derived chain, and per-step residual valuations.  The
+    report counts only this point's own cache lookups."""
+    hits, misses = cache.hits, cache.misses
+    lhs_exact = thm5_lhs_exact(n, r, ctx)
+    lhs = ctx.embed(lhs_exact)
+    printed = thm5_rhs(n, r, ctx)
+
+    eq24_vals: List[Valuation] = []
+    eq26_vals: List[Valuation] = []
+    eq27_vals: List[Valuation] = []
+    chain_total = ctx.zero()
+    for a in range(1, ctx.p):
+        partial_exact = ctx.embed(_partial_sum_exact(n, r, a, ctx))
+        # both sums read one stream of exact terms, each computed once
+        groups24, groups1 = itertools.tee(_eq24_groups(n, r, a, ctx))
+        series24 = _eq24_series(groups24, ctx)
+        eq24_vals.append(_residual_sentinel(partial_exact, series24.value))
+
+        group1 = _group1_series(groups1, ctx)
+        boundary, _ = _boundary_piece(n, r, a, ctx)
+        eq26_vals.append(_residual_sentinel(partial_exact, group1.value + boundary))
+
+        hk_value = _expansion_group(n, r, a, ctx)
+        eq27_vals.append(_residual_sentinel(group1.value, hk_value))
+
+        chain_total = chain_total + hk_value + boundary
+    chain_value = ctx.embed(2) * chain_total
+
+    # regrouping of the exact index set: an exact rational identity
+    regrouped = 2 * sum(_partial_sum_exact(n, r, a, ctx) for a in range(1, ctx.p))
+    eq30_val: Valuation = INF if regrouped == lhs_exact else v_p(regrouped - lhs_exact, ctx.p)
+
+    step_residuals: Dict[str, Valuation] = {
+        "eq24": _min_valuation(eq24_vals),
+        "eq26": _min_valuation(eq26_vals),
+        "eq27": _min_valuation(eq27_vals),
+        "eq30": eq30_val,
+        "assembly": _residual_sentinel(chain_value, printed.value),
+    }
+    first_failing = None
+    for label in STEP_LABELS:
+        if step_residuals[label] < ctx.precision:
+            first_failing = label
+            break
+
+    return Thm5Report(
+        lhs=lhs.at_absolute_precision(ctx.precision),
+        rhs=printed.value.at_absolute_precision(ctx.precision),
+        residual_valuation=_residual_sentinel(lhs, printed.value),
+        truncation_index=printed.last_index,
+        step_residuals=step_residuals,
+        chain_residual_valuation=_residual_sentinel(lhs, chain_value),
+        first_failing_step=first_failing,
+        precision=ctx.precision,
+        cache_hits=cache.hits - hits,
+        cache_misses=cache.misses - misses,
+    )
+
+
 def thm5_report(n: int, r: int, ctx: QContext) -> Thm5Report:
-    """Run one grid point: exact sum, printed expansion, re-derived chain,
-    and per-step residual valuations.  Each call opens a fresh series cache,
-    so the printed and chain routes share their H/K/T values while a rerun
-    starts cold."""
+    """Run one grid point in a fresh series cache, so the printed and chain
+    routes share their H/K/T values while a rerun starts cold."""
     with series_cache() as cache:
-        lhs_exact = thm5_lhs_exact(n, r, ctx)
-        lhs = ctx.embed(lhs_exact)
-        printed = thm5_rhs(n, r, ctx)
+        return _thm5_point(n, r, ctx, cache)
 
-        eq24_vals: List[Valuation] = []
-        eq26_vals: List[Valuation] = []
-        eq27_vals: List[Valuation] = []
-        chain_total = ctx.zero()
-        for a in range(1, ctx.p):
-            partial_exact = ctx.embed(_partial_sum_exact(n, r, a, ctx))
-            # both sums read one stream of exact terms, each computed once
-            groups24, groups1 = itertools.tee(_eq24_groups(n, r, a, ctx))
-            series24 = _eq24_series(groups24, ctx)
-            eq24_vals.append(_residual_sentinel(partial_exact, series24.value))
 
-            group1 = _group1_series(groups1, ctx)
-            boundary, _ = _boundary_piece(n, r, a, ctx)
-            eq26_vals.append(_residual_sentinel(partial_exact, group1.value + boundary))
-
-            hk_value = _expansion_group(n, r, a, ctx)
-            eq27_vals.append(_residual_sentinel(group1.value, hk_value))
-
-            chain_total = chain_total + hk_value + boundary
-        chain_value = ctx.embed(2) * chain_total
-
-        # regrouping of the exact index set: an exact rational identity
-        regrouped = 2 * sum(_partial_sum_exact(n, r, a, ctx) for a in range(1, ctx.p))
-        eq30_val: Valuation = INF if regrouped == lhs_exact else v_p(regrouped - lhs_exact, ctx.p)
-
-        step_residuals: Dict[str, Valuation] = {
-            "eq24": _min_valuation(eq24_vals),
-            "eq26": _min_valuation(eq26_vals),
-            "eq27": _min_valuation(eq27_vals),
-            "eq30": eq30_val,
-            "assembly": _residual_sentinel(chain_value, printed.value),
-        }
-        first_failing = None
-        for label in STEP_LABELS:
-            if step_residuals[label] < ctx.precision:
-                first_failing = label
-                break
-
-        return Thm5Report(
-            lhs=lhs.at_absolute_precision(ctx.precision),
-            rhs=printed.value.at_absolute_precision(ctx.precision),
-            residual_valuation=_residual_sentinel(lhs, printed.value),
-            truncation_index=printed.last_index,
-            step_residuals=step_residuals,
-            chain_residual_valuation=_residual_sentinel(lhs, chain_value),
-            first_failing_step=first_failing,
-            precision=ctx.precision,
-            cache_hits=cache.hits,
-            cache_misses=cache.misses,
-        )
+def thm5_grid(n_values: Sequence[int], r_values: Sequence[int],
+              ctx: QContext) -> List[Thm5Report]:
+    """Run every (n, r) point, n-major, in one series cache: points that
+    share an H_pq(r+k, a:p) or K_partial value compute it once."""
+    with series_cache() as cache:
+        return [_thm5_point(n, r, ctx, cache) for n in n_values for r in r_values]
 
 
 def thm5_qone_surrogate(n: int, r: int, ctx: QContext) -> dict:

@@ -11,7 +11,6 @@ from qlfun.characters import (
     DirichletCharacter,
     chi_eval,
     chi_eval_exact,
-    conductor,
     jacobi_symbol,
     parse_character,
     twist,
@@ -54,11 +53,11 @@ def test_jacobi_rejects_even_modulus():
 # ---------------------------------------------------------------------------
 
 def test_conductor_examples():
-    assert conductor(DirichletCharacter.trivial()) == 1
-    assert conductor(DirichletCharacter.teichmuller_power(1, 5)) == 5
+    assert DirichletCharacter.trivial().conductor == 1
+    assert DirichletCharacter.teichmuller_power(1, 5).conductor == 5
     prod = DirichletCharacter.quadratic(3) * DirichletCharacter.teichmuller_power(1, 5)
-    assert conductor(prod) == 15
-    assert conductor(DirichletCharacter.teichmuller_power(4, 5)) == 1  # w^(p-1) = w^0
+    assert prod.conductor == 15
+    assert DirichletCharacter.teichmuller_power(4, 5).conductor == 1  # w^(p-1) = w^0
 
 
 def test_construction_rejects_bad_conductors():

@@ -1,11 +1,11 @@
 """Command-line interface: envelopes, exit codes, round-trips."""
 
 import json
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from qlfun import cli as cli_mod
 from qlfun.cli import main
 
 
@@ -148,7 +148,7 @@ def test_verify_thm5_single_point(runner):
 
 def test_verify_thm5_grid_with_jobs(runner):
     result = invoke(runner, ["verify", "thm5", "--p", "3", "-n", "1,2", "-r", "1",
-                             "--prec", "8", "--jobs", "2", "--json"])
+                             "--prec", "8", "--json"])
     assert result.exit_code == 0
     reports = json_result(result)["result"]
     assert isinstance(reports, list) and len(reports) == 2
@@ -182,38 +182,25 @@ def test_usage_error_inside_a_command_gets_an_envelope(runner, args, env):
     assert envelope["result"]["message"]
 
 
-class RecordingPool:
-    """Stands in for ProcessPoolExecutor: records its size, maps serially."""
-
-    sizes: list = []
-
-    def __init__(self, max_workers):
-        RecordingPool.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items):
-        return map(fn, items)
+THM5_GOLDEN = json.loads((Path(__file__).parent / "data" / "thm5_grid_golden.json").read_text())
 
 
-@pytest.mark.parametrize("jobs,cpus,want", [
-    ("1000", 4, [2]),   # clamped to the number of points
-    ("1000", 1, []),    # one CPU: no pool at all
-    ("2", 8, [2]),
-])
-def test_verify_thm5_jobs_is_clamped(runner, monkeypatch, jobs, cpus, want):
-    monkeypatch.setattr(cli_mod, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(cli_mod.os, "cpu_count", lambda: cpus)
-    monkeypatch.setattr(RecordingPool, "sizes", [])
-    result = invoke(runner, ["verify", "thm5", "--p", "3", "-n", "1", "-r", "1,2",
-                             "--jobs", jobs, "--json"])
+@pytest.mark.parametrize("p", [3, 5])
+def test_verify_thm5_default_grid_matches_golden(runner, p):
+    # pinned from point-by-point evaluation: sharing one series cache across
+    # the grid must not move a digit
+    result = invoke(runner, ["verify", "thm5", "--p", str(p), "-n", "1,2", "-r", "1,2",
+                             "--json"])
     assert result.exit_code == 0
-    assert RecordingPool.sizes == want
-    assert len(json_result(result)["result"]) == 2
+    envelope = json_result(result)
+    assert envelope["result"] == THM5_GOLDEN[f"p{p}"]
+    assert "jobs" not in envelope["params"]
+
+
+def test_verify_thm5_has_no_jobs_option(runner):
+    result = invoke(runner, ["verify", "thm5", "--p", "3", "-n", "1", "-r", "1",
+                             "--jobs", "2", "--json"])
+    assert result.exit_code == 2
 
 
 def test_domain_errors_reported_as_error(runner):

@@ -16,7 +16,6 @@ from qlfun.lfun import (
     T_full,
     T_partial,
     l_pq,
-    lq_neg,
     lq_neg_series_path,
     partial_zeta_neg,
     series_cache,
@@ -85,21 +84,21 @@ def test_partial_zeta_matches_convergent_series(n, a, F):
 
 def test_lq_neg_examples():
     triv = DirichletCharacter.trivial()
-    assert lq_neg(1, triv, q=Fraction(2)) == Fraction(-1, 3)
+    assert gen_euler_number(1, triv, q=Fraction(2)) == Fraction(-1, 3)
     quad3 = DirichletCharacter.quadratic(3)
-    assert lq_neg(0, quad3, q=Fraction(2)) == -2
+    assert gen_euler_number(0, quad3, q=Fraction(2)) == -2
 
 
 @pytest.mark.parametrize("q", [Fraction(2), Fraction(1, 2), Fraction(4)])
 def test_lq_dual_paths_exact_characters(q):
     for chi in (DirichletCharacter.quadratic(3), DirichletCharacter.quadratic(5)):
         for k in range(5):
-            assert lq_neg(k, chi, q=q) == lq_neg_series_path(k, chi, q=q)
+            assert gen_euler_number(k, chi, q=q) == lq_neg_series_path(k, chi, q=q)
     # the series route needs k >= 1 for the trivial character (its index-0
     # term differs between the two defining series)
     triv = DirichletCharacter.trivial()
     for k in range(1, 5):
-        assert lq_neg(k, triv, q=q) == lq_neg_series_path(k, triv, q=q)
+        assert gen_euler_number(k, triv, q=q) == lq_neg_series_path(k, triv, q=q)
 
 
 def test_lq_dual_paths_padic_character():

@@ -15,13 +15,14 @@ from qlfun.verify import (
     congruence_check_eq20,
     congruence_scan_eq21,
     remark_check,
+    thm5_grid,
     thm5_lhs,
     thm5_lhs_exact,
     thm5_qone_surrogate,
     thm5_report,
     thm5_rhs,
 )
-from qlfun.verify import Thm5Report, _outer_coeff
+from qlfun.verify import Thm5Report, _outer_coeff, _residual_sentinel
 
 CTX34 = QContext(p=3, q=Fraction(4), precision=8)
 CTX56 = QContext(p=5, q=Fraction(6), precision=8)
@@ -181,6 +182,36 @@ def test_thm5_reruns_start_on_an_empty_series_cache():
     assert rep1.cache_hits > 0  # the printed and chain routes share H/K/T
     assert (rep2.cache_hits, rep2.cache_misses) == (rep1.cache_hits, rep1.cache_misses)
     assert rep1.to_json_dict() == rep2.to_json_dict()
+
+
+@pytest.fixture(scope="module")
+def grid34():
+    """The p = 3 default grid, once in one shared cache and once point by point."""
+    points = [(n, r) for n in (1, 2) for r in (1, 2)]
+    return thm5_grid([1, 2], [1, 2], CTX34), [thm5_report(n, r, CTX34) for n, r in points]
+
+
+def test_thm5_grid_reports_equal_the_standalone_reports(grid34):
+    shared, separate = grid34
+    assert [rep.to_json_dict() for rep in shared] == [rep.to_json_dict() for rep in separate]
+    assert [rep.passes() for rep in shared] == [rep.passes() for rep in separate]
+
+
+def test_thm5_grid_computes_shared_series_once(grid34):
+    shared, separate = grid34
+    # each grid report counts its own lookups: the first point runs cold,
+    # later points read what earlier points computed
+    assert (shared[0].cache_hits, shared[0].cache_misses) == \
+        (separate[0].cache_hits, separate[0].cache_misses)
+    assert sum(rep.cache_misses for rep in shared) < sum(rep.cache_misses for rep in separate)
+
+
+def test_residual_conventions_on_an_indistinguishable_pair():
+    # residual_valuation returns the zero difference's finite bound (the
+    # working precision plus the embedding margin); reports encode it as inf
+    x = CTX34.embed(Fraction(5, 7))
+    assert residual_valuation(x, x) == 28
+    assert _residual_sentinel(x, x) == INF
 
 
 def test_thm5_report_records_its_precision():
