@@ -326,7 +326,7 @@ def verify_thm5(p: int, q: Optional[str], n_list: str, r_list: str,
 
     def body():
         ctx = _context(p, q, prec)
-        ns, rs = _int_list(n_list), _int_list(r_list)
+        ns, rs = _int_list(n_list, "-n"), _int_list(r_list, "-r")
         reports = [dict(rep.to_json_dict(), n=n, r=r, p=p, passes=rep.passes())
                    for (n, r), rep in zip(itertools.product(ns, rs),
                                           verify_mod.thm5_grid(ns, rs, ctx))]
@@ -337,8 +337,13 @@ def verify_thm5(p: int, q: Optional[str], n_list: str, r_list: str,
     run_command("verify thm5", params, as_json, body)
 
 
-def _int_list(text: str) -> list:
-    return [int(tok) for tok in text.split(",") if tok.strip()]
+def _int_list(text: str, option: str) -> list:
+    """The integers of a comma list; an empty list is a usage error, since a
+    check over no values verifies nothing."""
+    values = [int(tok) for tok in text.split(",") if tok.strip()]
+    if not values:
+        raise click.UsageError(f"{option} needs at least one integer, got {text!r}")
+    return values
 
 
 @verify.command("congruences")
@@ -354,7 +359,7 @@ def verify_congruences(p: int, t: int, s_list: str, q: Optional[str],
 
     def body():
         ctx = _context(p, q, prec)
-        return verify_mod.congruence_scan_eq21(t, _int_list(s_list), ctx), "ok"
+        return verify_mod.congruence_scan_eq21(t, _int_list(s_list, "--s"), ctx), "ok"
 
     run_command("verify congruences", params, as_json, body)
 
@@ -399,8 +404,12 @@ def verify_limits(p_list: str, m_max: int, k_max: int, as_json: bool) -> None:
     params = {"p": p_list, "m_max": m_max, "k_max": k_max}
 
     def body():
+        if m_max < 0:
+            raise click.UsageError(f"--m-max must be >= 0, got {m_max}")
+        if k_max < 1:
+            raise click.UsageError(f"--k-max must be >= 1, got {k_max}")
         reports = [verify_mod.classical_limit_check(m_max, pp, list(range(1, k_max + 1)))
-                   for pp in _int_list(p_list)]
+                   for pp in _int_list(p_list, "--p")]
         ok = all(rep["ok"] for rep in reports)
         return reports, "ok" if ok else "assertion_failed"
 

@@ -20,12 +20,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Union
 
-Rational = Fraction
-
 IntOrRational = Union[int, Fraction]
 Valuation = Union[int, float]  # int, or math.inf for "zero as far as we know"
 
 INF = math.inf
+
+
+def valuation_json(v: Valuation) -> Union[Valuation, str]:
+    """JSON form of a valuation: the string "inf" for infinity."""
+    return "inf" if v == INF else v
 
 
 class PadicError(ValueError):
@@ -145,10 +148,7 @@ class PadicNumber:
         residue %= p**precision
         if residue == 0:
             return cls.zero(p, bound=valuation + precision)
-        shift = 0
-        while residue % p == 0:
-            residue //= p
-            shift += 1
+        residue, shift = _strip_p(residue, p)
         precision -= shift
         return cls(p=p, valuation=valuation + shift,
                    unit=residue % p**precision, precision=precision)
@@ -397,9 +397,9 @@ class QContext:
         if self.q_is_one:
             raise ValueError(f"{operation} divides by (1 - q): use classical limit path")
 
-    def embed(self, r: IntOrRational, extra: int = 0) -> PadicNumber:
+    def embed(self, r: IntOrRational) -> PadicNumber:
         """Reduce an exact rational at a precision that never binds results."""
-        return reduce_mod_pN(r, self.p, self.working_precision + WORKING_MARGIN + extra)
+        return reduce_mod_pN(r, self.p, self.working_precision + WORKING_MARGIN)
 
     def zero(self) -> PadicNumber:
         return PadicNumber.zero(self.p)
@@ -427,30 +427,27 @@ class SeriesResult:
     converged: bool
 
     def to_json_dict(self) -> dict:
-        bound = self.tail_valuation_bound
         return {
             "value": self.value.to_json_dict(),
             "last_index": self.last_index,
-            "tail_valuation_bound": "inf" if bound == INF else bound,
+            "tail_valuation_bound": valuation_json(self.tail_valuation_bound),
             "converged": self.converged,
         }
 
 
 def sum_guarded(terms: Iterable[PadicNumber], ctx: QContext, *,
                 description: str = "series",
-                max_index: Optional[int] = None,
-                target: Optional[int] = None) -> SeriesResult:
+                max_index: Optional[int] = None) -> SeriesResult:
     """Sum a p-adically convergent series, stopping after ``ctx.guard``
-    consecutive terms of valuation >= target (default: ctx.working_precision,
-    so that the reported digits of the value stay trustworthy).
+    consecutive terms of valuation >= ctx.working_precision, so that the
+    reported digits of the value stay trustworthy.
 
     With ``max_index`` the sum runs to exactly that index instead;
     ``converged`` then reports whether the guard would have been satisfied.
     Exceeding ``ctx.cap`` without satisfying the guard raises
     :class:`SeriesDivergenceError` carrying the partial result.
     """
-    if target is None:
-        target = ctx.working_precision
+    target = ctx.working_precision
     acc = ctx.zero()
     window: list = []
     index = -1

@@ -53,22 +53,23 @@ def _check_base(q: Fraction, operation: str) -> None:
         raise QEulerDomainError(f"{operation}: q = 1, use classical limit path")
 
 
-def _alternating_weight(q: Fraction, k: int, operation: str) -> Fraction:
-    d = 1 + q**k
-    if d == 0:
-        raise QEulerDomainError(f"{operation}: pole at 1 + q^{k} = 0")
-    return d
+def _closed_form(n: int, Q: Fraction, X: IntOrRational, operation: str) -> Fraction:
+    """2 (1/(1-Q))^n sum_k C(n,k) (-X)^k / (1+Q^k): every q-Euler number and
+    polynomial value here, with base Q and argument power X; errors name
+    the public ``operation``."""
+    _check_base(Q, operation)
+    total = Fraction(0)
+    for k in range(n + 1):
+        d = 1 + Q**k
+        if d == 0:
+            raise QEulerDomainError(f"{operation}: pole at 1 + q^{k} = 0")
+        total += math.comb(n, k) * (-X) ** k / d
+    return 2 * (1 / (1 - Q)) ** n * total
 
 
 @lru_cache(maxsize=None)
 def _euler_number_cached(m: int, q: Fraction) -> Fraction:
-    base = Fraction(1) / (1 - q)
-    total = Fraction(0)
-    sign = 1
-    for i in range(m + 1):
-        total += sign * math.comb(m, i) / _alternating_weight(q, i, "euler_number")
-        sign = -sign
-    return 2 * base**m * total
+    return _closed_form(m, q, 1, "euler_number")
 
 
 def euler_number(m: int, q: IntOrRational) -> Fraction:
@@ -76,9 +77,7 @@ def euler_number(m: int, q: IntOrRational) -> Fraction:
     as the exact closed sum 2 (1/(1-q))^m sum_i C(m,i) (-1)^i / (1+q^i)."""
     if m < 0:
         raise ValueError("euler_number requires m >= 0")
-    q = Fraction(q)
-    _check_base(q, "euler_number")
-    return _euler_number_cached(m, q)
+    return _euler_number_cached(m, Fraction(q))
 
 
 def euler_poly(n: int, x: int, q: IntOrRational) -> Fraction:
@@ -86,13 +85,7 @@ def euler_poly(n: int, x: int, q: IntOrRational) -> Fraction:
     if n < 0 or x < 0:
         raise ValueError("euler_poly requires n, x >= 0")
     q = Fraction(q)
-    _check_base(q, "euler_poly")
-    base = Fraction(1) / (1 - q)
-    qx = q**x
-    total = Fraction(0)
-    for k in range(n + 1):
-        total += math.comb(n, k) * (-qx) ** k / _alternating_weight(q, k, "euler_poly")
-    return 2 * base**n * total
+    return _closed_form(n, q, q**x, "euler_poly")
 
 
 def euler_poly_frac(n: int, arg: FractionalArg, q: IntOrRational) -> Fraction:
@@ -101,14 +94,7 @@ def euler_poly_frac(n: int, arg: FractionalArg, q: IntOrRational) -> Fraction:
     if n < 0:
         raise ValueError("euler_poly_frac requires n >= 0")
     q = Fraction(q)
-    qF = q**arg.F
-    _check_base(qF, "euler_poly_frac")
-    base = Fraction(1) / (1 - qF)
-    qa = q**arg.a
-    total = Fraction(0)
-    for k in range(n + 1):
-        total += math.comb(n, k) * (-qa) ** k / _alternating_weight(qF, k, "euler_poly_frac")
-    return 2 * base**n * total
+    return _closed_form(n, q**arg.F, q**arg.a, "euler_poly_frac")
 
 
 def euler_poly_moments(n: int, x: int, q: IntOrRational) -> Fraction:

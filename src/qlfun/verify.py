@@ -47,6 +47,7 @@ from .numerics import (
     sum_guarded,
     teichmuller,
     v_p,
+    valuation_json,
 )
 from .qeuler import (
     alt_power_sum_brute,
@@ -99,7 +100,7 @@ def classical_limit_check(m_max: int, p: int, k_list: Sequence[int],
             val = v_p(diff, p)
             passed = val >= k - slack
             ok = ok and passed
-            rows.append({"m": m, "k": k, "valuation": "inf" if val == INF else val,
+            rows.append({"m": m, "k": k, "valuation": valuation_json(val),
                          "required": k - slack, "ok": passed})
     return {"p": p, "m_max": m_max, "k_list": list(k_list), "slack": slack,
             "rows": rows, "ok": ok}
@@ -288,16 +289,13 @@ class Thm5Report:
         return printed_ok or chain_ok
 
     def to_json_dict(self) -> dict:
-        def enc(v: Valuation):
-            return "inf" if v == INF else v
-
         return {
             "lhs": self.lhs.to_json_dict(),
             "rhs": self.rhs.to_json_dict(),
-            "residual_valuation": enc(self.residual_valuation),
+            "residual_valuation": valuation_json(self.residual_valuation),
             "truncation_index": self.truncation_index,
-            "step_residuals": {k: enc(v) for k, v in self.step_residuals.items()},
-            "chain_residual_valuation": enc(self.chain_residual_valuation),
+            "step_residuals": {k: valuation_json(v) for k, v in self.step_residuals.items()},
+            "chain_residual_valuation": valuation_json(self.chain_residual_valuation),
             "first_failing_step": self.first_failing_step,
         }
 
@@ -350,12 +348,11 @@ def _group1_series(groups: Iterable[Tuple[Fraction, Fraction]], ctx: QContext) -
                        description="group1 series")
 
 
-def _boundary_piece(n: int, r: int, a: int, ctx: QContext) -> Tuple[PadicNumber, SeriesResult]:
+def _boundary_piece(n: int, r: int, a: int, ctx: QContext) -> PadicNumber:
     """-(w^(-r)(a)/2) T(n, r, a : p): the boundary term in character form."""
     w = teichmuller(a, ctx.p, ctx.working_precision)
     t_part = T_partial(n, r, PartialZetaParams(a, ctx.p), ctx)
-    value = -(w ** (-r) * t_part.value) / ctx.embed(2)
-    return value, t_part
+    return -(w ** (-r) * t_part.value) / ctx.embed(2)
 
 
 def _expansion_group(n: int, r: int, a: int, ctx: QContext,
@@ -412,15 +409,17 @@ def _thm5_point(n: int, r: int, ctx: QContext, cache: SeriesCache) -> Thm5Report
     eq26_vals: List[Valuation] = []
     eq27_vals: List[Valuation] = []
     chain_total = ctx.zero()
+    partials: List[Fraction] = []
     for a in range(1, ctx.p):
-        partial_exact = ctx.embed(_partial_sum_exact(n, r, a, ctx))
+        partials.append(_partial_sum_exact(n, r, a, ctx))
+        partial_exact = ctx.embed(partials[-1])
         # both sums read one stream of exact terms, each computed once
         groups24, groups1 = itertools.tee(_eq24_groups(n, r, a, ctx))
         series24 = _eq24_series(groups24, ctx)
         eq24_vals.append(_residual_sentinel(partial_exact, series24.value))
 
         group1 = _group1_series(groups1, ctx)
-        boundary, _ = _boundary_piece(n, r, a, ctx)
+        boundary = _boundary_piece(n, r, a, ctx)
         eq26_vals.append(_residual_sentinel(partial_exact, group1.value + boundary))
 
         hk_value = _expansion_group(n, r, a, ctx)
@@ -430,7 +429,7 @@ def _thm5_point(n: int, r: int, ctx: QContext, cache: SeriesCache) -> Thm5Report
     chain_value = ctx.embed(2) * chain_total
 
     # regrouping of the exact index set: an exact rational identity
-    regrouped = 2 * sum(_partial_sum_exact(n, r, a, ctx) for a in range(1, ctx.p))
+    regrouped = 2 * sum(partials)
     eq30_val: Valuation = INF if regrouped == lhs_exact else v_p(regrouped - lhs_exact, ctx.p)
 
     step_residuals: Dict[str, Valuation] = {
@@ -463,8 +462,7 @@ def _thm5_point(n: int, r: int, ctx: QContext, cache: SeriesCache) -> Thm5Report
 def thm5_report(n: int, r: int, ctx: QContext) -> Thm5Report:
     """Run one grid point in a fresh series cache, so the printed and chain
     routes share their H/K/T values while a rerun starts cold."""
-    with series_cache() as cache:
-        return _thm5_point(n, r, ctx, cache)
+    return thm5_grid([n], [r], ctx)[0]
 
 
 def thm5_grid(n_values: Sequence[int], r_values: Sequence[int],
@@ -494,18 +492,14 @@ def thm5_qone_surrogate(n: int, r: int, ctx: QContext) -> dict:
         correction_vals.append(K_partial(n, r + 1, prm, ctx).value.valuation)
         total = total + _expansion_group(n, r, a, ctx, with_correction=False)
     residual = _residual_sentinel(lhs, ctx.embed(2) * total)
-
-    def enc(v: Valuation):
-        return "inf" if v == INF else v
-
     return {
         "p": ctx.p,
         "n": n,
         "r": r,
-        "depth": enc(depth),
-        "boundary_valuations": [enc(v) for v in boundary_vals],
-        "correction_valuations": [enc(v) for v in correction_vals],
-        "l_group_residual_valuation": enc(residual),
+        "depth": valuation_json(depth),
+        "boundary_valuations": [valuation_json(v) for v in boundary_vals],
+        "correction_valuations": [valuation_json(v) for v in correction_vals],
+        "l_group_residual_valuation": valuation_json(residual),
         "ok": (min(boundary_vals) >= depth and min(correction_vals) >= depth
                and residual >= depth),
     }
@@ -538,10 +532,7 @@ def congruence_scan_eq21(t: int, s_samples: Sequence[int], ctx: QContext) -> dic
         res = l_pq(s, _w_power_char(t, ctx.p), ctx, F=ctx.p)
         values.append((s, res.value))
 
-    def enc(v: Valuation):
-        return "inf" if v == INF else int(v)
-
-    value_vals = {str(s): enc(v.valuation) for s, v in values}
+    value_vals = {str(s): valuation_json(v.valuation) for s, v in values}
     pair_vals = {}
     min_pair: Valuation = INF
     for i in range(len(values)):
@@ -549,7 +540,7 @@ def congruence_scan_eq21(t: int, s_samples: Sequence[int], ctx: QContext) -> dic
             s1, v1 = values[i]
             s2, v2 = values[j]
             d = _residual_sentinel(v1, v2)
-            pair_vals[f"{s1},{s2}"] = enc(d)
+            pair_vals[f"{s1},{s2}"] = valuation_json(d)
             min_pair = min(min_pair, d)
     min_value: Valuation = min((v.valuation for _, v in values), default=INF)
     return {
@@ -558,9 +549,9 @@ def congruence_scan_eq21(t: int, s_samples: Sequence[int], ctx: QContext) -> dic
         "t": t % (ctx.p - 1),
         "s_samples": list(s_samples),
         "value_valuations": value_vals,
-        "min_value_valuation": enc(min_value),
+        "min_value_valuation": valuation_json(min_value),
         "pairwise_difference_valuations": pair_vals,
-        "min_pairwise_difference_valuation": enc(min_pair),
+        "min_pairwise_difference_valuation": valuation_json(min_pair),
         "integral_on_samples": min_value >= 0,
         "mod_p_constant_on_samples": min_pair >= 1,
     }

@@ -182,6 +182,23 @@ def test_usage_error_inside_a_command_gets_an_envelope(runner, args, env):
     assert envelope["result"]["message"]
 
 
+@pytest.mark.parametrize("args,message", [
+    (["verify", "thm5", "--p", "3", "-n", ",", "-r", "1"], "-n needs at least one"),
+    (["verify", "thm5", "--p", "3", "-n", "1", "-r", " "], "-r needs at least one"),
+    (["verify", "congruences", "--p", "3", "--t", "0", "--s", ","], "--s needs at least one"),
+    (["verify", "limits", "--p", ","], "--p needs at least one"),
+    (["verify", "limits", "--k-max", "0"], "--k-max must be >= 1"),
+    (["verify", "limits", "--m-max", "-1"], "--m-max must be >= 0"),
+])
+def test_empty_verification_grids_are_usage_errors(runner, args, message):
+    # a check over no points verifies nothing, so it must not report ok
+    result = invoke(runner, args + ["--json"])
+    assert result.exit_code == 2
+    envelope = json_result(result)
+    assert envelope["status"] == "error"
+    assert message in envelope["result"]["message"]
+
+
 THM5_GOLDEN = json.loads((Path(__file__).parent / "data" / "thm5_grid_golden.json").read_text())
 
 

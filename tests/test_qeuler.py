@@ -1,6 +1,8 @@
 """q-Euler numbers and polynomials: closed forms against independent oracles."""
 
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -47,6 +49,47 @@ def test_euler_number_rejects_q_one_and_poles():
         euler_number(1, Fraction(1))
     with pytest.raises(QEulerDomainError, match="pole"):
         euler_number(1, Fraction(-1))
+
+
+#: exact values keyed "n|q" (euler_number), "n|x|q" (euler_poly) and
+#: "n|a/F|q" (euler_poly_frac) for n <= 12, x and a in 0..6, F in {1, 3, 5},
+#: q in {2, 1/2, 4, 6, -2, 7/4} and q = -1 at n = 0, captured when each of
+#: the three functions still evaluated the closed form in its own loop
+QEULER_GOLDEN = json.loads(
+    (Path(__file__).parent / "data" / "qeuler_golden.json").read_text())
+
+
+def _golden_value(name, key):
+    n, *mid, q = key.split("|")
+    q = Fraction(q)
+    if name == "euler_number":
+        return euler_number(int(n), q)
+    if name == "euler_poly":
+        return euler_poly(int(n), int(mid[0]), q)
+    a, F = mid[0].split("/")
+    return euler_poly_frac(int(n), FractionalArg(int(a), int(F)), q)
+
+
+@pytest.mark.parametrize("name", ["euler_number", "euler_poly", "euler_poly_frac"])
+def test_closed_forms_match_the_golden_file(name):
+    table = QEULER_GOLDEN[name]
+    assert len(table) == {"euler_number": 79, "euler_poly": 553,
+                          "euler_poly_frac": 1659}[name]
+    mismatched = sorted(key for key, value in table.items()
+                        if str(_golden_value(name, key)) != value)
+    assert not mismatched, f"{len(mismatched)} values differ, first {mismatched[:3]}"
+
+
+@pytest.mark.parametrize("name,call", [
+    ("euler_number", lambda q: euler_number(1, q)),
+    ("euler_poly", lambda q: euler_poly(1, 2, q)),
+    ("euler_poly_frac", lambda q: euler_poly_frac(1, FractionalArg(2, 3), q)),
+])
+def test_domain_errors_name_the_public_function(name, call):
+    with pytest.raises(QEulerDomainError, match=rf"^{name}: q = 1, use classical limit"):
+        call(Fraction(1))
+    with pytest.raises(QEulerDomainError, match=rf"^{name}: pole at 1 \+ q\^1 = 0"):
+        call(Fraction(-1))
 
 
 def test_euler_poly_examples():
