@@ -22,7 +22,14 @@ import click
 from . import verify as verify_mod
 from .characters import CharacterError, parse_character
 from .lfun import H_pq, K_full, K_partial, PartialZetaParams, T_full, T_partial, l_pq
-from .numerics import INF, PadicNumber, QContext, SeriesResult, SeriesDivergenceError
+from .numerics import (
+    INF,
+    PadicNumber,
+    QContext,
+    SeriesDivergenceError,
+    SeriesResult,
+    require_odd_prime,
+)
 from .qeuler import gen_euler_number, volkenborn_approx
 from . import qeuler as qeuler_mod
 
@@ -136,6 +143,8 @@ def _twisted_euler(n: int, chi: str, p: Optional[int], q: Optional[str],
                    prec: Optional[int]):
     """Body of ``qeuler gen`` and ``lfun lq``: the n-th twisted q-Euler
     number, exact for {0,+-1}-valued characters and p-adic otherwise."""
+    if p is not None:
+        require_odd_prime(p)
     character = parse_character(chi, p)
     if character.is_plus_minus_one_valued:
         return gen_euler_number(n, character, q=_resolve_q(q, p)), "ok"
@@ -372,6 +381,7 @@ def verify_remark(p: int, q: str, as_json: bool) -> None:
     params = {"p": p, "q": q}
 
     def body():
+        require_odd_prime(p)
         ok = verify_mod.remark_check(p, parse_fraction(q))
         return {"holds": ok}, "ok" if ok else "assertion_failed"
 

@@ -18,15 +18,18 @@ from typing import Callable, Iterator, List, Optional, Union
 
 from .characters import DirichletCharacter, chi_eval
 from .numerics import (
+    WORKING_MARGIN,
     PadicExponent,
     PadicNumber,
     QContext,
     SeriesResult,
+    _strip_p,
     angle_bracket,
     binom_stream,
     merge_series,
     padic_pow,
     q_int,
+    reduce_mod_pN,
     sum_guarded,
 )
 from .qeuler import FractionalArg, chi_weighted_sum, euler_number, euler_poly_frac
@@ -142,6 +145,86 @@ def _unit_pow(a: int, s: PadicExponent, ctx: QContext) -> SeriesResult:
     return padic_pow(angle_bracket(a, ctx), -s, ctx)
 
 
+class EulerResidues:
+    """E_{j,Q} for j = 0, 1, 2, ..., each equal to ``ctx.embed(euler_number(j, Q))``
+    as a dataclass, computed in integers mod p^M instead of exact fractions.
+
+    The identity: E_{j,Q} = 2 Delta_j / (1-Q)^j, where
+    Delta_j = sum_k C(j,k) (-1)^k f(k) and f(k) = 1/(1+Q^k) (the closed form
+    of :func:`qlfun.qeuler.euler_number`).  Q = q^F is a p-adic unit with
+    Q = 1 mod p, so 1 + Q^k = 2 mod p is a unit and f(k) mod p^M is
+    ``pow(1 + Q^k, -1, p^M)``; Delta_j mod p^M is the j-th difference of
+    those integers, exact mod p^M.  This is the one place where a difference
+    is formed from reduced parts rather than from exact values.
+
+    The digit check: with N = working precision + WORKING_MARGIN (the digits
+    ``ctx.embed`` keeps) and e = v_p(Q - 1), the table for j <= J is built
+    mod p^M with M = N + J e + MARGIN.  A nonzero residue p^v u of Delta_j
+    mod p^M gives v = v_p(Delta_j) and the unit u mod p^(M - v); the value
+    is accepted only when M - v >= N, so that E_{j,Q} = p^(v - j e) 2 u
+    ((1-Q)/p^e)^(-j) has a unit exact mod p^N.  The bound
+    v_p(Delta_j) >= j e (f is a power series in Q^k - 1, each of whose j-th
+    differences has valuation at least j e) is why that almost always
+    holds, but it is checked per value, not assumed: a zero or short residue
+    takes the exact route.
+
+    The first J is working precision + guard: a guarded series whose j-th
+    term has valuation >= j, as every H/K/T term has (the ratio
+    q^a [F]/[a] carries p | F), stops by then.  Indexing past J rebuilds
+    the table at twice the size.
+    """
+
+    MARGIN = 4
+
+    def __init__(self, Q: Fraction, ctx: QContext):
+        self.Q, self.ctx = Q, ctx
+        self.digits = ctx.working_precision + WORKING_MARGIN
+        one_minus_Q = reduce_mod_pN(1 - Q, ctx.p, self.digits)
+        self.e = one_minus_Q.valuation
+        self.inverse_unit = pow(one_minus_Q.unit, -1, ctx.p**self.digits)
+        self._build(ctx.working_precision + ctx.guard)
+
+    def _build(self, J: int) -> None:
+        p, N = self.ctx.p, self.digits
+        M = N + J * self.e + self.MARGIN
+        mod = p**M
+        Qm = self.Q.numerator * pow(self.Q.denominator, -1, mod) % mod
+        row, Qk = [], 1
+        for _ in range(J + 1):
+            row.append(pow(1 + Qk, -1, mod))
+            Qk = Qk * Qm % mod
+        # Delta_j is the first entry after j steps of f(k) - f(k+1)
+        self.deltas: List[int] = []
+        for _ in range(J + 1):
+            self.deltas.append(row[0])
+            row = [(x - y) % mod for x, y in zip(row, row[1:])]
+        self.values = [self._value(j, d, M) for j, d in enumerate(self.deltas)]
+
+    def _value(self, j: int, delta: int, M: int) -> PadicNumber:
+        if delta:
+            unit, v = _strip_p(delta, self.ctx.p)
+            if M - v >= self.digits:
+                modulus = self.ctx.p**self.digits
+                unit = 2 * unit * pow(self.inverse_unit, j, modulus) % modulus
+                return PadicNumber(p=self.ctx.p, valuation=v - j * self.e,
+                                   unit=unit, precision=self.digits)
+        return self.ctx.embed(euler_number(j, self.Q))
+
+    def __getitem__(self, j: int) -> PadicNumber:
+        if j >= len(self.values):
+            size = len(self.values) - 1
+            while size < j:
+                size *= 2
+            self._build(size)
+        return self.values[j]
+
+
+@_scoped
+def _euler_residues(Q: Fraction, ctx: QContext) -> EulerResidues:
+    """The residue table of E_{j,Q}, shared by every series in one scope."""
+    return EulerResidues(Q, ctx)
+
+
 def _require_padic_params(prm: PartialZetaParams, ctx: QContext, name: str) -> None:
     if prm.F % ctx.p != 0:
         raise ValueError(f"{name} requires p | F")
@@ -164,12 +247,12 @@ def _twisted_series(s: PadicExponent, prm: PartialZetaParams, ctx: QContext,
     q = ctx.q
     unit_pow = _unit_pow(a, s, ctx)
     step = ctx.embed(q_int(F, q) / q_int(a, q) * q**a)
-    qF = q**F
+    residues = _euler_residues(q**F, ctx)
 
     def terms() -> Iterator[PadicNumber]:
         power = ctx.embed(1)  # not ctx.one(): that would cap the digits at working precision
         for j, coeff in enumerate(binom_stream(-s, ctx)):
-            term = coeff * power * ctx.embed(euler_number(j, qF))
+            term = coeff * power * residues[j]
             yield term if factor is None else term * ctx.embed(factor(j))
             power = power * step
 
@@ -192,7 +275,11 @@ def H_pq(s: PadicExponent, prm: PartialZetaParams, ctx: QContext) -> SeriesResul
 def _unit_sum(partial: Callable[[PartialZetaParams], SeriesResult],
               chi: DirichletCharacter, F: int, ctx: QContext) -> SeriesResult:
     """2 sum over units a <= F of chi(a) partial(a : F), the character-weighted
-    sum behind l_pq, T_full and K_full."""
+    sum behind l_pq, T_full and K_full.  Without an active series cache it
+    opens one, so that its units share one q-Euler residue table."""
+    if _ACTIVE_CACHE.get() is None:
+        with series_cache():
+            return _unit_sum(partial, chi, F, ctx)
     acc = ctx.zero()
     parts: List[SeriesResult] = []
     for a in range(1, F + 1):

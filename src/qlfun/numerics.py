@@ -54,8 +54,16 @@ def is_odd_prime(p: int) -> bool:
     return True
 
 
+def require_odd_prime(p: int) -> None:
+    """The check every prime parameter gets: ValueError unless p is an odd prime."""
+    if not is_odd_prime(p):
+        raise ValueError(f"p must be an odd prime >= 3, got {p}")
+
+
 def _strip_p(n: int, p: int) -> tuple[int, int]:
     """(n / p**v, v) for the largest v with p**v dividing the nonzero integer n."""
+    if p < 2:
+        raise ValueError(f"cannot strip powers of {p} (p must be >= 2)")
     v = 0
     while n % p == 0:
         n //= p
@@ -375,8 +383,7 @@ class QContext:
             object.__setattr__(self, "working_precision", self.precision + WORKING_MARGIN)
         if self.cap is None:
             object.__setattr__(self, "cap", CAP_FACTOR * self.precision)
-        if not is_odd_prime(self.p):
-            raise ValueError(f"p must be an odd prime >= 3, got {self.p}")
+        require_odd_prime(self.p)
         if self.precision < 1:
             raise ValueError("precision must be >= 1")
         if self.guard < 1:

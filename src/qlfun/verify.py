@@ -43,6 +43,7 @@ from .numerics import (
     binom_rat,
     merge_series,
     q_int,
+    require_odd_prime,
     residual_valuation,
     sum_guarded,
     teichmuller,
@@ -90,6 +91,7 @@ def classical_limit_check(m_max: int, p: int, k_list: Sequence[int],
                           slack: int = 1) -> dict:
     """Check v_p(E_{m, 1+p^k} - E_m) >= k - slack over the grid; E_m from the
     Bernoulli oracle.  Returns a report with every observed valuation."""
+    require_odd_prime(p)
     rows = []
     ok = True
     for m in range(m_max + 1):

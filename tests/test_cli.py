@@ -199,6 +199,23 @@ def test_empty_verification_grids_are_usage_errors(runner, args, message):
     assert message in envelope["result"]["message"]
 
 
+@pytest.mark.parametrize("args,p", [
+    (["verify", "limits", "--p", "1"], 1),  # used to loop forever stripping 1s
+    (["verify", "limits", "--p", "4"], 4),  # used to report ok
+    (["verify", "limits", "--p", "3,9"], 9),
+    (["verify", "remark", "--p", "4", "--q", "2"], 4),  # used to exit 1
+    (["qeuler", "gen", "-n", "1", "--chi", "trivial", "--p", "4", "--q", "5"], 4),
+    (["lfun", "lq", "-k", "1", "--chi", "teich:1", "--p", "9"], 9),
+    (["lfun", "lpq", "-s", "1", "--chi", "trivial", "--p", "1"], 1),
+])
+def test_every_p_option_requires_an_odd_prime(runner, args, p):
+    result = invoke(runner, args + ["--json"])
+    assert result.exit_code == 2
+    envelope = json_result(result)
+    assert envelope["status"] == "error"
+    assert envelope["result"]["message"] == f"p must be an odd prime >= 3, got {p}"
+
+
 THM5_GOLDEN = json.loads((Path(__file__).parent / "data" / "thm5_grid_golden.json").read_text())
 
 
@@ -212,6 +229,20 @@ def test_verify_thm5_default_grid_matches_golden(runner, p):
     envelope = json_result(result)
     assert envelope["result"] == THM5_GOLDEN[f"p{p}"]
     assert "jobs" not in envelope["params"]
+
+
+@pytest.mark.parametrize("key,options", [
+    ("p7", ["--p", "7"]),
+    ("p3_prec16", ["--p", "3", "--prec", "16"]),
+    ("p3_prec24", ["--p", "3", "--prec", "24"]),
+])
+def test_verify_thm5_larger_grids_match_golden(runner, key, options):
+    # pinned with exact series terms: the q-Euler residue table must not move
+    # a digit at a larger p or a higher precision either
+    result = invoke(runner, ["verify", "thm5", *options, "-n", "1,2", "-r", "1,2",
+                             "--json"])
+    assert result.exit_code == 0
+    assert json_result(result)["result"] == THM5_GOLDEN[key]
 
 
 def test_verify_thm5_has_no_jobs_option(runner):

@@ -7,8 +7,10 @@ from pathlib import Path
 
 import pytest
 
+from qlfun import lfun
 from qlfun.characters import DirichletCharacter, twist
 from qlfun.lfun import (
+    EulerResidues,
     H_pq,
     K_full,
     K_partial,
@@ -21,6 +23,7 @@ from qlfun.lfun import (
     series_cache,
 )
 from qlfun.numerics import (
+    WORKING_MARGIN,
     QContext,
     q_int,
     residual_valuation,
@@ -334,17 +337,19 @@ def test_series_cache_scope_gives_the_same_values():
     with series_cache() as cache:
         inside = evaluate()
         again = evaluate()
-        assert len(cache.values) == 4 * len(cases)
+        assert len(cache.values) == 4 * len(cases) + 1
     assert inside == outside
     assert again == outside
     # per case: H, K, T and one <a>^(-s) computed; K and T reuse H's unit
-    # power, and the second pass hits all three series
-    assert cache.misses == 4 * len(cases)
-    assert cache.hits == 5 * len(cases)
+    # power, and the second pass hits all three series.  Every case has
+    # F = 3, so the 3 * len(cases) series computed share one q-Euler residue
+    # table: one more key and miss, and 3 * len(cases) - 1 hits on it
+    assert cache.misses == 4 * len(cases) + 1
+    assert cache.hits == 5 * len(cases) + 3 * len(cases) - 1
     assert not cache.values  # dropped with the scope
     # outside a scope nothing is recorded
     evaluate()
-    assert (cache.hits, cache.misses) == (5 * len(cases), 4 * len(cases))
+    assert (cache.hits, cache.misses) == (8 * len(cases) - 1, 4 * len(cases) + 1)
 
 
 def test_series_cache_is_dropped_with_its_scope():
@@ -357,6 +362,93 @@ def test_series_cache_is_dropped_with_its_scope():
         assert inner.hits == outer.hits == 0
         H_pq(1, prm, CTX34)
         assert outer.hits == 1
+
+
+# ---------------------------------------------------------------------------
+# q-Euler residue table
+# ---------------------------------------------------------------------------
+
+def residue_grid():
+    for p in (3, 5, 7):
+        for q in (Fraction(1 + p), Fraction(1 - p), Fraction(1, 1 + p), Fraction(10),
+                  Fraction(7, 4)):
+            if v_p(q - 1, p) >= 1:
+                for F in sorted({p, 3 * p, 9}):
+                    yield p, q, F
+
+
+@pytest.mark.parametrize("p,q,F", list(residue_grid()))
+def test_euler_residues_match_the_exact_route(p, q, F):
+    # j up to 40 also runs the table past its first size (21 to 37)
+    Q = q**F
+    for precision in (8, 16, 24):
+        ctx = QContext(p=p, q=q, precision=precision)
+        table = EulerResidues(Q, ctx)
+        for j in range(41):
+            assert table[j] == ctx.embed(euler_number(j, Q)), (precision, j)
+
+
+@pytest.mark.parametrize("p,q,F", list(residue_grid()))
+def test_residue_differences_meet_the_valuation_bound(p, q, F):
+    # v_p(Delta_j) >= j v_p(Q - 1): the bound the table's modulus rests on
+    Q = q**F
+    e = v_p(Q - 1, p)
+    for precision in (8, 16, 24):
+        table = EulerResidues(Q, QContext(p=p, q=q, precision=precision))
+        table[40]
+        assert table.e == e
+        for j, delta in enumerate(table.deltas):
+            if delta:  # a zero residue is divisible by p^M, and M > j e
+                assert v_p(delta, p) >= j * e, (precision, j)
+
+
+@pytest.mark.parametrize("margin_below_n,exact_indices", [
+    (None, set()),                       # the table's own modulus: no value refused
+    (1, set(range(22))),                 # M = N - 1: every residue is short
+    ("all", set(range(22))),             # M = 0: every residue is zero
+])
+def test_refused_residues_take_the_exact_route(monkeypatch, margin_below_n, exact_indices):
+    ctx = CTX34
+    Q = ctx.q**3
+    e = v_p(Q - 1, 3)
+    J = ctx.working_precision + ctx.guard  # the table's first size, 21
+    N = ctx.working_precision + WORKING_MARGIN
+    if margin_below_n == "all":
+        monkeypatch.setattr(EulerResidues, "MARGIN", -N - J * e)
+    elif margin_below_n is not None:
+        monkeypatch.setattr(EulerResidues, "MARGIN", -J * e - margin_below_n)
+    exact_calls = []
+
+    def recording_euler_number(j, base):
+        exact_calls.append(j)
+        return euler_number(j, base)
+
+    monkeypatch.setattr(lfun, "euler_number", recording_euler_number)
+    table = EulerResidues(Q, ctx)
+    assert [table[j] for j in range(J + 1)] == [ctx.embed(euler_number(j, Q))
+                                                for j in range(J + 1)]
+    assert set(exact_calls) == exact_indices
+
+
+def test_unit_sums_share_one_residue_table_without_a_scope(monkeypatch):
+    built = []
+    original = EulerResidues.__init__
+
+    def recording_init(self, Q, ctx):
+        built.append(Q)
+        original(self, Q, ctx)
+
+    monkeypatch.setattr(EulerResidues, "__init__", recording_init)
+    chi = DirichletCharacter.teichmuller_power(1, 5)
+    l_pq(2, chi, CTX56)  # four units a, one q^F
+    T_full(1, 2, chi, CTX56)
+    K_full(1, 2, chi, CTX56)
+    assert built == [Fraction(6) ** 5] * 3
+    built.clear()
+    with series_cache():  # an open scope shares the table across the calls too
+        l_pq(2, chi, CTX56)
+        T_full(1, 2, chi, CTX56)
+    assert built == [Fraction(6) ** 5]
 
 
 @pytest.mark.parametrize("q", [Fraction(4), Fraction(-2), Fraction(7, 4), Fraction(1, 4)])
@@ -403,3 +495,17 @@ def test_series_values_match_the_golden_file():
     assert set(got) == set(GOLDEN)
     mismatched = sorted(name for name in got if got[name] != GOLDEN[name])
     assert not mismatched, f"{len(mismatched)} cases differ, first {mismatched[:3]}"
+
+
+def test_l_pq_at_high_precision_matches_the_golden_file():
+    # pinned with exact series terms; here the residue table holds
+    # E_0 .. E_45 mod 7^146
+    golden = json.loads((Path(__file__).parent / "data" /
+                         "lpq_high_precision_golden.json").read_text())
+    ctx = QContext(p=7, q=Fraction(8), precision=32)
+    chi = DirichletCharacter.teichmuller_power(1, 7)
+    exponents = [("int:1", 1), ("int:-3", -3), ("padic:1/2", ctx.embed(Fraction(1, 2))),
+                 ("embedded:-2", ctx.embed(-2))]
+    got = {f"l_pq/p7/prec32/teich1/{name}": l_pq(s, chi, ctx).to_json_dict()
+           for name, s in exponents}
+    assert got == golden

@@ -117,6 +117,15 @@ def test_reduce_examples():
     assert (y.valuation, y.unit) == (2, 5)
 
 
+@pytest.mark.parametrize("p", [1, 0, -3])
+def test_valuation_refuses_a_base_below_two(p):
+    # every integer is divisible by 1 (and by -1): stripping it would never end
+    with pytest.raises(ValueError, match="must be >= 2"):
+        v_p(Fraction(6, 5), p)
+    with pytest.raises(ValueError, match="must be >= 2"):
+        reduce_mod_pN(Fraction(6, 5), p, 4)
+
+
 def test_reduce_zero_and_negative_valuation():
     z = reduce_mod_pN(Fraction(0), 5, 6)
     assert z.is_zero and z.valuation == inf
