@@ -21,7 +21,8 @@ import click
 
 from . import verify as verify_mod
 from .characters import CharacterError, parse_character
-from .lfun import H_pq, K_full, K_partial, PartialZetaParams, T_full, T_partial, l_pq
+from .lfun import (H_pq, K_full, K_partial, PartialZetaParams, T_full, T_partial, l_pq,
+                   series_cache)
 from .numerics import (
     INF,
     PadicNumber,
@@ -300,14 +301,19 @@ def lfun_tk(n: int, s: int, a: Optional[int], modulus: Optional[int],
               "p": p, "q": q, "prec": prec}
 
     def body():
+        if a is not None and chi is not None:
+            raise click.UsageError("-a (partial) and --chi (full) cannot be combined")
+        if a is None and modulus is not None:
+            raise click.UsageError("-F needs -a: the full aggregate runs at F = p")
         ctx = _context(p, q, prec)
-        if a is not None:
-            prm = PartialZetaParams(a, modulus if modulus is not None else p)
-            return {"T": at_target(T_partial(n, s, prm, ctx), ctx),
-                    "K": at_target(K_partial(n, s, prm, ctx), ctx)}, "ok"
-        character = parse_character(chi if chi is not None else "trivial", p)
-        return {"T": at_target(T_full(n, s, character, ctx), ctx),
-                "K": at_target(K_full(n, s, character, ctx), ctx)}, "ok"
+        with series_cache():  # T reads the K (and H) values it shares with K
+            if a is not None:
+                prm = PartialZetaParams(a, modulus if modulus is not None else p)
+                return {"T": at_target(T_partial(n, s, prm, ctx), ctx),
+                        "K": at_target(K_partial(n, s, prm, ctx), ctx)}, "ok"
+            character = parse_character(chi if chi is not None else "trivial", p)
+            return {"T": at_target(T_full(n, s, character, ctx), ctx),
+                    "K": at_target(K_full(n, s, character, ctx), ctx)}, "ok"
 
     run_command("lfun tk", params, as_json, body)
 

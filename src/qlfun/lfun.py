@@ -107,8 +107,9 @@ _ACTIVE_CACHE: ContextVar[Optional[SeriesCache]] = ContextVar(
 
 @contextmanager
 def series_cache() -> Iterator[SeriesCache]:
-    """Open a fresh evaluation scope.  Inside it H_pq, K_partial, T_partial
-    and the unit power <a>^(-s) are each computed once per key.  The values
+    """Open a fresh evaluation scope.  Inside it H_pq, K_partial, the unit
+    power <a>^(-s) and the q-Euler residue table are each computed once per
+    key (T_partial reads the cached H_pq and K_partial values).  The values
     are dropped when the scope exits, so the scope is the cache's only bound;
     the hit and miss counts stay readable."""
     cache = SeriesCache()
@@ -141,7 +142,7 @@ def _scoped(fn):
 
 @_scoped
 def _unit_pow(a: int, s: PadicExponent, ctx: QContext) -> SeriesResult:
-    """<a>^(-s), shared by the H, K and T series of the same (a, s)."""
+    """<a>^(-s), shared by the H and K series of the same (a, s)."""
     return padic_pow(angle_bracket(a, ctx), -s, ctx)
 
 
@@ -169,7 +170,7 @@ class EulerResidues:
     takes the exact route.
 
     The first J is working precision + guard: a guarded series whose j-th
-    term has valuation >= j, as every H/K/T term has (the ratio
+    term has valuation >= j, as every H and K term has (the ratio
     q^a [F]/[a] carries p | F), stops by then.  Indexing past J rebuilds
     the table at twice the size.
     """
@@ -233,31 +234,31 @@ def _require_padic_params(prm: PartialZetaParams, ctx: QContext, name: str) -> N
     ctx.require_q_not_one(name)
 
 
-def _twisted_series(s: PadicExponent, prm: PartialZetaParams, ctx: QContext,
-                    scale: Union[int, Fraction], description: str,
-                    factor: Optional[Callable[[int], Fraction]] = None) -> SeriesResult:
-    """scale <a>^(-s) sum_j binom(-s, j) (q^a [F]/[a])^j E_{j,q^F} [factor(j)],
-    the series shared by H_pq, K_partial and T_partial.
+def _twisted_series(n: int, s: PadicExponent, prm: PartialZetaParams,
+                    ctx: QContext) -> SeriesResult:
+    """((-1)^a / 2) <a>^(-s) sum_j binom(-s, j) (q^a [F]/[a])^j E_{j,q^F} [q^(nFj) - 1],
+    the series behind H_pq (n = 0, no last factor) and K_partial (n >= 1).
 
     Each term is a product of separately reduced factors: reduction to p-adic
-    digits is multiplicative, so this equals reducing the exact product.  The
-    optional exact factor (a difference) is formed exactly before it is
-    reduced."""
+    digits is multiplicative, so this equals reducing the exact product.  K's
+    factor q^(nFj) - 1 is a difference, formed exactly before it is reduced,
+    so that it keeps its relative digits."""
     a, F = prm.a, prm.F
     q = ctx.q
     unit_pow = _unit_pow(a, s, ctx)
     step = ctx.embed(q_int(F, q) / q_int(a, q) * q**a)
     residues = _euler_residues(q**F, ctx)
+    qnF = q ** (n * F)
 
     def terms() -> Iterator[PadicNumber]:
         power = ctx.embed(1)  # not ctx.one(): that would cap the digits at working precision
         for j, coeff in enumerate(binom_stream(-s, ctx)):
             term = coeff * power * residues[j]
-            yield term if factor is None else term * ctx.embed(factor(j))
+            yield term * ctx.embed(qnF**j - 1) if n else term
             power = power * step
 
-    body = sum_guarded(terms(), ctx, description=description)
-    value = ctx.embed(scale) * unit_pow.value * body.value
+    body = sum_guarded(terms(), ctx, description="K series" if n else "H_pq series")
+    value = ctx.embed(Fraction((-1) ** a, 2)) * unit_pow.value * body.value
     return merge_series(value, [unit_pow, body])
 
 
@@ -269,7 +270,7 @@ def H_pq(s: PadicExponent, prm: PartialZetaParams, ctx: QContext) -> SeriesResul
     value is the Teichmuller-twisted exact partial zeta value.
     """
     _require_padic_params(prm, ctx, "H_pq")
-    return _twisted_series(s, prm, ctx, Fraction((-1) ** prm.a, 2), "H_pq series")
+    return _twisted_series(0, s, prm, ctx)
 
 
 def _unit_sum(partial: Callable[[PartialZetaParams], SeriesResult],
@@ -312,34 +313,40 @@ def l_pq(
 
 
 @_scoped
-def T_partial(n: int, s: PadicExponent, prm: PartialZetaParams, ctx: QContext) -> SeriesResult:
-    """Boundary-term series of the alternating power-sum expansion:
-    (-1)^a <a>^(-s) sum_k binom(-s,k) ([F]/[a])^k q^(ak) ((-1)^n q^(nFk) - 1) E_{k,q^F}.
-
-    Vanishes as q -> 1 for even n (the factor q^(nFk) - 1 dies)."""
-    if n < 1:
-        raise ValueError("T_partial requires n >= 1")
-    _require_padic_params(prm, ctx, "T_partial")
-    q, F = ctx.q, prm.F
-    return _twisted_series(s, prm, ctx, (-1) ** prm.a, "T series",
-                           lambda k: (-1) ** n * q ** (n * F * k) - 1)
-
-
-@_scoped
 def K_partial(n: int, s: PadicExponent, prm: PartialZetaParams, ctx: QContext) -> SeriesResult:
     """Correction series carrying the q-power twist left over when q^(nFl)
     is expanded around 1:
     ((-1)^a / 2) <a>^(-s) sum_l binom(-s,l) q^(al) ([F]/[a])^l E_{l,q^F}
                               sum_{j=1}^{l} C(l,j) [nF]^j (q-1)^j.
 
-    Every term carries at least one factor (q-1), so the value dies as q -> 1."""
+    The inner sum is q^(nFl) - 1, since [nF] (q-1) = q^(nF) - 1.  Every term
+    carries at least one factor (q-1), so the value dies as q -> 1."""
     if n < 1:
         raise ValueError("K_partial requires n >= 1")
     _require_padic_params(prm, ctx, "K_partial")
-    qnF = ctx.q ** (n * prm.F)
-    # sum_{j=1}^{l} C(l,j) ([nF] (q-1))^j = q^(nFl) - 1, since [nF] (q-1) = q^(nF) - 1
-    return _twisted_series(s, prm, ctx, Fraction((-1) ** prm.a, 2), "K series",
-                           lambda l: qnF**l - 1)
+    return _twisted_series(n, s, prm, ctx)
+
+
+def T_partial(n: int, s: PadicExponent, prm: PartialZetaParams, ctx: QContext) -> SeriesResult:
+    """Boundary-term series of the alternating power-sum expansion:
+    (-1)^a <a>^(-s) sum_k binom(-s,k) ([F]/[a])^k q^(ak) ((-1)^n q^(nFk) - 1) E_{k,q^F}.
+
+    Derived, not summed: T has twice the scale of H and K, and its factor
+    is K's q^(nFk) - 1 for even n and -(q^(nFk) - 1) - 2 for odd n, so term
+    by term T = 2 K (n even) and T = -(2 K + 4 H) (n odd), from the scoped
+    values.  The equal form 2 ((-1)^n (H + K) - H) would subtract the
+    unit-size H for even n too and cap 2 K at H's absolute precision,
+    dropping the digits K's valuation adds.  The metadata is merged from the
+    series read, as l_pq's is.  Vanishes as q -> 1 for even n."""
+    if n < 1:
+        raise ValueError("T_partial requires n >= 1")
+    _require_padic_params(prm, ctx, "T_partial")
+    k_part = K_partial(n, s, prm, ctx)
+    twice_k = ctx.embed(2) * k_part.value
+    if n % 2 == 0:
+        return merge_series(twice_k, [k_part])
+    h_part = H_pq(s, prm, ctx)
+    return merge_series(-(twice_k + ctx.embed(4) * h_part.value), [h_part, k_part])
 
 
 def T_full(n: int, s: PadicExponent, chi: DirichletCharacter, ctx: QContext) -> SeriesResult:

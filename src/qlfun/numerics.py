@@ -209,15 +209,6 @@ class PadicNumber:
         return PadicNumber(p=self.p, valuation=self.valuation,
                            unit=self.unit % self.p**int(rel), precision=int(rel))
 
-    def at_precision(self, digits: int) -> "PadicNumber":
-        """Cap the number of significant digits."""
-        if self.is_zero or digits >= self.precision:
-            return self
-        if digits <= 0:
-            raise PadicError("cannot truncate a nonzero p-adic value to 0 digits")
-        return PadicNumber(p=self.p, valuation=self.valuation,
-                           unit=self.unit % self.p**digits, precision=digits)
-
     def eq_at_precision(self, other: "PadicNumber", k: int) -> bool:
         """Spec equality: matching valuations and units mod p^min(k, precisions),
         or both values indistinguishable from 0 at valuation k."""

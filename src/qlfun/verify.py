@@ -20,7 +20,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .characters import DirichletCharacter
 from .lfun import (
@@ -337,19 +337,6 @@ def _eq24_groups(n: int, r: int, a: int, ctx: QContext) -> Iterator[Tuple[Fracti
         s += 1
 
 
-def _eq24_series(groups: Iterable[Tuple[Fraction, Fraction]], ctx: QContext) -> SeriesResult:
-    """Both groups of the expansion step, summed as a guarded series."""
-    return sum_guarded((ctx.embed(g1 + g2) for g1, g2 in groups), ctx,
-                       description="eq24 series")
-
-
-def _group1_series(groups: Iterable[Tuple[Fraction, Fraction]], ctx: QContext) -> SeriesResult:
-    """Only the first (polynomial-part) group of the expansion step, with its
-    own stop rule."""
-    return sum_guarded((ctx.embed(g1) for g1, _ in groups), ctx,
-                       description="group1 series")
-
-
 def _boundary_piece(n: int, r: int, a: int, ctx: QContext) -> PadicNumber:
     """-(w^(-r)(a)/2) T(n, r, a : p): the boundary term in character form."""
     w = teichmuller(a, ctx.p, ctx.working_precision)
@@ -415,12 +402,15 @@ def _thm5_point(n: int, r: int, ctx: QContext, cache: SeriesCache) -> Thm5Report
     for a in range(1, ctx.p):
         partials.append(_partial_sum_exact(n, r, a, ctx))
         partial_exact = ctx.embed(partials[-1])
-        # both sums read one stream of exact terms, each computed once
+        # both groups of the expansion step, and the first (polynomial-part)
+        # group alone with its own stop rule, read one stream of exact terms
         groups24, groups1 = itertools.tee(_eq24_groups(n, r, a, ctx))
-        series24 = _eq24_series(groups24, ctx)
+        series24 = sum_guarded((ctx.embed(g1 + g2) for g1, g2 in groups24), ctx,
+                               description="eq24 series")
         eq24_vals.append(_residual_sentinel(partial_exact, series24.value))
 
-        group1 = _group1_series(groups1, ctx)
+        group1 = sum_guarded((ctx.embed(g1) for g1, _ in groups1), ctx,
+                             description="group1 series")
         boundary = _boundary_piece(n, r, a, ctx)
         eq26_vals.append(_residual_sentinel(partial_exact, group1.value + boundary))
 

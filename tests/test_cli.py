@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from qlfun import lfun
 from qlfun.cli import main
 
 
@@ -243,6 +244,54 @@ def test_verify_thm5_larger_grids_match_golden(runner, key, options):
                              "--json"])
     assert result.exit_code == 0
     assert json_result(result)["result"] == THM5_GOLDEN[key]
+
+
+TK_GOLDEN = json.loads((Path(__file__).parent / "data" / "tk_golden.json").read_text())
+
+
+@pytest.mark.parametrize("key", sorted(TK_GOLDEN))
+def test_lfun_tk_matches_golden(runner, key):
+    # pinned when T was summed as its own series; T is now derived from the
+    # cached H and K, which moved only p5/n1/s3/a2's T tail_valuation_bound
+    # (19 -> 18, the merged H and K bound)
+    p, n, s, which = key.split("/")
+    options = ["-a", "2"] if which == "a2" else ["--chi", which]
+    result = invoke(runner, ["lfun", "tk", "-n", n[1:], "-s", s[1:], *options,
+                             "--p", p[1:], "--json"])
+    assert result.exit_code == 0
+    assert json_result(result)["result"] == TK_GOLDEN[key]
+
+
+@pytest.mark.parametrize("options,message", [
+    (["-a", "1", "--chi", "teich:1"], "cannot be combined"),
+    (["--chi", "teich:1", "-F", "9"], "-F needs -a"),
+    (["-F", "9"], "-F needs -a"),
+])
+def test_lfun_tk_rejects_ignored_options(runner, options, message):
+    result = invoke(runner, ["lfun", "tk", "-n", "1", "-s", "1", *options,
+                             "--p", "3", "--json"])
+    assert result.exit_code == 2
+    envelope = json_result(result)
+    assert envelope["status"] == "error"
+    assert message in envelope["result"]["message"]
+
+
+@pytest.mark.parametrize("n,series", [(1, [0, 1]), (2, [2])])
+def test_lfun_tk_sums_each_series_once(runner, monkeypatch, n, series):
+    # T and K share one series cache: K is summed once for both, and odd n
+    # adds the H series T is derived from
+    ran = []
+    original = lfun._twisted_series
+
+    def recording(m, *args):
+        ran.append(m)
+        return original(m, *args)
+
+    monkeypatch.setattr(lfun, "_twisted_series", recording)
+    result = invoke(runner, ["lfun", "tk", "-n", str(n), "-s", "1", "-a", "2",
+                             "--p", "5", "--json"])
+    assert result.exit_code == 0
+    assert sorted(ran) == series
 
 
 def test_verify_thm5_has_no_jobs_option(runner):

@@ -280,6 +280,41 @@ def test_T_and_K_die_as_q_approaches_one(p):
             assert k.value.valuation >= 6
 
 
+def exact_tk_at_negative_integer(n, m, a, F, ctx, boundary):
+    """T_partial(n, -m, a:F) (``boundary``) or K_partial from the finite
+    series: w(a)^(-m) embed(c (-1)^a [a]^m sum_{k<=m} C(m,k)
+    (q^a [F]/[a])^k f(k) E_{k,q^F}), with c = 1, f(k) = (-1)^n q^(nFk) - 1 for
+    T and c = 1/2, f(k) = q^(nFk) - 1 for K; exact up to the final reduction."""
+    q = ctx.q
+    ratio = q**a * q_int(F, q) / q_int(a, q)
+    sign = (-1) ** n if boundary else 1
+    total = sum((math.comb(m, k) * ratio**k * (sign * q ** (n * F * k) - 1)
+                 * euler_number(k, q**F) for k in range(m + 1)), Fraction(0))
+    scale = Fraction((-1) ** a) if boundary else Fraction((-1) ** a, 2)
+    w = teichmuller(a, ctx.p, ctx.working_precision + WORKING_MARGIN)
+    return ctx.embed(scale * q_int(a, q) ** m * total) * w ** (-m)
+
+
+@pytest.mark.parametrize("p,q,F", [(3, Fraction(4), 3), (3, Fraction(-2), 9),
+                                   (3, Fraction(10), 3), (5, Fraction(6), 5),
+                                   (5, Fraction(-4), 15), (7, Fraction(8), 7)])
+def test_T_and_K_match_the_exact_sum_at_negative_integers(p, q, F):
+    # an oracle independent of the series kernel and of T's derivation from
+    # H and K: at s = -m the series stops at k = m
+    ctx = QContext(p=p, q=q, precision=8)
+    for a in range(1, F):
+        if a % p == 0:
+            continue
+        prm = PartialZetaParams(a, F)
+        for n in (1, 2, 3):
+            for m in range(5):
+                for boundary, fn in ((True, T_partial), (False, K_partial)):
+                    got = fn(n, -m, prm, ctx).value
+                    want = exact_tk_at_negative_integer(n, m, a, F, ctx, boundary)
+                    assert residual_valuation(got, want) >= ctx.working_precision, \
+                        (fn.__name__, a, n, m)
+
+
 def test_full_aggregates_at_zero():
     triv = DirichletCharacter.trivial()
     assert K_full(2, 0, triv, CTX34).value.is_zero
@@ -340,16 +375,34 @@ def test_series_cache_scope_gives_the_same_values():
         assert len(cache.values) == 4 * len(cases) + 1
     assert inside == outside
     assert again == outside
-    # per case: H, K, T and one <a>^(-s) computed; K and T reuse H's unit
-    # power, and the second pass hits all three series.  Every case has
-    # F = 3, so the 3 * len(cases) series computed share one q-Euler residue
-    # table: one more key and miss, and 3 * len(cases) - 1 hits on it
+    # per case: H, K(2), K(1) and one <a>^(-s) computed.  T is not a cached
+    # key: T(1) = -(2 K(1) + 4 H) reads K(1), computed on its behalf, and
+    # hits H.  Both K series reuse H's unit power, so the first pass hits
+    # 3 per case; the second pass hits H, K(2), and K(1) and H through T.
+    # Every case has F = 3, so the 3 * len(cases) series computed share one
+    # q-Euler residue table: one more key and miss, and 3 * len(cases) - 1
+    # hits on it
     assert cache.misses == 4 * len(cases) + 1
-    assert cache.hits == 5 * len(cases) + 3 * len(cases) - 1
+    assert cache.hits == 3 * len(cases) + 4 * len(cases) + 3 * len(cases) - 1
     assert not cache.values  # dropped with the scope
     # outside a scope nothing is recorded
     evaluate()
-    assert (cache.hits, cache.misses) == (8 * len(cases) - 1, 4 * len(cases) + 1)
+    assert (cache.hits, cache.misses) == (10 * len(cases) - 1, 4 * len(cases) + 1)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("s", [2, -1, CTX56.embed(Fraction(1, 2))])
+def test_T_partial_runs_no_series_of_its_own(n, s):
+    # T is derived from H and K: with both cached it adds no miss, at even n
+    # (T = 2K) and at odd n (T = -(2K + 4H)) alike
+    prm = PartialZetaParams(2, 5)
+    with series_cache() as cache:
+        H_pq(s, prm, CTX56)
+        K_partial(n, s, prm, CTX56)
+        misses, hits = cache.misses, cache.hits
+        T_partial(n, s, prm, CTX56)
+        assert cache.misses == misses
+        assert cache.hits == hits + (2 if n % 2 else 1)
 
 
 def test_series_cache_is_dropped_with_its_scope():
@@ -468,7 +521,9 @@ def test_k_inner_sum_is_a_power_minus_one(q, n, F):
 
 #: to_json_dict() of each case below, as computed when every series term was
 #: formed as one exact rational and then reduced; the per-factor reduction of
-#: the terms must reproduce every digit and every series field
+#: the terms must reproduce every digit and every series field.  T is now
+#: derived from H and K: the odd-n T entries at p = 5, int:2 and int:3, carry
+#: the merged H and K tail_valuation_bound, 18 where the summed T read 19
 GOLDEN = json.loads((Path(__file__).parent / "data" / "series_golden.json").read_text())
 
 
