@@ -9,6 +9,7 @@ arguments through guarded binomial series.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -109,9 +110,14 @@ _ACTIVE_CACHE: ContextVar[Optional[SeriesCache]] = ContextVar(
 def series_cache() -> Iterator[SeriesCache]:
     """Open a fresh evaluation scope.  Inside it H_pq, K_partial, the unit
     power <a>^(-s) and the q-Euler residue table are each computed once per
-    key (T_partial reads the cached H_pq and K_partial values).  The values
-    are dropped when the scope exits, so the scope is the cache's only bound;
-    the hit and miss counts stay readable."""
+    key (T_partial reads the cached H_pq and K_partial values).  So are the
+    two term tables of the H/K series: the s-free bases, per (n, a, F), and
+    the binomial column binom(-s, j), per s; a series term is then one
+    product of two table entries, the same value as the product of its
+    factors taken in any order (see :func:`_twisted_series`).  Every value
+    that depends on s has s in its key, so values at different s never share
+    a cache entry.  The values are dropped when the scope exits, so the scope
+    is the cache's only bound; the hit and miss counts stay readable."""
     cache = SeriesCache()
     token = _ACTIVE_CACHE.set(cache)
     try:
@@ -234,30 +240,69 @@ def _require_padic_params(prm: PartialZetaParams, ctx: QContext, name: str) -> N
     ctx.require_q_not_one(name)
 
 
+class _OnDemand:
+    """The values of an iterator, kept as they are first read: reading item j
+    runs the iterator up to j once, for every reader of the same list."""
+
+    def __init__(self, values: Iterator[PadicNumber]):
+        self._values = values
+        self._read: List[PadicNumber] = []
+
+    def __getitem__(self, j: int) -> PadicNumber:
+        while len(self._read) <= j:
+            self._read.append(next(self._values))
+        return self._read[j]
+
+
+@_scoped
+def _binomials(s: PadicExponent, ctx: QContext) -> _OnDemand:
+    """binom(-s, j) for j = 0, 1, 2, ...: one column per s, shared by the H and
+    K series of every unit a and every n in one scope."""
+    return _OnDemand(binom_stream(-s, ctx))
+
+
+@_scoped
+def _term_bases(n: int, a: int, F: int, ctx: QContext) -> _OnDemand:
+    """The s-free part of the j-th H (n = 0) or K (n >= 1) term,
+    (q^a [F]/[a])^j E_{j,q^F} [q^(nFj) - 1], for j = 0, 1, 2, ...
+
+    Each factor is reduced on its own: reduction to p-adic digits is
+    multiplicative, so this equals reducing the exact product.  K's factor
+    q^(nFj) - 1 is a difference, formed exactly before it is reduced, so that
+    it keeps its relative digits."""
+    q = ctx.q
+    step = ctx.embed(q_int(F, q) / q_int(a, q) * q**a)
+    residues = _euler_residues(q**F, ctx)
+    qnF = q ** (n * F)
+
+    def bases() -> Iterator[PadicNumber]:
+        power = ctx.embed(1)  # not ctx.one(): that would cap the digits at working precision
+        for j in itertools.count():
+            base = power * residues[j]
+            yield base * ctx.embed(qnF**j - 1) if n else base
+            power = power * step
+
+    return _OnDemand(bases())
+
+
 def _twisted_series(n: int, s: PadicExponent, prm: PartialZetaParams,
                     ctx: QContext) -> SeriesResult:
     """((-1)^a / 2) <a>^(-s) sum_j binom(-s, j) (q^a [F]/[a])^j E_{j,q^F} [q^(nFj) - 1],
     the series behind H_pq (n = 0, no last factor) and K_partial (n >= 1).
 
-    Each term is a product of separately reduced factors: reduction to p-adic
-    digits is multiplicative, so this equals reducing the exact product.  K's
-    factor q^(nFj) - 1 is a difference, formed exactly before it is reduced,
-    so that it keeps its relative digits."""
-    a, F = prm.a, prm.F
-    q = ctx.q
+    The j-th term is binom(-s, j) times the j-th s-free base, each read from
+    a scoped list (:func:`_binomials`, :func:`_term_bases`) that is extended
+    as far as the longest series has asked.  Grouping the product so is
+    exact: PadicNumber multiplication adds valuations, reduces the unit mod
+    p^(least precision) and gives a zero the sum of the valuations as its
+    bound, so it is associative and commutative as a dataclass, and every
+    term equals the left-to-right product of the same reduced factors."""
+    a = prm.a
     unit_pow = _unit_pow(a, s, ctx)
-    step = ctx.embed(q_int(F, q) / q_int(a, q) * q**a)
-    residues = _euler_residues(q**F, ctx)
-    qnF = q ** (n * F)
-
-    def terms() -> Iterator[PadicNumber]:
-        power = ctx.embed(1)  # not ctx.one(): that would cap the digits at working precision
-        for j, coeff in enumerate(binom_stream(-s, ctx)):
-            term = coeff * power * residues[j]
-            yield term * ctx.embed(qnF**j - 1) if n else term
-            power = power * step
-
-    body = sum_guarded(terms(), ctx, description="K series" if n else "H_pq series")
+    coeffs = _binomials(s, ctx)
+    bases = _term_bases(n, a, prm.F, ctx)
+    terms = (coeffs[j] * bases[j] for j in itertools.count())
+    body = sum_guarded(terms, ctx, description="K series" if n else "H_pq series")
     value = ctx.embed(Fraction((-1) ** a, 2)) * unit_pow.value * body.value
     return merge_series(value, [unit_pow, body])
 

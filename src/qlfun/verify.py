@@ -470,6 +470,8 @@ def thm5_qone_surrogate(n: int, r: int, ctx: QContext) -> dict:
     q = 1 + p**depth), every boundary and correction contribution carries
     at least the valuation of q - 1, so the exact sum is reproduced by the
     bare l-series group alone at that depth.  Returns the observed evidence.
+    The series run in one series cache, so every unit reads one q-Euler
+    residue table.
     """
     if n % 2:
         raise ValueError("the near-classical collapse needs even n")
@@ -478,11 +480,12 @@ def thm5_qone_surrogate(n: int, r: int, ctx: QContext) -> dict:
     total = ctx.zero()
     boundary_vals: List[Valuation] = []
     correction_vals: List[Valuation] = []
-    for a in range(1, ctx.p):
-        prm = PartialZetaParams(a, ctx.p)
-        boundary_vals.append(T_partial(n, r, prm, ctx).value.valuation)
-        correction_vals.append(K_partial(n, r + 1, prm, ctx).value.valuation)
-        total = total + _expansion_group(n, r, a, ctx, with_correction=False)
+    with series_cache():
+        for a in range(1, ctx.p):
+            prm = PartialZetaParams(a, ctx.p)
+            boundary_vals.append(T_partial(n, r, prm, ctx).value.valuation)
+            correction_vals.append(K_partial(n, r + 1, prm, ctx).value.valuation)
+            total = total + _expansion_group(n, r, a, ctx, with_correction=False)
     residual = _residual_sentinel(lhs, ctx.embed(2) * total)
     return {
         "p": ctx.p,
@@ -518,11 +521,13 @@ def congruence_check_eq20(n: int, t: int, ctx: QContext) -> Tuple[bool, Valuatio
 
 def congruence_scan_eq21(t: int, s_samples: Sequence[int], ctx: QContext) -> dict:
     """Empirical scan of the integrality and mod-p constancy behavior of
-    l_pq(s, w^t) over integer samples s.  Reports evidence; asserts nothing."""
-    values = []
-    for s in s_samples:
-        res = l_pq(s, _w_power_char(t, ctx.p), ctx, F=ctx.p)
-        values.append((s, res.value))
+    l_pq(s, w^t) over integer samples s.  Reports evidence; asserts nothing.
+    The samples share one series cache, and so their s-free term tables;
+    every cached value at s is keyed on s, so no pairwise difference can
+    come out zero from a cache hit."""
+    with series_cache():
+        values = [(s, l_pq(s, _w_power_char(t, ctx.p), ctx, F=ctx.p).value)
+                  for s in s_samples]
 
     value_vals = {str(s): valuation_json(v.valuation) for s, v in values}
     pair_vals = {}

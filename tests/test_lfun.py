@@ -362,7 +362,11 @@ def test_series_metadata_contract():
 
 def test_series_cache_scope_gives_the_same_values():
     s_padic = CTX34.embed(Fraction(1, 2))
-    cases = [(s, PartialZetaParams(a, 3)) for s in (-2, 1, 3, s_padic) for a in (1, 2)]
+    s_values, units = (-2, 1, 3, s_padic), (1, 2)
+    cases = [(s, PartialZetaParams(a, 3)) for s in s_values for a in units]
+    # H, K(2), K(1) and <a>^(-s) per case, one residue table, one binomial
+    # column per s and one term-base table per (n, a)
+    keys = 4 * len(cases) + 1 + len(s_values) + 3 * len(units)
 
     def evaluate():
         return [(H_pq(s, prm, CTX34), K_partial(2, s, prm, CTX34),
@@ -372,22 +376,27 @@ def test_series_cache_scope_gives_the_same_values():
     with series_cache() as cache:
         inside = evaluate()
         again = evaluate()
-        assert len(cache.values) == 4 * len(cases) + 1
+        assert len(cache.values) == keys
     assert inside == outside
     assert again == outside
     # per case: H, K(2), K(1) and one <a>^(-s) computed.  T is not a cached
     # key: T(1) = -(2 K(1) + 4 H) reads K(1), computed on its behalf, and
     # hits H.  Both K series reuse H's unit power, so the first pass hits
     # 3 per case; the second pass hits H, K(2), and K(1) and H through T.
-    # Every case has F = 3, so the 3 * len(cases) series computed share one
-    # q-Euler residue table: one more key and miss, and 3 * len(cases) - 1
-    # hits on it
-    assert cache.misses == 4 * len(cases) + 1
-    assert cache.hits == 3 * len(cases) + 4 * len(cases) + 3 * len(cases) - 1
+    # The 3 * len(cases) series computed each read one binomial column, one
+    # per s, and one term-base table, one per (n, a) with n in {0, 1, 2}:
+    # every read but the first of each key hits.  Every case has F = 3, so
+    # the term-base tables share one q-Euler residue table, read once per
+    # table built: one more key and miss, and 3 * len(units) - 1 hits on it
+    assert cache.misses == keys
+    series = 3 * len(cases)
+    hits = (3 * len(cases) + 4 * len(cases) + (series - len(s_values))
+            + (series - 3 * len(units)) + 3 * len(units) - 1)
+    assert cache.hits == hits
     assert not cache.values  # dropped with the scope
     # outside a scope nothing is recorded
     evaluate()
-    assert (cache.hits, cache.misses) == (10 * len(cases) - 1, 4 * len(cases) + 1)
+    assert (cache.hits, cache.misses) == (hits, keys)
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -415,6 +424,36 @@ def test_series_cache_is_dropped_with_its_scope():
         assert inner.hits == outer.hits == 0
         H_pq(1, prm, CTX34)
         assert outer.hits == 1
+
+
+@pytest.mark.parametrize("short, long", [
+    (-1, 5),
+    (CTX34.embed(-2), CTX34.embed(Fraction(1, 2))),
+])
+@pytest.mark.parametrize("reverse", [False, True])
+def test_term_tables_give_cold_values_in_any_read_order(short, long, reverse):
+    # one scope's tables, extended past the stop index of an earlier series
+    # (the short one, or K, whose terms carry the extra factor q^(nFj) - 1,
+    # before H at the same s) or read within it, give the unscoped values
+    prms = [PartialZetaParams(2, 3), PartialZetaParams(4, 9)]
+    series = [lambda s, prm: H_pq(s, prm, CTX34),
+              lambda s, prm: K_partial(1, s, prm, CTX34),
+              lambda s, prm: K_partial(2, s, prm, CTX34)]
+    if reverse:
+        series.reverse()
+
+    def evaluate(s):
+        return [f(s, prm) for prm in prms for f in series]
+
+    cold_short, cold_long = evaluate(short), evaluate(long)
+    assert max(r.last_index for r in cold_short) < min(r.last_index for r in cold_long)
+    with series_cache():
+        if reverse:
+            warm_long, warm_short = evaluate(long), evaluate(short)
+        else:
+            warm_short, warm_long = evaluate(short), evaluate(long)
+    assert warm_short == cold_short
+    assert warm_long == cold_long
 
 
 # ---------------------------------------------------------------------------

@@ -180,6 +180,30 @@ def test_embed_is_multiplicative_as_dataclasses(x, y, p):
 # PadicNumber core behavior
 # ---------------------------------------------------------------------------
 
+def padic_numbers(p: int):
+    """Nonzero values of any precision and valuation, and zeros whose bound
+    is finite or infinite."""
+    zeros = st.one_of(st.just(inf), st.integers(-5, 40)).map(
+        lambda bound: PadicNumber.zero(p, bound=bound))
+    nonzero = st.integers(1, 30).flatmap(lambda prec: st.builds(
+        lambda v, u: PadicNumber(p=p, valuation=v, unit=u if u % p else u + 1,
+                                 precision=prec),
+        st.integers(-5, 30), st.integers(1, p**prec - 1)))
+    return st.one_of(nonzero, nonzero, zeros)
+
+
+@given(xyz=st.sampled_from([3, 5, 7]).flatmap(
+    lambda p: st.tuples(padic_numbers(p), padic_numbers(p), padic_numbers(p))))
+@settings(max_examples=300, deadline=None)
+def test_padic_multiplication_is_associative_and_commutative(xyz):
+    # the reason a series term may be grouped as binom(-s, j) times an
+    # s-free base read from a table: any grouping gives the same dataclass
+    x, y, z = xyz
+    assert x * y == y * x
+    assert (x * y) * z == x * (y * z)
+    assert (x * y) * z == (x * z) * y
+
+
 def test_padic_arithmetic_against_exact():
     p, N = 7, 12
     a, b = Fraction(22, 5), Fraction(-3, 49)
