@@ -104,6 +104,11 @@ def q_int_alt(x: int, q: IntOrRational) -> Fraction:
     return (1 - (-q) ** x) / (1 + q)
 
 
+def binom_int(t: int, k: int) -> int:
+    """binom(t, k) for an integer t (by upper negation when t < 0) and k >= 0."""
+    return math.comb(t, k) if t >= 0 else (-1) ** k * math.comb(k - t - 1, k)
+
+
 def binom_rat(t: IntOrRational, k: int) -> Fraction:
     """Falling-factorial binomial t(t-1)...(t-k+1)/k!, exact for rational t."""
     if k < 0:
@@ -111,10 +116,7 @@ def binom_rat(t: IntOrRational, k: int) -> Fraction:
     if isinstance(t, Fraction) and t.denominator == 1:
         t = t.numerator
     if isinstance(t, int):
-        if t >= 0:
-            return Fraction(math.comb(t, k))
-        # upper negation: binom(t, k) = (-1)^k binom(k - t - 1, k)
-        return Fraction((-1) ** k * math.comb(k - t - 1, k))
+        return Fraction(binom_int(t, k))
     t = Fraction(t)
     num = Fraction(1)
     for i in range(k):

@@ -16,13 +16,7 @@ from functools import lru_cache
 from typing import Callable, Iterable, Optional, Union
 
 from .characters import DirichletCharacter, chi_eval, chi_eval_exact
-from .numerics import (
-    IntOrRational,
-    PadicNumber,
-    QContext,
-    q_int,
-    q_int_alt,
-)
+from .numerics import IntOrRational, PadicNumber, QContext, q_int
 
 
 class QEulerDomainError(ValueError):
@@ -54,17 +48,21 @@ def _check_base(q: Fraction, operation: str) -> None:
 
 
 def _closed_form(n: int, Q: Fraction, X: IntOrRational, operation: str) -> Fraction:
-    """2 (1/(1-Q))^n sum_k C(n,k) (-X)^k / (1+Q^k): every q-Euler number and
-    polynomial value here, with base Q and argument power X; errors name
-    the public ``operation``."""
+    """2 (1/(1-Q))^n sum_k C(n,k) (-X)^k / (1+Q^k): every q-Euler number and polynomial
+    value here, with base Q and argument power X; errors name the public ``operation``.
+    For Q = qa/qb, X = xa/xb: one integer numerator over xb^n prod_k (qb^k + qa^k),
+    built from running powers and normalized once."""
     _check_base(Q, operation)
-    total = Fraction(0)
+    qa, qb, xa, xb = Q.numerator, Q.denominator, -X.numerator, X.denominator
+    num, den, qa_k, qb_k, xa_k = 0, 1, 1, 1, 1
     for k in range(n + 1):
-        d = 1 + Q**k
+        d = qb_k + qa_k
         if d == 0:
             raise QEulerDomainError(f"{operation}: pole at 1 + q^{k} = 0")
-        total += math.comb(n, k) * (-X) ** k / d
-    return 2 * (1 / (1 - Q)) ** n * total
+        num = num * d + math.comb(n, k) * xa_k * qb_k * xb ** (n - k) * den
+        den *= d
+        qa_k, qb_k, xa_k = qa_k * qa, qb_k * qb, xa_k * xa
+    return Fraction(2 * qb**n * num, (qb - qa) ** n * xb**n * den)
 
 
 @lru_cache(maxsize=None)
@@ -112,32 +110,36 @@ def euler_poly_moments(n: int, x: int, q: IntOrRational) -> Fraction:
     return total
 
 
+def _alt_level_sum(count: int, m: int, q: Fraction) -> Fraction:
+    """sum_{x<count} (-1)^x [x]^m term by term, never a closed form: with q = a/b,
+    [x] = b (b^x - a^x)/(b^x (b - a)), and Horner's rule over x keeps one integer
+    numerator sum (-1)^x (b^x - a^x)^m b^((count-1-x)m) ([0]^0 = 1; [x] = x at q = 1)."""
+    a, b = q.numerator, q.denominator
+    if a == b:
+        return Fraction(sum((-1) ** x * x**m for x in range(count)))
+    bm, num, a_x, b_x = b**m, 0, 1, 1
+    for x in range(count):
+        term = (b_x - a_x) ** m
+        num = num * bm + (-term if x % 2 else term)
+        a_x, b_x = a_x * a, b_x * b
+    return Fraction(num * bm * bm, ((b - a) * b_x) ** m)
+
+
 def alt_power_sum_brute(n: int, m: int, q: IntOrRational) -> Fraction:
     """Literal alternating power sum 2 sum_{l<n} (-1)^l [l]^m, term by term."""
     if n < 1 or m < 1:
         raise ValueError("alt_power_sum_brute requires n, m >= 1")
-    q = Fraction(q)
-    total = Fraction(0)
-    sign = 1
-    for l in range(n):
-        total += sign * q_int(l, q) ** m
-        sign = -sign
-    return 2 * total
+    return 2 * _alt_level_sum(n, m, Fraction(q))
 
 
 def alt_power_sum_closed(n: int, m: int, q: IntOrRational) -> Fraction:
-    """Closed form of the alternating power sum in terms of q-Euler numbers:
-    (-1)^(n+1) sum_{l<m} C(m,l) q^(nl) E_l [n]^(m-l) + ((-1)^(n+1) q^(nm) + 1) E_m."""
+    """Closed form of the alternating power sum: (-1)^(n+1) E_m(n) + E_m, with the
+    polynomial value E_m(n) assembled from the q-Euler numbers (``euler_poly_moments``)."""
     if n < 1 or m < 1:
         raise ValueError("alt_power_sum_closed requires n, m >= 1")
     q = Fraction(q)
     _check_base(q, "alt_power_sum_closed")
-    sign = (-1) ** (n + 1)
-    cnt = q_int(n, q)
-    total = Fraction(0)
-    for l in range(m):
-        total += math.comb(m, l) * q ** (n * l) * euler_number(l, q) * cnt ** (m - l)
-    return sign * total + (sign * q ** (n * m) + 1) * euler_number(m, q)
+    return (-1) ** (n + 1) * euler_poly_moments(m, n, q) + euler_number(m, q)
 
 
 def distribution_sum(n: int, x: int, m: int, q: IntOrRational) -> Fraction:
@@ -217,17 +219,11 @@ def volkenborn_approx(m: int, level: int, ctx: QContext) -> Fraction:
     (2/[2]_q) (1/[p^level]_{-q}) sum_{x<p^level} (-1)^x [x]^m, exact.
 
     The q^(-x) in the integrand cancels the q^x of the alternating measure
-    weight, leaving the plain sign (-1)^x.
+    weight, leaving the plain sign (-1)^x; for odd p^level the front factor is 2/(1 + q^(p^level)).
     """
     if m < 0:
         raise ValueError("volkenborn_approx requires m >= 0")
     if level < 1:
         raise ValueError("volkenborn_approx requires level >= 1")
-    q = ctx.q
     size = ctx.p**level
-    total = Fraction(0)
-    sign = 1
-    for x in range(size):
-        total += sign * q_int(x, q) ** m
-        sign = -sign
-    return Fraction(2) / q_int(2, q) / q_int_alt(size, q) * total
+    return 2 * _alt_level_sum(size, m, ctx.q) / (1 + ctx.q**size)

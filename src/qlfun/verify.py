@@ -40,6 +40,7 @@ from .numerics import (
     QContext,
     SeriesResult,
     Valuation,
+    binom_int,
     binom_rat,
     merge_series,
     q_int,
@@ -139,23 +140,20 @@ def remark_check(p: int, q) -> bool:
 
 def binom_identities_check(r_range: Sequence[int], k_range: Sequence[int],
                            j_range: Sequence[int]) -> bool:
-    """Exact check of the three binomial coefficient identities used by the
-    power-sum expansion, over the given grid, honoring their side conditions."""
+    """Exact integer check of the three binomial identities of the power-sum expansion over
+    the grid, honoring their side conditions (j + k > 0, r + k != 1; r + k != 0 for the third)."""
     for r in r_range:
         for k in k_range:
             for j in j_range:
+                top = binom_int(k + j, j)
                 if j + k > 0 and r + k != 1:
-                    lhs = Fraction(1, r + k - 1) * binom_rat(-r, k) * binom_rat(1 - r - k, j)
-                    rhs = Fraction(-1, j + k) * binom_rat(-r, k + j - 1) * binom_rat(k + j, j)
-                    if lhs != rhs:
+                    lhs = binom_int(-r, k) * binom_int(1 - r - k, j)
+                    if lhs * (j + k) != -binom_int(-r, k + j - 1) * top * (r + k - 1):
                         return False
-                    if r != 1:
-                        alt = Fraction(1, r - 1) * binom_rat(-r + 1, k + j) * binom_rat(k + j, j)
-                        if lhs != alt:
-                            return False
-                lhs23 = Fraction(r, r + k) * binom_rat(-r - 1, k) * binom_rat(-r - k, j)
-                rhs23 = binom_rat(-r, k + j) * binom_rat(k + j, j)
-                if lhs23 != rhs23:
+                    if r != 1 and lhs * (r - 1) != binom_int(1 - r, k + j) * top * (r + k - 1):
+                        return False
+                if r + k != 0 and (r * binom_int(-r - 1, k) * binom_int(-r - k, j)
+                                   != binom_int(-r, k + j) * top * (r + k)):
                     return False
     return True
 
