@@ -250,7 +250,7 @@ def lfun_lq(k: int, chi: str, q: Optional[str], p: Optional[int],
 @click.option("--q", "q", type=str, default=None)
 @click.option("--prec", type=int, default=None)
 @click.option("--modulus", "-F", "modulus", type=int, default=None,
-              help="odd multiple of p (default p * conductor)")
+              help="odd positive multiple of p (default p * conductor)")
 @json_option
 def lfun_lpq(s: int, chi: str, p: int, q: Optional[str], prec: Optional[int],
              modulus: Optional[int], as_json: bool) -> None:

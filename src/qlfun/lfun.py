@@ -28,10 +28,9 @@ from .numerics import (
     angle_bracket,
     binom_stream,
     merge_series,
-    padic_pow,
     q_int,
-    reduce_mod_pN,
     sum_guarded,
+    v_p,
 )
 from .qeuler import FractionalArg, chi_weighted_sum, euler_number, euler_poly_frac
 
@@ -109,15 +108,16 @@ _ACTIVE_CACHE: ContextVar[Optional[SeriesCache]] = ContextVar(
 @contextmanager
 def series_cache() -> Iterator[SeriesCache]:
     """Open a fresh evaluation scope.  Inside it H_pq, K_partial, the unit
-    power <a>^(-s) and the q-Euler residue table are each computed once per
+    power <a>^(-s) and the q-Euler Delta_j stream are each computed once per
     key (T_partial reads the cached H_pq and K_partial values).  So are the
     two term tables of the H/K series: the s-free bases, per (n, a, F), and
-    the binomial column binom(-s, j), per s; a series term is then one
-    product of two table entries, the same value as the product of its
-    factors taken in any order (see :func:`_twisted_series`).  Every value
-    that depends on s has s in its key, so values at different s never share
-    a cache entry.  The values are dropped when the scope exits, so the scope
-    is the cache's only bound; the hit and miss counts stay readable."""
+    the binomial column binom(-s, j), per s, which <a>^(-s) reads too; a
+    series term is then one product of two table entries, the same value as
+    the product of its factors taken in any order (see
+    :func:`_twisted_series`).  Every value that depends on s has s in its
+    key, so values at different s never share a cache entry.  The values are
+    dropped when the scope exits, so the scope is the cache's only bound;
+    the hit and miss counts stay readable."""
     cache = SeriesCache()
     token = _ACTIVE_CACHE.set(cache)
     try:
@@ -146,92 +146,6 @@ def _scoped(fn):
     return wrapper
 
 
-@_scoped
-def _unit_pow(a: int, s: PadicExponent, ctx: QContext) -> SeriesResult:
-    """<a>^(-s), shared by the H and K series of the same (a, s)."""
-    return padic_pow(angle_bracket(a, ctx), -s, ctx)
-
-
-class EulerResidues:
-    """E_{j,Q} for j = 0, 1, 2, ..., each equal to ``ctx.embed(euler_number(j, Q))``
-    as a dataclass, computed in integers mod p^M instead of exact fractions.
-
-    The identity: E_{j,Q} = 2 Delta_j / (1-Q)^j, where
-    Delta_j = sum_k C(j,k) (-1)^k f(k) and f(k) = 1/(1+Q^k) (the closed form
-    of :func:`qlfun.qeuler.euler_number`).  Q = q^F is a p-adic unit with
-    Q = 1 mod p, so 1 + Q^k = 2 mod p is a unit and f(k) mod p^M is
-    ``pow(1 + Q^k, -1, p^M)``; Delta_j mod p^M is the j-th difference of
-    those integers, exact mod p^M.  This is the one place where a difference
-    is formed from reduced parts rather than from exact values.
-
-    The digit check: with N = working precision + WORKING_MARGIN (the digits
-    ``ctx.embed`` keeps) and e = v_p(Q - 1), the table for j <= J is built
-    mod p^M with M = N + J e + MARGIN.  A nonzero residue p^v u of Delta_j
-    mod p^M gives v = v_p(Delta_j) and the unit u mod p^(M - v); the value
-    is accepted only when M - v >= N, so that E_{j,Q} = p^(v - j e) 2 u
-    ((1-Q)/p^e)^(-j) has a unit exact mod p^N.  The bound
-    v_p(Delta_j) >= j e (f is a power series in Q^k - 1, each of whose j-th
-    differences has valuation at least j e) is why that almost always
-    holds, but it is checked per value, not assumed: a zero or short residue
-    takes the exact route.
-
-    The first J is working precision + guard: a guarded series whose j-th
-    term has valuation >= j, as every H and K term has (the ratio
-    q^a [F]/[a] carries p | F), stops by then.  Indexing past J rebuilds
-    the table at twice the size.
-    """
-
-    MARGIN = 4
-
-    def __init__(self, Q: Fraction, ctx: QContext):
-        self.Q, self.ctx = Q, ctx
-        self.digits = ctx.working_precision + WORKING_MARGIN
-        one_minus_Q = reduce_mod_pN(1 - Q, ctx.p, self.digits)
-        self.e = one_minus_Q.valuation
-        self.inverse_unit = pow(one_minus_Q.unit, -1, ctx.p**self.digits)
-        self._build(ctx.working_precision + ctx.guard)
-
-    def _build(self, J: int) -> None:
-        p, N = self.ctx.p, self.digits
-        M = N + J * self.e + self.MARGIN
-        mod = p**M
-        Qm = self.Q.numerator * pow(self.Q.denominator, -1, mod) % mod
-        row, Qk = [], 1
-        for _ in range(J + 1):
-            row.append(pow(1 + Qk, -1, mod))
-            Qk = Qk * Qm % mod
-        # Delta_j is the first entry after j steps of f(k) - f(k+1)
-        self.deltas: List[int] = []
-        for _ in range(J + 1):
-            self.deltas.append(row[0])
-            row = [(x - y) % mod for x, y in zip(row, row[1:])]
-        self.values = [self._value(j, d, M) for j, d in enumerate(self.deltas)]
-
-    def _value(self, j: int, delta: int, M: int) -> PadicNumber:
-        if delta:
-            unit, v = _strip_p(delta, self.ctx.p)
-            if M - v >= self.digits:
-                modulus = self.ctx.p**self.digits
-                unit = 2 * unit * pow(self.inverse_unit, j, modulus) % modulus
-                return PadicNumber(p=self.ctx.p, valuation=v - j * self.e,
-                                   unit=unit, precision=self.digits)
-        return self.ctx.embed(euler_number(j, self.Q))
-
-    def __getitem__(self, j: int) -> PadicNumber:
-        if j >= len(self.values):
-            size = len(self.values) - 1
-            while size < j:
-                size *= 2
-            self._build(size)
-        return self.values[j]
-
-
-@_scoped
-def _euler_residues(Q: Fraction, ctx: QContext) -> EulerResidues:
-    """The residue table of E_{j,Q}, shared by every series in one scope."""
-    return EulerResidues(Q, ctx)
-
-
 def _require_padic_params(prm: PartialZetaParams, ctx: QContext, name: str) -> None:
     if prm.F % ctx.p != 0:
         raise ValueError(f"{name} requires p | F")
@@ -256,29 +170,102 @@ class _OnDemand:
 
 @_scoped
 def _binomials(s: PadicExponent, ctx: QContext) -> _OnDemand:
-    """binom(-s, j) for j = 0, 1, 2, ...: one column per s, shared by the H and
-    K series of every unit a and every n in one scope."""
-    return _OnDemand(binom_stream(-s, ctx))
+    """binom(-s, j) for j = 0, 1, 2, ...: one column per s, shared by <a>^(-s)
+    and the H and K series of every unit a and every n in one scope."""
+    column = _OnDemand(binom_stream(-s, ctx))
+    column[0]  # binom_stream refuses an s that is not a p-adic integer here
+    return column
+
+
+@_scoped
+def _unit_pow(a: int, s: PadicExponent, ctx: QContext) -> SeriesResult:
+    """<a>^(-s) = sum_k binom(-s, k) (<a> - 1)^k, shared by the H and K series
+    of the same (a, s): the guarded series of ``padic_pow(<a>, -s)``, its
+    coefficients read from the column :func:`_binomials`."""
+    coeffs = _binomials(s, ctx)
+    t = angle_bracket(a, ctx) - ctx.one()
+
+    def terms() -> Iterator[PadicNumber]:
+        power = ctx.one()
+        for k in itertools.count():
+            yield coeffs[k] * power
+            power = power * t
+
+    return sum_guarded(terms(), ctx, description="binomial power series")
+
+
+#: digits the Delta_j residues carry beyond N + J e (see :func:`_deltas`)
+RESIDUE_MARGIN = 4
+
+
+@_scoped
+def _deltas(Q: Fraction, ctx: QContext) -> _OnDemand:
+    """Delta_j = sum_k C(j,k) (-1)^k / (1 + Q^k) for j = 0, 1, 2, ..., in
+    integers mod p^M: one stream per (Q, ctx), shared by every series in one
+    scope, each value equal as a dataclass to
+    ``ctx.embed(euler_number(j, Q) (1-Q)^j / 2)`` (the closed form of
+    :func:`qlfun.qeuler.euler_number` is E_{j,Q} = 2 Delta_j / (1-Q)^j).
+
+    Q = q^F = 1 mod p, so 1 + Q^k = 2 mod p is a unit, and Delta_j mod p^M is
+    the j-th difference of the integers ``pow(1 + Q^k, -1, p^M)``: the one
+    place where a difference is formed from reduced parts, not exact values.
+    Round by round, the values j <= J use M = N + J e + RESIDUE_MARGIN, with
+    N = working precision + WORKING_MARGIN (the digits ``ctx.embed`` keeps)
+    and e = v_p(Q - 1).  A nonzero residue p^v u gives v = v_p(Delta_j) and
+    u mod p^(M - v), accepted when M - v >= N.  The bound v_p(Delta_j) >= j e
+    (1/(1 + Q^k) is a power series in Q^k - 1, whose j-th differences have
+    valuation at least j e) is why that almost always holds, but it is
+    checked per value: a zero or short residue takes the exact route.  The
+    first round has J = working precision + guard, by which a guarded series
+    whose j-th term has valuation >= j (every H and K term, see
+    :func:`_term_bases`) stops; each later round doubles J.
+    """
+    p, N = ctx.p, ctx.working_precision + WORKING_MARGIN
+    e = v_p(Q - 1, p)
+
+    def value(j: int, delta: int, M: int) -> PadicNumber:
+        if delta:
+            unit, v = _strip_p(delta, p)
+            if M - v >= N:
+                return PadicNumber(p=p, valuation=v, unit=unit % p**N, precision=N)
+        return ctx.embed(euler_number(j, Q) * (1 - Q) ** j / 2)
+
+    def rounds() -> Iterator[PadicNumber]:
+        done, J = 0, ctx.working_precision + ctx.guard
+        while True:
+            M = N + J * e + RESIDUE_MARGIN
+            mod = p**M
+            Qm = Q.numerator * pow(Q.denominator, -1, mod) % mod
+            row = [pow(1 + pow(Qm, k, mod), -1, mod) for k in range(J + 1)]
+            # Delta_j is the first entry after j steps of row[k] - row[k+1]
+            for j in range(J + 1):
+                if j >= done:
+                    yield value(j, row[0], M)
+                row = [(x - y) % mod for x, y in zip(row, row[1:])]
+            done, J = J + 1, 2 * J
+
+    return _OnDemand(rounds())
 
 
 @_scoped
 def _term_bases(n: int, a: int, F: int, ctx: QContext) -> _OnDemand:
     """The s-free part of the j-th H (n = 0) or K (n >= 1) term,
-    (q^a [F]/[a])^j E_{j,q^F} [q^(nFj) - 1], for j = 0, 1, 2, ...
+    (q^a/(1-q^a))^j Delta_j [q^(nFj) - 1], for j = 0, 1, 2, ...: half the
+    paper's (q^a [F]/[a])^j E_{j,q^F} [q^(nFj) - 1], as [F]/(1-q^F) =
+    [a]/(1-q^a) = 1/(1-q).  With v_p(1-q^a) = v_p(q-1) and the bound in
+    :func:`_deltas`, every entry has valuation >= j v_p(F).
 
-    Each factor is reduced on its own: reduction to p-adic digits is
-    multiplicative, so this equals reducing the exact product.  K's factor
-    q^(nFj) - 1 is a difference, formed exactly before it is reduced, so that
-    it keeps its relative digits."""
+    Each factor is reduced on its own (reduction is multiplicative); K's
+    q^(nFj) - 1 is formed exactly first, so that it keeps its relative digits."""
     q = ctx.q
-    step = ctx.embed(q_int(F, q) / q_int(a, q) * q**a)
-    residues = _euler_residues(q**F, ctx)
+    step = ctx.embed(q**a / (1 - q**a))
+    deltas = _deltas(q**F, ctx)
     qnF = q ** (n * F)
 
     def bases() -> Iterator[PadicNumber]:
         power = ctx.embed(1)  # not ctx.one(): that would cap the digits at working precision
         for j in itertools.count():
-            base = power * residues[j]
+            base = power * deltas[j]
             yield base * ctx.embed(qnF**j - 1) if n else base
             power = power * step
 
@@ -287,23 +274,23 @@ def _term_bases(n: int, a: int, F: int, ctx: QContext) -> _OnDemand:
 
 def _twisted_series(n: int, s: PadicExponent, prm: PartialZetaParams,
                     ctx: QContext) -> SeriesResult:
-    """((-1)^a / 2) <a>^(-s) sum_j binom(-s, j) (q^a [F]/[a])^j E_{j,q^F} [q^(nFj) - 1],
-    the series behind H_pq (n = 0, no last factor) and K_partial (n >= 1).
+    """(-1)^a <a>^(-s) sum_j binom(-s, j) (q^a/(1-q^a))^j Delta_j [q^(nFj) - 1],
+    the series behind H_pq (n = 0, no last factor) and K_partial (n >= 1) in
+    the term form of :func:`_term_bases`, whose 2 cancels the paper's 1/2.
 
     The j-th term is binom(-s, j) times the j-th s-free base, each read from
-    a scoped list (:func:`_binomials`, :func:`_term_bases`) that is extended
-    as far as the longest series has asked.  Grouping the product so is
-    exact: PadicNumber multiplication adds valuations, reduces the unit mod
-    p^(least precision) and gives a zero the sum of the valuations as its
-    bound, so it is associative and commutative as a dataclass, and every
-    term equals the left-to-right product of the same reduced factors."""
+    a scoped list (:func:`_binomials`, :func:`_term_bases`) extended as far as
+    the longest series has asked.  Grouping the product so is exact:
+    PadicNumber multiplication adds valuations, reduces the unit mod
+    p^(least precision) and bounds a zero by the sum of the valuations, so it
+    is associative and commutative as a dataclass."""
     a = prm.a
     unit_pow = _unit_pow(a, s, ctx)
     coeffs = _binomials(s, ctx)
     bases = _term_bases(n, a, prm.F, ctx)
     terms = (coeffs[j] * bases[j] for j in itertools.count())
     body = sum_guarded(terms, ctx, description="K series" if n else "H_pq series")
-    value = ctx.embed(Fraction((-1) ** a, 2)) * unit_pow.value * body.value
+    value = ctx.embed((-1) ** a) * unit_pow.value * body.value
     return merge_series(value, [unit_pow, body])
 
 
@@ -322,7 +309,7 @@ def _unit_sum(partial: Callable[[PartialZetaParams], SeriesResult],
               chi: DirichletCharacter, F: int, ctx: QContext) -> SeriesResult:
     """2 sum over units a <= F of chi(a) partial(a : F), the character-weighted
     sum behind l_pq, T_full and K_full.  Without an active series cache it
-    opens one, so that its units share one q-Euler residue table."""
+    opens one, so that its units share one Delta_j stream."""
     if _ACTIVE_CACHE.get() is None:
         with series_cache():
             return _unit_sum(partial, chi, F, ctx)
@@ -350,8 +337,8 @@ def l_pq(
     cond = chi.conductor
     if F is None:
         F = math.lcm(ctx.p, cond)
-    if F % 2 == 0 or F % ctx.p != 0:
-        raise ValueError("l_pq requires an odd multiple of p for F")
+    if F < 1 or F % 2 == 0 or F % ctx.p != 0:
+        raise ValueError("l_pq requires an odd positive multiple of p for F")
     if F % cond != 0:
         raise ValueError("l_pq requires conductor(chi) | F")
     return _unit_sum(lambda prm: H_pq(s, prm, ctx), chi, F, ctx)

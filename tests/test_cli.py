@@ -183,6 +183,17 @@ def test_usage_error_inside_a_command_gets_an_envelope(runner, args, env):
     assert envelope["result"]["message"]
 
 
+@pytest.mark.parametrize("modulus", ["-3", "-9"])
+def test_lpq_rejects_a_modulus_below_one(runner, modulus):
+    # -3 is odd and divisible by 3: without the sign check the unit sum is
+    # empty and a zero value would be printed with status ok
+    result = invoke(runner, ["lfun", "lpq", "-s", "1", "--p", "3", "-F", modulus, "--json"])
+    assert result.exit_code == 2
+    envelope = json_result(result)
+    assert envelope["status"] == "error"
+    assert envelope["result"]["message"] == "l_pq requires an odd positive multiple of p for F"
+
+
 @pytest.mark.parametrize("args,message", [
     (["verify", "thm5", "--p", "3", "-n", ",", "-r", "1"], "-n needs at least one"),
     (["verify", "thm5", "--p", "3", "-n", "1", "-r", " "], "-r needs at least one"),

@@ -10,7 +10,6 @@ import pytest
 from qlfun import lfun
 from qlfun.characters import DirichletCharacter, twist
 from qlfun.lfun import (
-    EulerResidues,
     H_pq,
     K_full,
     K_partial,
@@ -24,7 +23,10 @@ from qlfun.lfun import (
 )
 from qlfun.numerics import (
     WORKING_MARGIN,
+    PadicError,
     QContext,
+    angle_bracket,
+    padic_pow,
     q_int,
     residual_valuation,
     teichmuller,
@@ -232,6 +234,16 @@ def test_l_pq_validates_modulus():
         l_pq(0, DirichletCharacter.quadratic(5), CTX34, F=3)  # conductor does not divide
 
 
+@pytest.mark.parametrize("chi", [DirichletCharacter.trivial(),
+                                 DirichletCharacter.teichmuller_power(1, 3)])
+@pytest.mark.parametrize("F", [-3, -9])
+def test_l_pq_rejects_a_modulus_below_one(chi, F):
+    # -3 is odd and divisible by 3, so only the sign keeps the unit sum over
+    # 1 <= a <= F from being empty
+    with pytest.raises(ValueError, match="odd positive multiple of p"):
+        l_pq(1, chi, CTX34, F=F)
+
+
 # ---------------------------------------------------------------------------
 # boundary and correction series
 # ---------------------------------------------------------------------------
@@ -364,7 +376,7 @@ def test_series_cache_scope_gives_the_same_values():
     s_padic = CTX34.embed(Fraction(1, 2))
     s_values, units = (-2, 1, 3, s_padic), (1, 2)
     cases = [(s, PartialZetaParams(a, 3)) for s in s_values for a in units]
-    # H, K(2), K(1) and <a>^(-s) per case, one residue table, one binomial
+    # H, K(2), K(1) and <a>^(-s) per case, one Delta_j stream, one binomial
     # column per s and one term-base table per (n, a)
     keys = 4 * len(cases) + 1 + len(s_values) + 3 * len(units)
 
@@ -383,14 +395,16 @@ def test_series_cache_scope_gives_the_same_values():
     # key: T(1) = -(2 K(1) + 4 H) reads K(1), computed on its behalf, and
     # hits H.  Both K series reuse H's unit power, so the first pass hits
     # 3 per case; the second pass hits H, K(2), and K(1) and H through T.
-    # The 3 * len(cases) series computed each read one binomial column, one
-    # per s, and one term-base table, one per (n, a) with n in {0, 1, 2}:
-    # every read but the first of each key hits.  Every case has F = 3, so
-    # the term-base tables share one q-Euler residue table, read once per
-    # table built: one more key and miss, and 3 * len(units) - 1 hits on it
+    # The 3 * len(cases) series computed and the len(cases) unit powers
+    # computed each read one binomial column, one per s (a unit power reads
+    # it first, so the H series after it already hits); each series also
+    # reads one term-base table, one per (n, a) with n in {0, 1, 2}: every
+    # read but the first of each key hits.  Every case has F = 3, so the
+    # term-base tables share one Delta_j stream, read once per table built:
+    # one more key and miss, and 3 * len(units) - 1 hits on it
     assert cache.misses == keys
     series = 3 * len(cases)
-    hits = (3 * len(cases) + 4 * len(cases) + (series - len(s_values))
+    hits = (3 * len(cases) + 4 * len(cases) + (series + len(cases) - len(s_values))
             + (series - 3 * len(units)) + 3 * len(units) - 1)
     assert cache.hits == hits
     assert not cache.values  # dropped with the scope
@@ -421,9 +435,43 @@ def test_series_cache_is_dropped_with_its_scope():
         with series_cache() as inner:
             H_pq(1, prm, CTX34)
         assert inner.misses == outer.misses > 0
-        assert inner.hits == outer.hits == 0
+        # one hit each: the H series reads the binomial column that its unit
+        # power <a>^(-1), computed first, has built
+        assert inner.hits == outer.hits == 1
         H_pq(1, prm, CTX34)
-        assert outer.hits == 1
+        assert outer.hits == 2
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_unit_power_matches_padic_pow(p):
+    # <a>^(-s) read from the shared binomial column is padic_pow's own
+    # series, as a dataclass: outside a scope, inside one, and after an H
+    # series (or a deep read) has extended the column past its stop index
+    ctx = QContext(p=p, q=Fraction(p + 1), precision=8)
+    units = [a for a in range(1, 2 * p) if a % p]
+    exponents = [0, 2, -3, ctx.embed(4), ctx.embed(-2),
+                 ctx.embed(Fraction(1, 2)), ctx.embed(Fraction(-3, 4))]
+    for s in exponents:
+        expected = [padic_pow(angle_bracket(a, ctx), -s, ctx) for a in units]
+        assert [lfun._unit_pow(a, s, ctx) for a in units] == expected
+        with series_cache():
+            assert [lfun._unit_pow(a, s, ctx) for a in units] == expected
+        with series_cache():
+            H_pq(s, PartialZetaParams(p - 1, p), ctx)
+            assert [lfun._unit_pow(a, s, ctx) for a in units] == expected
+        with series_cache():
+            lfun._binomials(s, ctx)[4 * ctx.working_precision]
+            assert [lfun._unit_pow(a, s, ctx) for a in units] == expected
+
+
+def test_non_integral_exponent_is_refused_on_every_call_in_a_scope():
+    # the binomial column checks s when it is built, so a refused s leaves no
+    # half-read column in the scope for the next call to trip over
+    s = CTX34.embed(Fraction(1, 3))
+    with series_cache():
+        for _ in range(2):
+            with pytest.raises(PadicError, match="p-adic integer"):
+                H_pq(s, PartialZetaParams(1, 3), CTX34)
 
 
 @pytest.mark.parametrize("short, long", [
@@ -457,7 +505,7 @@ def test_term_tables_give_cold_values_in_any_read_order(short, long, reverse):
 
 
 # ---------------------------------------------------------------------------
-# q-Euler residue table
+# q-Euler residues: the Delta_j stream
 # ---------------------------------------------------------------------------
 
 def residue_grid():
@@ -469,33 +517,35 @@ def residue_grid():
                     yield p, q, F
 
 
+def exact_delta(j, Q, ctx):
+    # Delta_j = E_{j,Q} (1-Q)^j / 2, from the exact q-Euler number
+    return ctx.embed(euler_number(j, Q) * (1 - Q) ** j / 2)
+
+
 @pytest.mark.parametrize("p,q,F", list(residue_grid()))
 def test_euler_residues_match_the_exact_route(p, q, F):
-    # j up to 40 also runs the table past its first size (21 to 37)
+    # j up to 40 also runs the stream past its first round (21 to 37)
     Q = q**F
     for precision in (8, 16, 24):
         ctx = QContext(p=p, q=q, precision=precision)
-        table = EulerResidues(Q, ctx)
+        deltas = lfun._deltas(Q, ctx)
         for j in range(41):
-            assert table[j] == ctx.embed(euler_number(j, Q)), (precision, j)
+            assert deltas[j] == exact_delta(j, Q, ctx), (precision, j)
 
 
 @pytest.mark.parametrize("p,q,F", list(residue_grid()))
 def test_residue_differences_meet_the_valuation_bound(p, q, F):
-    # v_p(Delta_j) >= j v_p(Q - 1): the bound the table's modulus rests on
+    # v_p(Delta_j) >= j v_p(Q - 1): the bound the residues' modulus rests on
     Q = q**F
     e = v_p(Q - 1, p)
     for precision in (8, 16, 24):
-        table = EulerResidues(Q, QContext(p=p, q=q, precision=precision))
-        table[40]
-        assert table.e == e
-        for j, delta in enumerate(table.deltas):
-            if delta:  # a zero residue is divisible by p^M, and M > j e
-                assert v_p(delta, p) >= j * e, (precision, j)
+        deltas = lfun._deltas(Q, QContext(p=p, q=q, precision=precision))
+        for j in range(41):
+            assert deltas[j].valuation >= j * e, (precision, j)  # inf for an exact zero
 
 
 @pytest.mark.parametrize("margin_below_n,exact_indices", [
-    (None, set()),                       # the table's own modulus: no value refused
+    (None, set()),                       # the stream's own modulus: no value refused
     (1, set(range(22))),                 # M = N - 1: every residue is short
     ("all", set(range(22))),             # M = 0: every residue is zero
 ])
@@ -503,12 +553,12 @@ def test_refused_residues_take_the_exact_route(monkeypatch, margin_below_n, exac
     ctx = CTX34
     Q = ctx.q**3
     e = v_p(Q - 1, 3)
-    J = ctx.working_precision + ctx.guard  # the table's first size, 21
+    J = ctx.working_precision + ctx.guard  # the stream's first round, 21
     N = ctx.working_precision + WORKING_MARGIN
     if margin_below_n == "all":
-        monkeypatch.setattr(EulerResidues, "MARGIN", -N - J * e)
+        monkeypatch.setattr(lfun, "RESIDUE_MARGIN", -N - J * e)
     elif margin_below_n is not None:
-        monkeypatch.setattr(EulerResidues, "MARGIN", -J * e - margin_below_n)
+        monkeypatch.setattr(lfun, "RESIDUE_MARGIN", -J * e - margin_below_n)
     exact_calls = []
 
     def recording_euler_number(j, base):
@@ -516,31 +566,46 @@ def test_refused_residues_take_the_exact_route(monkeypatch, margin_below_n, exac
         return euler_number(j, base)
 
     monkeypatch.setattr(lfun, "euler_number", recording_euler_number)
-    table = EulerResidues(Q, ctx)
-    assert [table[j] for j in range(J + 1)] == [ctx.embed(euler_number(j, Q))
-                                                for j in range(J + 1)]
+    deltas = lfun._deltas(Q, ctx)
+    assert [deltas[j] for j in range(J + 1)] == [exact_delta(j, Q, ctx)
+                                                 for j in range(J + 1)]
     assert set(exact_calls) == exact_indices
 
 
 def test_unit_sums_share_one_residue_table_without_a_scope(monkeypatch):
     built = []
-    original = EulerResidues.__init__
+    unscoped = lfun._deltas.__wrapped__
 
-    def recording_init(self, Q, ctx):
+    def recording_deltas(Q, ctx):
         built.append(Q)
-        original(self, Q, ctx)
+        return unscoped(Q, ctx)
 
-    monkeypatch.setattr(EulerResidues, "__init__", recording_init)
+    monkeypatch.setattr(lfun, "_deltas", lfun._scoped(recording_deltas))
     chi = DirichletCharacter.teichmuller_power(1, 5)
     l_pq(2, chi, CTX56)  # four units a, one q^F
     T_full(1, 2, chi, CTX56)
     K_full(1, 2, chi, CTX56)
     assert built == [Fraction(6) ** 5] * 3
     built.clear()
-    with series_cache():  # an open scope shares the table across the calls too
+    with series_cache():  # an open scope shares the stream across the calls too
         l_pq(2, chi, CTX56)
         T_full(1, 2, chi, CTX56)
     assert built == [Fraction(6) ** 5]
+
+
+@pytest.mark.parametrize("p,q,F", list(residue_grid()))
+def test_term_bases_meet_the_proven_bound(p, q, F):
+    # every H/K term base (q^a/(1-q^a))^j Delta_j [q^(nFj) - 1] has
+    # valuation >= j v_p(F): v_p(1-q^a) = v_p(q-1) and v_p(Delta_j) >= j v_p(q^F - 1)
+    vF = v_p(F, p)
+    for precision in (8, 16, 24):
+        ctx = QContext(p=p, q=q, precision=precision)
+        with series_cache():
+            for a in (1, 2, F - 1):
+                for n in (0, 1, 2):
+                    bases = lfun._term_bases(n, a, F, ctx)
+                    for j in range(41):
+                        assert bases[j].valuation >= j * vF, (precision, a, n, j)
 
 
 @pytest.mark.parametrize("q", [Fraction(4), Fraction(-2), Fraction(7, 4), Fraction(1, 4)])
@@ -592,8 +657,8 @@ def test_series_values_match_the_golden_file():
 
 
 def test_l_pq_at_high_precision_matches_the_golden_file():
-    # pinned with exact series terms; here the residue table holds
-    # E_0 .. E_45 mod 7^146
+    # pinned with exact series terms; here the Delta_j stream's first round
+    # holds Delta_0 .. Delta_45 mod 7^146
     golden = json.loads((Path(__file__).parent / "data" /
                          "lpq_high_precision_golden.json").read_text())
     ctx = QContext(p=7, q=Fraction(8), precision=32)
