@@ -446,34 +446,49 @@ def sum_guarded(terms: Iterable[PadicNumber], ctx: QContext, *,
     ``converged`` then reports whether the guard would have been satisfied.
     Exceeding ``ctx.cap`` without satisfying the guard raises
     :class:`SeriesDivergenceError` carrying the partial result.
+
+    The sum is one integer reduction, equal to the left fold of
+    ``PadicNumber.__add__``: terms below the running ``bound`` (the least
+    absolute precision so far; a zero term counts with its bound) accumulate
+    as ``total * p**base``, and one ``PadicNumber.make`` reduces at whichever
+    exit is taken.  Each fold step keeps the sum mod p**(running bound), the
+    bound only falls, and a value mod p**bound has one normalized form.
     """
-    target = ctx.working_precision
-    acc = ctx.zero()
-    window: list = []
+    p, target, guard = ctx.p, ctx.working_precision, ctx.guard
+    check = ctx.zero()._check_same_prime
+    bound: Valuation = INF
+    base = total = run = 0  # run: terms of valuation >= target in a row
+    valuations: list = []
     index = -1
+
+    def result(tail_bound: Valuation, converged: bool) -> SeriesResult:
+        value = (PadicNumber.make(p, base, total, bound - base) if total
+                 else PadicNumber.zero(p, bound))
+        return SeriesResult(value, index, tail_bound, converged)
+
     for index, term in enumerate(terms):
-        acc = acc + term
-        window.append(term.valuation)
-        if len(window) > ctx.guard:
-            window.pop(0)
-        guard_met = len(window) == ctx.guard and all(v >= target for v in window)
+        check(term)
+        v = term.valuation
+        bound = min(bound, v + term.precision)
+        if v < bound:
+            shift = v - base
+            if total and shift >= 0:
+                total += term.unit * p**shift
+            else:  # the first term, or a new least valuation: rebase the total
+                base, total = v, term.unit + (total * p**-shift if total else 0)
+        run = run + 1 if v >= target else 0
+        valuations.append(v)
         if max_index is not None:
             if index >= max_index:
-                bound = min(window) if window else INF
-                return SeriesResult(value=acc, last_index=index,
-                                    tail_valuation_bound=bound, converged=guard_met)
-            continue
-        if guard_met:
-            return SeriesResult(value=acc, last_index=index,
-                                tail_valuation_bound=min(window), converged=True)
-        if index >= ctx.cap:
-            partial = SeriesResult(value=acc, last_index=index,
-                                   tail_valuation_bound=min(window), converged=False)
+                return result(min(valuations[-guard:]), run >= guard)
+        elif run >= guard:
+            return result(min(valuations[-guard:]), True)
+        elif index >= ctx.cap:
             raise SeriesDivergenceError(
-                f"{description}: guard not satisfied within cap {ctx.cap}", partial)
+                f"{description}: guard not satisfied within cap {ctx.cap}",
+                result(min(valuations[-guard:]), False))
     # finite term stream exhausted: the tail is identically zero
-    return SeriesResult(value=acc, last_index=index,
-                        tail_valuation_bound=INF, converged=True)
+    return result(INF, True)
 
 
 def merge_series(value: PadicNumber, parts: Iterable[SeriesResult]) -> SeriesResult:

@@ -244,15 +244,24 @@ def test_verify_thm5_default_grid_matches_golden(runner, p):
 
 
 @pytest.mark.parametrize("key,options", [
-    ("p7", ["--p", "7"]),
-    ("p3_prec16", ["--p", "3", "--prec", "16"]),
-    ("p3_prec24", ["--p", "3", "--prec", "24"]),
+    ("p7", ["--p", "7", "-n", "1,2"]),
+    ("p3_prec16", ["--p", "3", "--prec", "16", "-n", "1,2"]),
+    ("p3_prec24", ["--p", "3", "--prec", "24", "-n", "1,2"]),
+    ("p3_q7", ["--p", "3", "--q", "7", "-n", "1,2"]),
+    ("p3_q-2", ["--p", "3", "--q", "-2", "-n", "1,2"]),
+    ("p3_q1/4", ["--p", "3", "--q", "1/4", "-n", "1,2"]),
+    ("p5_q11", ["--p", "5", "--q", "11", "-n", "1,2"]),
+    ("p5_q-4", ["--p", "5", "--q", "-4", "-n", "1,2"]),
+    ("p5_q1/6", ["--p", "5", "--q", "1/6", "-n", "1,2"]),
+    ("p3_q10_n123", ["--p", "3", "--q", "10", "-n", "1,2,3"]),
 ])
 def test_verify_thm5_larger_grids_match_golden(runner, key, options):
     # pinned with exact series terms: the q-Euler residue table must not move
-    # a digit at a larger p or a higher precision either
-    result = invoke(runner, ["verify", "thm5", *options, "-n", "1,2", "-r", "1,2",
-                             "--json"])
+    # a digit at a larger p or a higher precision either.  The q entries (the
+    # benchmark's q = 1 + 2p, 1 - p, 1/(1 + p), and q = 10) were pinned with
+    # eq24's group 1 as an O(s) convolution and every series as a left fold
+    # of PadicNumber additions
+    result = invoke(runner, ["verify", "thm5", *options, "-r", "1,2", "--json"])
     assert result.exit_code == 0
     assert json_result(result)["result"] == THM5_GOLDEN[key]
 

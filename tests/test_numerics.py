@@ -12,6 +12,7 @@ from qlfun.numerics import (
     PadicError,
     PadicNumber,
     QContext,
+    SeriesDivergenceError,
     angle_bracket,
     binom_padic,
     binom_rat,
@@ -21,6 +22,7 @@ from qlfun.numerics import (
     q_int_alt,
     reduce_mod_pN,
     residual_valuation,
+    sum_guarded,
     teichmuller,
     v_p,
 )
@@ -408,6 +410,98 @@ def test_binom_stream_rejects_non_integral_exponent():
     ctx = QContext(p=5, q=Fraction(6), precision=8)
     with pytest.raises(PadicError):
         next(binom_stream(ctx.embed(Fraction(1, 5)), ctx))
+
+
+# ---------------------------------------------------------------------------
+# guarded series
+# ---------------------------------------------------------------------------
+
+def left_fold(terms, p):
+    """The reference sum: PadicNumber.__add__ one term at a time."""
+    acc = PadicNumber.zero(p)
+    for term in terms:
+        acc = acc + term
+    return acc
+
+
+def fold_nonzero(p: int, low: int, high: int):
+    """Nonzero terms of valuation low..high and precision 1..25."""
+    return st.integers(1, 25).flatmap(lambda prec: st.builds(
+        lambda v, u: PadicNumber.make(p, v, u if u % p else u + 1, prec),
+        st.integers(low, high), st.integers(1, p**prec - 1)))
+
+
+def fold_chunks(p: int, low: int, high: int):
+    """Runs of one term or of a cancelling pair: nonzero terms, and zeros
+    whose bound is finite or infinite."""
+    zeros = st.one_of(st.just(inf), st.integers(low, high)).map(
+        lambda bound: PadicNumber.zero(p, bound=bound))
+    nonzero = fold_nonzero(p, low, high)
+    term = st.one_of(nonzero, nonzero, zeros)
+    return st.one_of(term.map(lambda t: [t]), term.map(lambda t: [t, -t]))
+
+
+def flat(chunks):
+    return [term for chunk in chunks for term in chunk]
+
+
+@pytest.mark.parametrize("exit_kind", ["guard", "max_index", "exhausted"])
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_sum_guarded_equals_the_left_fold(exit_kind, data):
+    p = data.draw(st.sampled_from([3, 5, 7]))
+    ctx = QContext(p=p, q=Fraction(1 + p), precision=8)
+    target = ctx.working_precision  # 18: valuations -2..25 fall on both sides
+    chunks = data.draw(st.lists(fold_chunks(p, -2, 25), max_size=12))
+    if exit_kind == "guard":
+        terms = flat(chunks) + flat(data.draw(st.lists(
+            fold_chunks(p, target, 25), min_size=ctx.guard, max_size=ctx.guard)))
+        result = sum_guarded(iter(terms), ctx)
+        vals = [t.valuation for t in terms]
+        stop = next(i for i in range(ctx.guard - 1, len(terms))
+                    if min(vals[i - ctx.guard + 1:i + 1]) >= target)
+        assert (result.last_index, result.converged) == (stop, True)
+    elif exit_kind == "max_index":
+        terms = flat(chunks) + [ctx.embed(1)]
+        stop = data.draw(st.integers(0, len(terms) - 1))
+        result = sum_guarded(iter(terms), ctx, max_index=stop)
+        assert result.last_index == stop
+    else:
+        # a low-valuation term after every run keeps the guard window unmet
+        lows = data.draw(st.lists(fold_nonzero(p, -2, target - 1),
+                                  min_size=len(chunks), max_size=len(chunks)))
+        terms = flat(chunk + [low] for chunk, low in zip(chunks, lows))
+        result = sum_guarded(iter(terms), ctx)
+        stop = len(terms) - 1
+        assert (result.last_index, result.tail_valuation_bound) == (stop, inf)
+    assert result.value == left_fold(terms[:stop + 1], p)
+
+
+def test_sum_guarded_cap_keeps_the_partial_fold():
+    ctx = QContext(p=3, q=Fraction(4), precision=2, cap=20)
+
+    def terms():  # valuations 0..2: the guard window is never met
+        k = 0
+        while True:
+            yield reduce_mod_pN(Fraction(k + 1, 2 * k + 1), 3, 1 + k % 7)
+            k += 1
+
+    with pytest.raises(SeriesDivergenceError, match="within cap 20") as info:
+        sum_guarded(terms(), ctx, description="never converges")
+    partial = info.value.partial
+    first = list(islice(terms(), ctx.cap + 1))
+    assert partial.value == left_fold(first, 3)
+    assert partial.last_index == ctx.cap
+    assert partial.converged is False
+    assert partial.tail_valuation_bound == min(t.valuation for t in first[-ctx.guard:])
+
+    # the error contract of the terms: one prime, PadicNumber values only
+    with pytest.raises(PadicError, match="prime mismatch"):
+        sum_guarded(iter([ctx.embed(1), reduce_mod_pN(1, 5, 8)]), ctx)
+    with pytest.raises(PadicError, match="prime mismatch"):
+        sum_guarded(iter([reduce_mod_pN(2, 7, 8)]), ctx)
+    with pytest.raises(TypeError, match="expected PadicNumber"):
+        sum_guarded(iter([ctx.embed(1), Fraction(1)]), ctx)
 
 
 # ---------------------------------------------------------------------------

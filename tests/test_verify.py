@@ -1,10 +1,12 @@
 """The verification harness: oracles, identities, and the expansion report."""
 
+import math
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
-from qlfun.numerics import INF, QContext, q_int, residual_valuation, v_p
+from qlfun.numerics import INF, QContext, binom_rat, q_int, residual_valuation, v_p
 from qlfun.qeuler import alt_power_sum_brute, euler_number
 from qlfun.verify import (
     alt_power_sum_misprinted,
@@ -22,7 +24,7 @@ from qlfun.verify import (
     thm5_report,
     thm5_rhs,
 )
-from qlfun.verify import Thm5Report, _outer_coeff, _residual_sentinel
+from qlfun.verify import Thm5Report, _eq24_groups, _outer_coeff, _residual_sentinel
 
 CTX34 = QContext(p=3, q=Fraction(4), precision=8)
 CTX56 = QContext(p=5, q=Fraction(6), precision=8)
@@ -110,6 +112,37 @@ def test_outer_coeff_at_zero_is_one():
 # ---------------------------------------------------------------------------
 # the power-sum expansion harness
 # ---------------------------------------------------------------------------
+
+def eq24_group1_by_convolution(n, r, a, ctx, count):
+    """Group 1 of the eq24 expansion as the O(s) convolution
+    sum_{l<s} C(s,l) Q^(nl) E_{l,Q} [n]_Q^(s-l), Q = q^F, for s < count."""
+    q, F = ctx.q, ctx.p
+    qF = q**F
+    count_a = q_int(a, q)
+    power = Fraction(1)  # (q^a [F]/[a])^s
+    out = []
+    for s in range(count):
+        inner = sum((math.comb(s, l) * qF ** (n * l) * euler_number(l, qF)
+                     * q_int(n, qF) ** (s - l) for l in range(s)), Fraction(0))
+        head = -binom_rat(-r, s) * count_a ** (-r) * power * (-1) ** a
+        out.append(head * Fraction((-1) ** n, 2) * inner)
+        power *= q**a * q_int(F, q) / count_a
+    return out
+
+
+@pytest.mark.parametrize("p,q", [(3, Fraction(4)), (5, Fraction(6)), (7, Fraction(8)),
+                                 (3, Fraction(10)), (3, Fraction(7, 4))],
+                         ids=["p3-q4", "p5-q6", "p7-q8", "p3-q10", "p3-q7/4"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("r", [1, 2])
+def test_eq24_group1_closed_form_equals_the_convolution(p, q, n, r):
+    # group 1 reads E_{s,Q}(n) - Q^(ns) E_{s,Q} instead of the moment sum
+    ctx = QContext(p=p, q=q, precision=8)
+    count = ctx.working_precision + 6
+    for a in range(1, p):
+        group1 = [g1 for g1, _ in islice(_eq24_groups(n, r, a, ctx), count)]
+        assert group1 == eq24_group1_by_convolution(n, r, a, ctx, count)
+
 
 def test_thm5_lhs_values():
     got = thm5_lhs(1, 1, CTX34)
