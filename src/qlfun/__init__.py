@@ -29,12 +29,9 @@ from .numerics import (
     SeriesDivergenceError,
     SeriesResult,
     angle_bracket,
-    binom_padic,
-    binom_rat,
     binom_stream,
     padic_pow,
     q_int,
-    q_int_alt,
     reduce_mod_pN,
     residual_valuation,
     teichmuller,
@@ -64,7 +61,6 @@ from .verify import (
     congruence_scan_eq21,
     identity_suite,
     remark_check,
-    thm5_lhs,
     thm5_lhs_exact,
     thm5_qone_surrogate,
     thm5_grid,

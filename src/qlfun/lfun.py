@@ -213,8 +213,7 @@ def _deltas(Q: Fraction, ctx: QContext) -> _OnDemand:
     N = working precision + WORKING_MARGIN (the digits ``ctx.embed`` keeps)
     and e = v_p(Q - 1).  A nonzero residue p^v u gives v = v_p(Delta_j) and
     u mod p^(M - v), accepted when M - v >= N.  The bound v_p(Delta_j) >= j e
-    (1/(1 + Q^k) is a power series in Q^k - 1, whose j-th differences have
-    valuation at least j e) is why that almost always holds, but it is
+    (proved in :func:`_term_bases`) is why that almost always holds, but it is
     checked per value: a zero or short residue takes the exact route.  The
     first round has J = working precision + guard, by which a guarded series
     whose j-th term has valuation >= j (every H and K term, see
@@ -252,8 +251,29 @@ def _term_bases(n: int, a: int, F: int, ctx: QContext) -> _OnDemand:
     """The s-free part of the j-th H (n = 0) or K (n >= 1) term,
     (q^a/(1-q^a))^j Delta_j [q^(nFj) - 1], for j = 0, 1, 2, ...: half the
     paper's (q^a [F]/[a])^j E_{j,q^F} [q^(nFj) - 1], as [F]/(1-q^F) =
-    [a]/(1-q^a) = 1/(1-q).  With v_p(1-q^a) = v_p(q-1) and the bound in
-    :func:`_deltas`, every entry has valuation >= j v_p(F).
+    [a]/(1-q^a) = 1/(1-q).
+
+    Every entry has valuation >= j v_p(F).  Proof, with Q = q^F and
+    e = v_p(Q - 1) = v_p(q - 1) + v_p(F) (p odd and q = 1 mod p):
+
+    * Put y_k = Q^k - 1, so y_0 = 0 and v_p(y_k) >= e for k >= 1.  As
+      1 + Q^k = 2 + y_k with 2 a unit, 1/(1 + Q^k) = (1/2) sum_m (-y_k/2)^m,
+      and Delta_j = (1/2) sum_m (-1/2)^m D(j, m) with
+      D(j, m) = sum_k C(j,k) (-1)^k y_k^m, which is (-1)^j times the j-th
+      difference of k -> y_k^m at 0.
+    * v_p(D(j, m)) >= m e: each y_k^m has valuation >= m e (y_0^m = 0, m >= 1).
+    * v_p(D(j, m)) >= j e: y_k^m = sum_i C(m,i) (-1)^(m-i) Q^(ik), and the
+      j-th difference of k -> Q^(ik) at 0 is (Q^i - 1)^j, of valuation
+      >= j e for i >= 1 and zero for i = 0 (j >= 1).
+    * So v_p(D(j, m)) >= max(j, m) e: the sum over m converges and
+      v_p(Delta_j) >= j e.
+    * v_p(q^a) = 0 and v_p(1 - q^a) = v_p(q - 1) (p does not divide a), so
+      the entry has valuation >= j e - j v_p(q - 1) = j v_p(F); K's factor
+      q^(nFj) - 1 adds >= e for j >= 1 and is 0 at j = 0.
+    * binom(-s, j) is a p-adic integer for every p-adic integer s and
+      <a>^(-s) is a unit, so the j-th H or K term has valuation >= j v_p(F)
+      too, and the tail after index J has valuation >= (J + 1) v_p(F),
+      plus e for K.
 
     Each factor is reduced on its own (reduction is multiplicative); K's
     q^(nFj) - 1 is formed exactly first, so that it keeps its relative digits."""

@@ -93,35 +93,9 @@ def q_int(x: int, q: IntOrRational) -> Fraction:
     return (1 - q**x) / (1 - q)
 
 
-def q_int_alt(x: int, q: IntOrRational) -> Fraction:
-    """Alternating base-q count of x: 1 - q + q^2 - ... + (-q)^(x-1)."""
-    if x < 0:
-        raise ValueError("q_int_alt requires x >= 0")
-    q = Fraction(q)
-    if q == -1:
-        # the closed form divides by 1+q; fall back to the defining polynomial
-        return Fraction(x % 2)
-    return (1 - (-q) ** x) / (1 + q)
-
-
 def binom_int(t: int, k: int) -> int:
     """binom(t, k) for an integer t (by upper negation when t < 0) and k >= 0."""
     return math.comb(t, k) if t >= 0 else (-1) ** k * math.comb(k - t - 1, k)
-
-
-def binom_rat(t: IntOrRational, k: int) -> Fraction:
-    """Falling-factorial binomial t(t-1)...(t-k+1)/k!, exact for rational t."""
-    if k < 0:
-        raise ValueError("binom_rat requires k >= 0")
-    if isinstance(t, Fraction) and t.denominator == 1:
-        t = t.numerator
-    if isinstance(t, int):
-        return Fraction(binom_int(t, k))
-    t = Fraction(t)
-    num = Fraction(1)
-    for i in range(k):
-        num *= t - i
-    return num / math.factorial(k)
 
 
 # ---------------------------------------------------------------------------
@@ -436,14 +410,11 @@ class SeriesResult:
 
 
 def sum_guarded(terms: Iterable[PadicNumber], ctx: QContext, *,
-                description: str = "series",
-                max_index: Optional[int] = None) -> SeriesResult:
+                description: str = "series") -> SeriesResult:
     """Sum a p-adically convergent series, stopping after ``ctx.guard``
     consecutive terms of valuation >= ctx.working_precision, so that the
     reported digits of the value stay trustworthy.
 
-    With ``max_index`` the sum runs to exactly that index instead;
-    ``converged`` then reports whether the guard would have been satisfied.
     Exceeding ``ctx.cap`` without satisfying the guard raises
     :class:`SeriesDivergenceError` carrying the partial result.
 
@@ -478,12 +449,9 @@ def sum_guarded(terms: Iterable[PadicNumber], ctx: QContext, *,
                 base, total = v, term.unit + (total * p**-shift if total else 0)
         run = run + 1 if v >= target else 0
         valuations.append(v)
-        if max_index is not None:
-            if index >= max_index:
-                return result(min(valuations[-guard:]), run >= guard)
-        elif run >= guard:
+        if run >= guard:
             return result(min(valuations[-guard:]), True)
-        elif index >= ctx.cap:
+        if index >= ctx.cap:
             raise SeriesDivergenceError(
                 f"{description}: guard not satisfied within cap {ctx.cap}",
                 result(min(valuations[-guard:]), False))
@@ -523,7 +491,7 @@ def binom_stream(s: PadicExponent, ctx: QContext) -> Iterator[PadicNumber]:
     """
     if isinstance(s, int):
         for k in itertools.count():
-            yield ctx.embed(binom_rat(s, k))
+            yield ctx.embed(binom_int(s, k))
     if not s.is_zero and s.valuation < 0:
         raise PadicError("binom_stream requires a p-adic integer")
     prod = ctx.one()
@@ -533,14 +501,6 @@ def binom_stream(s: PadicExponent, ctx: QContext) -> Iterator[PadicNumber]:
         if not prod.is_zero:
             prod = prod * (s - ctx.embed(k))
         factorial *= k + 1
-
-
-def binom_padic(s: PadicExponent, k: int, ctx: QContext) -> PadicNumber:
-    """Binomial coefficient s(s-1)...(s-k+1)/k! for a p-adic integer s: the
-    k-th value of :func:`binom_stream`."""
-    if k < 0:
-        raise ValueError("binom_padic requires k >= 0")
-    return next(itertools.islice(binom_stream(s, ctx), k, None))
 
 
 def padic_pow(u: PadicNumber, s: PadicExponent, ctx: QContext) -> SeriesResult:

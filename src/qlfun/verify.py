@@ -41,7 +41,6 @@ from .numerics import (
     SeriesResult,
     Valuation,
     binom_int,
-    binom_rat,
     merge_series,
     q_int,
     require_odd_prime,
@@ -199,21 +198,16 @@ def thm5_lhs_exact(n: int, r: int, ctx: QContext) -> Fraction:
     return 2 * total
 
 
-def thm5_lhs(n: int, r: int, ctx: QContext) -> PadicNumber:
-    """The exact unit power sum reduced mod p**working_precision."""
-    return ctx.embed(thm5_lhs_exact(n, r, ctx))
-
-
 def _outer_coeff(r: int, k: int) -> Fraction:
     """(r/(r+k)) binom(-r-1, k); an integer, equal to (-1)^k C(r+k-1, k)."""
-    return Fraction(r, r + k) * binom_rat(-r - 1, k)
+    return Fraction(r, r + k) * binom_int(-r - 1, k)
 
 
 def _w_power_char(t: int, p: int) -> DirichletCharacter:
     return DirichletCharacter.teichmuller_power(t % (p - 1), p)
 
 
-def thm5_rhs(n: int, r: int, ctx: QContext, k_max: Optional[int] = None) -> SeriesResult:
+def thm5_rhs(n: int, r: int, ctx: QContext) -> SeriesResult:
     """The expansion exactly as printed: minus the k-series of l-values,
     minus the k-series of correction aggregates, minus the boundary aggregate,
     all with twist exponent -(r+k) and F = p."""
@@ -238,8 +232,7 @@ def thm5_rhs(n: int, r: int, ctx: QContext, k_max: Optional[int] = None) -> Seri
             power = power * count
             k += 1
 
-    body = sum_guarded(terms(), ctx, description="thm5 rhs k-series",
-                       max_index=k_max)
+    body = sum_guarded(terms(), ctx, description="thm5 rhs k-series")
     t_part = T_full(n, r, _w_power_char(-r, p), ctx)
     value = body.value - t_part.value
     merged = merge_series(value, parts + [t_part])
@@ -328,7 +321,7 @@ def _eq24_groups(n: int, r: int, a: int, ctx: QContext) -> Iterator[Tuple[Fracti
     power = Fraction(1)  # (q^a [F]/[a])^s
     for s in itertools.count():
         euler_s, qF_ns = euler_number(s, qF), qF ** (n * s)
-        head = -binom_rat(-r, s) * inv_ar * power * sign_a
+        head = -binom_int(-r, s) * inv_ar * power * sign_a
         yield (head * Fraction(sign_n, 2) * (euler_poly(s, n, qF) - qF_ns * euler_s),
                head * (sign_n * qF_ns - 1) / 2 * euler_s)
         power *= q**a * ratio
@@ -521,7 +514,10 @@ def congruence_scan_eq21(t: int, s_samples: Sequence[int], ctx: QContext) -> dic
     l_pq(s, w^t) over integer samples s.  Reports evidence; asserts nothing.
     The samples share one series cache, and so their s-free term tables;
     every cached value at s is keyed on s, so no pairwise difference can
-    come out zero from a cache hit."""
+    come out zero from a cache hit.  A repeated sample would compare a value
+    with itself, so it is a ValueError."""
+    if len(set(s_samples)) < len(s_samples):
+        raise ValueError(f"congruence_scan_eq21 needs distinct samples, got {list(s_samples)}")
     with series_cache():
         values = [(s, l_pq(s, _w_power_char(t, ctx.p), ctx, F=ctx.p).value)
                   for s in s_samples]

@@ -211,6 +211,18 @@ def test_empty_verification_grids_are_usage_errors(runner, args, message):
     assert message in envelope["result"]["message"]
 
 
+def test_congruence_scan_rejects_repeated_samples(runner):
+    # "2,2" used to compare l_pq(2) with itself and report ok, "inf" and
+    # mod_p_constant_on_samples true
+    args = ["verify", "congruences", "--p", "3", "--t", "0", "--s", "2,2", "--json"]
+    result = invoke(runner, args)
+    assert result.exit_code == 2
+    envelope = json_result(result)
+    assert envelope["status"] == "error"
+    assert envelope["result"] == {
+        "message": "congruence_scan_eq21 needs distinct samples, got [2, 2]"}
+
+
 @pytest.mark.parametrize("args,p", [
     (["verify", "limits", "--p", "1"], 1),  # used to loop forever stripping 1s
     (["verify", "limits", "--p", "4"], 4),  # used to report ok

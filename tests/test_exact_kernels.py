@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qlfun.numerics import QContext, binom_rat, q_int, q_int_alt
+from qlfun.numerics import QContext, binom_int, q_int
 from qlfun.qeuler import (
     QEulerDomainError,
     _alt_level_sum,
@@ -68,7 +68,7 @@ def power_sum_closed_reference(n, m, q):
 
 def volkenborn_reference(m, level, ctx):
     size = ctx.p**level
-    return (Fraction(2) / q_int(2, ctx.q) / q_int_alt(size, ctx.q)
+    return (Fraction(2) / q_int(2, ctx.q) / ((1 - (-ctx.q) ** size) / (1 + ctx.q))
             * level_sum_reference(size, m, ctx.q))
 
 
@@ -77,16 +77,16 @@ def binom_identities_reference(r_range, k_range, j_range):
         for k in k_range:
             for j in j_range:
                 if j + k > 0 and r + k != 1:
-                    lhs = Fraction(1, r + k - 1) * binom_rat(-r, k) * binom_rat(1 - r - k, j)
-                    rhs = Fraction(-1, j + k) * binom_rat(-r, k + j - 1) * binom_rat(k + j, j)
+                    lhs = Fraction(1, r + k - 1) * binom_int(-r, k) * binom_int(1 - r - k, j)
+                    rhs = Fraction(-1, j + k) * binom_int(-r, k + j - 1) * binom_int(k + j, j)
                     if lhs != rhs:
                         return False
                     if r != 1:
-                        alt = Fraction(1, r - 1) * binom_rat(-r + 1, k + j) * binom_rat(k + j, j)
+                        alt = Fraction(1, r - 1) * binom_int(-r + 1, k + j) * binom_int(k + j, j)
                         if lhs != alt:
                             return False
-                lhs23 = Fraction(r, r + k) * binom_rat(-r - 1, k) * binom_rat(-r - k, j)
-                rhs23 = binom_rat(-r, k + j) * binom_rat(k + j, j)
+                lhs23 = Fraction(r, r + k) * binom_int(-r - 1, k) * binom_int(-r - k, j)
+                rhs23 = binom_int(-r, k + j) * binom_int(k + j, j)
                 if lhs23 != rhs23:
                     return False
     return True

@@ -608,6 +608,23 @@ def test_term_bases_meet_the_proven_bound(p, q, F):
                         assert bases[j].valuation >= j * vF, (precision, a, n, j)
 
 
+@pytest.mark.parametrize("p,q,F", list(residue_grid()))
+def test_unit_power_terms_meet_the_proven_bound(p, q, F):
+    # every term binom(-s, k) (<a> - 1)^k of <a>^(-s) has valuation >= k for
+    # integer s: binom(-s, k) is an integer and <a> = 1 mod p
+    for precision in (8, 16, 24):
+        ctx = QContext(p=p, q=q, precision=precision)
+        with series_cache():
+            for a in (1, 2, F - 1):
+                t = angle_bracket(a, ctx) - ctx.one()
+                for s in (-3, 0, 1, 2, 7):
+                    coeffs = lfun._binomials(s, ctx)
+                    power = ctx.one()
+                    for k in range(41):
+                        assert (coeffs[k] * power).valuation >= k, (precision, a, s, k)
+                        power = power * t
+
+
 @pytest.mark.parametrize("q", [Fraction(4), Fraction(-2), Fraction(7, 4), Fraction(1, 4)])
 @pytest.mark.parametrize("n,F", [(1, 3), (2, 3), (1, 5), (3, 15)])
 def test_k_inner_sum_is_a_power_minus_one(q, n, F):

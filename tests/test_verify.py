@@ -6,7 +6,7 @@ from itertools import islice
 
 import pytest
 
-from qlfun.numerics import INF, QContext, binom_rat, q_int, residual_valuation, v_p
+from qlfun.numerics import INF, QContext, binom_int, q_int, residual_valuation, v_p
 from qlfun.qeuler import alt_power_sum_brute, euler_number
 from qlfun.verify import (
     alt_power_sum_misprinted,
@@ -18,7 +18,6 @@ from qlfun.verify import (
     congruence_scan_eq21,
     remark_check,
     thm5_grid,
-    thm5_lhs,
     thm5_lhs_exact,
     thm5_qone_surrogate,
     thm5_report,
@@ -95,9 +94,8 @@ def test_binom_identity_instances():
     assert Fraction(2, 3) * Fraction(-3) * Fraction(-3) == 6
     assert _outer_coeff(2, 1) * Fraction(-3) == 6
     # j = 0 reduces the reindexing identity to coeff(r,k) = binom(-r, k)
-    from qlfun.numerics import binom_rat
-    assert _outer_coeff(2, 1) == binom_rat(-2, 1)
-    assert _outer_coeff(3, 4) == binom_rat(-3, 4)
+    assert _outer_coeff(2, 1) == binom_int(-2, 1)
+    assert _outer_coeff(3, 4) == binom_int(-3, 4)
 
 
 def test_binom_identities_grid():
@@ -124,7 +122,7 @@ def eq24_group1_by_convolution(n, r, a, ctx, count):
     for s in range(count):
         inner = sum((math.comb(s, l) * qF ** (n * l) * euler_number(l, qF)
                      * q_int(n, qF) ** (s - l) for l in range(s)), Fraction(0))
-        head = -binom_rat(-r, s) * count_a ** (-r) * power * (-1) ** a
+        head = -binom_int(-r, s) * count_a ** (-r) * power * (-1) ** a
         out.append(head * Fraction((-1) ** n, 2) * inner)
         power *= q**a * q_int(F, q) / count_a
     return out
@@ -145,7 +143,7 @@ def test_eq24_group1_closed_form_equals_the_convolution(p, q, n, r):
 
 
 def test_thm5_lhs_values():
-    got = thm5_lhs(1, 1, CTX34)
+    got = CTX34.embed(thm5_lhs_exact(1, 1, CTX34))
     assert residual_valuation(got, CTX34.embed(Fraction(-8, 5))) >= 17
     exact = thm5_lhs_exact(1, 1, CTX56)
     expected = 2 * (Fraction(-1) + Fraction(1, 7) - Fraction(1, 43) + Fraction(1, 259))
@@ -164,9 +162,29 @@ def test_thm5_lhs_excludes_multiples_of_p():
 
 
 def test_thm5_rhs_truncation_stability():
-    r12 = thm5_rhs(1, 1, CTX34, k_max=12)
-    r24 = thm5_rhs(1, 1, CTX34, k_max=24)
-    assert residual_valuation(r12.value, r24.value) >= CTX34.precision
+    # twice the guard window and the cap leave the target digits unchanged;
+    # criterion 7 covers (n, r) = (1, 1) at p = 3 and 5
+    for p, n, r in [(3, 2, 1), (3, 1, 3), (5, 2, 2), (7, 1, 2)]:
+        ctx = QContext(p=p, q=Fraction(1 + p), precision=8)
+        base = thm5_rhs(n, r, ctx)
+        doubled = thm5_rhs(n, r, ctx.with_doubled_truncation())
+        assert base.converged and doubled.converged, (p, n, r)
+        assert residual_valuation(base.value, doubled.value) >= ctx.precision, (p, n, r)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_outer_k_series_terms_meet_the_proven_bound(p):
+    # the k-th term of thm5's outer series carries _outer_coeff(r, k) [pn]_q^k:
+    # an integer times a power of valuation k v_p(pn) >= k
+    for q in (Fraction(1 + p), Fraction(1 - p), Fraction(1, 1 + p)):
+        for n in (1, 2, 3):
+            count = q_int(p * n, q)
+            for k in range(41):
+                assert v_p(count**k, p) >= k, (q, n, k)
+                for r in (1, 2, 3):
+                    coeff = _outer_coeff(r, k)
+                    assert coeff.denominator == 1, (r, k)
+                    assert coeff == (-1) ** k * math.comb(r + k - 1, k)
 
 
 @pytest.mark.parametrize("p,n,r", [(3, 1, 1), (3, 2, 2), (5, 1, 2)])
@@ -307,9 +325,12 @@ def test_congruence_scan_report_shape_and_determinism():
     assert rep == congruence_scan_eq21(0, [1, 2, 3, 4], CTX34)
 
 
-def test_congruence_scan_duplicate_samples_give_inf():
-    rep = congruence_scan_eq21(1, [2, 2], CTX34)
-    assert rep["pairwise_difference_valuations"]["2,2"] == "inf"
+def test_congruence_scan_rejects_repeated_samples():
+    # a repeated s would compare l_pq(s) with itself: an "inf" difference
+    # and a vacuous mod_p_constant_on_samples
+    for samples in ([2, 2], [1, 2, 1]):
+        with pytest.raises(ValueError, match="needs distinct samples"):
+            congruence_scan_eq21(1, samples, CTX34)
 
 
 @pytest.mark.parametrize("p", [3, 5])
