@@ -11,11 +11,12 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterator, List, Optional, Union
+from typing import Any, Callable, Iterator, List, Optional, Union
 
 from .characters import DirichletCharacter, chi_eval
 from .numerics import (
@@ -28,6 +29,7 @@ from .numerics import (
     angle_bracket,
     binom_stream,
     merge_series,
+    mul_parts,
     q_int,
     sum_guarded,
     v_p,
@@ -110,10 +112,10 @@ def series_cache() -> Iterator[SeriesCache]:
     """Open a fresh evaluation scope.  Inside it H_pq, K_partial, the unit
     power <a>^(-s) and the q-Euler Delta_j stream are each computed once per
     key (T_partial reads the cached H_pq and K_partial values).  So are the
-    two term tables of the H/K series: the s-free bases, per (n, a, F), and
-    the binomial column binom(-s, j), per s, which <a>^(-s) reads too; a
-    series term is then one product of two table entries, the same value as
-    the product of its factors taken in any order (see
+    term tables: the s-free H/K bases, per (n, a, F), the s-free powers
+    (<a> - 1)^k, per a, and the binomial column binom(-s, j), per s, which
+    both kinds of series read; a term is one product of two table entries,
+    the same value as the product of its factors in any order (see
     :func:`_twisted_series`).  Every value that depends on s has s in its
     key, so values at different s never share a cache entry.  The values are
     dropped when the scope exits, so the scope is the cache's only bound;
@@ -158,11 +160,11 @@ class _OnDemand:
     """The values of an iterator, kept as they are first read: reading item j
     runs the iterator up to j once, for every reader of the same list."""
 
-    def __init__(self, values: Iterator[PadicNumber]):
+    def __init__(self, values: Iterator[Any]):
         self._values = values
-        self._read: List[PadicNumber] = []
+        self._read: List[Any] = []
 
-    def __getitem__(self, j: int) -> PadicNumber:
+    def __getitem__(self, j: int) -> Any:
         while len(self._read) <= j:
             self._read.append(next(self._values))
         return self._read[j]
@@ -178,20 +180,22 @@ def _binomials(s: PadicExponent, ctx: QContext) -> _OnDemand:
 
 
 @_scoped
+def _unit_powers(a: int, ctx: QContext) -> _OnDemand:
+    """(<a> - 1)^k for k = 0, 1, 2, ...: the s-free column of <a>^(-s), one
+    per (a, ctx), shared by every s in one scope."""
+    t = angle_bracket(a, ctx) - ctx.one()
+    return _OnDemand(itertools.accumulate(itertools.repeat(t), operator.mul,
+                                          initial=ctx.one()))
+
+
+@_scoped
 def _unit_pow(a: int, s: PadicExponent, ctx: QContext) -> SeriesResult:
     """<a>^(-s) = sum_k binom(-s, k) (<a> - 1)^k, shared by the H and K series
-    of the same (a, s): the guarded series of ``padic_pow(<a>, -s)``, its
-    coefficients read from the column :func:`_binomials`."""
-    coeffs = _binomials(s, ctx)
-    t = angle_bracket(a, ctx) - ctx.one()
-
-    def terms() -> Iterator[PadicNumber]:
-        power = ctx.one()
-        for k in itertools.count():
-            yield coeffs[k] * power
-            power = power * t
-
-    return sum_guarded(terms(), ctx, description="binomial power series")
+    of the same (a, s): the guarded series of ``padic_pow(<a>, -s)``, each term
+    the :func:`mul_parts` product of :func:`_binomials` and :func:`_unit_powers`."""
+    p, coeffs, powers = ctx.p, _binomials(s, ctx), _unit_powers(a, ctx)
+    terms = (mul_parts(p, coeffs[k].parts, powers[k].parts) for k in itertools.count())
+    return sum_guarded(terms, ctx, description="binomial power series")
 
 
 #: digits the Delta_j residues carry beyond N + J e (see :func:`_deltas`)
@@ -276,18 +280,21 @@ def _term_bases(n: int, a: int, F: int, ctx: QContext) -> _OnDemand:
       plus e for K.
 
     Each factor is reduced on its own (reduction is multiplicative); K's
-    q^(nFj) - 1 is formed exactly first, so that it keeps its relative digits."""
-    q = ctx.q
-    step = ctx.embed(q**a / (1 - q**a))
+    q^(nFj) - 1 is formed exactly first, so that it keeps its relative digits.
+    The product runs on integer parts (:func:`mul_parts`): one PadicNumber per entry."""
+    p, q = ctx.p, ctx.q
+    step = ctx.embed(q**a / (1 - q**a)).parts
     deltas = _deltas(q**F, ctx)
     qnF = q ** (n * F)
 
     def bases() -> Iterator[PadicNumber]:
-        power = ctx.embed(1)  # not ctx.one(): that would cap the digits at working precision
+        power = ctx.embed(1).parts  # not ctx.one(): that would cap the digits at working precision
         for j in itertools.count():
-            base = power * deltas[j]
-            yield base * ctx.embed(qnF**j - 1) if n else base
-            power = power * step
+            base = mul_parts(p, power, deltas[j].parts)
+            if n:
+                base = mul_parts(p, base, ctx.embed(qnF**j - 1).parts)
+            yield PadicNumber.from_parts(p, base)
+            power = mul_parts(p, power, step)
 
     return _OnDemand(bases())
 
@@ -300,15 +307,15 @@ def _twisted_series(n: int, s: PadicExponent, prm: PartialZetaParams,
 
     The j-th term is binom(-s, j) times the j-th s-free base, each read from
     a scoped list (:func:`_binomials`, :func:`_term_bases`) extended as far as
-    the longest series has asked.  Grouping the product so is exact:
-    PadicNumber multiplication adds valuations, reduces the unit mod
-    p^(least precision) and bounds a zero by the sum of the valuations, so it
-    is associative and commutative as a dataclass."""
-    a = prm.a
+    the longest series has asked, and multiplied on integer parts by
+    :func:`mul_parts`, the rule of ``PadicNumber.__mul__``: it adds valuations,
+    reduces the unit mod p^(least precision) and bounds a zero by the sum of
+    the valuations, so it is associative and commutative and the grouping exact."""
+    a, p = prm.a, ctx.p
     unit_pow = _unit_pow(a, s, ctx)
     coeffs = _binomials(s, ctx)
     bases = _term_bases(n, a, prm.F, ctx)
-    terms = (coeffs[j] * bases[j] for j in itertools.count())
+    terms = (mul_parts(p, coeffs[j].parts, bases[j].parts) for j in itertools.count())
     body = sum_guarded(terms, ctx, description="K series" if n else "H_pq series")
     value = ctx.embed((-1) ** a) * unit_pow.value * body.value
     return merge_series(value, [unit_pow, body])

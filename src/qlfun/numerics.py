@@ -18,10 +18,12 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional, Tuple, Union
 
 IntOrRational = Union[int, Fraction]
 Valuation = Union[int, float]  # int, or math.inf for "zero as far as we know"
+#: (valuation, unit, precision) of a PadicNumber; a zero's parts are (bound, 0, 0)
+Parts = Tuple[Valuation, int, int]
 
 INF = math.inf
 
@@ -102,6 +104,15 @@ def binom_int(t: int, k: int) -> int:
 # Truncated p-adic numbers
 # ---------------------------------------------------------------------------
 
+def mul_parts(p: int, x: Parts, y: Parts) -> Parts:
+    """The product rule of :class:`PadicNumber`, on plain integer parts:
+    valuations add and the unit product is reduced mod p**(least precision).
+    A zero has precision 0, so a zero factor gives the zero (v1 + v2, 0, 0)."""
+    (v1, u1, prec1), (v2, u2, prec2) = x, y
+    prec = prec1 if prec1 < prec2 else prec2
+    return v1 + v2, u1 * u2 % p**prec, prec
+
+
 @dataclass(frozen=True)
 class PadicNumber:
     """A p-adic number known to ``precision`` significant base-p digits.
@@ -141,7 +152,16 @@ class PadicNumber:
     def one(cls, p: int, precision: int) -> "PadicNumber":
         return cls(p=p, valuation=0, unit=1, precision=precision)
 
+    @classmethod
+    def from_parts(cls, p: int, parts: Parts) -> "PadicNumber":
+        valuation, unit, precision = parts
+        return cls(p, valuation, unit, precision) if precision else cls.zero(p, valuation)
+
     # -- basic queries -------------------------------------------------------
+
+    @property
+    def parts(self) -> Parts:
+        return self.valuation, self.unit, self.precision
 
     @property
     def abs_precision(self) -> Valuation:
@@ -235,12 +255,7 @@ class PadicNumber:
 
     def __mul__(self, other: "PadicNumber") -> "PadicNumber":
         self._check_same_prime(other)
-        if self.is_zero or other.is_zero:
-            return PadicNumber.zero(self.p, bound=self.valuation + other.valuation)
-        prec = min(self.precision, other.precision)
-        return PadicNumber(p=self.p, valuation=self.valuation + other.valuation,
-                           unit=(self.unit * other.unit) % self.p**prec,
-                           precision=prec)
+        return PadicNumber.from_parts(self.p, mul_parts(self.p, self.parts, other.parts))
 
     def __truediv__(self, other: "PadicNumber") -> "PadicNumber":
         self._check_same_prime(other)
@@ -409,7 +424,7 @@ class SeriesResult:
         }
 
 
-def sum_guarded(terms: Iterable[PadicNumber], ctx: QContext, *,
+def sum_guarded(terms: Iterable[Union[PadicNumber, Parts]], ctx: QContext, *,
                 description: str = "series") -> SeriesResult:
     """Sum a p-adically convergent series, stopping after ``ctx.guard``
     consecutive terms of valuation >= ctx.working_precision, so that the
@@ -418,12 +433,13 @@ def sum_guarded(terms: Iterable[PadicNumber], ctx: QContext, *,
     Exceeding ``ctx.cap`` without satisfying the guard raises
     :class:`SeriesDivergenceError` carrying the partial result.
 
-    The sum is one integer reduction, equal to the left fold of
-    ``PadicNumber.__add__``: terms below the running ``bound`` (the least
-    absolute precision so far; a zero term counts with its bound) accumulate
-    as ``total * p**base``, and one ``PadicNumber.make`` reduces at whichever
-    exit is taken.  Each fold step keeps the sum mod p**(running bound), the
-    bound only falls, and a value mod p**bound has one normalized form.
+    A term is a PadicNumber of ctx.p or its parts (see :func:`mul_parts`).  The
+    sum is one integer reduction, equal to the left fold of ``PadicNumber.__add__``:
+    terms below the running ``bound`` (the least absolute precision so far; a
+    zero term counts with its bound) accumulate as ``total * p**base``, and one
+    ``PadicNumber.make`` reduces at whichever exit is taken.  Each fold step
+    keeps the sum mod p**(running bound), the bound only falls, and a value
+    mod p**bound has one normalized form.
     """
     p, target, guard = ctx.p, ctx.working_precision, ctx.guard
     check = ctx.zero()._check_same_prime
@@ -438,15 +454,17 @@ def sum_guarded(terms: Iterable[PadicNumber], ctx: QContext, *,
         return SeriesResult(value, index, tail_bound, converged)
 
     for index, term in enumerate(terms):
-        check(term)
-        v = term.valuation
-        bound = min(bound, v + term.precision)
+        if type(term) is not tuple:
+            check(term)
+            term = term.parts
+        v, unit, prec = term
+        bound = min(bound, v + prec)
         if v < bound:
             shift = v - base
             if total and shift >= 0:
-                total += term.unit * p**shift
+                total += unit * p**shift
             else:  # the first term, or a new least valuation: rebase the total
-                base, total = v, term.unit + (total * p**-shift if total else 0)
+                base, total = v, unit + (total * p**-shift if total else 0)
         run = run + 1 if v >= target else 0
         valuations.append(v)
         if run >= guard:

@@ -31,6 +31,8 @@ from .lfun import (
     SeriesCache,
     T_full,
     T_partial,
+    _OnDemand,
+    _scoped,
     l_pq,
     series_cache,
 )
@@ -302,17 +304,28 @@ def _partial_sum_exact(n: int, r: int, a: int, ctx: QContext) -> Fraction:
     return total
 
 
+@_scoped
+def _eq24_free_parts(n: int, Q: Fraction) -> _OnDemand:
+    """(E_{s,Q}, Q^(ns), E_{s,Q}(n) - Q^(ns) E_{s,Q}) for s = 0, 1, 2, ...: the
+    parts of eq24's s-th terms free of a and r, one list per (n, Q) for every
+    unit and every r in one series cache.  The last is group 1's inner sum
+    sum_{l<s} C(s,l) Q^(nl) E_{l,Q} [n]_Q^(s-l), the moment form of E_{s,Q}(n)
+    without its l = s term: one closed form per s instead of an O(s)
+    convolution (``identity_suite``'s ``poly_paths_agree`` checks the two)."""
+    def rows() -> Iterator[Tuple[Fraction, Fraction, Fraction]]:
+        for s in itertools.count():
+            euler_s, Q_ns = euler_number(s, Q), Q ** (n * s)
+            yield euler_s, Q_ns, euler_poly(s, n, Q) - Q_ns * euler_s
+
+    return _OnDemand(rows())
+
+
 def _eq24_groups(n: int, r: int, a: int, ctx: QContext) -> Iterator[Tuple[Fraction, Fraction]]:
     """Exact terms of the binomial expansion of the partial sum, in the
-    expansion order s: (polynomial-part group 1, boundary group 2).
-
-    With Q = q^F, group 1's inner sum sum_{l<s} C(s,l) Q^(nl) E_{l,Q} [n]_Q^(s-l)
-    is the moment form of E_{s,Q}(n) without its l = s term, so it is read as
-    E_{s,Q}(n) - Q^(ns) E_{s,Q}: one closed form per s instead of an O(s)
-    convolution.  ``identity_suite``'s ``poly_paths_agree`` still checks
-    the moment form against the closed form."""
+    expansion order s: (polynomial-part group 1, boundary group 2), from the
+    parts :func:`_eq24_free_parts` keeps for Q = q^F."""
     F, q = ctx.p, ctx.q
-    qF = q**F
+    free_parts = _eq24_free_parts(n, q**F)
     count_a = q_int(a, q)
     ratio = q_int(F, q) / count_a
     inv_ar = count_a ** (-r)
@@ -320,9 +333,9 @@ def _eq24_groups(n: int, r: int, a: int, ctx: QContext) -> Iterator[Tuple[Fracti
     sign_n = (-1) ** n
     power = Fraction(1)  # (q^a [F]/[a])^s
     for s in itertools.count():
-        euler_s, qF_ns = euler_number(s, qF), qF ** (n * s)
+        euler_s, qF_ns, inner = free_parts[s]
         head = -binom_int(-r, s) * inv_ar * power * sign_a
-        yield (head * Fraction(sign_n, 2) * (euler_poly(s, n, qF) - qF_ns * euler_s),
+        yield (head * Fraction(sign_n, 2) * inner,
                head * (sign_n * qF_ns - 1) / 2 * euler_s)
         power *= q**a * ratio
 
@@ -347,16 +360,18 @@ def _expansion_group(n: int, r: int, a: int, ctx: QContext,
     p = ctx.p
     prm = PartialZetaParams(a, p)
     count = q_int(p * n, ctx.q)
-    w = teichmuller(a, p, ctx.working_precision)
+    w_inv = teichmuller(a, p, ctx.working_precision) ** -1
 
     def terms():
         k = 1
+        twist = w_inv ** r  # w^(-(r+k)), one factor w^(-1) more per k
         while True:
+            twist = twist * w_inv
             piece = H_pq(r + k, prm, ctx).value
             if with_correction:
                 piece = piece + K_partial(n, r + k, prm, ctx).value
             coeff = _outer_coeff(r, k) * ctx.q ** (a * k) * count**k
-            yield -(ctx.embed((-1) ** n * coeff) * w ** (-(r + k)) * piece)
+            yield -(ctx.embed((-1) ** n * coeff) * twist * piece)
             k += 1
 
     return sum_guarded(terms(), ctx, description="chain k-series").value

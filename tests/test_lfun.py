@@ -377,8 +377,9 @@ def test_series_cache_scope_gives_the_same_values():
     s_values, units = (-2, 1, 3, s_padic), (1, 2)
     cases = [(s, PartialZetaParams(a, 3)) for s in s_values for a in units]
     # H, K(2), K(1) and <a>^(-s) per case, one Delta_j stream, one binomial
-    # column per s and one term-base table per (n, a)
-    keys = 4 * len(cases) + 1 + len(s_values) + 3 * len(units)
+    # column per s, one term-base table per (n, a) and one power column
+    # (<a> - 1)^k per unit
+    keys = 4 * len(cases) + 1 + len(s_values) + 3 * len(units) + len(units)
 
     def evaluate():
         return [(H_pq(s, prm, CTX34), K_partial(2, s, prm, CTX34),
@@ -401,11 +402,14 @@ def test_series_cache_scope_gives_the_same_values():
     # reads one term-base table, one per (n, a) with n in {0, 1, 2}: every
     # read but the first of each key hits.  Every case has F = 3, so the
     # term-base tables share one Delta_j stream, read once per table built:
-    # one more key and miss, and 3 * len(units) - 1 hits on it
+    # one more key and miss, and 3 * len(units) - 1 hits on it.  Each unit
+    # power also reads the s-free power column of its unit: the first s
+    # builds it and every other s hits it, len(cases) - len(units) hits
     assert cache.misses == keys
     series = 3 * len(cases)
     hits = (3 * len(cases) + 4 * len(cases) + (series + len(cases) - len(s_values))
-            + (series - 3 * len(units)) + 3 * len(units) - 1)
+            + (series - 3 * len(units)) + 3 * len(units) - 1
+            + len(cases) - len(units))
     assert cache.hits == hits
     assert not cache.values  # dropped with the scope
     # outside a scope nothing is recorded
@@ -606,6 +610,34 @@ def test_term_bases_meet_the_proven_bound(p, q, F):
                     bases = lfun._term_bases(n, a, F, ctx)
                     for j in range(41):
                         assert bases[j].valuation >= j * vF, (precision, a, n, j)
+
+
+@pytest.mark.parametrize("p,q,F", list(residue_grid()))
+def test_integer_columns_equal_the_padic_chains(p, q, F):
+    # the s-free columns built on integer parts equal, as dataclasses, the
+    # PadicNumber product chains they replace: (<a> - 1)^k from ctx.one(),
+    # and (q^a/(1-q^a))^j Delta_j [q^(nFj) - 1] from ctx.embed(1)
+    for precision in (8, 16, 24):
+        ctx = QContext(p=p, q=q, precision=precision)
+        with series_cache():
+            deltas = lfun._deltas(q**F, ctx)
+            for a in (1, 2, F - 1):
+                t = angle_bracket(a, ctx) - ctx.one()
+                powers = lfun._unit_powers(a, ctx)
+                power = ctx.one()
+                for k in range(41):
+                    assert powers[k] == power, (precision, a, k)
+                    power = power * t
+                step = ctx.embed(q**a / (1 - q**a))
+                for n in (0, 1, 2):
+                    bases = lfun._term_bases(n, a, F, ctx)
+                    power = ctx.embed(1)
+                    for j in range(41):
+                        base = power * deltas[j]
+                        if n:
+                            base = base * ctx.embed(q ** (n * F * j) - 1)
+                        assert bases[j] == base, (precision, a, n, j)
+                        power = power * step
 
 
 @pytest.mark.parametrize("p,q,F", list(residue_grid()))

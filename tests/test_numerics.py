@@ -16,6 +16,7 @@ from qlfun.numerics import (
     angle_bracket,
     binom_int,
     binom_stream,
+    mul_parts,
     padic_pow,
     q_int,
     reduce_mod_pN,
@@ -181,6 +182,43 @@ def test_padic_multiplication_is_associative_and_commutative(xyz):
     assert x * y == y * x
     assert (x * y) * z == x * (y * z)
     assert (x * y) * z == (x * z) * y
+
+
+def product_by_cases(x, y):
+    """The product rule written out case by case: a zero factor gives a zero
+    bounded by the sum of the valuations, otherwise valuations add and the
+    unit product is kept to the least precision."""
+    if x.is_zero or y.is_zero:
+        return PadicNumber.zero(x.p, bound=x.valuation + y.valuation)
+    prec = min(x.precision, y.precision)
+    return PadicNumber(p=x.p, valuation=x.valuation + y.valuation,
+                       unit=x.unit * y.unit % x.p**prec, precision=prec)
+
+
+@given(xy=st.sampled_from([3, 5, 7]).flatmap(
+    lambda p: st.tuples(padic_numbers(p), padic_numbers(p))))
+@settings(max_examples=300, deadline=None)
+def test_integer_product_is_the_padic_product(xy):
+    # the series terms multiply plain (valuation, unit, precision) parts:
+    # the same dataclass as PadicNumber.__mul__, zeros and mixed precisions
+    # included, and a zero's parts are (bound, 0, 0)
+    x, y = xy
+    parts = mul_parts(x.p, x.parts, y.parts)
+    assert PadicNumber.from_parts(x.p, parts) == x * y == product_by_cases(x, y)
+    assert parts == (x * y).parts
+    if x.is_zero or y.is_zero:
+        assert parts == (x.valuation + y.valuation, 0, 0)
+
+
+@given(p=st.sampled_from([3, 5, 7]), a=rationals, b=rationals,
+       na=st.integers(1, 25), nb=st.integers(1, 25))
+@settings(max_examples=200, deadline=None)
+def test_integer_product_reduces_the_exact_product(p, a, b, na, nb):
+    # reduction is multiplicative: the product of two reductions is the
+    # reduction of the exact product at the lesser precision
+    x, y = reduce_mod_pN(a, p, na), reduce_mod_pN(b, p, nb)
+    assert (PadicNumber.from_parts(p, mul_parts(p, x.parts, y.parts))
+            == reduce_mod_pN(a * b, p, min(na, nb)))
 
 
 def test_padic_arithmetic_against_exact():
@@ -451,6 +489,18 @@ def test_sum_guarded_equals_the_left_fold(exit_kind, data):
         stop = len(terms) - 1
         assert (result.last_index, result.tail_valuation_bound) == (stop, inf)
     assert result.value == left_fold(terms[:stop + 1], p)
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_sum_guarded_takes_the_parts_of_its_terms(data):
+    # a term given as its (valuation, unit, precision) parts counts as the
+    # PadicNumber it is the parts of, at every exit (guard met or exhausted)
+    p = data.draw(st.sampled_from([3, 5, 7]))
+    ctx = QContext(p=p, q=Fraction(1 + p), precision=8)
+    terms = flat(data.draw(st.lists(fold_chunks(p, -2, 25), max_size=15)))
+    assert (sum_guarded((t.parts for t in terms), ctx)
+            == sum_guarded(iter(terms), ctx))
 
 
 def test_sum_guarded_cap_keeps_the_partial_fold():
