@@ -11,7 +11,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
@@ -23,6 +22,7 @@ from .numerics import (
     WORKING_MARGIN,
     PadicExponent,
     PadicNumber,
+    Parts,
     QContext,
     SeriesResult,
     _strip_p,
@@ -172,20 +172,20 @@ class _OnDemand:
 
 @_scoped
 def _binomials(s: PadicExponent, ctx: QContext) -> _OnDemand:
-    """binom(-s, j) for j = 0, 1, 2, ...: one column per s, shared by <a>^(-s)
-    and the H and K series of every unit a and every n in one scope."""
-    column = _OnDemand(binom_stream(-s, ctx))
+    """The parts of binom(-s, j) for j = 0, 1, 2, ...: one column per s, shared
+    by <a>^(-s) and the H and K series of every unit a and every n in one scope."""
+    column = _OnDemand(c.parts for c in binom_stream(-s, ctx))
     column[0]  # binom_stream refuses an s that is not a p-adic integer here
     return column
 
 
 @_scoped
 def _unit_powers(a: int, ctx: QContext) -> _OnDemand:
-    """(<a> - 1)^k for k = 0, 1, 2, ...: the s-free column of <a>^(-s), one
-    per (a, ctx), shared by every s in one scope."""
-    t = angle_bracket(a, ctx) - ctx.one()
-    return _OnDemand(itertools.accumulate(itertools.repeat(t), operator.mul,
-                                          initial=ctx.one()))
+    """The parts of (<a> - 1)^k for k = 0, 1, 2, ...: the s-free column of
+    <a>^(-s), one per (a, ctx), shared by every s in one scope."""
+    t = (angle_bracket(a, ctx) - ctx.one()).parts
+    return _OnDemand(itertools.accumulate(
+        itertools.repeat(t), functools.partial(mul_parts, ctx.p), initial=ctx.one().parts))
 
 
 @_scoped
@@ -194,7 +194,7 @@ def _unit_pow(a: int, s: PadicExponent, ctx: QContext) -> SeriesResult:
     of the same (a, s): the guarded series of ``padic_pow(<a>, -s)``, each term
     the :func:`mul_parts` product of :func:`_binomials` and :func:`_unit_powers`."""
     p, coeffs, powers = ctx.p, _binomials(s, ctx), _unit_powers(a, ctx)
-    terms = (mul_parts(p, coeffs[k].parts, powers[k].parts) for k in itertools.count())
+    terms = (mul_parts(p, coeffs[k], powers[k]) for k in itertools.count())
     return sum_guarded(terms, ctx, description="binomial power series")
 
 
@@ -206,7 +206,7 @@ RESIDUE_MARGIN = 4
 def _deltas(Q: Fraction, ctx: QContext) -> _OnDemand:
     """Delta_j = sum_k C(j,k) (-1)^k / (1 + Q^k) for j = 0, 1, 2, ..., in
     integers mod p^M: one stream per (Q, ctx), shared by every series in one
-    scope, each value equal as a dataclass to
+    scope, each value equal to the parts of
     ``ctx.embed(euler_number(j, Q) (1-Q)^j / 2)`` (the closed form of
     :func:`qlfun.qeuler.euler_number` is E_{j,Q} = 2 Delta_j / (1-Q)^j).
 
@@ -226,14 +226,14 @@ def _deltas(Q: Fraction, ctx: QContext) -> _OnDemand:
     p, N = ctx.p, ctx.working_precision + WORKING_MARGIN
     e = v_p(Q - 1, p)
 
-    def value(j: int, delta: int, M: int) -> PadicNumber:
+    def value(j: int, delta: int, M: int) -> Parts:
         if delta:
             unit, v = _strip_p(delta, p)
             if M - v >= N:
-                return PadicNumber(p=p, valuation=v, unit=unit % p**N, precision=N)
-        return ctx.embed(euler_number(j, Q) * (1 - Q) ** j / 2)
+                return v, unit % p**N, N
+        return ctx.embed(euler_number(j, Q) * (1 - Q) ** j / 2).parts
 
-    def rounds() -> Iterator[PadicNumber]:
+    def rounds() -> Iterator[Parts]:
         done, J = 0, ctx.working_precision + ctx.guard
         while True:
             M = N + J * e + RESIDUE_MARGIN
@@ -281,19 +281,19 @@ def _term_bases(n: int, a: int, F: int, ctx: QContext) -> _OnDemand:
 
     Each factor is reduced on its own (reduction is multiplicative); K's
     q^(nFj) - 1 is formed exactly first, so that it keeps its relative digits.
-    The product runs on integer parts (:func:`mul_parts`): one PadicNumber per entry."""
+    The product runs on integer parts (:func:`mul_parts`), and the entries are parts."""
     p, q = ctx.p, ctx.q
     step = ctx.embed(q**a / (1 - q**a)).parts
     deltas = _deltas(q**F, ctx)
     qnF = q ** (n * F)
 
-    def bases() -> Iterator[PadicNumber]:
+    def bases() -> Iterator[Parts]:
         power = ctx.embed(1).parts  # not ctx.one(): that would cap the digits at working precision
         for j in itertools.count():
-            base = mul_parts(p, power, deltas[j].parts)
+            base = mul_parts(p, power, deltas[j])
             if n:
                 base = mul_parts(p, base, ctx.embed(qnF**j - 1).parts)
-            yield PadicNumber.from_parts(p, base)
+            yield base
             power = mul_parts(p, power, step)
 
     return _OnDemand(bases())
@@ -315,7 +315,7 @@ def _twisted_series(n: int, s: PadicExponent, prm: PartialZetaParams,
     unit_pow = _unit_pow(a, s, ctx)
     coeffs = _binomials(s, ctx)
     bases = _term_bases(n, a, prm.F, ctx)
-    terms = (mul_parts(p, coeffs[j].parts, bases[j].parts) for j in itertools.count())
+    terms = (mul_parts(p, coeffs[j], bases[j]) for j in itertools.count())
     body = sum_guarded(terms, ctx, description="K series" if n else "H_pq series")
     value = ctx.embed((-1) ** a) * unit_pow.value * body.value
     return merge_series(value, [unit_pow, body])
@@ -332,14 +332,17 @@ def H_pq(s: PadicExponent, prm: PartialZetaParams, ctx: QContext) -> SeriesResul
     return _twisted_series(0, s, prm, ctx)
 
 
-def _unit_sum(partial: Callable[[PartialZetaParams], SeriesResult],
+def _unit_sum(name: str, partial: Callable[[PartialZetaParams], SeriesResult],
               chi: DirichletCharacter, F: int, ctx: QContext) -> SeriesResult:
     """2 sum over units a <= F of chi(a) partial(a : F), the character-weighted
-    sum behind l_pq, T_full and K_full.  Without an active series cache it
-    opens one, so that its units share one Delta_j stream."""
+    sum behind l_pq, T_full and K_full, which needs conductor(chi) | F: the units
+    a <= F then run over whole periods of chi.  Without an active series cache
+    it opens one, so that its units share one Delta_j stream."""
+    if F % chi.conductor != 0:
+        raise ValueError(f"{name} requires conductor(chi) | F")
     if _ACTIVE_CACHE.get() is None:
         with series_cache():
-            return _unit_sum(partial, chi, F, ctx)
+            return _unit_sum(name, partial, chi, F, ctx)
     acc = ctx.zero()
     parts: List[SeriesResult] = []
     for a in range(1, F + 1):
@@ -361,14 +364,11 @@ def l_pq(
     F: Optional[int] = None,
 ) -> SeriesResult:
     """p-adic l-function: 2 sum over units a <= F of chi(a) H_pq(s, a : F)."""
-    cond = chi.conductor
     if F is None:
-        F = math.lcm(ctx.p, cond)
+        F = math.lcm(ctx.p, chi.conductor)
     if F < 1 or F % 2 == 0 or F % ctx.p != 0:
         raise ValueError("l_pq requires an odd positive multiple of p for F")
-    if F % cond != 0:
-        raise ValueError("l_pq requires conductor(chi) | F")
-    return _unit_sum(lambda prm: H_pq(s, prm, ctx), chi, F, ctx)
+    return _unit_sum("l_pq", lambda prm: H_pq(s, prm, ctx), chi, F, ctx)
 
 
 @_scoped
@@ -410,9 +410,9 @@ def T_partial(n: int, s: PadicExponent, prm: PartialZetaParams, ctx: QContext) -
 
 def T_full(n: int, s: PadicExponent, chi: DirichletCharacter, ctx: QContext) -> SeriesResult:
     """Character-weighted aggregate of the boundary-term series at F = p."""
-    return _unit_sum(lambda prm: T_partial(n, s, prm, ctx), chi, ctx.p, ctx)
+    return _unit_sum("T_full", lambda prm: T_partial(n, s, prm, ctx), chi, ctx.p, ctx)
 
 
 def K_full(n: int, s: PadicExponent, chi: DirichletCharacter, ctx: QContext) -> SeriesResult:
     """Character-weighted aggregate of the correction series at F = p."""
-    return _unit_sum(lambda prm: K_partial(n, s, prm, ctx), chi, ctx.p, ctx)
+    return _unit_sum("K_full", lambda prm: K_partial(n, s, prm, ctx), chi, ctx.p, ctx)

@@ -120,20 +120,21 @@ class PadicNumber:
     A nonzero value represents ``unit * p**valuation`` where the unit is an
     integer in [1, p**precision) coprime to p; the value is known modulo
     ``p**(valuation + precision)``.  A zero value represents "congruent to 0
-    mod p**valuation": exact zero carries valuation ``math.inf``.
+    mod p**valuation": exact zero carries valuation ``math.inf``.  The last
+    three fields are the value's :data:`Parts`: a zero's are (bound, 0, 0),
+    and ``unit == 0`` exactly when ``precision == 0``.
     """
 
     p: int
     valuation: Valuation
     unit: int
     precision: int
-    is_zero: bool = False
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def zero(cls, p: int, bound: Valuation = INF) -> "PadicNumber":
-        return cls(p=p, valuation=bound, unit=0, precision=0, is_zero=True)
+        return cls(p, bound, 0, 0)
 
     @classmethod
     def make(cls, p: int, valuation: int, residue: int, precision: int) -> "PadicNumber":
@@ -150,14 +151,15 @@ class PadicNumber:
 
     @classmethod
     def one(cls, p: int, precision: int) -> "PadicNumber":
+        if precision < 1:  # precision 0 is a zero's
+            raise ValueError("PadicNumber.one requires precision >= 1")
         return cls(p=p, valuation=0, unit=1, precision=precision)
 
-    @classmethod
-    def from_parts(cls, p: int, parts: Parts) -> "PadicNumber":
-        valuation, unit, precision = parts
-        return cls(p, valuation, unit, precision) if precision else cls.zero(p, valuation)
-
     # -- basic queries -------------------------------------------------------
+
+    @property
+    def is_zero(self) -> bool:
+        return self.precision == 0
 
     @property
     def parts(self) -> Parts:
@@ -227,8 +229,6 @@ class PadicNumber:
             raise PadicError(f"prime mismatch: {self.p} vs {other.p}")
 
     def __neg__(self) -> "PadicNumber":
-        if self.is_zero:
-            return self
         return PadicNumber(p=self.p, valuation=self.valuation,
                            unit=(-self.unit) % self.p**self.precision,
                            precision=self.precision)
@@ -255,15 +255,13 @@ class PadicNumber:
 
     def __mul__(self, other: "PadicNumber") -> "PadicNumber":
         self._check_same_prime(other)
-        return PadicNumber.from_parts(self.p, mul_parts(self.p, self.parts, other.parts))
+        return PadicNumber(self.p, *mul_parts(self.p, self.parts, other.parts))
 
     def __truediv__(self, other: "PadicNumber") -> "PadicNumber":
         self._check_same_prime(other)
         if other.is_zero:
             raise ZeroDivisionError("division by a p-adic zero")
-        if self.is_zero:
-            return PadicNumber.zero(self.p, bound=self.valuation - other.valuation)
-        prec = min(self.precision, other.precision)
+        prec = min(self.precision, other.precision)  # 0 keeps a zero numerator a zero
         inv = pow(other.unit, -1, self.p**prec)
         return PadicNumber(p=self.p, valuation=self.valuation - other.valuation,
                            unit=(self.unit * inv) % self.p**prec,
@@ -347,22 +345,19 @@ class QContext:
     """Fixed parameters: odd prime p, rational q with v_p(q-1) >= 1, precisions.
 
     ``precision`` is the target digit count for reported results;
-    ``working_precision`` is used internally; ``guard`` consecutive
-    high-valuation terms stop a truncated series; ``cap`` is the hard
-    maximum series index.
+    ``working_precision``, precision + WORKING_MARGIN, is used internally;
+    ``guard`` consecutive high-valuation terms stop a truncated series;
+    ``cap`` is the hard maximum series index.
     """
 
     p: int
     q: Fraction
     precision: int = 8
-    working_precision: Optional[int] = None
     guard: int = 3
     cap: Optional[int] = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "q", Fraction(self.q))
-        if self.working_precision is None:
-            object.__setattr__(self, "working_precision", self.precision + WORKING_MARGIN)
         if self.cap is None:
             object.__setattr__(self, "cap", CAP_FACTOR * self.precision)
         require_odd_prime(self.p)
@@ -377,6 +372,10 @@ class QContext:
         if v_p(self.q - 1, self.p) < 1:
             raise ValueError(
                 f"q must satisfy v_{self.p}(q - 1) >= 1, got q = {self.q}")
+
+    @property
+    def working_precision(self) -> int:
+        return self.precision + WORKING_MARGIN
 
     @property
     def q_is_one(self) -> bool:
@@ -398,7 +397,6 @@ class QContext:
 
     def with_doubled_truncation(self) -> "QContext":
         return QContext(p=self.p, q=self.q, precision=self.precision,
-                        working_precision=self.working_precision,
                         guard=2 * self.guard, cap=2 * self.cap)
 
 

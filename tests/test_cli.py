@@ -308,6 +308,16 @@ def test_lfun_tk_rejects_ignored_options(runner, options, message):
     assert message in envelope["result"]["message"]
 
 
+def test_lfun_tk_refuses_a_character_whose_conductor_does_not_divide_p(runner):
+    # conductor 5 at p = 3: the full aggregates over a < p have no period to sum
+    result = invoke(runner, ["lfun", "tk", "-n", "1", "-s", "1", "--chi", "quad:5",
+                             "--p", "3", "--json"])
+    assert result.exit_code == 2
+    envelope = json_result(result)
+    assert envelope["status"] == "error"
+    assert envelope["result"]["message"] == "T_full requires conductor(chi) | F"
+
+
 @pytest.mark.parametrize("n,series", [(1, [0, 1]), (2, [2])])
 def test_lfun_tk_sums_each_series_once(runner, monkeypatch, n, series):
     # T and K share one series cache: K is summed once for both, and odd n

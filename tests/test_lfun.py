@@ -24,6 +24,7 @@ from qlfun.lfun import (
 from qlfun.numerics import (
     WORKING_MARGIN,
     PadicError,
+    PadicNumber,
     QContext,
     angle_bracket,
     padic_pow,
@@ -230,7 +231,7 @@ def test_l_pq_validates_modulus():
     w1 = DirichletCharacter.teichmuller_power(1, 3)
     with pytest.raises(ValueError):
         l_pq(0, w1, CTX34, F=6)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^l_pq requires conductor\(chi\) \| F$"):
         l_pq(0, DirichletCharacter.quadratic(5), CTX34, F=3)  # conductor does not divide
 
 
@@ -335,6 +336,18 @@ def test_full_aggregates_at_zero():
     t_odd = T_full(3, 0, triv, CTX34)
     # 2 * sum_a (-2)(-1)^a = 0 at p = 3
     assert t_odd.value.is_zero or t_odd.value.valuation >= CTX34.precision
+
+
+@pytest.mark.parametrize("full", [T_full, K_full])
+def test_full_aggregates_require_the_conductor_to_divide_p(full):
+    # the aggregates sum over the units a < p, so a character of conductor 5
+    # has no period there at p = 3: refused by the rule l_pq applies to F
+    with pytest.raises(ValueError, match=rf"^{full.__name__} requires conductor\(chi\) \| F$"):
+        full(1, 1, DirichletCharacter.quadratic(5), CTX34)
+    for chi in (DirichletCharacter.quadratic(3), DirichletCharacter.trivial(),
+                DirichletCharacter.teichmuller_power(1, 3),
+                DirichletCharacter.teichmuller_power(2, 3)):
+        assert full(1, 1, chi, CTX34).converged
 
 
 # ---------------------------------------------------------------------------
@@ -534,7 +547,7 @@ def test_euler_residues_match_the_exact_route(p, q, F):
         ctx = QContext(p=p, q=q, precision=precision)
         deltas = lfun._deltas(Q, ctx)
         for j in range(41):
-            assert deltas[j] == exact_delta(j, Q, ctx), (precision, j)
+            assert deltas[j] == exact_delta(j, Q, ctx).parts, (precision, j)
 
 
 @pytest.mark.parametrize("p,q,F", list(residue_grid()))
@@ -545,7 +558,8 @@ def test_residue_differences_meet_the_valuation_bound(p, q, F):
     for precision in (8, 16, 24):
         deltas = lfun._deltas(Q, QContext(p=p, q=q, precision=precision))
         for j in range(41):
-            assert deltas[j].valuation >= j * e, (precision, j)  # inf for an exact zero
+            delta = PadicNumber(p, *deltas[j])
+            assert delta.valuation >= j * e, (precision, j)  # inf for an exact zero
 
 
 @pytest.mark.parametrize("margin_below_n,exact_indices", [
@@ -571,7 +585,7 @@ def test_refused_residues_take_the_exact_route(monkeypatch, margin_below_n, exac
 
     monkeypatch.setattr(lfun, "euler_number", recording_euler_number)
     deltas = lfun._deltas(Q, ctx)
-    assert [deltas[j] for j in range(J + 1)] == [exact_delta(j, Q, ctx)
+    assert [deltas[j] for j in range(J + 1)] == [exact_delta(j, Q, ctx).parts
                                                  for j in range(J + 1)]
     assert set(exact_calls) == exact_indices
 
@@ -609,12 +623,12 @@ def test_term_bases_meet_the_proven_bound(p, q, F):
                 for n in (0, 1, 2):
                     bases = lfun._term_bases(n, a, F, ctx)
                     for j in range(41):
-                        assert bases[j].valuation >= j * vF, (precision, a, n, j)
+                        assert PadicNumber(p, *bases[j]).valuation >= j * vF, (precision, a, n, j)
 
 
 @pytest.mark.parametrize("p,q,F", list(residue_grid()))
 def test_integer_columns_equal_the_padic_chains(p, q, F):
-    # the s-free columns built on integer parts equal, as dataclasses, the
+    # the s-free columns built on integer parts equal the parts of the
     # PadicNumber product chains they replace: (<a> - 1)^k from ctx.one(),
     # and (q^a/(1-q^a))^j Delta_j [q^(nFj) - 1] from ctx.embed(1)
     for precision in (8, 16, 24):
@@ -626,17 +640,17 @@ def test_integer_columns_equal_the_padic_chains(p, q, F):
                 powers = lfun._unit_powers(a, ctx)
                 power = ctx.one()
                 for k in range(41):
-                    assert powers[k] == power, (precision, a, k)
+                    assert powers[k] == power.parts, (precision, a, k)
                     power = power * t
                 step = ctx.embed(q**a / (1 - q**a))
                 for n in (0, 1, 2):
                     bases = lfun._term_bases(n, a, F, ctx)
                     power = ctx.embed(1)
                     for j in range(41):
-                        base = power * deltas[j]
+                        base = power * PadicNumber(p, *deltas[j])
                         if n:
                             base = base * ctx.embed(q ** (n * F * j) - 1)
-                        assert bases[j] == base, (precision, a, n, j)
+                        assert bases[j] == base.parts, (precision, a, n, j)
                         power = power * step
 
 
@@ -653,7 +667,8 @@ def test_unit_power_terms_meet_the_proven_bound(p, q, F):
                     coeffs = lfun._binomials(s, ctx)
                     power = ctx.one()
                     for k in range(41):
-                        assert (coeffs[k] * power).valuation >= k, (precision, a, s, k)
+                        term = PadicNumber(p, *coeffs[k]) * power
+                        assert term.valuation >= k, (precision, a, s, k)
                         power = power * t
 
 

@@ -204,7 +204,7 @@ def test_integer_product_is_the_padic_product(xy):
     # included, and a zero's parts are (bound, 0, 0)
     x, y = xy
     parts = mul_parts(x.p, x.parts, y.parts)
-    assert PadicNumber.from_parts(x.p, parts) == x * y == product_by_cases(x, y)
+    assert PadicNumber(x.p, *parts) == x * y == product_by_cases(x, y)
     assert parts == (x * y).parts
     if x.is_zero or y.is_zero:
         assert parts == (x.valuation + y.valuation, 0, 0)
@@ -217,8 +217,52 @@ def test_integer_product_reduces_the_exact_product(p, a, b, na, nb):
     # reduction is multiplicative: the product of two reductions is the
     # reduction of the exact product at the lesser precision
     x, y = reduce_mod_pN(a, p, na), reduce_mod_pN(b, p, nb)
-    assert (PadicNumber.from_parts(p, mul_parts(p, x.parts, y.parts))
+    assert (PadicNumber(p, *mul_parts(p, x.parts, y.parts))
             == reduce_mod_pN(a * b, p, min(na, nb)))
+
+
+def assert_zero_exactly_at_precision_zero(x):
+    # the convention is_zero and the parts rest on: unit 0 exactly when
+    # precision 0, and otherwise a unit mod p**precision
+    assert (x.unit == 0) == (x.precision == 0), x
+    assert 0 <= x.unit < x.p**x.precision and (x.is_zero or x.unit % x.p), x
+
+
+@given(xy=st.sampled_from([3, 5, 7]).flatmap(
+    lambda p: st.tuples(padic_numbers(p), padic_numbers(p))),
+       exponent=st.integers(-4, 6), bound=st.one_of(st.just(inf), st.integers(-10, 60)))
+@settings(max_examples=300, deadline=None)
+def test_arithmetic_keeps_zero_exactly_at_precision_zero(xy, exponent, bound):
+    x, y = xy
+    values = [x, y, x + y, x - y, x * y, -x, x.at_absolute_precision(bound)]
+    if not y.is_zero:
+        values.append(x / y)
+    if not (x.is_zero and exponent <= 0):
+        values.append(x**exponent)
+    for value in values:
+        assert_zero_exactly_at_precision_zero(value)
+
+
+@given(p=st.sampled_from([3, 5, 7]), valuation=st.integers(-5, 30),
+       residue=st.integers(-10**6, 10**6), shift=st.integers(0, 4),
+       precision=st.integers(-3, 30), N=st.integers(1, 30),
+       r=st.fractions(min_value=-100, max_value=100), a=st.integers(1, 100))
+@settings(max_examples=300, deadline=None)
+def test_constructors_keep_zero_exactly_at_precision_zero(p, valuation, residue, shift,
+                                                          precision, N, r, a):
+    values = [PadicNumber.make(p, valuation, residue * p**shift, precision),
+              reduce_mod_pN(r, p, N), QContext(p=p, q=Fraction(1 + p), precision=N).one()]
+    if a % p:
+        values.append(teichmuller(a, p, N))
+    for value in values:
+        assert_zero_exactly_at_precision_zero(value)
+
+
+@pytest.mark.parametrize("precision", [0, -1])
+def test_one_refuses_a_precision_below_one(precision):
+    # a unit 1 at precision 0 would break the convention: precision 0 is a zero's
+    with pytest.raises(ValueError, match="precision >= 1"):
+        PadicNumber.one(3, precision)
 
 
 def test_padic_arithmetic_against_exact():
@@ -311,7 +355,7 @@ def test_teichmuller_precision_tower(N):
 # ---------------------------------------------------------------------------
 
 def test_angle_bracket_examples():
-    ctx = QContext(p=5, q=Fraction(1), precision=2, working_precision=6)
+    ctx = QContext(p=5, q=Fraction(1), precision=2)
     a2 = angle_bracket(2, ctx)
     assert a2.unit % 25 == 11  # 2 / w(2) = 2 * inv(7) = 2 * 18 mod 25
 
@@ -543,8 +587,9 @@ def test_context_rejects_bad_parameters():
         QContext(p=5, q=Fraction(3))  # v_5(2) = 0
     with pytest.raises(ValueError):
         QContext(p=5, q=Fraction(6), precision=0)
-    with pytest.raises(ValueError):
-        QContext(p=5, q=Fraction(6), precision=8, working_precision=9)
+    with pytest.raises(ValueError, match="precision \\+ guard"):
+        QContext(p=5, q=Fraction(6), precision=8, guard=11)  # working precision 18 < 8 + 11
+    assert QContext(p=5, q=Fraction(6), precision=8, guard=10).working_precision == 18
 
 
 def test_context_accepts_q_one_but_guards_divisions():
