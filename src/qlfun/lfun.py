@@ -51,25 +51,17 @@ class PartialZetaParams:
             raise ValueError("PartialZetaParams requires 0 < a < F")
 
 
-def _h_neg_term(n: int, a: int, F: int, q: Fraction) -> Fraction:
-    """(-1)^a ([F]^n / 2) E_{n,q^F}(a/F); a == F is allowed (argument 1)."""
-    return (
-        Fraction((-1) ** a)
-        * q_int(F, q) ** n
-        / 2
-        * euler_poly_frac(n, FractionalArg(a, F), q)
-    )
-
-
 def partial_zeta_neg(n: int, prm: PartialZetaParams, q) -> Fraction:
     """Value of the alternating partial zeta function over the residue class
-    a mod F at the negative integer -n, as an exact rational."""
+    a mod F at the negative integer -n, as an exact rational:
+    (-1)^a ([F]^n / 2) E_{n,q^F}(a/F)."""
     if n < 0:
         raise ValueError("partial_zeta_neg requires n >= 0")
     q = Fraction(q)
     if q == 1:
         raise ValueError("partial_zeta_neg: q = 1, use classical limit path")
-    return _h_neg_term(n, prm.a, prm.F, q)
+    return (-1) ** prm.a * q_int(prm.F, q) ** n / 2 * euler_poly_frac(
+        n, FractionalArg(prm.a, prm.F), q)
 
 
 def lq_neg_series_path(
@@ -80,8 +72,9 @@ def lq_neg_series_path(
 ) -> Union[Fraction, PadicNumber]:
     """Independent route to the Dirichlet-type q-l-value at -k (the k-th
     twisted q-Euler number, :func:`gen_euler_number`): 2 sum_{a=1}^{F}
-    chi(a) H(-k, a:F) over the conductor F, with the a = F term evaluated
-    at argument 1."""
+    chi(a) H(-k, a:F) = [F]^k sum_{a=1}^{F} chi(a) (-1)^a E_{k,q^F}(a/F) over
+    the conductor F, the a = F term at argument 1: one closed form per a, summed
+    with a outside, where gen_euler_number's one closed form has k outside."""
     if k < 0:
         raise ValueError("lq_neg_series_path requires k >= 0")
     if q is None:
@@ -90,7 +83,8 @@ def lq_neg_series_path(
         q = ctx.q
     q = Fraction(q)
     F = chi.conductor
-    return chi_weighted_sum(chi, range(1, F + 1), lambda a: _h_neg_term(k, a, F, q), 2, ctx)
+    return chi_weighted_sum(chi, range(1, F + 1), lambda a: (-1) ** a * euler_poly_frac(
+        k, FractionalArg(a, F), q), q_int(F, q) ** k, ctx)
 
 
 @dataclass
@@ -332,17 +326,15 @@ def H_pq(s: PadicExponent, prm: PartialZetaParams, ctx: QContext) -> SeriesResul
     return _twisted_series(0, s, prm, ctx)
 
 
-def _unit_sum(name: str, partial: Callable[[PartialZetaParams], SeriesResult],
+def _unit_sum(partial: Callable[[PartialZetaParams], SeriesResult],
               chi: DirichletCharacter, F: int, ctx: QContext) -> SeriesResult:
     """2 sum over units a <= F of chi(a) partial(a : F), the character-weighted
-    sum behind l_pq, T_full and K_full, which needs conductor(chi) | F: the units
+    sum behind l_pq, T_full and K_full, which check conductor(chi) | F: the units
     a <= F then run over whole periods of chi.  Without an active series cache
     it opens one, so that its units share one Delta_j stream."""
-    if F % chi.conductor != 0:
-        raise ValueError(f"{name} requires conductor(chi) | F")
     if _ACTIVE_CACHE.get() is None:
         with series_cache():
-            return _unit_sum(name, partial, chi, F, ctx)
+            return _unit_sum(partial, chi, F, ctx)
     acc = ctx.zero()
     parts: List[SeriesResult] = []
     for a in range(1, F + 1):
@@ -368,7 +360,9 @@ def l_pq(
         F = math.lcm(ctx.p, chi.conductor)
     if F < 1 or F % 2 == 0 or F % ctx.p != 0:
         raise ValueError("l_pq requires an odd positive multiple of p for F")
-    return _unit_sum("l_pq", lambda prm: H_pq(s, prm, ctx), chi, F, ctx)
+    if F % chi.conductor != 0:
+        raise ValueError("l_pq requires conductor(chi) | F")
+    return _unit_sum(lambda prm: H_pq(s, prm, ctx), chi, F, ctx)
 
 
 @_scoped
@@ -408,11 +402,20 @@ def T_partial(n: int, s: PadicExponent, prm: PartialZetaParams, ctx: QContext) -
     return merge_series(-(twice_k + ctx.embed(4) * h_part.value), [h_part, k_part])
 
 
+def _full_sum(name: str, partial: Callable[[PartialZetaParams], SeriesResult],
+              chi: DirichletCharacter, ctx: QContext) -> SeriesResult:
+    """The unit sum at F = p of T_full and K_full, which take no F."""
+    if ctx.p % chi.conductor != 0:
+        raise ValueError(f"{name} requires conductor(chi) = {chi.conductor} "
+                         f"to divide F = p = {ctx.p}")
+    return _unit_sum(partial, chi, ctx.p, ctx)
+
+
 def T_full(n: int, s: PadicExponent, chi: DirichletCharacter, ctx: QContext) -> SeriesResult:
     """Character-weighted aggregate of the boundary-term series at F = p."""
-    return _unit_sum("T_full", lambda prm: T_partial(n, s, prm, ctx), chi, ctx.p, ctx)
+    return _full_sum("T_full", lambda prm: T_partial(n, s, prm, ctx), chi, ctx)
 
 
 def K_full(n: int, s: PadicExponent, chi: DirichletCharacter, ctx: QContext) -> SeriesResult:
     """Character-weighted aggregate of the correction series at F = p."""
-    return _unit_sum("K_full", lambda prm: K_partial(n, s, prm, ctx), chi, ctx.p, ctx)
+    return _full_sum("K_full", lambda prm: K_partial(n, s, prm, ctx), chi, ctx)

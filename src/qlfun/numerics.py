@@ -95,6 +95,17 @@ def q_int(x: int, q: IntOrRational) -> Fraction:
     return (1 - q**x) / (1 - q)
 
 
+def exact_sum(terms: Iterable[IntOrRational]) -> Fraction:
+    """The sum of exact rationals as one integer numerator over the running lcm
+    of their denominators, normalized once (not one gcd per ``Fraction`` add)."""
+    num, den = 0, 1
+    for term in terms:
+        d = term.denominator
+        g = math.gcd(den, d)
+        num, den = num * (d // g) + term.numerator * (den // g), den // g * d
+    return Fraction(num, den)
+
+
 def binom_int(t: int, k: int) -> int:
     """binom(t, k) for an integer t (by upper negation when t < 0) and k >= 0."""
     return math.comb(t, k) if t >= 0 else (-1) ** k * math.comb(k - t - 1, k)
@@ -396,6 +407,11 @@ class QContext:
         return PadicNumber.one(self.p, self.working_precision)
 
     def with_doubled_truncation(self) -> "QContext":
+        """Guard and cap doubled, for the doubling check: the working precision,
+        precision + WORKING_MARGIN, holds a doubled guard up to WORKING_MARGIN // 2."""
+        if 2 * self.guard > WORKING_MARGIN:
+            raise ValueError(f"with_doubled_truncation requires guard <= {WORKING_MARGIN // 2}"
+                             f" (WORKING_MARGIN // 2), got guard = {self.guard}")
         return QContext(p=self.p, q=self.q, precision=self.precision,
                         guard=2 * self.guard, cap=2 * self.cap)
 

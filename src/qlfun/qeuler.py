@@ -2,8 +2,10 @@
 
 All values here are closed finite sums evaluated in exact rational
 arithmetic; they only meet p-adic arithmetic at the reduction boundary.
-The module also provides the alternating power-sum identities, the
-character-twisted (generalized) numbers, and the finite-level analogue of
+One weighted closed form, ``_closed_form``, gives every q-Euler number and
+polynomial value, the character-twisted (generalized) numbers and the
+multiplication-by-m relation.  The module also provides the alternating
+power-sum identities and the finite-level analogue of
 the q-measure integral that these numbers arise from.
 """
 
@@ -13,10 +15,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Iterable, Optional, Sequence, Tuple, Union
 
 from .characters import DirichletCharacter, chi_eval, chi_eval_exact
-from .numerics import IntOrRational, PadicNumber, QContext, q_int
+from .numerics import IntOrRational, PadicNumber, QContext, exact_sum, q_int
 
 
 class QEulerDomainError(ValueError):
@@ -47,27 +49,42 @@ def _check_base(q: Fraction, operation: str) -> None:
         raise QEulerDomainError(f"{operation}: q = 1, use classical limit path")
 
 
-def _closed_form(n: int, Q: Fraction, X: IntOrRational, operation: str) -> Fraction:
-    """2 (1/(1-Q))^n sum_k C(n,k) (-X)^k / (1+Q^k): every q-Euler number and polynomial
-    value here, with base Q and argument power X; errors name the public ``operation``.
-    For Q = qa/qb, X = xa/xb: one integer numerator over xb^n prod_k (qb^k + qa^k),
-    built from running powers and normalized once."""
+def _closed_form(n: int, Q: Fraction, xb: int, weights: Sequence[Tuple[int, int]],
+                 operation: str) -> Fraction:
+    """sum_i c_i E_{n,Q}(xa_i/xb) over the ``weights`` (c_i, xa_i), where E_{n,Q}(X) =
+    2 (1/(1-Q))^n sum_k C(n,k) (-X)^k / (1+Q^k): one weight for a q-Euler number or
+    polynomial value, one per residue for the twisted and distribution sums.  For
+    Q = qa/qb the k-th numerator is C(n,k) (sum_i c_i (-xa_i)^k) qb^k xb^(n-k), over
+    xb^n prod_k (qb^k + qa^k), normalized once; errors name the public ``operation``."""
     _check_base(Q, operation)
-    qa, qb, xa, xb = Q.numerator, Q.denominator, -X.numerator, X.denominator
-    num, den, qa_k, qb_k, xa_k = 0, 1, 1, 1, 1
-    for k in range(n + 1):
+    qa, qb = Q.numerator, Q.denominator
+    power_sums = [0] * (n + 1)  # sum_i c_i (-xa_i)^k
+    for c, xa in weights:
+        for k in range(n + 1):
+            power_sums[k] += c
+            c *= -xa
+    num, den, qa_k, qb_k = 0, 1, 1, 1
+    for k, power_sum in enumerate(power_sums):
         d = qb_k + qa_k
         if d == 0:
             raise QEulerDomainError(f"{operation}: pole at 1 + q^{k} = 0")
-        num = num * d + math.comb(n, k) * xa_k * qb_k * xb ** (n - k) * den
+        num = num * d + math.comb(n, k) * power_sum * qb_k * xb ** (n - k) * den
         den *= d
-        qa_k, qb_k, xa_k = qa_k * qa, qb_k * qb, xa_k * xa
+        qa_k, qb_k = qa_k * qa, qb_k * qb
     return Fraction(2 * qb**n * num, (qb - qa) ** n * xb**n * den)
+
+
+def _shifted_sum(n: int, q: Fraction, F: int, x: int, signs: Sequence[int]) -> Fraction:
+    """sum_{a<F} signs[a] E_{n,q^F}((a+x)/F) as one closed form: the arguments
+    q^(a+x) = qa^(a+x) qb^(F-1-a) / qb^(F-1+x) share one denominator."""
+    qa, qb = q.numerator, q.denominator
+    weights = [(c, qa ** (a + x) * qb ** (F - 1 - a)) for a, c in enumerate(signs) if c]
+    return _closed_form(n, q**F, qb ** (F - 1 + x), weights, "euler_poly_frac")
 
 
 @lru_cache(maxsize=None)
 def _euler_number_cached(m: int, q: Fraction) -> Fraction:
-    return _closed_form(m, q, 1, "euler_number")
+    return _closed_form(m, q, 1, [(1, 1)], "euler_number")
 
 
 def euler_number(m: int, q: IntOrRational) -> Fraction:
@@ -83,7 +100,7 @@ def euler_poly(n: int, x: int, q: IntOrRational) -> Fraction:
     if n < 0 or x < 0:
         raise ValueError("euler_poly requires n, x >= 0")
     q = Fraction(q)
-    return _closed_form(n, q, q**x, "euler_poly")
+    return _closed_form(n, q, q.denominator**x, [(1, q.numerator**x)], "euler_poly")
 
 
 def euler_poly_frac(n: int, arg: FractionalArg, q: IntOrRational) -> Fraction:
@@ -92,7 +109,8 @@ def euler_poly_frac(n: int, arg: FractionalArg, q: IntOrRational) -> Fraction:
     if n < 0:
         raise ValueError("euler_poly_frac requires n >= 0")
     q = Fraction(q)
-    return _closed_form(n, q**arg.F, q**arg.a, "euler_poly_frac")
+    return _closed_form(n, q**arg.F, q.denominator**arg.a, [(1, q.numerator**arg.a)],
+                        "euler_poly_frac")
 
 
 def euler_poly_moments(n: int, x: int, q: IntOrRational) -> Fraction:
@@ -104,10 +122,8 @@ def euler_poly_moments(n: int, x: int, q: IntOrRational) -> Fraction:
     _check_base(q, "euler_poly_moments")
     qx = q**x
     cnt = q_int(x, q)
-    total = Fraction(0)
-    for j in range(n + 1):
-        total += math.comb(n, j) * qx**j * euler_number(j, q) * cnt ** (n - j)
-    return total
+    return exact_sum(math.comb(n, j) * qx**j * euler_number(j, q) * cnt ** (n - j)
+                     for j in range(n + 1))
 
 
 def _alt_level_sum(count: int, m: int, q: Fraction) -> Fraction:
@@ -143,15 +159,15 @@ def alt_power_sum_closed(n: int, m: int, q: IntOrRational) -> Fraction:
 
 
 def distribution_sum(n: int, x: int, m: int, q: IntOrRational) -> Fraction:
-    """Multiplication-by-m assembly [m]^n sum_a (-1)^a E_{n,q^m}((a+x)/m)
-    for odd m; must reproduce euler_poly(n, x, q) exactly."""
+    """Multiplication-by-m assembly [m]^n sum_a (-1)^a E_{n,q^m}((a+x)/m) for odd m,
+    one closed form in base q^m; must reproduce euler_poly(n, x, q) exactly."""
     if m < 1 or m % 2 == 0:
         raise ValueError("distribution_sum requires odd m >= 1")
     q = Fraction(q)
-    total = Fraction(0)
-    for a in range(m):
-        total += (-1) ** a * euler_poly_frac(n, FractionalArg(a + x, m), q)
-    return q_int(m, q) ** n * total
+    FractionalArg(x, m)  # the arguments (a+x)/m need a + x >= 0
+    if n < 0:
+        raise ValueError("euler_poly_frac requires n >= 0")
+    return q_int(m, q) ** n * _shifted_sum(n, q, m, x, [(-1) ** a for a in range(m)])
 
 
 def chi_weighted_sum(
@@ -168,12 +184,8 @@ def chi_weighted_sum(
     mod p**working_precision.
     """
     if chi.is_plus_minus_one_valued:
-        total = Fraction(0)
-        for a in indices:
-            c = chi_eval_exact(chi, a)
-            if c:
-                total += c * exact_term(a)
-        return scale * total
+        return scale * exact_sum(c * exact_term(a) for a in indices
+                                 if (c := chi_eval_exact(chi, a)))
     if ctx is None:
         raise ValueError("p-adic-valued characters need a QContext")
     acc = ctx.zero()
@@ -194,8 +206,9 @@ def gen_euler_number(
     [f]^n sum_{a<f} chi(a) (-1)^a E_{n,q^f}(a/f)  over the odd conductor f.
 
     Returns an exact Fraction when the character is {0,+-1}-valued (q alone
-    suffices); otherwise the character values are p-adic and a context is
-    required, giving a PadicNumber mod p**working_precision.
+    suffices), one closed form in base q^f over the weighted arguments q^a;
+    otherwise the character values are p-adic and a context is required,
+    giving a PadicNumber mod p**working_precision.
     """
     if n < 0:
         raise ValueError("gen_euler_number requires n >= 0")
@@ -209,9 +222,12 @@ def gen_euler_number(
     f = chi.conductor
     if f % 2 == 0:
         raise ValueError("gen_euler_number requires an odd conductor")
-    return chi_weighted_sum(
-        chi, range(f), lambda a: (-1) ** a * euler_poly_frac(n, FractionalArg(a, f), q),
-        q_int(f, q) ** n, ctx)
+    scale = q_int(f, q) ** n
+    if chi.is_plus_minus_one_valued:
+        return scale * _shifted_sum(n, q, f, 0, [(-1) ** a * chi_eval_exact(chi, a)
+                                                 for a in range(f)])
+    return chi_weighted_sum(chi, range(f), lambda a: (-1) ** a * euler_poly_frac(
+        n, FractionalArg(a, f), q), scale, ctx)
 
 
 def volkenborn_approx(m: int, level: int, ctx: QContext) -> Fraction:

@@ -43,6 +43,7 @@ from .numerics import (
     SeriesResult,
     Valuation,
     binom_int,
+    exact_sum,
     merge_series,
     q_int,
     require_odd_prime,
@@ -128,15 +129,11 @@ def remark_check(p: int, q) -> bool:
     q = Fraction(q)
     if q == 1:
         raise ValueError("remark_check requires q != 1")
-    lhs = Fraction(0)
-    rhs = Fraction(0)
-    for j in range(1, p):
-        cnt = q_int(j, q)
-        if Fraction(1) / cnt - (1 - q) != q**j / cnt:
-            return False
-        lhs += Fraction((-1) ** j) * q**j / cnt
-        rhs += Fraction((-1) ** j) / cnt
-    return lhs == rhs
+    counts = [q_int(j, q) for j in range(1, p)]
+    if any(Fraction(1) / cnt - (1 - q) != q**j / cnt for j, cnt in enumerate(counts, 1)):
+        return False
+    return (exact_sum((-1) ** j * q**j / cnt for j, cnt in enumerate(counts, 1))
+            == exact_sum((-1) ** j / cnt for j, cnt in enumerate(counts, 1)))
 
 
 def binom_identities_check(r_range: Sequence[int], k_range: Sequence[int],
@@ -193,11 +190,8 @@ def thm5_lhs_exact(n: int, r: int, ctx: QContext) -> Fraction:
     """2 sum over units j <= np of (-1)^j / [j]^r, exactly."""
     if n < 1 or r < 1:
         raise ValueError("thm5 requires n, r >= 1")
-    total = Fraction(0)
-    for j in range(1, n * ctx.p + 1):
-        if j % ctx.p:
-            total += Fraction((-1) ** j) / q_int(j, ctx.q) ** r
-    return 2 * total
+    return 2 * exact_sum(Fraction((-1) ** j) / q_int(j, ctx.q) ** r
+                         for j in range(1, n * ctx.p + 1) if j % ctx.p)
 
 
 def _outer_coeff(r: int, k: int) -> Fraction:
@@ -297,11 +291,8 @@ class Thm5Report:
 
 def _partial_sum_exact(n: int, r: int, a: int, ctx: QContext) -> Fraction:
     """sum_{l<n} (-1)^(a+Fl) / [a+Fl]^r with F = p, exactly."""
-    F = ctx.p
-    total = Fraction(0)
-    for l in range(n):
-        total += Fraction((-1) ** (a + F * l)) / q_int(a + F * l, ctx.q) ** r
-    return total
+    return exact_sum(Fraction((-1) ** j) / q_int(j, ctx.q) ** r
+                     for j in range(a, a + n * ctx.p, ctx.p))
 
 
 @_scoped

@@ -315,7 +315,8 @@ def test_lfun_tk_refuses_a_character_whose_conductor_does_not_divide_p(runner):
     assert result.exit_code == 2
     envelope = json_result(result)
     assert envelope["status"] == "error"
-    assert envelope["result"]["message"] == "T_full requires conductor(chi) | F"
+    assert envelope["result"]["message"] == \
+        "T_full requires conductor(chi) = 5 to divide F = p = 3"
 
 
 @pytest.mark.parametrize("n,series", [(1, [0, 1]), (2, [2])])

@@ -3,9 +3,15 @@
 ``qeuler._closed_form``, ``qeuler._alt_level_sum`` and
 ``verify.binom_identities_check`` keep integer numerators and build one
 Fraction at the end; ``alt_power_sum_closed`` reads its polynomial value from
-``euler_poly_moments``. The references below are the earlier loops that added
-one Fraction per term; a Fraction is canonical, so every value must be
-equal, and every error must carry the same message.
+``euler_poly_moments``.  ``_closed_form`` sums weighted arguments over one
+denominator, so ``gen_euler_number`` ({0,+-1}-valued characters) and
+``distribution_sum`` are one closed form each, and ``numerics.exact_sum``
+adds the terms of ``euler_poly_moments``, the exact ``chi_weighted_sum``,
+``thm5_lhs_exact``, ``_partial_sum_exact`` and ``remark_check``.  The
+references below are the earlier loops that added one Fraction per term; a
+Fraction is canonical, so every value must be equal, and every error must
+have the same type and message.  The p-adic branches keep their per-term
+sum and must give the same PadicNumber as before.
 """
 
 import hashlib
@@ -18,18 +24,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qlfun.numerics import QContext, binom_int, q_int
+from qlfun.characters import DirichletCharacter, chi_eval, chi_eval_exact
+from qlfun.lfun import lq_neg_series_path
+from qlfun.numerics import QContext, binom_int, exact_sum, q_int
 from qlfun.qeuler import (
+    FractionalArg,
     QEulerDomainError,
     _alt_level_sum,
     _check_base,
     _closed_form,
     alt_power_sum_brute,
     alt_power_sum_closed,
+    chi_weighted_sum,
+    distribution_sum,
     euler_number,
+    euler_poly_frac,
+    euler_poly_moments,
+    gen_euler_number,
     volkenborn_approx,
 )
-from qlfun.verify import binom_identities_check
+from qlfun.verify import (
+    _partial_sum_exact,
+    binom_identities_check,
+    remark_check,
+    thm5_lhs_exact,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -92,15 +111,113 @@ def binom_identities_reference(r_range, k_range, j_range):
     return True
 
 
+def chi_weighted_sum_reference(chi, indices, exact_term, scale, ctx):
+    if chi.is_plus_minus_one_valued:
+        total = Fraction(0)
+        for a in indices:
+            c = chi_eval_exact(chi, a)
+            if c:
+                total += c * exact_term(a)
+        return scale * total
+    acc = ctx.zero()
+    for a in indices:
+        c = chi_eval(chi, a, ctx)
+        if not c.is_zero:
+            acc = acc + c * ctx.embed(exact_term(a))
+    return acc * ctx.embed(scale)
+
+
+def gen_euler_reference(n, chi, q, ctx=None):
+    f = chi.conductor
+    return chi_weighted_sum_reference(
+        chi, range(f), lambda a: (-1) ** a * euler_poly_frac(n, FractionalArg(a, f), q),
+        q_int(f, q) ** n, ctx)
+
+
+def lq_neg_series_reference(k, chi, q, ctx=None):
+    # 2 sum_a chi(a) H(-k, a:F), each term (-1)^a ([F]^k / 2) E_{k,q^F}(a/F)
+    F = chi.conductor
+    return chi_weighted_sum_reference(
+        chi, range(1, F + 1),
+        lambda a: (Fraction((-1) ** a) * q_int(F, q) ** k / 2
+                   * euler_poly_frac(k, FractionalArg(a, F), q)),
+        2, ctx)
+
+
+def distribution_reference(n, x, m, q):
+    if m < 1 or m % 2 == 0:
+        raise ValueError("distribution_sum requires odd m >= 1")
+    q = Fraction(q)
+    total = Fraction(0)
+    for a in range(m):
+        total += (-1) ** a * euler_poly_frac(n, FractionalArg(a + x, m), q)
+    return q_int(m, q) ** n * total
+
+
+def moments_reference(n, x, q):
+    _check_base(q, "euler_poly_moments")
+    qx = q**x
+    cnt = q_int(x, q)
+    total = Fraction(0)
+    for j in range(n + 1):
+        total += math.comb(n, j) * qx**j * euler_number(j, q) * cnt ** (n - j)
+    return total
+
+
+def thm5_lhs_reference(n, r, ctx):
+    if n < 1 or r < 1:
+        raise ValueError("thm5 requires n, r >= 1")
+    total = Fraction(0)
+    for j in range(1, n * ctx.p + 1):
+        if j % ctx.p:
+            total += Fraction((-1) ** j) / q_int(j, ctx.q) ** r
+    return 2 * total
+
+
+def partial_sum_reference(n, r, a, ctx):
+    F = ctx.p
+    total = Fraction(0)
+    for l in range(n):
+        total += Fraction((-1) ** (a + F * l)) / q_int(a + F * l, ctx.q) ** r
+    return total
+
+
+def remark_reference(p, q):
+    if q == 1:
+        raise ValueError("remark_check requires q != 1")
+    lhs = Fraction(0)
+    rhs = Fraction(0)
+    for j in range(1, p):
+        cnt = q_int(j, q)
+        if Fraction(1) / cnt - (1 - q) != q**j / cnt:
+            return False
+        lhs += Fraction((-1) ** j) * q**j / cnt
+        rhs += Fraction((-1) ** j) / cnt
+    return lhs == rhs
+
+
 def _outcome(call, *args):
     try:
         return call(*args)
-    except QEulerDomainError as err:
-        return ("error", str(err))
+    except (ValueError, ZeroDivisionError) as err:
+        return ("error", type(err), str(err))
 
 
 # q = a/b with a in [-12, 12] and b in [1, 6]: q = 0, q = 1 and q = -1 included
 small_qs = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6))
+# the twisted sums also at 1/(1 + p) and 1 +- p for p = 3, 5, 7
+twist_qs = st.one_of(small_qs, st.sampled_from(
+    [Fraction(1, 1 + p) for p in (3, 5, 7)] + [Fraction(1 + p) for p in (3, 5, 7)]
+    + [Fraction(1 - p) for p in (3, 5, 7)]))
+# {0,+-1}-valued characters of odd conductor: quadratic conductors 3-19, and
+# one with a Teichmuller atom (conductor 15)
+exact_chars = st.one_of(
+    st.sampled_from([3, 5, 7, 11, 13, 15, 17, 19]).map(DirichletCharacter.quadratic),
+    st.just(DirichletCharacter.trivial()),
+    st.just(DirichletCharacter.quadratic(5) * DirichletCharacter.teichmuller_power(1, 3)))
+#: (p, q) with v_p(q - 1) >= 1 for the thm5 sums: q = 1 + p, 1 - p, 1/(1 + p), 1 + 2p, 1
+thm5_points = st.sampled_from([(p, q) for p in (3, 5, 7) for q in (
+    Fraction(1 + p), Fraction(1 - p), Fraction(1, 1 + p), Fraction(1 + 2 * p), Fraction(1))])
 
 
 # ---------------------------------------------------------------------------
@@ -113,8 +230,123 @@ small_qs = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6))
        operation=st.sampled_from(["euler_number", "euler_poly", "euler_poly_frac"]))
 @settings(max_examples=300, deadline=None)
 def test_closed_form_equals_the_fraction_loop(n, Q, X, operation):
-    assert _outcome(_closed_form, n, Q, X, operation) == \
+    X = Fraction(X)
+    assert _outcome(_closed_form, n, Q, X.denominator, [(1, X.numerator)], operation) == \
         _outcome(closed_form_reference, n, Q, X, operation)
+
+
+@given(n=st.integers(0, 14), Q=small_qs, xb=st.integers(1, 30),
+       weights=st.lists(st.tuples(st.integers(-2, 2), st.integers(-60, 60)),
+                        min_size=1, max_size=8))
+@settings(max_examples=200, deadline=None)
+def test_weighted_closed_form_is_the_weighted_sum_of_closed_forms(n, Q, xb, weights):
+    # one closed form over the arguments xa_i / xb: sum_i c_i E_{n,Q}(xa_i / xb)
+    def reference():
+        return exact_sum(c * closed_form_reference(n, Q, Fraction(xa, xb), "euler_poly_frac")
+                         for c, xa in weights)
+    assert _outcome(_closed_form, n, Q, xb, weights, "euler_poly_frac") == _outcome(reference)
+
+
+@given(terms=st.lists(st.one_of(st.integers(-10**6, 10**6),
+                                st.fractions(max_denominator=10**4)), max_size=20))
+@settings(max_examples=200, deadline=None)
+def test_exact_sum_equals_the_fraction_fold(terms):
+    total = Fraction(0)
+    for term in terms:
+        total += term
+    assert exact_sum(terms) == total and type(exact_sum(terms)) is Fraction
+
+
+@given(n=st.integers(-1, 14), chi=exact_chars, q=twist_qs)
+@settings(max_examples=200, deadline=None)
+def test_gen_euler_number_equals_the_per_residue_loop(n, chi, q):
+    def reference():
+        if n < 0:
+            raise ValueError("gen_euler_number requires n >= 0")
+        return gen_euler_reference(n, chi, q)
+    assert _outcome(gen_euler_number, n, chi, q) == _outcome(reference)
+
+
+@given(k=st.integers(0, 14), chi=exact_chars, q=twist_qs)
+@settings(max_examples=150, deadline=None)
+def test_lq_neg_series_path_equals_the_per_residue_loop(k, chi, q):
+    assert _outcome(lq_neg_series_path, k, chi, q) == \
+        _outcome(lq_neg_series_reference, k, chi, q)
+
+
+@given(n=st.integers(-1, 14), x=st.integers(-2, 8), m=st.integers(0, 9), q=twist_qs)
+@settings(max_examples=200, deadline=None)
+def test_distribution_sum_equals_the_per_residue_loop(n, x, m, q):
+    assert _outcome(distribution_sum, n, x, m, q) == _outcome(distribution_reference, n, x, m, q)
+
+
+@given(n=st.integers(0, 14), x=st.integers(0, 8), q=twist_qs)
+@settings(max_examples=150, deadline=None)
+def test_euler_poly_moments_equals_the_fraction_loop(n, x, q):
+    assert _outcome(euler_poly_moments, n, x, q) == _outcome(moments_reference, n, x, q)
+
+
+@given(chi=exact_chars, q=twist_qs, k=st.integers(0, 14),
+       scale=st.one_of(st.integers(-3, 3), small_qs))
+@settings(max_examples=150, deadline=None)
+def test_exact_chi_weighted_sum_equals_the_fraction_loop(chi, q, k, scale):
+    F = chi.conductor
+
+    def term(a):
+        return euler_poly_frac(k, FractionalArg(a, F), q)
+    assert _outcome(chi_weighted_sum, chi, range(2 * F), term, scale, None) == \
+        _outcome(chi_weighted_sum_reference, chi, range(2 * F), term, scale, None)
+
+
+@given(point=thm5_points, n=st.integers(0, 4), r=st.integers(0, 4))
+@settings(max_examples=150, deadline=None)
+def test_thm5_exact_sums_equal_the_fraction_loops(point, n, r):
+    p, q = point
+    ctx = QContext(p=p, q=q)
+    assert _outcome(thm5_lhs_exact, n, r, ctx) == _outcome(thm5_lhs_reference, n, r, ctx)
+    for a in range(1, p):
+        assert _partial_sum_exact(n, r, a, ctx) == partial_sum_reference(n, r, a, ctx)
+
+
+def test_remark_check_equals_the_fraction_loop():
+    # q = 1 is refused, and q = -1 divides by [2]_{-1} = 0 in both
+    for p in (3, 5, 7, 11):
+        for q in (Fraction(2), Fraction(7, 3), Fraction(-2), Fraction(1, 4), Fraction(0),
+                  Fraction(1), Fraction(-1)):
+            assert _outcome(remark_check, p, q) == _outcome(remark_reference, p, q)
+
+
+def test_twisted_sums_keep_their_error_messages():
+    quad5 = DirichletCharacter.quadratic(5)
+    one = ("error", QEulerDomainError, "euler_poly_frac: q = 1, use classical limit path")
+    pole = ("error", QEulerDomainError, "euler_poly_frac: pole at 1 + q^1 = 0")
+    negative = ("error", ValueError, "FractionalArg requires a >= 0")
+    for call, reference in ((gen_euler_number, gen_euler_reference),
+                            (lq_neg_series_path, lq_neg_series_reference)):
+        assert _outcome(call, 2, quad5, Fraction(1)) == _outcome(reference, 2, quad5, 1) == one
+        assert _outcome(call, 2, quad5, Fraction(-1)) == _outcome(reference, 2, quad5, -1) == pole
+    assert _outcome(distribution_sum, 3, 1, 5, 1) == _outcome(distribution_reference, 3, 1, 5, 1) \
+        == one
+    assert _outcome(distribution_sum, 3, 1, 5, -1) == \
+        _outcome(distribution_reference, 3, 1, 5, -1) == pole
+    assert _outcome(distribution_sum, 3, -1, 5, 2) == \
+        _outcome(distribution_reference, 3, -1, 5, 2) == negative
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("spec", ["teich:1", "teich:2", "quad:5*teich:1"])
+def test_padic_branches_give_the_same_padic_number(p, spec):
+    # the p-adic branch of gen_euler_number, and lq_neg_series_path now
+    # scaled by [F]^k instead of 2 with (-1)^a [F]^k / 2 in every term: the
+    # same PadicNumber dataclass, valuation, unit and precision
+    chi = DirichletCharacter.teichmuller_power(int(spec[-1]), p)
+    if spec.startswith("quad"):
+        chi = DirichletCharacter.quadratic(5) * chi
+    for q in (Fraction(1 + p), Fraction(1 - p), Fraction(1, 1 + p)):
+        ctx = QContext(p=p, q=q)
+        for k in range(6):
+            assert gen_euler_number(k, chi, ctx=ctx) == gen_euler_reference(k, chi, q, ctx)
+            assert lq_neg_series_path(k, chi, ctx=ctx) == lq_neg_series_reference(k, chi, q, ctx)
 
 
 @given(count=st.integers(0, 60), m=st.integers(0, 5),

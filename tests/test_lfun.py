@@ -341,8 +341,10 @@ def test_full_aggregates_at_zero():
 @pytest.mark.parametrize("full", [T_full, K_full])
 def test_full_aggregates_require_the_conductor_to_divide_p(full):
     # the aggregates sum over the units a < p, so a character of conductor 5
-    # has no period there at p = 3: refused by the rule l_pq applies to F
-    with pytest.raises(ValueError, match=rf"^{full.__name__} requires conductor\(chi\) \| F$"):
+    # has no period there at p = 3: refused by the rule l_pq applies to F,
+    # naming the conductor and F = p, as the aggregates take no F
+    with pytest.raises(ValueError, match=rf"^{full.__name__} requires conductor\(chi\) = 5 "
+                                         rf"to divide F = p = 3$"):
         full(1, 1, DirichletCharacter.quadratic(5), CTX34)
     for chi in (DirichletCharacter.quadratic(3), DirichletCharacter.trivial(),
                 DirichletCharacter.teichmuller_power(1, 3),

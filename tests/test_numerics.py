@@ -592,6 +592,16 @@ def test_context_rejects_bad_parameters():
     assert QContext(p=5, q=Fraction(6), precision=8, guard=10).working_precision == 18
 
 
+def test_doubled_truncation_states_its_guard_limit():
+    # the working precision, precision + WORKING_MARGIN, must hold the doubled
+    # guard run: guard 5 doubles to 10, guard 6 is refused with the limit named
+    doubled = QContext(p=3, q=Fraction(4), guard=5).with_doubled_truncation()
+    assert (doubled.guard, doubled.cap, doubled.working_precision) == (10, 1024, 18)
+    with pytest.raises(ValueError, match=r"^with_doubled_truncation requires guard <= 5 "
+                                         r"\(WORKING_MARGIN // 2\), got guard = 6$"):
+        QContext(p=3, q=Fraction(4), guard=6).with_doubled_truncation()
+
+
 def test_context_accepts_q_one_but_guards_divisions():
     ctx = QContext(p=5, q=Fraction(1), precision=4)
     assert ctx.q_is_one
