@@ -15,7 +15,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Callable, Iterator, List, Optional, Union
+from typing import Any, Callable, Iterator, List, Optional, Tuple, Union
 
 from .characters import DirichletCharacter, chi_eval
 from .numerics import (
@@ -61,7 +61,7 @@ def partial_zeta_neg(n: int, prm: PartialZetaParams, q) -> Fraction:
     if q == 1:
         raise ValueError("partial_zeta_neg: q = 1, use classical limit path")
     return (-1) ** prm.a * q_int(prm.F, q) ** n / 2 * euler_poly_frac(
-        n, FractionalArg(prm.a, prm.F), q)
+        n, FractionalArg(prm.a, prm.F), q, "partial_zeta_neg")
 
 
 def lq_neg_series_path(
@@ -84,7 +84,7 @@ def lq_neg_series_path(
     q = Fraction(q)
     F = chi.conductor
     return chi_weighted_sum(chi, range(1, F + 1), lambda a: (-1) ** a * euler_poly_frac(
-        k, FractionalArg(a, F), q), q_int(F, q) ** k, ctx)
+        k, FractionalArg(a, F), q, "lq_neg_series_path"), q_int(F, q) ** k, ctx)
 
 
 @dataclass
@@ -110,7 +110,9 @@ def series_cache() -> Iterator[SeriesCache]:
     (<a> - 1)^k, per a, and the binomial column binom(-s, j), per s, which
     both kinds of series read; a term is one product of two table entries,
     the same value as the product of its factors in any order (see
-    :func:`_twisted_series`).  Every value that depends on s has s in its
+    :func:`_twisted_series`).  So is the character column chi(a) over the
+    units a <= F, per (chi, F), which l_pq, T_full and K_full read at every s
+    (:func:`_chi_column`).  Every value that depends on s has s in its
     key, so values at different s never share a cache entry.  The values are
     dropped when the scope exits, so the scope is the cache's only bound;
     the hit and miss counts stay readable."""
@@ -205,8 +207,9 @@ def _deltas(Q: Fraction, ctx: QContext) -> _OnDemand:
     :func:`qlfun.qeuler.euler_number` is E_{j,Q} = 2 Delta_j / (1-Q)^j).
 
     Q = q^F = 1 mod p, so 1 + Q^k = 2 mod p is a unit, and Delta_j mod p^M is
-    the j-th difference of the integers ``pow(1 + Q^k, -1, p^M)``: the one
-    place where a difference is formed from reduced parts, not exact values.
+    the j-th difference of the integers 1/(1 + Q^k) mod p^M, from a running
+    Q^k and one ``pow(., -1, p^M)`` per round (of the row's prefix product):
+    the one place where a difference is formed from reduced parts, not exact values.
     Round by round, the values j <= J use M = N + J e + RESIDUE_MARGIN, with
     N = working precision + WORKING_MARGIN (the digits ``ctx.embed`` keeps)
     and e = v_p(Q - 1).  A nonzero residue p^v u gives v = v_p(Delta_j) and
@@ -233,7 +236,13 @@ def _deltas(Q: Fraction, ctx: QContext) -> _OnDemand:
             M = N + J * e + RESIDUE_MARGIN
             mod = p**M
             Qm = Q.numerator * pow(Q.denominator, -1, mod) % mod
-            row = [pow(1 + pow(Qm, k, mod), -1, mod) for k in range(J + 1)]
+            dens = [1 + Qk for Qk in itertools.accumulate(
+                itertools.repeat(Qm, J), lambda x, y: x * y % mod, initial=1)]
+            prefix = list(itertools.accumulate(dens, lambda x, y: x * y % mod))
+            inv, row = pow(prefix[J], -1, mod), [0] * (J + 1)
+            for k in range(J, 0, -1):  # inv is 1/(dens[0] ... dens[k]) here
+                row[k], inv = inv * prefix[k - 1] % mod, inv * dens[k] % mod
+            row[0] = inv
             # Delta_j is the first entry after j steps of row[k] - row[k+1]
             for j in range(J + 1):
                 if j >= done:
@@ -326,6 +335,14 @@ def H_pq(s: PadicExponent, prm: PartialZetaParams, ctx: QContext) -> SeriesResul
     return _twisted_series(0, s, prm, ctx)
 
 
+@_scoped
+def _chi_column(chi: DirichletCharacter, F: int, ctx: QContext) -> List[Tuple[int, PadicNumber]]:
+    """(a, chi(a)) over the units a <= F where chi(a) is not zero, one
+    ``chi_eval`` per a: one column per (chi, F, ctx), shared by every s."""
+    values = ((a, chi_eval(chi, a, ctx)) for a in range(1, F + 1) if a % ctx.p)
+    return [(a, c) for a, c in values if not c.is_zero]
+
+
 def _unit_sum(partial: Callable[[PartialZetaParams], SeriesResult],
               chi: DirichletCharacter, F: int, ctx: QContext) -> SeriesResult:
     """2 sum over units a <= F of chi(a) partial(a : F), the character-weighted
@@ -337,12 +354,7 @@ def _unit_sum(partial: Callable[[PartialZetaParams], SeriesResult],
             return _unit_sum(partial, chi, F, ctx)
     acc = ctx.zero()
     parts: List[SeriesResult] = []
-    for a in range(1, F + 1):
-        if a % ctx.p == 0:
-            continue
-        c = chi_eval(chi, a, ctx)
-        if c.is_zero:
-            continue
+    for a, c in _chi_column(chi, F, ctx):
         part = partial(PartialZetaParams(a, F))
         parts.append(part)
         acc = acc + c * part.value

@@ -383,6 +383,11 @@ class QContext:
         if v_p(self.q - 1, self.p) < 1:
             raise ValueError(
                 f"q must satisfy v_{self.p}(q - 1) >= 1, got q = {self.q}")
+        object.__setattr__(self, "_hash", hash(
+            (self.p, self.q, self.precision, self.guard, self.cap)))
+
+    def __hash__(self) -> int:  # the dataclass hash, computed once: scoped lookups hash it
+        return self._hash
 
     @property
     def working_precision(self) -> int:
@@ -515,15 +520,22 @@ def binom_stream(s: PadicExponent, ctx: QContext) -> Iterator[PadicNumber]:
     """binom(s, k) = s(s-1)...(s-k+1)/k! for k = 0, 1, 2, ... and a p-adic
     integer s, from one running product and one running integer k!.
 
-    For an integer s every value is the exact binomial, embedded; for a
-    genuinely p-adic s the division by k! costs v_p(k!) digits of absolute
-    precision, which each value's precision field reflects.  Once the
-    product is a p-adic zero (s an embedded integer 0 <= s < k) it is no
-    longer multiplied.
+    For an integer s every value is the exact binomial, the running integer
+    b <- b (s - k) // (k + 1) reduced in place as ``ctx.embed(b)`` reduces it
+    (p stripped, the unit mod p**N); for a genuinely p-adic s the division by
+    k! costs v_p(k!) digits of absolute precision, which each value's
+    precision field reflects.  Once the product is a p-adic zero (s an
+    embedded integer 0 <= s < k) it is no longer multiplied.
     """
     if isinstance(s, int):
+        p, N, b = ctx.p, ctx.working_precision + WORKING_MARGIN, 1
         for k in itertools.count():
-            yield ctx.embed(binom_int(s, k))
+            if b:
+                unit, v = _strip_p(b, p)
+                yield PadicNumber(p, v, unit % p**N, N)
+            else:
+                yield ctx.zero()
+            b = b * (s - k) // (k + 1)
     if not s.is_zero and s.valuation < 0:
         raise PadicError("binom_stream requires a p-adic integer")
     prod = ctx.one()

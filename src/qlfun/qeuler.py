@@ -74,12 +74,13 @@ def _closed_form(n: int, Q: Fraction, xb: int, weights: Sequence[Tuple[int, int]
     return Fraction(2 * qb**n * num, (qb - qa) ** n * xb**n * den)
 
 
-def _shifted_sum(n: int, q: Fraction, F: int, x: int, signs: Sequence[int]) -> Fraction:
+def _shifted_sum(n: int, q: Fraction, F: int, x: int, signs: Sequence[int],
+                 operation: str) -> Fraction:
     """sum_{a<F} signs[a] E_{n,q^F}((a+x)/F) as one closed form: the arguments
     q^(a+x) = qa^(a+x) qb^(F-1-a) / qb^(F-1+x) share one denominator."""
     qa, qb = q.numerator, q.denominator
     weights = [(c, qa ** (a + x) * qb ** (F - 1 - a)) for a, c in enumerate(signs) if c]
-    return _closed_form(n, q**F, qb ** (F - 1 + x), weights, "euler_poly_frac")
+    return _closed_form(n, q**F, qb ** (F - 1 + x), weights, operation)
 
 
 @lru_cache(maxsize=None)
@@ -103,14 +104,16 @@ def euler_poly(n: int, x: int, q: IntOrRational) -> Fraction:
     return _closed_form(n, q, q.denominator**x, [(1, q.numerator**x)], "euler_poly")
 
 
-def euler_poly_frac(n: int, arg: FractionalArg, q: IntOrRational) -> Fraction:
+def euler_poly_frac(n: int, arg: FractionalArg, q: IntOrRational,
+                    operation: str = "euler_poly_frac") -> Fraction:
     """q**F-Euler polynomial at the fractional argument a/F: the base becomes
-    q**F and the argument power (q**F)**(a/F) collapses to q**a, exactly."""
+    q**F and the argument power (q**F)**(a/F) collapses to q**a, exactly.
+    Its errors name ``operation``, the public function a caller called."""
     if n < 0:
-        raise ValueError("euler_poly_frac requires n >= 0")
+        raise ValueError(f"{operation} requires n >= 0")
     q = Fraction(q)
     return _closed_form(n, q**arg.F, q.denominator**arg.a, [(1, q.numerator**arg.a)],
-                        "euler_poly_frac")
+                        operation)
 
 
 def euler_poly_moments(n: int, x: int, q: IntOrRational) -> Fraction:
@@ -166,8 +169,9 @@ def distribution_sum(n: int, x: int, m: int, q: IntOrRational) -> Fraction:
     q = Fraction(q)
     FractionalArg(x, m)  # the arguments (a+x)/m need a + x >= 0
     if n < 0:
-        raise ValueError("euler_poly_frac requires n >= 0")
-    return q_int(m, q) ** n * _shifted_sum(n, q, m, x, [(-1) ** a for a in range(m)])
+        raise ValueError("distribution_sum requires n >= 0")
+    return q_int(m, q) ** n * _shifted_sum(n, q, m, x, [(-1) ** a for a in range(m)],
+                                           "distribution_sum")
 
 
 def chi_weighted_sum(
@@ -225,9 +229,9 @@ def gen_euler_number(
     scale = q_int(f, q) ** n
     if chi.is_plus_minus_one_valued:
         return scale * _shifted_sum(n, q, f, 0, [(-1) ** a * chi_eval_exact(chi, a)
-                                                 for a in range(f)])
+                                                 for a in range(f)], "gen_euler_number")
     return chi_weighted_sum(chi, range(f), lambda a: (-1) ** a * euler_poly_frac(
-        n, FractionalArg(a, f), q), scale, ctx)
+        n, FractionalArg(a, f), q, "gen_euler_number"), scale, ctx)
 
 
 def volkenborn_approx(m: int, level: int, ctx: QContext) -> Fraction:

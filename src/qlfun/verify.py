@@ -129,6 +129,8 @@ def remark_check(p: int, q) -> bool:
     q = Fraction(q)
     if q == 1:
         raise ValueError("remark_check requires q != 1")
+    if q == -1:
+        raise ValueError("remark_check requires q != -1: [j]_q = 0 for even j")
     counts = [q_int(j, q) for j in range(1, p)]
     if any(Fraction(1) / cnt - (1 - q) != q**j / cnt for j, cnt in enumerate(counts, 1)):
         return False
@@ -248,10 +250,11 @@ class Thm5Report:
     printed form fails (a residual below the target precision means the
     step as printed does not hold at that grid point).  ``precision`` is
     the target the report was computed at, and the cache counts are this
-    point's own lookups in the series cache it ran in (from ``thm5_grid``,
-    one cache shared with the grid's other points, so a value an earlier
-    point computed counts as a hit); none of the three is part of the JSON
-    form.
+    point's own lookups in the series cache it ran in, the series values and
+    the scoped columns (term tables, character values, eq24's free parts)
+    alike (from ``thm5_grid``, one cache shared with the grid's other points,
+    so a value an earlier point computed counts as a hit); none of the three
+    is part of the JSON form.
     """
 
     lhs: PadicNumber
@@ -297,38 +300,38 @@ def _partial_sum_exact(n: int, r: int, a: int, ctx: QContext) -> Fraction:
 
 @_scoped
 def _eq24_free_parts(n: int, Q: Fraction) -> _OnDemand:
-    """(E_{s,Q}, Q^(ns), E_{s,Q}(n) - Q^(ns) E_{s,Q}) for s = 0, 1, 2, ...: the
-    parts of eq24's s-th terms free of a and r, one list per (n, Q) for every
-    unit and every r in one series cache.  The last is group 1's inner sum
+    """((-1)^n inner/2, ((-1)^n Q^(ns) - 1) E_{s,Q}/2) for s = 0, 1, 2, ...:
+    the factors of eq24's s-th group 1 and group 2 terms free of a and r,
+    one list per (n, Q) for every unit and every r in one series cache.
+    inner = E_{s,Q}(n) - Q^(ns) E_{s,Q} is group 1's inner sum
     sum_{l<s} C(s,l) Q^(nl) E_{l,Q} [n]_Q^(s-l), the moment form of E_{s,Q}(n)
     without its l = s term: one closed form per s instead of an O(s)
     convolution (``identity_suite``'s ``poly_paths_agree`` checks the two)."""
-    def rows() -> Iterator[Tuple[Fraction, Fraction, Fraction]]:
+    def rows() -> Iterator[Tuple[Fraction, Fraction]]:
         for s in itertools.count():
             euler_s, Q_ns = euler_number(s, Q), Q ** (n * s)
-            yield euler_s, Q_ns, euler_poly(s, n, Q) - Q_ns * euler_s
+            yield ((-1) ** n * (euler_poly(s, n, Q) - Q_ns * euler_s) / 2,
+                   ((-1) ** n * Q_ns - 1) * euler_s / 2)
 
     return _OnDemand(rows())
 
 
 def _eq24_groups(n: int, r: int, a: int, ctx: QContext) -> Iterator[Tuple[Fraction, Fraction]]:
     """Exact terms of the binomial expansion of the partial sum, in the
-    expansion order s: (polynomial-part group 1, boundary group 2), from the
-    parts :func:`_eq24_free_parts` keeps for Q = q^F."""
+    expansion order s: (polynomial-part group 1, boundary group 2), each
+    binom(-r, s) head times a factor :func:`_eq24_free_parts` keeps for
+    Q = q^F, with head = -[a]^(-r) (-1)^a (q^a [F]/[a])^s a running Fraction
+    and binom(-r, s) a running integer."""
     F, q = ctx.p, ctx.q
     free_parts = _eq24_free_parts(n, q**F)
     count_a = q_int(a, q)
-    ratio = q_int(F, q) / count_a
-    inv_ar = count_a ** (-r)
-    sign_a = (-1) ** a
-    sign_n = (-1) ** n
-    power = Fraction(1)  # (q^a [F]/[a])^s
+    step = q**a * q_int(F, q) / count_a
+    head, binom = -count_a ** (-r) * (-1) ** a, 1
     for s in itertools.count():
-        euler_s, qF_ns, inner = free_parts[s]
-        head = -binom_int(-r, s) * inv_ar * power * sign_a
-        yield (head * Fraction(sign_n, 2) * inner,
-               head * (sign_n * qF_ns - 1) / 2 * euler_s)
-        power *= q**a * ratio
+        group1, group2 = free_parts[s]
+        coeff = binom * head
+        yield coeff * group1, coeff * group2
+        head, binom = head * step, binom * (-r - s) // (s + 1)
 
 
 def _boundary_piece(n: int, r: int, a: int, ctx: QContext) -> PadicNumber:
@@ -350,20 +353,20 @@ def _expansion_group(n: int, r: int, a: int, ctx: QContext,
     to vanish (n even)."""
     p = ctx.p
     prm = PartialZetaParams(a, p)
-    count = q_int(p * n, ctx.q)
+    step = ctx.embed(ctx.q**a * q_int(p * n, ctx.q))
     w_inv = teichmuller(a, p, ctx.working_precision) ** -1
 
     def terms():
-        k = 1
+        # embed((-1)^n _outer_coeff(r, k) q^(ak) [pn]^k) factor by factor: the same parts
+        coeff, power = 1, ctx.embed((-1) ** n)
         twist = w_inv ** r  # w^(-(r+k)), one factor w^(-1) more per k
-        while True:
+        for k in itertools.count(1):
+            coeff, power = -coeff * (r + k - 1) // k, power * step
             twist = twist * w_inv
             piece = H_pq(r + k, prm, ctx).value
             if with_correction:
                 piece = piece + K_partial(n, r + k, prm, ctx).value
-            coeff = _outer_coeff(r, k) * ctx.q ** (a * k) * count**k
-            yield -(ctx.embed((-1) ** n * coeff) * twist * piece)
-            k += 1
+            yield -(ctx.embed(coeff) * power * twist * piece)
 
     return sum_guarded(terms(), ctx, description="chain k-series").value
 

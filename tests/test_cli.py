@@ -62,6 +62,24 @@ def test_number_value_and_error_message(runner):
     assert bad.exit_code == 2
 
 
+@pytest.mark.parametrize("args,message", [
+    # [j]_{-1} = 0 for even j: the message used to be "Fraction(1, 0)"
+    (["verify", "remark", "--p", "5", "--q", "-1"],
+     "remark_check requires q != -1: [j]_q = 0 for even j"),
+    # the twisted numbers' domain errors used to name euler_poly_frac
+    (["qeuler", "gen", "-n", "4", "--chi", "quad:13", "--q", "1"],
+     "gen_euler_number: q = 1, use classical limit path"),
+    (["lfun", "lq", "-k", "2", "--chi", "quad:5", "--q", "-1"],
+     "gen_euler_number: pole at 1 + q^1 = 0"),
+])
+def test_domain_errors_name_the_refusing_function(runner, args, message):
+    result = invoke(runner, args + ["--json"])
+    assert result.exit_code == 2
+    envelope = json_result(result)
+    assert envelope["status"] == "error"
+    assert envelope["result"] == {"message": message}
+
+
 def test_envelope_roundtrips_byte_identically(runner):
     for args in (["qeuler", "number", "-m", "2", "--q", "2", "--json"],
                  ["lfun", "lpq", "-s", "-1", "--chi", "teich:1",

@@ -10,8 +10,10 @@ adds the terms of ``euler_poly_moments``, the exact ``chi_weighted_sum``,
 ``thm5_lhs_exact``, ``_partial_sum_exact`` and ``remark_check``.  The
 references below are the earlier loops that added one Fraction per term; a
 Fraction is canonical, so every value must be equal, and every error must
-have the same type and message.  The p-adic branches keep their per-term
-sum and must give the same PadicNumber as before.
+have the same type and message (the references pass the public function's
+name to ``euler_poly_frac``, which its errors carry, as the library does).
+The p-adic branches keep their per-term sum and must give the same
+PadicNumber as before.
 """
 
 import hashlib
@@ -25,7 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qlfun.characters import DirichletCharacter, chi_eval, chi_eval_exact
-from qlfun.lfun import lq_neg_series_path
+from qlfun.lfun import PartialZetaParams, lq_neg_series_path, partial_zeta_neg
 from qlfun.numerics import QContext, binom_int, exact_sum, q_int
 from qlfun.qeuler import (
     FractionalArg,
@@ -130,7 +132,8 @@ def chi_weighted_sum_reference(chi, indices, exact_term, scale, ctx):
 def gen_euler_reference(n, chi, q, ctx=None):
     f = chi.conductor
     return chi_weighted_sum_reference(
-        chi, range(f), lambda a: (-1) ** a * euler_poly_frac(n, FractionalArg(a, f), q),
+        chi, range(f), lambda a: (-1) ** a * euler_poly_frac(n, FractionalArg(a, f), q,
+                                                             "gen_euler_number"),
         q_int(f, q) ** n, ctx)
 
 
@@ -140,7 +143,7 @@ def lq_neg_series_reference(k, chi, q, ctx=None):
     return chi_weighted_sum_reference(
         chi, range(1, F + 1),
         lambda a: (Fraction((-1) ** a) * q_int(F, q) ** k / 2
-                   * euler_poly_frac(k, FractionalArg(a, F), q)),
+                   * euler_poly_frac(k, FractionalArg(a, F), q, "lq_neg_series_path")),
         2, ctx)
 
 
@@ -150,7 +153,7 @@ def distribution_reference(n, x, m, q):
     q = Fraction(q)
     total = Fraction(0)
     for a in range(m):
-        total += (-1) ** a * euler_poly_frac(n, FractionalArg(a + x, m), q)
+        total += (-1) ** a * euler_poly_frac(n, FractionalArg(a + x, m), q, "distribution_sum")
     return q_int(m, q) ** n * total
 
 
@@ -185,6 +188,8 @@ def partial_sum_reference(n, r, a, ctx):
 def remark_reference(p, q):
     if q == 1:
         raise ValueError("remark_check requires q != 1")
+    if q == -1:
+        raise ValueError("remark_check requires q != -1: [j]_q = 0 for even j")
     lhs = Fraction(0)
     rhs = Fraction(0)
     for j in range(1, p):
@@ -309,7 +314,8 @@ def test_thm5_exact_sums_equal_the_fraction_loops(point, n, r):
 
 
 def test_remark_check_equals_the_fraction_loop():
-    # q = 1 is refused, and q = -1 divides by [2]_{-1} = 0 in both
+    # q = 1 is refused, and so is q = -1, where [2]_{-1} = 0 (it used to
+    # raise a bare ZeroDivisionError)
     for p in (3, 5, 7, 11):
         for q in (Fraction(2), Fraction(7, 3), Fraction(-2), Fraction(1, 4), Fraction(0),
                   Fraction(1), Fraction(-1)):
@@ -317,18 +323,33 @@ def test_remark_check_equals_the_fraction_loop():
 
 
 def test_twisted_sums_keep_their_error_messages():
+    # each domain error names the public function called (they all used to
+    # name euler_poly_frac), on the exact and on the p-adic branch
     quad5 = DirichletCharacter.quadratic(5)
-    one = ("error", QEulerDomainError, "euler_poly_frac: q = 1, use classical limit path")
-    pole = ("error", QEulerDomainError, "euler_poly_frac: pole at 1 + q^1 = 0")
+    w1 = DirichletCharacter.teichmuller_power(1, 3)
+
+    def one(name):
+        return ("error", QEulerDomainError, f"{name}: q = 1, use classical limit path")
+
+    def pole(name):
+        return ("error", QEulerDomainError, f"{name}: pole at 1 + q^1 = 0")
     negative = ("error", ValueError, "FractionalArg requires a >= 0")
     for call, reference in ((gen_euler_number, gen_euler_reference),
                             (lq_neg_series_path, lq_neg_series_reference)):
-        assert _outcome(call, 2, quad5, Fraction(1)) == _outcome(reference, 2, quad5, 1) == one
-        assert _outcome(call, 2, quad5, Fraction(-1)) == _outcome(reference, 2, quad5, -1) == pole
+        name = call.__name__
+        assert _outcome(call, 2, quad5, Fraction(1)) == _outcome(reference, 2, quad5, 1) \
+            == one(name)
+        assert _outcome(call, 2, quad5, Fraction(-1)) == _outcome(reference, 2, quad5, -1) \
+            == pole(name)
+        assert _outcome(call, 2, w1, None, QContext(p=3, q=1)) == one(name)
     assert _outcome(distribution_sum, 3, 1, 5, 1) == _outcome(distribution_reference, 3, 1, 5, 1) \
-        == one
+        == one("distribution_sum")
     assert _outcome(distribution_sum, 3, 1, 5, -1) == \
-        _outcome(distribution_reference, 3, 1, 5, -1) == pole
+        _outcome(distribution_reference, 3, 1, 5, -1) == pole("distribution_sum")
+    assert _outcome(distribution_sum, -1, 1, 5, 2) == \
+        _outcome(distribution_reference, -1, 1, 5, 2) == \
+        ("error", ValueError, "distribution_sum requires n >= 0")
+    assert _outcome(partial_zeta_neg, 2, PartialZetaParams(1, 3), -1) == pole("partial_zeta_neg")
     assert _outcome(distribution_sum, 3, -1, 5, 2) == \
         _outcome(distribution_reference, 3, -1, 5, 2) == negative
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from qlfun import lfun
-from qlfun.characters import DirichletCharacter, twist
+from qlfun.characters import DirichletCharacter, chi_eval, twist
 from qlfun.lfun import (
     H_pq,
     K_full,
@@ -27,6 +27,7 @@ from qlfun.numerics import (
     PadicNumber,
     QContext,
     angle_bracket,
+    merge_series,
     padic_pow,
     q_int,
     residual_valuation,
@@ -34,6 +35,7 @@ from qlfun.numerics import (
     v_p,
 )
 from qlfun.qeuler import euler_number, gen_euler_number
+from qlfun.verify import thm5_grid
 
 CTX34 = QContext(p=3, q=Fraction(4), precision=8)
 CTX56 = QContext(p=5, q=Fraction(6), precision=8)
@@ -611,6 +613,54 @@ def test_unit_sums_share_one_residue_table_without_a_scope(monkeypatch):
         l_pq(2, chi, CTX56)
         T_full(1, 2, chi, CTX56)
     assert built == [Fraction(6) ** 5]
+
+
+def unit_sum_by_chi_eval(partial, chi, F, ctx):
+    """2 sum over units a <= F of chi(a) partial(a : F), one chi_eval per unit."""
+    acc = ctx.zero()
+    parts = []
+    for a in range(1, F + 1):
+        if a % ctx.p == 0:
+            continue
+        c = chi_eval(chi, a, ctx)
+        if c.is_zero:
+            continue
+        part = partial(PartialZetaParams(a, F))
+        parts.append(part)
+        acc = acc + c * part.value
+    return merge_series(acc + acc, parts)
+
+
+@pytest.mark.parametrize("s", [2, -3])
+def test_unit_sums_read_the_chi_column(s):
+    # quad:5*teich:1 vanishes at a = 5, 10 of F = 15: the column drops them;
+    # l_pq opens its own scope when called unscoped, and reads the open one
+    ctx = CTX34
+    chi = DirichletCharacter.quadratic(5) * DirichletCharacter.teichmuller_power(1, 3)
+    with series_cache():
+        expected = unit_sum_by_chi_eval(lambda prm: H_pq(s, prm, ctx), chi, 15, ctx)
+        assert [a for a, _ in lfun._chi_column(chi, 15, ctx)] == [1, 2, 4, 7, 8, 11, 13, 14]
+        assert l_pq(s, chi, ctx, F=15) == expected
+    assert l_pq(s, chi, ctx, F=15) == expected
+    w1 = DirichletCharacter.teichmuller_power(1, 5)
+    with series_cache():
+        expected = unit_sum_by_chi_eval(lambda prm: K_partial(2, s, prm, CTX56), w1, 5, CTX56)
+    assert K_full(2, s, w1, CTX56) == expected
+
+
+def test_thm5_grid_evaluates_each_character_value_once(monkeypatch):
+    # l_pq, K_full and T_full at every k of every grid point read one
+    # (chi, F, ctx) column: at most (p - 1)^2 distinct values, each once
+    calls = []
+
+    def recording_chi_eval(chi, a, ctx):
+        calls.append((chi, a, ctx))
+        return chi_eval(chi, a, ctx)
+
+    monkeypatch.setattr(lfun, "chi_eval", recording_chi_eval)
+    ctx = QContext(p=5, q=Fraction(6), precision=8)
+    thm5_grid([1, 2], [1, 2], ctx)
+    assert len(calls) == len(set(calls)) <= (ctx.p - 1) ** 2
 
 
 @pytest.mark.parametrize("p,q,F", list(residue_grid()))

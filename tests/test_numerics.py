@@ -461,12 +461,16 @@ def test_binom_stream_matches_binom_padic(p):
     ctx = QContext(p=p, q=Fraction(p + 1), precision=8)
     padic = [ctx.embed(Fraction(1, 2)), ctx.embed(Fraction(-7, 4)), ctx.embed(Fraction(p, 4))]
     embedded = [ctx.embed(n) for n in (0, 1, 3, p, 2 * p + 1)]  # the product hits zero
-    for s in padic + embedded + [0, 2, -3, 11]:
+    for s in padic + embedded:
         stream = list(islice(binom_stream(s, ctx), 40))
-        if isinstance(s, int):
-            assert stream == [ctx.embed(binom_int(s, k)) for k in range(40)]
-        else:
-            assert stream == [binom_rebuilt(s, k, ctx) for k in range(40)]
+        assert stream == [binom_rebuilt(s, k, ctx) for k in range(40)]
+    # an integer s: the running integer binomial, reduced in place, against
+    # the embedded math.comb value it replaces (zero once k > s >= 0)
+    for precision in (8, 24):
+        ctx = QContext(p=p, q=Fraction(p + 1), precision=precision)
+        for s in (0, 2, -3, 11, -40, 57):
+            stream = list(islice(binom_stream(s, ctx), 81))
+            assert stream == [ctx.embed(binom_int(s, k)) for k in range(81)], (precision, s)
 
 
 def test_binom_stream_rejects_non_integral_exponent():
@@ -600,6 +604,21 @@ def test_doubled_truncation_states_its_guard_limit():
     with pytest.raises(ValueError, match=r"^with_doubled_truncation requires guard <= 5 "
                                          r"\(WORKING_MARGIN // 2\), got guard = 6$"):
         QContext(p=3, q=Fraction(4), guard=6).with_doubled_truncation()
+
+
+def test_equal_contexts_hash_equal():
+    # the hash is computed once, in __post_init__, from the same fields the
+    # dataclass compares: equal contexts (q given as an int or a Fraction, the
+    # cap defaulted or given) hash equal, also after doubling the truncation
+    ctx = QContext(p=5, q=Fraction(6), precision=8)
+    same = QContext(p=5, q=6, precision=8, guard=3, cap=512)
+    assert ctx == same and hash(ctx) == hash(same)
+    assert hash(ctx) == hash((5, Fraction(6), 8, 3, 512))
+    first, second = ctx.with_doubled_truncation(), ctx.with_doubled_truncation()
+    assert first == second and first is not second and hash(first) == hash(second)
+    assert hash(first) == hash((5, Fraction(6), 8, 6, 1024))
+    assert {ctx: "ctx", first: "doubled"}[same] == "ctx"
+    assert QContext(p=5, q=Fraction(11), precision=8) != ctx
 
 
 def test_context_accepts_q_one_but_guards_divisions():

@@ -6,7 +6,17 @@ from itertools import islice
 
 import pytest
 
-from qlfun.numerics import INF, QContext, binom_int, q_int, residual_valuation, v_p
+from qlfun.lfun import H_pq, K_partial, PartialZetaParams, series_cache
+from qlfun.numerics import (
+    INF,
+    QContext,
+    binom_int,
+    q_int,
+    residual_valuation,
+    sum_guarded,
+    teichmuller,
+    v_p,
+)
 from qlfun.qeuler import alt_power_sum_brute, euler_number
 from qlfun.verify import (
     alt_power_sum_misprinted,
@@ -23,7 +33,13 @@ from qlfun.verify import (
     thm5_report,
     thm5_rhs,
 )
-from qlfun.verify import Thm5Report, _eq24_groups, _outer_coeff, _residual_sentinel
+from qlfun.verify import (
+    Thm5Report,
+    _eq24_groups,
+    _expansion_group,
+    _outer_coeff,
+    _residual_sentinel,
+)
 
 CTX34 = QContext(p=3, q=Fraction(4), precision=8)
 CTX56 = QContext(p=5, q=Fraction(6), precision=8)
@@ -111,9 +127,11 @@ def test_outer_coeff_at_zero_is_one():
 # the power-sum expansion harness
 # ---------------------------------------------------------------------------
 
-def eq24_group1_by_convolution(n, r, a, ctx, count):
-    """Group 1 of the eq24 expansion as the O(s) convolution
-    sum_{l<s} C(s,l) Q^(nl) E_{l,Q} [n]_Q^(s-l), Q = q^F, for s < count."""
+def eq24_groups_per_term(n, r, a, ctx, count):
+    """Both groups of the eq24 expansion for s < count, Q = q^F, each term's
+    head = -binom(-r, s) [a]^(-r) (q^a [F]/[a])^s (-1)^a formed afresh: group 1
+    with the O(s) convolution sum_{l<s} C(s,l) Q^(nl) E_{l,Q} [n]_Q^(s-l), and
+    group 2 as head ((-1)^n Q^(ns) - 1)/2 E_{s,Q}."""
     q, F = ctx.q, ctx.p
     qF = q**F
     count_a = q_int(a, q)
@@ -123,7 +141,8 @@ def eq24_group1_by_convolution(n, r, a, ctx, count):
         inner = sum((math.comb(s, l) * qF ** (n * l) * euler_number(l, qF)
                      * q_int(n, qF) ** (s - l) for l in range(s)), Fraction(0))
         head = -binom_int(-r, s) * count_a ** (-r) * power * (-1) ** a
-        out.append(head * Fraction((-1) ** n, 2) * inner)
+        out.append((head * Fraction((-1) ** n, 2) * inner,
+                    head * ((-1) ** n * qF ** (n * s) - 1) / 2 * euler_number(s, qF)))
         power *= q**a * q_int(F, q) / count_a
     return out
 
@@ -134,12 +153,54 @@ def eq24_group1_by_convolution(n, r, a, ctx, count):
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("r", [1, 2])
 def test_eq24_group1_closed_form_equals_the_convolution(p, q, n, r):
-    # group 1 reads E_{s,Q}(n) - Q^(ns) E_{s,Q} instead of the moment sum
+    # group 1 reads E_{s,Q}(n) - Q^(ns) E_{s,Q} instead of the moment sum, and
+    # both groups take their a- and r-free factors from one list, times a
+    # running head and a running binom(-r, s)
     ctx = QContext(p=p, q=q, precision=8)
     count = ctx.working_precision + 6
     for a in range(1, p):
-        group1 = [g1 for g1, _ in islice(_eq24_groups(n, r, a, ctx), count)]
-        assert group1 == eq24_group1_by_convolution(n, r, a, ctx, count)
+        assert list(islice(_eq24_groups(n, r, a, ctx), count)) == \
+            eq24_groups_per_term(n, r, a, ctx, count)
+
+
+def expansion_group_by_fraction_coefficients(n, r, a, ctx, with_correction):
+    """The chain k-series with each coefficient (-1)^n _outer_coeff(r, k)
+    q^(ak) [pn]^k formed as a Fraction and embedded."""
+    p = ctx.p
+    prm = PartialZetaParams(a, p)
+    count = q_int(p * n, ctx.q)
+    w_inv = teichmuller(a, p, ctx.working_precision) ** -1
+
+    def terms():
+        k = 1
+        twist = w_inv ** r
+        while True:
+            twist = twist * w_inv
+            piece = H_pq(r + k, prm, ctx).value
+            if with_correction:
+                piece = piece + K_partial(n, r + k, prm, ctx).value
+            coeff = _outer_coeff(r, k) * ctx.q ** (a * k) * count**k
+            yield -(ctx.embed((-1) ** n * coeff) * twist * piece)
+            k += 1
+
+    return sum_guarded(terms(), ctx, description="chain k-series").value
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_expansion_group_equals_the_fraction_coefficient_loop(p):
+    # the running integer coefficient times the running p-adic power has the
+    # parts of the embedded Fraction product: the same PadicNumber
+    for q in (Fraction(1 + p), Fraction(1 - p), Fraction(1, 1 + p), Fraction(7, 4)):
+        if v_p(q - 1, p) < 1:
+            continue  # 7/4 is a valid q at p = 3 only
+        ctx = QContext(p=p, q=q, precision=8)
+        with series_cache():
+            for n, r in ((1, 1), (2, 2), (3, 1)):
+                for a in range(1, p):
+                    for with_correction in (True, False):
+                        assert _expansion_group(n, r, a, ctx, with_correction) == \
+                            expansion_group_by_fraction_coefficients(
+                                n, r, a, ctx, with_correction), (q, n, r, a)
 
 
 def test_thm5_lhs_values():
