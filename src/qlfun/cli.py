@@ -149,9 +149,7 @@ def _twisted_euler(n: int, chi: str, p: Optional[int], q: Optional[str],
     character = parse_character(chi, p)
     if character.is_plus_minus_one_valued:
         return gen_euler_number(n, character, q=_resolve_q(q, p)), "ok"
-    if p is None:
-        raise click.UsageError("--p is required for p-adic-valued characters")
-    ctx = _context(p, q, prec)
+    ctx = _context(p, q, prec)  # not {0,+-1}-valued: a teich:T atom, which needs --p
     return at_target(gen_euler_number(n, character, ctx=ctx), ctx), "ok"
 
 

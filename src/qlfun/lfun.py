@@ -15,7 +15,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Callable, Iterator, List, Optional, Tuple, Union
+from typing import Callable, Iterator, List, Optional, Tuple, Union
 
 from .characters import DirichletCharacter, chi_eval
 from .numerics import (
@@ -31,7 +31,7 @@ from .numerics import (
     merge_series,
     mul_parts,
     q_int,
-    sum_guarded,
+    sum_column,
     v_p,
 )
 from .qeuler import FractionalArg, chi_weighted_sum, euler_number, euler_poly_frac
@@ -104,11 +104,12 @@ _ACTIVE_CACHE: ContextVar[Optional[SeriesCache]] = ContextVar(
 @contextmanager
 def series_cache() -> Iterator[SeriesCache]:
     """Open a fresh evaluation scope.  Inside it H_pq, K_partial, the unit
-    power <a>^(-s) and the q-Euler Delta_j stream are each computed once per
+    power <a>^(-s) and the q-Euler Delta_j column are each computed once per
     key (T_partial reads the cached H_pq and K_partial values).  So are the
     term tables: the s-free H/K bases, per (n, a, F), the s-free powers
     (<a> - 1)^k, per a, and the binomial column binom(-s, j), per s, which
-    both kinds of series read; a term is one product of two table entries,
+    both kinds of series read, each a list of ctx.column_length entries
+    (the Delta_j column too); a term is one product of two table entries,
     the same value as the product of its factors in any order (see
     :func:`_twisted_series`).  So is the character column chi(a) over the
     units a <= F, per (chi, F), which l_pq, T_full and K_full read at every s
@@ -152,46 +153,33 @@ def _require_padic_params(prm: PartialZetaParams, ctx: QContext, name: str) -> N
     ctx.require_q_not_one(name)
 
 
-class _OnDemand:
-    """The values of an iterator, kept as they are first read: reading item j
-    runs the iterator up to j once, for every reader of the same list."""
-
-    def __init__(self, values: Iterator[Any]):
-        self._values = values
-        self._read: List[Any] = []
-
-    def __getitem__(self, j: int) -> Any:
-        while len(self._read) <= j:
-            self._read.append(next(self._values))
-        return self._read[j]
+@_scoped
+def _binomials(s: PadicExponent, ctx: QContext) -> List[Parts]:
+    """The parts of binom(-s, j) for j < ctx.column_length: one column per s,
+    shared by <a>^(-s) and the H and K series of every unit a and every n in
+    one scope.  binom_stream refuses an s that is not a p-adic integer."""
+    return [c.parts for c in itertools.islice(binom_stream(-s, ctx), ctx.column_length)]
 
 
 @_scoped
-def _binomials(s: PadicExponent, ctx: QContext) -> _OnDemand:
-    """The parts of binom(-s, j) for j = 0, 1, 2, ...: one column per s, shared
-    by <a>^(-s) and the H and K series of every unit a and every n in one scope."""
-    column = _OnDemand(c.parts for c in binom_stream(-s, ctx))
-    column[0]  # binom_stream refuses an s that is not a p-adic integer here
-    return column
-
-
-@_scoped
-def _unit_powers(a: int, ctx: QContext) -> _OnDemand:
-    """The parts of (<a> - 1)^k for k = 0, 1, 2, ...: the s-free column of
+def _unit_powers(a: int, ctx: QContext) -> List[Parts]:
+    """The parts of (<a> - 1)^k for k < ctx.column_length: the s-free column of
     <a>^(-s), one per (a, ctx), shared by every s in one scope."""
     t = (angle_bracket(a, ctx) - ctx.one()).parts
-    return _OnDemand(itertools.accumulate(
-        itertools.repeat(t), functools.partial(mul_parts, ctx.p), initial=ctx.one().parts))
+    return list(itertools.accumulate(
+        itertools.repeat(t, ctx.column_length - 1), functools.partial(mul_parts, ctx.p),
+        initial=ctx.one().parts))
 
 
 @_scoped
 def _unit_pow(a: int, s: PadicExponent, ctx: QContext) -> SeriesResult:
     """<a>^(-s) = sum_k binom(-s, k) (<a> - 1)^k, shared by the H and K series
     of the same (a, s): the guarded series of ``padic_pow(<a>, -s)``, each term
-    the :func:`mul_parts` product of :func:`_binomials` and :func:`_unit_powers`."""
-    p, coeffs, powers = ctx.p, _binomials(s, ctx), _unit_powers(a, ctx)
-    terms = (mul_parts(p, coeffs[k], powers[k]) for k in itertools.count())
-    return sum_guarded(terms, ctx, description="binomial power series")
+    the :func:`mul_parts` product of :func:`_binomials` and :func:`_unit_powers`.
+    Its k-th term has valuation >= k (binom(-s, k) is a p-adic integer and
+    <a> = 1 mod p), so the guard fires within the columns."""
+    terms = map(functools.partial(mul_parts, ctx.p), _binomials(s, ctx), _unit_powers(a, ctx))
+    return sum_column(terms, ctx, "binomial power series")
 
 
 #: digits the Delta_j residues carry beyond N + J e (see :func:`_deltas`)
@@ -199,64 +187,55 @@ RESIDUE_MARGIN = 4
 
 
 @_scoped
-def _deltas(Q: Fraction, ctx: QContext) -> _OnDemand:
-    """Delta_j = sum_k C(j,k) (-1)^k / (1 + Q^k) for j = 0, 1, 2, ..., in
-    integers mod p^M: one stream per (Q, ctx), shared by every series in one
+def _deltas(Q: Fraction, ctx: QContext) -> List[Parts]:
+    """Delta_j = sum_k C(j,k) (-1)^k / (1 + Q^k) for j < J = ctx.column_length,
+    in integers mod p^M: one column per (Q, ctx), shared by every series in one
     scope, each value equal to the parts of
     ``ctx.embed(euler_number(j, Q) (1-Q)^j / 2)`` (the closed form of
     :func:`qlfun.qeuler.euler_number` is E_{j,Q} = 2 Delta_j / (1-Q)^j).
 
     Q = q^F = 1 mod p, so 1 + Q^k = 2 mod p is a unit, and Delta_j mod p^M is
     the j-th difference of the integers 1/(1 + Q^k) mod p^M, from a running
-    Q^k and one ``pow(., -1, p^M)`` per round (of the row's prefix product):
-    the one place where a difference is formed from reduced parts, not exact values.
-    Round by round, the values j <= J use M = N + J e + RESIDUE_MARGIN, with
-    N = working precision + WORKING_MARGIN (the digits ``ctx.embed`` keeps)
-    and e = v_p(Q - 1).  A nonzero residue p^v u gives v = v_p(Delta_j) and
-    u mod p^(M - v), accepted when M - v >= N.  The bound v_p(Delta_j) >= j e
-    (proved in :func:`_term_bases`) is why that almost always holds, but it is
-    checked per value: a zero or short residue takes the exact route.  The
-    first round has J = working precision + guard, by which a guarded series
-    whose j-th term has valuation >= j (every H and K term, see
-    :func:`_term_bases`) stops; each later round doubles J.
+    Q^k and one ``pow(., -1, p^M)`` (of the row's prefix product): the one
+    place where a difference is formed from reduced parts, not exact values.
+    The values use M = N + J e + RESIDUE_MARGIN, with N = working precision +
+    WORKING_MARGIN (the digits ``ctx.embed`` keeps) and e = v_p(Q - 1).  A
+    nonzero residue p^v u gives v = v_p(Delta_j) and u mod p^(M - v), accepted
+    when M - v >= N.  The bound v_p(Delta_j) >= j e (proved in
+    :func:`_term_bases`) is why that almost always holds, but it is checked per
+    value: a zero or short residue takes the exact route.
     """
-    p, N = ctx.p, ctx.working_precision + WORKING_MARGIN
-    e = v_p(Q - 1, p)
+    p, N, J = ctx.p, ctx.working_precision + WORKING_MARGIN, ctx.column_length
+    M = N + J * v_p(Q - 1, p) + RESIDUE_MARGIN
+    mod = p**M
+    Qm = Q.numerator * pow(Q.denominator, -1, mod) % mod
+    dens = [1 + Qk for Qk in itertools.accumulate(
+        itertools.repeat(Qm, J - 1), lambda x, y: x * y % mod, initial=1)]
+    prefix = list(itertools.accumulate(dens, lambda x, y: x * y % mod))
+    inv, row = pow(prefix[-1], -1, mod), [0] * J
+    for k in range(J - 1, 0, -1):  # inv is 1/(dens[0] ... dens[k]) here
+        row[k], inv = inv * prefix[k - 1] % mod, inv * dens[k] % mod
+    row[0] = inv
 
-    def value(j: int, delta: int, M: int) -> Parts:
+    def value(j: int, delta: int) -> Parts:
         if delta:
             unit, v = _strip_p(delta, p)
             if M - v >= N:
                 return v, unit % p**N, N
         return ctx.embed(euler_number(j, Q) * (1 - Q) ** j / 2).parts
 
-    def rounds() -> Iterator[Parts]:
-        done, J = 0, ctx.working_precision + ctx.guard
-        while True:
-            M = N + J * e + RESIDUE_MARGIN
-            mod = p**M
-            Qm = Q.numerator * pow(Q.denominator, -1, mod) % mod
-            dens = [1 + Qk for Qk in itertools.accumulate(
-                itertools.repeat(Qm, J), lambda x, y: x * y % mod, initial=1)]
-            prefix = list(itertools.accumulate(dens, lambda x, y: x * y % mod))
-            inv, row = pow(prefix[J], -1, mod), [0] * (J + 1)
-            for k in range(J, 0, -1):  # inv is 1/(dens[0] ... dens[k]) here
-                row[k], inv = inv * prefix[k - 1] % mod, inv * dens[k] % mod
-            row[0] = inv
-            # Delta_j is the first entry after j steps of row[k] - row[k+1]
-            for j in range(J + 1):
-                if j >= done:
-                    yield value(j, row[0], M)
-                row = [(x - y) % mod for x, y in zip(row, row[1:])]
-            done, J = J + 1, 2 * J
-
-    return _OnDemand(rounds())
+    # Delta_j is the first entry after j steps of row[k] - row[k+1]
+    column = []
+    for j in range(J):
+        column.append(value(j, row[0]))
+        row = [(x - y) % mod for x, y in zip(row, row[1:])]
+    return column
 
 
 @_scoped
-def _term_bases(n: int, a: int, F: int, ctx: QContext) -> _OnDemand:
+def _term_bases(n: int, a: int, F: int, ctx: QContext) -> List[Parts]:
     """The s-free part of the j-th H (n = 0) or K (n >= 1) term,
-    (q^a/(1-q^a))^j Delta_j [q^(nFj) - 1], for j = 0, 1, 2, ...: half the
+    (q^a/(1-q^a))^j Delta_j [q^(nFj) - 1], for j < ctx.column_length: half the
     paper's (q^a [F]/[a])^j E_{j,q^F} [q^(nFj) - 1], as [F]/(1-q^F) =
     [a]/(1-q^a) = 1/(1-q).
 
@@ -280,7 +259,7 @@ def _term_bases(n: int, a: int, F: int, ctx: QContext) -> _OnDemand:
     * binom(-s, j) is a p-adic integer for every p-adic integer s and
       <a>^(-s) is a unit, so the j-th H or K term has valuation >= j v_p(F)
       too, and the tail after index J has valuation >= (J + 1) v_p(F),
-      plus e for K.
+      plus e for K.  As v_p(F) >= 1, the guard fires within the columns.
 
     Each factor is reduced on its own (reduction is multiplicative); K's
     q^(nFj) - 1 is formed exactly first, so that it keeps its relative digits.
@@ -290,16 +269,15 @@ def _term_bases(n: int, a: int, F: int, ctx: QContext) -> _OnDemand:
     deltas = _deltas(q**F, ctx)
     qnF = q ** (n * F)
 
-    def bases() -> Iterator[Parts]:
-        power = ctx.embed(1).parts  # not ctx.one(): that would cap the digits at working precision
-        for j in itertools.count():
-            base = mul_parts(p, power, deltas[j])
-            if n:
-                base = mul_parts(p, base, ctx.embed(qnF**j - 1).parts)
-            yield base
-            power = mul_parts(p, power, step)
-
-    return _OnDemand(bases())
+    power = ctx.embed(1).parts  # not ctx.one(): that would cap the digits at working precision
+    column = []
+    for j, delta in enumerate(deltas):
+        base = mul_parts(p, power, delta)
+        if n:
+            base = mul_parts(p, base, ctx.embed(qnF**j - 1).parts)
+        column.append(base)
+        power = mul_parts(p, power, step)
+    return column
 
 
 def _twisted_series(n: int, s: PadicExponent, prm: PartialZetaParams,
@@ -309,17 +287,17 @@ def _twisted_series(n: int, s: PadicExponent, prm: PartialZetaParams,
     the term form of :func:`_term_bases`, whose 2 cancels the paper's 1/2.
 
     The j-th term is binom(-s, j) times the j-th s-free base, each read from
-    a scoped list (:func:`_binomials`, :func:`_term_bases`) extended as far as
-    the longest series has asked, and multiplied on integer parts by
-    :func:`mul_parts`, the rule of ``PadicNumber.__mul__``: it adds valuations,
-    reduces the unit mod p^(least precision) and bounds a zero by the sum of
-    the valuations, so it is associative and commutative and the grouping exact."""
-    a, p = prm.a, ctx.p
+    a scoped column of ctx.column_length entries (:func:`_binomials`,
+    :func:`_term_bases`), within which the guard fires, and multiplied on
+    integer parts by :func:`mul_parts`, the rule of ``PadicNumber.__mul__``: it
+    adds valuations, reduces the unit mod p^(least precision) and bounds a zero
+    by the sum of the valuations, so it is associative and commutative and the
+    grouping exact."""
+    a = prm.a
     unit_pow = _unit_pow(a, s, ctx)
-    coeffs = _binomials(s, ctx)
-    bases = _term_bases(n, a, prm.F, ctx)
-    terms = (mul_parts(p, coeffs[j], bases[j]) for j in itertools.count())
-    body = sum_guarded(terms, ctx, description="K series" if n else "H_pq series")
+    terms = map(functools.partial(mul_parts, ctx.p), _binomials(s, ctx),
+                _term_bases(n, a, prm.F, ctx))
+    body = sum_column(terms, ctx, "K series" if n else "H_pq series")
     value = ctx.embed((-1) ** a) * unit_pow.value * body.value
     return merge_series(value, [unit_pow, body])
 
@@ -348,7 +326,7 @@ def _unit_sum(partial: Callable[[PartialZetaParams], SeriesResult],
     """2 sum over units a <= F of chi(a) partial(a : F), the character-weighted
     sum behind l_pq, T_full and K_full, which check conductor(chi) | F: the units
     a <= F then run over whole periods of chi.  Without an active series cache
-    it opens one, so that its units share one Delta_j stream."""
+    it opens one, so that its units share one Delta_j column."""
     if _ACTIVE_CACHE.get() is None:
         with series_cache():
             return _unit_sum(partial, chi, F, ctx)

@@ -218,19 +218,6 @@ class PadicNumber:
         return PadicNumber(p=self.p, valuation=self.valuation,
                            unit=self.unit % self.p**int(rel), precision=int(rel))
 
-    def eq_at_precision(self, other: "PadicNumber", k: int) -> bool:
-        """Spec equality: matching valuations and units mod p^min(k, precisions),
-        or both values indistinguishable from 0 at valuation k."""
-        self._check_same_prime(other)
-        if (self.is_zero or self.valuation >= k) and (other.is_zero or other.valuation >= k):
-            return True
-        if self.is_zero or other.is_zero:
-            return False
-        if self.valuation != other.valuation:
-            return False
-        m = min(k, self.precision, other.precision)
-        return self.unit % self.p**m == other.unit % self.p**m
-
     # -- arithmetic -----------------------------------------------------------
 
     def _check_same_prime(self, other: "PadicNumber") -> None:
@@ -394,6 +381,12 @@ class QContext:
         return self.precision + WORKING_MARGIN
 
     @property
+    def column_length(self) -> int:
+        """Entries in a scoped series column: a series whose j-th term has
+        valuation >= j meets its guard by index working_precision + guard - 1."""
+        return self.working_precision + self.guard
+
+    @property
     def q_is_one(self) -> bool:
         return self.q == 1
 
@@ -494,6 +487,20 @@ def sum_guarded(terms: Iterable[Union[PadicNumber, Parts]], ctx: QContext, *,
                 result(min(valuations[-guard:]), False))
     # finite term stream exhausted: the tail is identically zero
     return result(INF, True)
+
+
+def sum_column(terms: Iterable[Union[PadicNumber, Parts]], ctx: QContext,
+               description: str) -> SeriesResult:
+    """:func:`sum_guarded` over the ``ctx.column_length`` terms of a series whose
+    j-th term has valuation >= j, so that the guard fires within them.  A column
+    that runs out first breaks that bound: PadicError naming the series, never
+    the exhausted-stream exit's "tail identically zero"."""
+    def checked() -> Iterator[Union[PadicNumber, Parts]]:
+        yield from terms
+        raise PadicError(f"{description}: guard not satisfied within its "
+                         f"{ctx.column_length} column entries")
+
+    return sum_guarded(checked(), ctx, description=description)
 
 
 def merge_series(value: PadicNumber, parts: Iterable[SeriesResult]) -> SeriesResult:

@@ -20,7 +20,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .characters import DirichletCharacter
 from .lfun import (
@@ -31,7 +31,6 @@ from .lfun import (
     SeriesCache,
     T_full,
     T_partial,
-    _OnDemand,
     _scoped,
     l_pq,
     series_cache,
@@ -48,6 +47,7 @@ from .numerics import (
     q_int,
     require_odd_prime,
     residual_valuation,
+    sum_column,
     sum_guarded,
     teichmuller,
     v_p,
@@ -299,39 +299,45 @@ def _partial_sum_exact(n: int, r: int, a: int, ctx: QContext) -> Fraction:
 
 
 @_scoped
-def _eq24_free_parts(n: int, Q: Fraction) -> _OnDemand:
-    """((-1)^n inner/2, ((-1)^n Q^(ns) - 1) E_{s,Q}/2) for s = 0, 1, 2, ...:
-    the factors of eq24's s-th group 1 and group 2 terms free of a and r,
-    one list per (n, Q) for every unit and every r in one series cache.
-    inner = E_{s,Q}(n) - Q^(ns) E_{s,Q} is group 1's inner sum
+def _eq24_free_parts(n: int, ctx: QContext) -> List[Tuple[Fraction, Fraction]]:
+    """((-1)^n inner/2, ((-1)^n Q^(ns) - 1) E_{s,Q}/2) for s < ctx.column_length
+    and Q = q^F, F = p: the factors of eq24's s-th group 1 and group 2 terms
+    free of a and r, one list per (n, ctx) for every unit and every r in one
+    series cache.  inner = E_{s,Q}(n) - Q^(ns) E_{s,Q} is group 1's inner sum
     sum_{l<s} C(s,l) Q^(nl) E_{l,Q} [n]_Q^(s-l), the moment form of E_{s,Q}(n)
     without its l = s term: one closed form per s instead of an O(s)
     convolution (``identity_suite``'s ``poly_paths_agree`` checks the two)."""
-    def rows() -> Iterator[Tuple[Fraction, Fraction]]:
-        for s in itertools.count():
-            euler_s, Q_ns = euler_number(s, Q), Q ** (n * s)
-            yield ((-1) ** n * (euler_poly(s, n, Q) - Q_ns * euler_s) / 2,
-                   ((-1) ** n * Q_ns - 1) * euler_s / 2)
+    Q, rows = ctx.q**ctx.p, []
+    for s in range(ctx.column_length):
+        euler_s, Q_ns = euler_number(s, Q), Q ** (n * s)
+        rows.append(((-1) ** n * (euler_poly(s, n, Q) - Q_ns * euler_s) / 2,
+                     ((-1) ** n * Q_ns - 1) * euler_s / 2))
+    return rows
 
-    return _OnDemand(rows())
 
-
-def _eq24_groups(n: int, r: int, a: int, ctx: QContext) -> Iterator[Tuple[Fraction, Fraction]]:
+def _eq24_groups(n: int, r: int, a: int, ctx: QContext) -> List[Tuple[Fraction, Fraction]]:
     """Exact terms of the binomial expansion of the partial sum, in the
-    expansion order s: (polynomial-part group 1, boundary group 2), each
-    binom(-r, s) head times a factor :func:`_eq24_free_parts` keeps for
-    Q = q^F, with head = -[a]^(-r) (-1)^a (q^a [F]/[a])^s a running Fraction
-    and binom(-r, s) a running integer."""
+    expansion order s < ctx.column_length: (polynomial-part group 1, boundary
+    group 2), each binom(-r, s) head times a factor :func:`_eq24_free_parts`
+    keeps, with head = -[a]^(-r) (-1)^a (q^a [F]/[a])^s a running Fraction and
+    binom(-r, s) a running integer.
+
+    Each group's s-th term has valuation >= s v_p(F) = s: (q^a [F]/[a])^s has
+    valuation s v_p(F) (q^a and [a] are units, as p does not divide a),
+    binom(-r, s) is an integer, and E_{s,Q} = 2 Delta_s/(1-Q)^s is p-integral
+    by v_p(Delta_s) >= s v_p(Q - 1) (proved in ``lfun._term_bases``), so
+    E_{s,Q}(n) = sum_l C(s,l) Q^(nl) E_{l,Q} [n]_Q^(s-l) is too.  So both
+    sums meet their guard within the list."""
     F, q = ctx.p, ctx.q
-    free_parts = _eq24_free_parts(n, q**F)
     count_a = q_int(a, q)
     step = q**a * q_int(F, q) / count_a
     head, binom = -count_a ** (-r) * (-1) ** a, 1
-    for s in itertools.count():
-        group1, group2 = free_parts[s]
+    groups = []
+    for s, (group1, group2) in enumerate(_eq24_free_parts(n, ctx)):
         coeff = binom * head
-        yield coeff * group1, coeff * group2
+        groups.append((coeff * group1, coeff * group2))
         head, binom = head * step, binom * (-r - s) // (s + 1)
+    return groups
 
 
 def _boundary_piece(n: int, r: int, a: int, ctx: QContext) -> PadicNumber:
@@ -402,14 +408,12 @@ def _thm5_point(n: int, r: int, ctx: QContext, cache: SeriesCache) -> Thm5Report
         partials.append(_partial_sum_exact(n, r, a, ctx))
         partial_exact = ctx.embed(partials[-1])
         # both groups of the expansion step, and the first (polynomial-part)
-        # group alone with its own stop rule, read one stream of exact terms
-        groups24, groups1 = itertools.tee(_eq24_groups(n, r, a, ctx))
-        series24 = sum_guarded((ctx.embed(g1 + g2) for g1, g2 in groups24), ctx,
-                               description="eq24 series")
+        # group alone with its own stop rule, read one list of exact terms
+        groups = _eq24_groups(n, r, a, ctx)
+        series24 = sum_column((ctx.embed(g1 + g2) for g1, g2 in groups), ctx, "eq24 series")
         eq24_vals.append(_residual_sentinel(partial_exact, series24.value))
 
-        group1 = sum_guarded((ctx.embed(g1) for g1, _ in groups1), ctx,
-                             description="group1 series")
+        group1 = sum_column((ctx.embed(g1) for g1, _ in groups), ctx, "group1 series")
         boundary = _boundary_piece(n, r, a, ctx)
         eq26_vals.append(_residual_sentinel(partial_exact, group1.value + boundary))
 

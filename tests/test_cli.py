@@ -8,6 +8,7 @@ from click.testing import CliRunner
 
 from qlfun import lfun
 from qlfun.cli import main
+from qlfun.numerics import QContext
 
 
 @pytest.fixture()
@@ -199,6 +200,33 @@ def test_usage_error_inside_a_command_gets_an_envelope(runner, args, env):
     envelope = json_result(result)
     assert envelope["status"] == "error"
     assert envelope["result"]["message"]
+
+
+@pytest.mark.parametrize("args", [
+    ["qeuler", "gen", "-n", "2", "--chi", "teich:1", "--json"],
+    ["lfun", "lq", "-k", "2", "--chi", "teich:1", "--json"],
+])
+def test_a_teichmuller_character_without_p_is_a_usage_error(runner, args):
+    # a character that is not {0,+-1}-valued has a teich:T atom, which the
+    # parser refuses without --p
+    result = invoke(runner, args)
+    assert result.exit_code == 2
+    envelope = json_result(result)
+    assert envelope["status"] == "error"
+    assert envelope["result"]["message"] == "teich:T atoms need a prime; pass --p"
+
+
+def test_columns_too_short_for_the_guard_give_one_error_envelope(runner, monkeypatch):
+    # series columns that end before the guard fires: exit 2 and one
+    # envelope naming the series, never a converged value
+    monkeypatch.setattr(QContext, "column_length", property(lambda ctx: 6))
+    result = invoke(runner, ["lfun", "hpq", "-s", "2", "-a", "2", "-F", "9", "--p", "3",
+                             "--json"])
+    assert result.exit_code == 2
+    envelope = json_result(result)
+    assert envelope["status"] == "error"
+    assert envelope["result"]["message"] == \
+        "binomial power series: guard not satisfied within its 6 column entries"
 
 
 @pytest.mark.parametrize("modulus", ["-3", "-9"])

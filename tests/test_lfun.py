@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from qlfun import lfun
+from qlfun import lfun, verify
 from qlfun.characters import DirichletCharacter, chi_eval, twist
 from qlfun.lfun import (
     H_pq,
@@ -35,7 +35,7 @@ from qlfun.numerics import (
     v_p,
 )
 from qlfun.qeuler import euler_number, gen_euler_number
-from qlfun.verify import thm5_grid
+from qlfun.verify import _eq24_free_parts, _eq24_groups, thm5_grid, thm5_report
 
 CTX34 = QContext(p=3, q=Fraction(4), precision=8)
 CTX56 = QContext(p=5, q=Fraction(6), precision=8)
@@ -467,7 +467,7 @@ def test_series_cache_is_dropped_with_its_scope():
 def test_unit_power_matches_padic_pow(p):
     # <a>^(-s) read from the shared binomial column is padic_pow's own
     # series, as a dataclass: outside a scope, inside one, and after an H
-    # series (or a deep read) has extended the column past its stop index
+    # series has read the same column
     ctx = QContext(p=p, q=Fraction(p + 1), precision=8)
     units = [a for a in range(1, 2 * p) if a % p]
     exponents = [0, 2, -3, ctx.embed(4), ctx.embed(-2),
@@ -479,9 +479,6 @@ def test_unit_power_matches_padic_pow(p):
             assert [lfun._unit_pow(a, s, ctx) for a in units] == expected
         with series_cache():
             H_pq(s, PartialZetaParams(p - 1, p), ctx)
-            assert [lfun._unit_pow(a, s, ctx) for a in units] == expected
-        with series_cache():
-            lfun._binomials(s, ctx)[4 * ctx.working_precision]
             assert [lfun._unit_pow(a, s, ctx) for a in units] == expected
 
 
@@ -501,9 +498,9 @@ def test_non_integral_exponent_is_refused_on_every_call_in_a_scope():
 ])
 @pytest.mark.parametrize("reverse", [False, True])
 def test_term_tables_give_cold_values_in_any_read_order(short, long, reverse):
-    # one scope's tables, extended past the stop index of an earlier series
-    # (the short one, or K, whose terms carry the extra factor q^(nFj) - 1,
-    # before H at the same s) or read within it, give the unscoped values
+    # one scope's tables, built in full by an earlier series that stops
+    # sooner (the short one, or K, whose terms carry the extra factor
+    # q^(nFj) - 1, before H at the same s) or later, give the unscoped values
     prms = [PartialZetaParams(2, 3), PartialZetaParams(4, 9)]
     series = [lambda s, prm: H_pq(s, prm, CTX34),
               lambda s, prm: K_partial(1, s, prm, CTX34),
@@ -526,7 +523,7 @@ def test_term_tables_give_cold_values_in_any_read_order(short, long, reverse):
 
 
 # ---------------------------------------------------------------------------
-# q-Euler residues: the Delta_j stream
+# q-Euler residues: the Delta_j column
 # ---------------------------------------------------------------------------
 
 def residue_grid():
@@ -545,13 +542,14 @@ def exact_delta(j, Q, ctx):
 
 @pytest.mark.parametrize("p,q,F", list(residue_grid()))
 def test_euler_residues_match_the_exact_route(p, q, F):
-    # j up to 40 also runs the stream past its first round (21 to 37)
+    # every entry of the column, 21 to 45 of them
     Q = q**F
-    for precision in (8, 16, 24):
+    for precision in (8, 16, 24, 32):
         ctx = QContext(p=p, q=q, precision=precision)
         deltas = lfun._deltas(Q, ctx)
-        for j in range(41):
-            assert deltas[j] == exact_delta(j, Q, ctx).parts, (precision, j)
+        assert len(deltas) == ctx.column_length
+        for j, delta in enumerate(deltas):
+            assert delta == exact_delta(j, Q, ctx).parts, (precision, j)
 
 
 @pytest.mark.parametrize("p,q,F", list(residue_grid()))
@@ -559,23 +557,23 @@ def test_residue_differences_meet_the_valuation_bound(p, q, F):
     # v_p(Delta_j) >= j v_p(Q - 1): the bound the residues' modulus rests on
     Q = q**F
     e = v_p(Q - 1, p)
-    for precision in (8, 16, 24):
+    for precision in (8, 16, 24, 32):
         deltas = lfun._deltas(Q, QContext(p=p, q=q, precision=precision))
-        for j in range(41):
-            delta = PadicNumber(p, *deltas[j])
+        for j, parts in enumerate(deltas):
+            delta = PadicNumber(p, *parts)
             assert delta.valuation >= j * e, (precision, j)  # inf for an exact zero
 
 
 @pytest.mark.parametrize("margin_below_n,exact_indices", [
-    (None, set()),                       # the stream's own modulus: no value refused
-    (1, set(range(22))),                 # M = N - 1: every residue is short
-    ("all", set(range(22))),             # M = 0: every residue is zero
+    (None, set()),                       # the column's own modulus: no value refused
+    (1, set(range(21))),                 # M = N - 1: every residue is short
+    ("all", set(range(21))),             # M = 0: every residue is zero
 ])
 def test_refused_residues_take_the_exact_route(monkeypatch, margin_below_n, exact_indices):
     ctx = CTX34
     Q = ctx.q**3
     e = v_p(Q - 1, 3)
-    J = ctx.working_precision + ctx.guard  # the stream's first round, 21
+    J = ctx.column_length  # 21
     N = ctx.working_precision + WORKING_MARGIN
     if margin_below_n == "all":
         monkeypatch.setattr(lfun, "RESIDUE_MARGIN", -N - J * e)
@@ -588,9 +586,7 @@ def test_refused_residues_take_the_exact_route(monkeypatch, margin_below_n, exac
         return euler_number(j, base)
 
     monkeypatch.setattr(lfun, "euler_number", recording_euler_number)
-    deltas = lfun._deltas(Q, ctx)
-    assert [deltas[j] for j in range(J + 1)] == [exact_delta(j, Q, ctx).parts
-                                                 for j in range(J + 1)]
+    assert lfun._deltas(Q, ctx) == [exact_delta(j, Q, ctx).parts for j in range(J)]
     assert set(exact_calls) == exact_indices
 
 
@@ -609,7 +605,7 @@ def test_unit_sums_share_one_residue_table_without_a_scope(monkeypatch):
     K_full(1, 2, chi, CTX56)
     assert built == [Fraction(6) ** 5] * 3
     built.clear()
-    with series_cache():  # an open scope shares the stream across the calls too
+    with series_cache():  # an open scope shares the column across the calls too
         l_pq(2, chi, CTX56)
         T_full(1, 2, chi, CTX56)
     assert built == [Fraction(6) ** 5]
@@ -673,9 +669,8 @@ def test_term_bases_meet_the_proven_bound(p, q, F):
         with series_cache():
             for a in (1, 2, F - 1):
                 for n in (0, 1, 2):
-                    bases = lfun._term_bases(n, a, F, ctx)
-                    for j in range(41):
-                        assert PadicNumber(p, *bases[j]).valuation >= j * vF, (precision, a, n, j)
+                    for j, base in enumerate(lfun._term_bases(n, a, F, ctx)):
+                        assert PadicNumber(p, *base).valuation >= j * vF, (precision, a, n, j)
 
 
 @pytest.mark.parametrize("p,q,F", list(residue_grid()))
@@ -689,39 +684,86 @@ def test_integer_columns_equal_the_padic_chains(p, q, F):
             deltas = lfun._deltas(q**F, ctx)
             for a in (1, 2, F - 1):
                 t = angle_bracket(a, ctx) - ctx.one()
-                powers = lfun._unit_powers(a, ctx)
                 power = ctx.one()
-                for k in range(41):
-                    assert powers[k] == power.parts, (precision, a, k)
+                for k, entry in enumerate(lfun._unit_powers(a, ctx)):
+                    assert entry == power.parts, (precision, a, k)
                     power = power * t
                 step = ctx.embed(q**a / (1 - q**a))
                 for n in (0, 1, 2):
-                    bases = lfun._term_bases(n, a, F, ctx)
                     power = ctx.embed(1)
-                    for j in range(41):
+                    for j, entry in enumerate(lfun._term_bases(n, a, F, ctx)):
                         base = power * PadicNumber(p, *deltas[j])
                         if n:
                             base = base * ctx.embed(q ** (n * F * j) - 1)
-                        assert bases[j] == base.parts, (precision, a, n, j)
+                        assert entry == base.parts, (precision, a, n, j)
                         power = power * step
 
 
 @pytest.mark.parametrize("p,q,F", list(residue_grid()))
 def test_unit_power_terms_meet_the_proven_bound(p, q, F):
     # every term binom(-s, k) (<a> - 1)^k of <a>^(-s) has valuation >= k for
-    # integer s: binom(-s, k) is an integer and <a> = 1 mod p
+    # every p-adic integer s: binom(-s, k) is a p-adic integer and <a> = 1 mod p
+    rational = [x for x in (Fraction(1, 2), Fraction(-1, 3), Fraction(2, 7)) if v_p(x, p) >= 0]
     for precision in (8, 16, 24):
         ctx = QContext(p=p, q=q, precision=precision)
         with series_cache():
             for a in (1, 2, F - 1):
                 t = angle_bracket(a, ctx) - ctx.one()
-                for s in (-3, 0, 1, 2, 7):
-                    coeffs = lfun._binomials(s, ctx)
+                for s in [-3, 0, 1, 2, 7] + [ctx.embed(x) for x in rational]:
                     power = ctx.one()
-                    for k in range(41):
-                        term = PadicNumber(p, *coeffs[k]) * power
+                    for k, coeff in enumerate(lfun._binomials(s, ctx)):
+                        term = PadicNumber(p, *coeff) * power
                         assert term.valuation >= k, (precision, a, s, k)
                         power = power * t
+
+
+@pytest.mark.parametrize("p,q", sorted({(p, q) for p, q, _ in residue_grid()}))
+def test_eq24_group_terms_meet_the_proven_bound(p, q):
+    # the s-th exact term of each eq24 group has valuation >= s v_p(F) = s (F = p):
+    # (q^a [F]/[a])^s has valuation s v_p(F) and E_{s,Q} = 2 Delta_s/(1-Q)^s is
+    # p-integral
+    for precision in (8, 16):
+        ctx = QContext(p=p, q=q, precision=precision)
+        with series_cache():
+            for n in (1, 2, 3):
+                for r in (1, 2):
+                    for a in range(1, p):
+                        for s, groups in enumerate(_eq24_groups(n, r, a, ctx)):
+                            for g in groups:
+                                assert v_p(g, p) >= s, (precision, n, r, a, s)
+
+
+def test_scoped_columns_have_the_context_length():
+    # every column holds ctx.column_length = working precision + guard entries:
+    # a series whose j-th term has valuation >= j stops by the last of them
+    for ctx in (CTX34, QContext(p=5, q=Fraction(6), precision=16, guard=5)):
+        assert ctx.column_length == ctx.working_precision + ctx.guard
+        Q = ctx.q**ctx.p
+        with series_cache():
+            columns = [lfun._binomials(2, ctx), lfun._binomials(ctx.embed(Fraction(1, 2)), ctx),
+                       lfun._unit_powers(2, ctx), lfun._deltas(Q, ctx),
+                       lfun._term_bases(0, 2, ctx.p, ctx), lfun._term_bases(1, 2, ctx.p, ctx),
+                       _eq24_free_parts(1, ctx), _eq24_groups(2, 1, 1, ctx)]
+        assert [len(c) for c in columns] == [ctx.column_length] * len(columns)
+        # and no longer than they must be: here H meets its guard at the last entry
+        assert H_pq(1, PartialZetaParams(2, ctx.p), ctx).last_index == ctx.column_length - 1
+
+
+@pytest.mark.parametrize("module,column,series,name", [
+    (lfun, "_unit_powers", lambda ctx: H_pq(2, PartialZetaParams(2, 9), ctx),
+     "binomial power series"),
+    (lfun, "_term_bases", lambda ctx: H_pq(2, PartialZetaParams(2, 9), ctx), "H_pq series"),
+    (lfun, "_term_bases", lambda ctx: K_partial(1, 2, PartialZetaParams(2, 3), ctx), "K series"),
+    (verify, "_eq24_groups", lambda ctx: thm5_report(2, 1, ctx), "eq24 series"),
+], ids=["unit-power", "H", "K", "eq24"])
+def test_columns_too_short_for_the_guard_raise(monkeypatch, module, column, series, name):
+    # a column that ends before the guard can fire breaks the proven term
+    # bound: a PadicError naming the series, never a converged value whose
+    # tail is reported identically zero
+    full = getattr(module, column)
+    monkeypatch.setattr(module, column, lambda *args: full(*args)[:6])
+    with pytest.raises(PadicError, match=f"^{name}: guard not satisfied within its 21 column"):
+        series(CTX34)
 
 
 @pytest.mark.parametrize("q", [Fraction(4), Fraction(-2), Fraction(7, 4), Fraction(1, 4)])

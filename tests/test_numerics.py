@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qlfun.numerics import (
+    INF,
     PadicError,
     PadicNumber,
     QContext,
@@ -21,6 +22,7 @@ from qlfun.numerics import (
     q_int,
     reduce_mod_pN,
     residual_valuation,
+    sum_column,
     sum_guarded,
     teichmuller,
     v_p,
@@ -289,18 +291,6 @@ def test_digits_and_json_roundtrip():
     assert d["digits"][0] != 0
     rebuilt = sum(digit * 3**i for i, digit in enumerate(d["digits"]))
     assert rebuilt == x.unit
-
-
-def test_eq_at_precision():
-    p = 5
-    a = reduce_mod_pN(Fraction(7), p, 8)
-    b = reduce_mod_pN(Fraction(7 + 5**4), p, 8)
-    assert a.eq_at_precision(b, 4)
-    assert not a.eq_at_precision(b, 5)
-    za = reduce_mod_pN(Fraction(5**6), p, 8)
-    zb = PadicNumber.zero(p)
-    assert za.eq_at_precision(zb, 6)
-    assert not za.eq_at_precision(zb, 7)
 
 
 def test_pow_matches_repeated_multiplication():
@@ -576,6 +566,22 @@ def test_sum_guarded_cap_keeps_the_partial_fold():
         sum_guarded(iter([reduce_mod_pN(2, 7, 8)]), ctx)
     with pytest.raises(TypeError, match="expected PadicNumber"):
         sum_guarded(iter([ctx.embed(1), Fraction(1)]), ctx)
+
+
+def test_sum_column_raises_when_its_column_ends_before_the_guard():
+    # a column of ctx.column_length terms whose guard fires at its last entry
+    # is summed as sum_guarded sums it; one that ends first is a PadicError
+    # naming the series, not the exhausted-stream exit (tail bound inf)
+    ctx = QContext(p=3, q=Fraction(4), precision=2)
+    L, target = ctx.column_length, ctx.working_precision
+    column = [reduce_mod_pN(3**j, 3, 8) for j in range(L - ctx.guard)]
+    column += [PadicNumber.zero(3, target)] * ctx.guard
+    assert sum_column(iter(column), ctx, "test series") == sum_guarded(iter(column), ctx)
+    assert sum_column(iter(column), ctx, "test series").last_index == L - 1
+    short = column[:L - 1]
+    assert sum_guarded(iter(short), ctx).tail_valuation_bound == INF
+    with pytest.raises(PadicError, match=f"^test series: guard not satisfied within its {L} "):
+        sum_column(iter(short), ctx, "test series")
 
 
 # ---------------------------------------------------------------------------
