@@ -31,7 +31,7 @@ from .numerics import (
     merge_series,
     mul_parts,
     q_int,
-    sum_column,
+    sum_guarded,
     v_p,
 )
 from .qeuler import FractionalArg, chi_weighted_sum, euler_number, euler_poly_frac
@@ -74,7 +74,8 @@ def lq_neg_series_path(
     twisted q-Euler number, :func:`gen_euler_number`): 2 sum_{a=1}^{F}
     chi(a) H(-k, a:F) = [F]^k sum_{a=1}^{F} chi(a) (-1)^a E_{k,q^F}(a/F) over
     the conductor F, the a = F term at argument 1: one closed form per a, summed
-    with a outside, where gen_euler_number's one closed form has k outside."""
+    with a outside, where gen_euler_number's one closed form has k outside.
+    A q that disagrees with the context is a ValueError, as there."""
     if k < 0:
         raise ValueError("lq_neg_series_path requires k >= 0")
     if q is None:
@@ -82,6 +83,8 @@ def lq_neg_series_path(
             raise ValueError("lq_neg_series_path needs q or a context")
         q = ctx.q
     q = Fraction(q)
+    if ctx is not None and ctx.q != q:
+        raise ValueError("q argument disagrees with the context")
     F = chi.conductor
     return chi_weighted_sum(chi, range(1, F + 1), lambda a: (-1) ** a * euler_poly_frac(
         k, FractionalArg(a, F), q, "lq_neg_series_path"), q_int(F, q) ** k, ctx)
@@ -179,7 +182,7 @@ def _unit_pow(a: int, s: PadicExponent, ctx: QContext) -> SeriesResult:
     Its k-th term has valuation >= k (binom(-s, k) is a p-adic integer and
     <a> = 1 mod p), so the guard fires within the columns."""
     terms = map(functools.partial(mul_parts, ctx.p), _binomials(s, ctx), _unit_powers(a, ctx))
-    return sum_column(terms, ctx, "binomial power series")
+    return sum_guarded(terms, ctx, description="binomial power series")
 
 
 #: digits the Delta_j residues carry beyond N + J e (see :func:`_deltas`)
@@ -292,14 +295,15 @@ def _twisted_series(n: int, s: PadicExponent, prm: PartialZetaParams,
     integer parts by :func:`mul_parts`, the rule of ``PadicNumber.__mul__``: it
     adds valuations, reduces the unit mod p^(least precision) and bounds a zero
     by the sum of the valuations, so it is associative and commutative and the
-    grouping exact."""
+    grouping exact.  The sign (-1)^a is a negation: the same value as a
+    product with embed(-1), as no factor's precision exceeds embed's."""
     a = prm.a
     unit_pow = _unit_pow(a, s, ctx)
     terms = map(functools.partial(mul_parts, ctx.p), _binomials(s, ctx),
                 _term_bases(n, a, prm.F, ctx))
-    body = sum_column(terms, ctx, "K series" if n else "H_pq series")
-    value = ctx.embed((-1) ** a) * unit_pow.value * body.value
-    return merge_series(value, [unit_pow, body])
+    body = sum_guarded(terms, ctx, description="K series" if n else "H_pq series")
+    value = unit_pow.value * body.value
+    return merge_series(-value if a % 2 else value, [unit_pow, body])
 
 
 @_scoped

@@ -18,7 +18,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Tuple, Union
+from typing import Iterable, Iterator, Tuple, Union
 
 IntOrRational = Union[int, Fraction]
 Valuation = Union[int, float]  # int, or math.inf for "zero as far as we know"
@@ -38,7 +38,8 @@ class PadicError(ValueError):
 
 
 class SeriesDivergenceError(PadicError):
-    """A guarded series hit its hard cap before the guard was satisfied."""
+    """A guarded series read ``ctx.column_length`` terms, or ran out of terms,
+    before its guard was satisfied: a broken valuation bound."""
 
     def __init__(self, message: str, partial: "SeriesResult"):
         super().__init__(message)
@@ -334,9 +335,6 @@ def teichmuller(a: int, p: int, N: int) -> PadicNumber:
 #: binomial-coefficient losses never eat into reported precision
 WORKING_MARGIN = 10
 
-#: hard series cap as a multiple of the target precision
-CAP_FACTOR = 64
-
 
 @dataclass(frozen=True)
 class QContext:
@@ -344,20 +342,17 @@ class QContext:
 
     ``precision`` is the target digit count for reported results;
     ``working_precision``, precision + WORKING_MARGIN, is used internally;
-    ``guard`` consecutive high-valuation terms stop a truncated series;
-    ``cap`` is the hard maximum series index.
+    ``guard`` consecutive high-valuation terms stop a truncated series,
+    which reads at most ``column_length`` = working_precision + guard terms.
     """
 
     p: int
     q: Fraction
     precision: int = 8
     guard: int = 3
-    cap: Optional[int] = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "q", Fraction(self.q))
-        if self.cap is None:
-            object.__setattr__(self, "cap", CAP_FACTOR * self.precision)
         require_odd_prime(self.p)
         if self.precision < 1:
             raise ValueError("precision must be >= 1")
@@ -365,13 +360,11 @@ class QContext:
             raise ValueError("guard must be >= 1")
         if self.working_precision < self.precision + self.guard:
             raise ValueError("working_precision must be >= precision + guard")
-        if self.cap < 1:
-            raise ValueError("cap must be >= 1")
         if v_p(self.q - 1, self.p) < 1:
             raise ValueError(
                 f"q must satisfy v_{self.p}(q - 1) >= 1, got q = {self.q}")
         object.__setattr__(self, "_hash", hash(
-            (self.p, self.q, self.precision, self.guard, self.cap)))
+            (self.p, self.q, self.precision, self.guard)))
 
     def __hash__(self) -> int:  # the dataclass hash, computed once: scoped lookups hash it
         return self._hash
@@ -382,8 +375,9 @@ class QContext:
 
     @property
     def column_length(self) -> int:
-        """Entries in a scoped series column: a series whose j-th term has
-        valuation >= j meets its guard by index working_precision + guard - 1."""
+        """Entries in a scoped series column, and the most terms
+        :func:`sum_guarded` reads: a series whose j-th term has valuation >= j
+        meets its guard by index working_precision + guard - 1."""
         return self.working_precision + self.guard
 
     @property
@@ -405,13 +399,14 @@ class QContext:
         return PadicNumber.one(self.p, self.working_precision)
 
     def with_doubled_truncation(self) -> "QContext":
-        """Guard and cap doubled, for the doubling check: the working precision,
-        precision + WORKING_MARGIN, holds a doubled guard up to WORKING_MARGIN // 2."""
+        """Guard doubled, for the doubling check: the working precision,
+        precision + WORKING_MARGIN, holds a doubled guard up to WORKING_MARGIN // 2.
+        The doubled guard also lengthens ``column_length`` and moves every stop."""
         if 2 * self.guard > WORKING_MARGIN:
             raise ValueError(f"with_doubled_truncation requires guard <= {WORKING_MARGIN // 2}"
                              f" (WORKING_MARGIN // 2), got guard = {self.guard}")
         return QContext(p=self.p, q=self.q, precision=self.precision,
-                        guard=2 * self.guard, cap=2 * self.cap)
+                        guard=2 * self.guard)
 
 
 # ---------------------------------------------------------------------------
@@ -442,30 +437,33 @@ def sum_guarded(terms: Iterable[Union[PadicNumber, Parts]], ctx: QContext, *,
     consecutive terms of valuation >= ctx.working_precision, so that the
     reported digits of the value stay trustworthy.
 
-    Exceeding ``ctx.cap`` without satisfying the guard raises
-    :class:`SeriesDivergenceError` carrying the partial result.
+    It reads at most ``ctx.column_length`` terms, by which the guard of a
+    series whose j-th term has valuation >= j fires.  Terms that reach that
+    length, or end, before the guard fires break that bound: a
+    :class:`SeriesDivergenceError` naming the series, carrying the partial
+    result.
 
     A term is a PadicNumber of ctx.p or its parts (see :func:`mul_parts`).  The
     sum is one integer reduction, equal to the left fold of ``PadicNumber.__add__``:
     terms below the running ``bound`` (the least absolute precision so far; a
     zero term counts with its bound) accumulate as ``total * p**base``, and one
-    ``PadicNumber.make`` reduces at whichever exit is taken.  Each fold step
-    keeps the sum mod p**(running bound), the bound only falls, and a value
-    mod p**bound has one normalized form.
+    ``PadicNumber.make`` reduces at either exit.  Each fold step keeps the sum
+    mod p**(running bound), the bound only falls, and a value mod p**bound has
+    one normalized form.
     """
-    p, target, guard = ctx.p, ctx.working_precision, ctx.guard
+    p, target, guard, length = ctx.p, ctx.working_precision, ctx.guard, ctx.column_length
     check = ctx.zero()._check_same_prime
     bound: Valuation = INF
     base = total = run = 0  # run: terms of valuation >= target in a row
     valuations: list = []
     index = -1
 
-    def result(tail_bound: Valuation, converged: bool) -> SeriesResult:
+    def result(converged: bool) -> SeriesResult:
         value = (PadicNumber.make(p, base, total, bound - base) if total
                  else PadicNumber.zero(p, bound))
-        return SeriesResult(value, index, tail_bound, converged)
+        return SeriesResult(value, index, min(valuations[-guard:], default=INF), converged)
 
-    for index, term in enumerate(terms):
+    for index, term in enumerate(itertools.islice(terms, length)):
         if type(term) is not tuple:
             check(term)
             term = term.parts
@@ -480,27 +478,10 @@ def sum_guarded(terms: Iterable[Union[PadicNumber, Parts]], ctx: QContext, *,
         run = run + 1 if v >= target else 0
         valuations.append(v)
         if run >= guard:
-            return result(min(valuations[-guard:]), True)
-        if index >= ctx.cap:
-            raise SeriesDivergenceError(
-                f"{description}: guard not satisfied within cap {ctx.cap}",
-                result(min(valuations[-guard:]), False))
-    # finite term stream exhausted: the tail is identically zero
-    return result(INF, True)
-
-
-def sum_column(terms: Iterable[Union[PadicNumber, Parts]], ctx: QContext,
-               description: str) -> SeriesResult:
-    """:func:`sum_guarded` over the ``ctx.column_length`` terms of a series whose
-    j-th term has valuation >= j, so that the guard fires within them.  A column
-    that runs out first breaks that bound: PadicError naming the series, never
-    the exhausted-stream exit's "tail identically zero"."""
-    def checked() -> Iterator[Union[PadicNumber, Parts]]:
-        yield from terms
-        raise PadicError(f"{description}: guard not satisfied within its "
-                         f"{ctx.column_length} column entries")
-
-    return sum_guarded(checked(), ctx, description=description)
+            return result(True)
+    raise SeriesDivergenceError(
+        f"{description}: guard not satisfied within its {length} column entries",
+        result(False))
 
 
 def merge_series(value: PadicNumber, parts: Iterable[SeriesResult]) -> SeriesResult:
@@ -556,7 +537,8 @@ def binom_stream(s: PadicExponent, ctx: QContext) -> Iterator[PadicNumber]:
 
 def padic_pow(u: PadicNumber, s: PadicExponent, ctx: QContext) -> SeriesResult:
     """u**s for u congruent to 1 mod p and a p-adic integer exponent s,
-    via the binomial series sum_k binom(s, k) (u-1)**k with guarded truncation."""
+    via the binomial series sum_k binom(s, k) (u-1)**k with guarded truncation;
+    its k-th term has valuation >= k, so the guard fires within the column length."""
     if u.is_zero or u.valuation != 0 or u.unit % ctx.p != 1:
         raise PadicError("binomial series diverges: base must be congruent to 1 mod p")
     if isinstance(s, PadicNumber):

@@ -47,7 +47,6 @@ from .numerics import (
     q_int,
     require_odd_prime,
     residual_valuation,
-    sum_column,
     sum_guarded,
     teichmuller,
     v_p,
@@ -208,7 +207,12 @@ def _w_power_char(t: int, p: int) -> DirichletCharacter:
 def thm5_rhs(n: int, r: int, ctx: QContext) -> SeriesResult:
     """The expansion exactly as printed: minus the k-series of l-values,
     minus the k-series of correction aggregates, minus the boundary aggregate,
-    all with twist exponent -(r+k) and F = p."""
+    all with twist exponent -(r+k) and F = p.
+
+    The k-th term of the k-series has valuation >= k, so its guard fires
+    within ctx.column_length terms: _outer_coeff(r, k) is an integer,
+    v_p([pn]^k) = k v_p(pn) >= k, and l_pq and K_full at s = r + k are p-adic
+    integers (chi(a) and the H and K values are)."""
     if n < 1 or r < 1:
         raise ValueError("thm5 requires n, r >= 1")
     p = ctx.p
@@ -356,7 +360,11 @@ def _expansion_group(n: int, r: int, a: int, ctx: QContext,
     twist q^(ak) stays inside, and the series starts at k = 1.  Without the
     correction part it is the bare l-series group, which carries the whole
     sum once q is close enough to 1 for the boundary and correction series
-    to vanish (n even)."""
+    to vanish (n even).
+
+    Its k-th term has valuation >= k, so its guard fires within
+    ctx.column_length terms: coeff_k is an integer, v_p((q^a [pn])^k) >= k,
+    w(a) is a unit and H and K at s = r + k are p-adic integers."""
     p = ctx.p
     prm = PartialZetaParams(a, p)
     step = ctx.embed(ctx.q**a * q_int(p * n, ctx.q))
@@ -410,10 +418,12 @@ def _thm5_point(n: int, r: int, ctx: QContext, cache: SeriesCache) -> Thm5Report
         # both groups of the expansion step, and the first (polynomial-part)
         # group alone with its own stop rule, read one list of exact terms
         groups = _eq24_groups(n, r, a, ctx)
-        series24 = sum_column((ctx.embed(g1 + g2) for g1, g2 in groups), ctx, "eq24 series")
+        series24 = sum_guarded((ctx.embed(g1 + g2) for g1, g2 in groups), ctx,
+                               description="eq24 series")
         eq24_vals.append(_residual_sentinel(partial_exact, series24.value))
 
-        group1 = sum_column((ctx.embed(g1) for g1, _ in groups), ctx, "group1 series")
+        group1 = sum_guarded((ctx.embed(g1) for g1, _ in groups), ctx,
+                             description="group1 series")
         boundary = _boundary_piece(n, r, a, ctx)
         eq26_vals.append(_residual_sentinel(partial_exact, group1.value + boundary))
 

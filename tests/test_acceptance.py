@@ -220,7 +220,7 @@ def test_criterion_7_series_robustness():
             for m in range(-5, 6):
                 series = padic_pow(u, m, ctx)
                 ok = ok and residual_valuation(series.value, u**m) >= ctx.precision
-    report(7, "doubling guard/cap is invisible at target precision; powers exact",
+    report(7, "doubling the guard is invisible at target precision; powers exact",
            ok, time.monotonic() - start)
 
 

@@ -227,6 +227,8 @@ def test_columns_too_short_for_the_guard_give_one_error_envelope(runner, monkeyp
     assert envelope["status"] == "error"
     assert envelope["result"]["message"] == \
         "binomial power series: guard not satisfied within its 6 column entries"
+    partial = envelope["result"]["partial"]
+    assert (partial["converged"], partial["last_index"]) == (False, 5)
 
 
 @pytest.mark.parametrize("modulus", ["-3", "-9"])

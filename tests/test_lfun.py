@@ -3,6 +3,7 @@
 import json
 import math
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -27,6 +28,7 @@ from qlfun.numerics import (
     PadicNumber,
     QContext,
     angle_bracket,
+    binom_stream,
     merge_series,
     padic_pow,
     q_int,
@@ -115,6 +117,16 @@ def test_lq_dual_paths_padic_character():
         direct = gen_euler_number(k, w1, ctx=CTX56)
         series = lq_neg_series_path(k, w1, ctx=CTX56)
         assert residual_valuation(direct, series) >= CTX56.precision
+
+
+@pytest.mark.parametrize("fn", [gen_euler_number, lq_neg_series_path])
+def test_lq_routes_refuse_a_q_that_disagrees_with_the_context(fn):
+    # exact terms at q = 11 with character values from the q = 6 context
+    # would be neither value; a q equal to the context's is accepted
+    w1 = DirichletCharacter.teichmuller_power(1, 5)
+    with pytest.raises(ValueError, match="^q argument disagrees with the context$"):
+        fn(2, w1, q=11, ctx=CTX56)
+    assert fn(2, w1, q=6, ctx=CTX56) == fn(2, w1, ctx=CTX56)
 
 
 # ---------------------------------------------------------------------------
@@ -359,6 +371,7 @@ def test_full_aggregates_require_the_conductor_to_divide_p(full):
 # ---------------------------------------------------------------------------
 
 def test_doubling_guard_and_cap_changes_nothing():
+    # the doubled guard also lengthens every column and moves every stop
     ctx = CTX56
     doubled = ctx.with_doubled_truncation()
     w1 = DirichletCharacter.teichmuller_power(1, 5)
@@ -715,6 +728,38 @@ def test_unit_power_terms_meet_the_proven_bound(p, q, F):
                         term = PadicNumber(p, *coeff) * power
                         assert term.valuation >= k, (precision, a, s, k)
                         power = power * t
+
+
+@pytest.mark.parametrize("p,q,F", [(p, q, F) for p, q, F in residue_grid() if F % p == 0])
+def test_k_series_pieces_meet_the_proven_bound(p, q, F):
+    # thm5's printed and chain k-series stop within ctx.column_length terms
+    # because their k-th term has valuation >= k: a p-adic integer times a
+    # power of valuation >= k times values at s = r + k that are p-adic
+    # integers, K's a multiple of p; padic_pow's k-th term binom(s, k) (u-1)^k
+    # has valuation >= k for u = 1 mod p
+    ctx = QContext(p=p, q=q, precision=8)
+
+    def chi_of(s):  # thm5's twist w^(-s)
+        return DirichletCharacter.teichmuller_power(-s % (p - 1), p)
+
+    with series_cache():
+        for s in range(1, 12):
+            for a in (1, 2, F - 1):
+                prm = PartialZetaParams(a, F)
+                assert H_pq(s, prm, ctx).value.valuation >= 0, (s, a)
+                for n in (1, 2):
+                    assert K_partial(n, s, prm, ctx).value.valuation >= 1, (s, a, n)
+            assert l_pq(s, chi_of(s), ctx, F=F).value.valuation >= 0, s
+            if F == p:
+                for n in (1, 2):
+                    assert K_full(n, s, chi_of(s), ctx).value.valuation >= 1, (s, n)
+    for a in (1, 2, F - 1):
+        t = angle_bracket(a, ctx) - ctx.one()
+        for s in (-3, 2, 7, ctx.embed(Fraction(-1, 2))):
+            power = ctx.one()
+            for k, coeff in enumerate(islice(binom_stream(s, ctx), ctx.column_length)):
+                assert (coeff * power).valuation >= k, (a, s, k)
+                power = power * t
 
 
 @pytest.mark.parametrize("p,q", sorted({(p, q) for p, q, _ in residue_grid()}))

@@ -1,7 +1,8 @@
 """Exact rational primitives and truncated p-adic arithmetic."""
 
+import dataclasses
 from fractions import Fraction
-from itertools import islice
+from itertools import count, islice
 from math import factorial, inf
 
 import pytest
@@ -9,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qlfun.numerics import (
-    INF,
     PadicError,
     PadicNumber,
     QContext,
@@ -22,7 +22,6 @@ from qlfun.numerics import (
     q_int,
     reduce_mod_pN,
     residual_valuation,
-    sum_column,
     sum_guarded,
     teichmuller,
     v_p,
@@ -502,15 +501,24 @@ def flat(chunks):
     return [term for chunk in chunks for term in chunk]
 
 
-@pytest.mark.parametrize("exit_kind", ["guard", "exhausted"])
+def summed(terms, ctx):
+    """sum_guarded's result, or the partial result its error carries."""
+    try:
+        return sum_guarded(terms, ctx)
+    except SeriesDivergenceError as exc:
+        return exc.partial
+
+
+@pytest.mark.parametrize("exit_kind", ["guard", "runs-out"])
 @given(data=st.data())
 @settings(max_examples=150, deadline=None)
 def test_sum_guarded_equals_the_left_fold(exit_kind, data):
     p = data.draw(st.sampled_from([3, 5, 7]))
     ctx = QContext(p=p, q=Fraction(1 + p), precision=8)
     target = ctx.working_precision  # 18: valuations -2..25 fall on both sides
-    chunks = data.draw(st.lists(fold_chunks(p, -2, 25), max_size=12))
+    room = ctx.column_length - ctx.guard  # 18 terms before the guard run
     if exit_kind == "guard":
+        chunks = data.draw(st.lists(fold_chunks(p, -2, 25), max_size=room // 2))
         terms = flat(chunks) + flat(data.draw(st.lists(
             fold_chunks(p, target, 25), min_size=ctx.guard, max_size=ctx.guard)))
         result = sum_guarded(iter(terms), ctx)
@@ -520,12 +528,17 @@ def test_sum_guarded_equals_the_left_fold(exit_kind, data):
         assert (result.last_index, result.converged) == (stop, True)
     else:
         # a low-valuation term after every run keeps the guard window unmet
+        chunks = data.draw(st.lists(fold_chunks(p, -2, 25), max_size=room // 3))
         lows = data.draw(st.lists(fold_nonzero(p, -2, target - 1),
                                   min_size=len(chunks), max_size=len(chunks)))
         terms = flat(chunk + [low] for chunk, low in zip(chunks, lows))
-        result = sum_guarded(iter(terms), ctx)
+        with pytest.raises(SeriesDivergenceError, match=(
+                f"^series: guard not satisfied within its {ctx.column_length} "
+                "column entries$")) as info:
+            sum_guarded(iter(terms), ctx)
+        result = info.value.partial
         stop = len(terms) - 1
-        assert (result.last_index, result.tail_valuation_bound) == (stop, inf)
+        assert (result.last_index, result.converged) == (stop, False)
     assert result.value == left_fold(terms[:stop + 1], p)
 
 
@@ -533,29 +546,35 @@ def test_sum_guarded_equals_the_left_fold(exit_kind, data):
 @settings(max_examples=150, deadline=None)
 def test_sum_guarded_takes_the_parts_of_its_terms(data):
     # a term given as its (valuation, unit, precision) parts counts as the
-    # PadicNumber it is the parts of, at every exit (guard met or exhausted)
+    # PadicNumber it is the parts of, at either exit (guard met, or the
+    # partial result of a series that misses its guard)
     p = data.draw(st.sampled_from([3, 5, 7]))
     ctx = QContext(p=p, q=Fraction(1 + p), precision=8)
     terms = flat(data.draw(st.lists(fold_chunks(p, -2, 25), max_size=15)))
-    assert (sum_guarded((t.parts for t in terms), ctx)
-            == sum_guarded(iter(terms), ctx))
+    assert summed((t.parts for t in terms), ctx) == summed(iter(terms), ctx)
 
 
-def test_sum_guarded_cap_keeps_the_partial_fold():
-    ctx = QContext(p=3, q=Fraction(4), precision=2, cap=20)
+def test_sum_guarded_reads_at_most_the_column_length():
+    # an endless series that never meets its guard is cut after exactly
+    # ctx.column_length terms, with the partial fold of the terms read
+    ctx = QContext(p=3, q=Fraction(4), precision=2)
+    L = ctx.column_length  # 15
+    drawn = []
 
     def terms():  # valuations 0..2: the guard window is never met
-        k = 0
-        while True:
+        for k in count():
+            drawn.append(k)
             yield reduce_mod_pN(Fraction(k + 1, 2 * k + 1), 3, 1 + k % 7)
-            k += 1
 
-    with pytest.raises(SeriesDivergenceError, match="within cap 20") as info:
+    with pytest.raises(SeriesDivergenceError,
+                       match=f"^never converges: guard not satisfied within its {L} "
+                             "column entries$") as info:
         sum_guarded(terms(), ctx, description="never converges")
+    assert len(drawn) == L
     partial = info.value.partial
-    first = list(islice(terms(), ctx.cap + 1))
+    first = list(islice(terms(), L))
     assert partial.value == left_fold(first, 3)
-    assert partial.last_index == ctx.cap
+    assert partial.last_index == L - 1
     assert partial.converged is False
     assert partial.tail_valuation_bound == min(t.valuation for t in first[-ctx.guard:])
 
@@ -568,20 +587,24 @@ def test_sum_guarded_cap_keeps_the_partial_fold():
         sum_guarded(iter([ctx.embed(1), Fraction(1)]), ctx)
 
 
-def test_sum_column_raises_when_its_column_ends_before_the_guard():
+def test_sum_guarded_raises_when_its_column_ends_before_the_guard():
     # a column of ctx.column_length terms whose guard fires at its last entry
-    # is summed as sum_guarded sums it; one that ends first is a PadicError
-    # naming the series, not the exhausted-stream exit (tail bound inf)
+    # converges there; one that ends first is a SeriesDivergenceError naming
+    # the series, never a tail reported identically zero
     ctx = QContext(p=3, q=Fraction(4), precision=2)
     L, target = ctx.column_length, ctx.working_precision
     column = [reduce_mod_pN(3**j, 3, 8) for j in range(L - ctx.guard)]
     column += [PadicNumber.zero(3, target)] * ctx.guard
-    assert sum_column(iter(column), ctx, "test series") == sum_guarded(iter(column), ctx)
-    assert sum_column(iter(column), ctx, "test series").last_index == L - 1
+    full = sum_guarded(iter(column), ctx, description="test series")
+    assert (full.last_index, full.converged, full.tail_valuation_bound) == (L - 1, True, target)
+    assert full.value == left_fold(column, 3)
     short = column[:L - 1]
-    assert sum_guarded(iter(short), ctx).tail_valuation_bound == INF
-    with pytest.raises(PadicError, match=f"^test series: guard not satisfied within its {L} "):
-        sum_column(iter(short), ctx, "test series")
+    with pytest.raises(SeriesDivergenceError,
+                       match=f"^test series: guard not satisfied within its {L} ") as info:
+        sum_guarded(iter(short), ctx, description="test series")
+    partial = info.value.partial
+    assert (partial.last_index, partial.converged) == (L - 2, False)
+    assert partial.value == left_fold(short, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -606,7 +629,7 @@ def test_doubled_truncation_states_its_guard_limit():
     # the working precision, precision + WORKING_MARGIN, must hold the doubled
     # guard run: guard 5 doubles to 10, guard 6 is refused with the limit named
     doubled = QContext(p=3, q=Fraction(4), guard=5).with_doubled_truncation()
-    assert (doubled.guard, doubled.cap, doubled.working_precision) == (10, 1024, 18)
+    assert (doubled.guard, doubled.working_precision, doubled.column_length) == (10, 18, 28)
     with pytest.raises(ValueError, match=r"^with_doubled_truncation requires guard <= 5 "
                                          r"\(WORKING_MARGIN // 2\), got guard = 6$"):
         QContext(p=3, q=Fraction(4), guard=6).with_doubled_truncation()
@@ -615,14 +638,15 @@ def test_doubled_truncation_states_its_guard_limit():
 def test_equal_contexts_hash_equal():
     # the hash is computed once, in __post_init__, from the same fields the
     # dataclass compares: equal contexts (q given as an int or a Fraction, the
-    # cap defaulted or given) hash equal, also after doubling the truncation
+    # guard defaulted or given) hash equal, also after doubling the truncation
     ctx = QContext(p=5, q=Fraction(6), precision=8)
-    same = QContext(p=5, q=6, precision=8, guard=3, cap=512)
+    same = QContext(p=5, q=6, precision=8, guard=3)
+    assert [f.name for f in dataclasses.fields(QContext)] == ["p", "q", "precision", "guard"]
     assert ctx == same and hash(ctx) == hash(same)
-    assert hash(ctx) == hash((5, Fraction(6), 8, 3, 512))
+    assert hash(ctx) == hash((5, Fraction(6), 8, 3))
     first, second = ctx.with_doubled_truncation(), ctx.with_doubled_truncation()
     assert first == second and first is not second and hash(first) == hash(second)
-    assert hash(first) == hash((5, Fraction(6), 8, 6, 1024))
+    assert hash(first) == hash((5, Fraction(6), 8, 6))
     assert {ctx: "ctx", first: "doubled"}[same] == "ctx"
     assert QContext(p=5, q=Fraction(11), precision=8) != ctx
 

@@ -5,10 +5,12 @@ from fractions import Fraction
 
 import pytest
 
+from qlfun import verify
 from qlfun.lfun import H_pq, K_partial, PartialZetaParams, series_cache
 from qlfun.numerics import (
     INF,
     QContext,
+    SeriesDivergenceError,
     binom_int,
     q_int,
     residual_valuation,
@@ -221,7 +223,7 @@ def test_thm5_lhs_excludes_multiples_of_p():
 
 
 def test_thm5_rhs_truncation_stability():
-    # twice the guard window and the cap leave the target digits unchanged;
+    # twice the guard window (and so longer columns) leaves the target digits unchanged;
     # criterion 7 covers (n, r) = (1, 1) at p = 3 and 5
     for p, n, r in [(3, 2, 1), (3, 1, 3), (5, 2, 2), (7, 1, 2)]:
         ctx = QContext(p=p, q=Fraction(1 + p), precision=8)
@@ -244,6 +246,31 @@ def test_outer_k_series_terms_meet_the_proven_bound(p):
                     coeff = _outer_coeff(r, k)
                     assert coeff.denominator == 1, (r, k)
                     assert coeff == (-1) ** k * math.comb(r + k - 1, k)
+
+
+def test_printed_k_series_that_misses_its_guard_raises(monkeypatch):
+    # coefficients p^(-k) cancel the valuation k of [pn]^k, so every term
+    # stays below working precision: the series reads ctx.column_length
+    # terms and raises with its partial sum, never a converged value
+    monkeypatch.setattr(verify, "_outer_coeff", lambda r, k: Fraction(1, 3**k))
+    L = CTX34.column_length
+    with pytest.raises(SeriesDivergenceError,
+                       match=f"^thm5 rhs k-series: guard not satisfied within its {L} "
+                             "column entries$") as info:
+        thm5_rhs(1, 1, CTX34)
+    assert (info.value.partial.last_index, info.value.partial.converged) == (L - 1, False)
+
+
+def test_chain_k_series_that_misses_its_guard_raises(monkeypatch):
+    # with [pn] replaced by a unit, the chain terms keep the valuation of
+    # H + K, below working precision
+    monkeypatch.setattr(verify, "q_int", lambda x, q: Fraction(1))
+    L = CTX34.column_length
+    with pytest.raises(SeriesDivergenceError,
+                       match=f"^chain k-series: guard not satisfied within its {L} "
+                             "column entries$") as info:
+        _expansion_group(1, 1, 1, CTX34)
+    assert (info.value.partial.last_index, info.value.partial.converged) == (L - 1, False)
 
 
 @pytest.mark.parametrize("p,n,r", [(3, 1, 1), (3, 2, 2), (5, 1, 2)])
