@@ -30,8 +30,9 @@ from .numerics import (
     binom_stream,
     merge_series,
     mul_parts,
+    power_column,
     q_int,
-    sum_guarded,
+    sum_products,
     v_p,
 )
 from .qeuler import FractionalArg, chi_weighted_sum, euler_number, euler_poly_frac
@@ -137,7 +138,7 @@ def _scoped(fn):
         cache = _ACTIVE_CACHE.get()
         if cache is None:
             return fn(*args, **kwargs)
-        key = (fn, args, frozenset(kwargs.items()))
+        key = (fn, args, frozenset(kwargs.items())) if kwargs else (fn, args)
         if key in cache.values:
             cache.hits += 1
             return cache.values[key]
@@ -169,20 +170,19 @@ def _unit_powers(a: int, ctx: QContext) -> List[Parts]:
     """The parts of (<a> - 1)^k for k < ctx.column_length: the s-free column of
     <a>^(-s), one per (a, ctx), shared by every s in one scope."""
     t = (angle_bracket(a, ctx) - ctx.one()).parts
-    return list(itertools.accumulate(
-        itertools.repeat(t, ctx.column_length - 1), functools.partial(mul_parts, ctx.p),
-        initial=ctx.one().parts))
+    return power_column(ctx.p, ctx.one().parts, t, ctx.column_length)
 
 
 @_scoped
 def _unit_pow(a: int, s: PadicExponent, ctx: QContext) -> SeriesResult:
     """<a>^(-s) = sum_k binom(-s, k) (<a> - 1)^k, shared by the H and K series
-    of the same (a, s): the guarded series of ``padic_pow(<a>, -s)``, each term
-    the :func:`mul_parts` product of :func:`_binomials` and :func:`_unit_powers`.
+    of the same (a, s): the guarded series of ``padic_pow(<a>, -s)``, its
+    k-th term the product of the k-th entries of :func:`_binomials` and
+    :func:`_unit_powers`, formed inside the fold (:func:`sum_products`).
     Its k-th term has valuation >= k (binom(-s, k) is a p-adic integer and
     <a> = 1 mod p), so the guard fires within the columns."""
-    terms = map(functools.partial(mul_parts, ctx.p), _binomials(s, ctx), _unit_powers(a, ctx))
-    return sum_guarded(terms, ctx, description="binomial power series")
+    return sum_products(_binomials(s, ctx), _unit_powers(a, ctx), ctx,
+                        description="binomial power series")
 
 
 #: digits the Delta_j residues carry beyond N + J e (see :func:`_deltas`)
@@ -266,20 +266,16 @@ def _term_bases(n: int, a: int, F: int, ctx: QContext) -> List[Parts]:
 
     Each factor is reduced on its own (reduction is multiplicative); K's
     q^(nFj) - 1 is formed exactly first, so that it keeps its relative digits.
-    The product runs on integer parts (:func:`mul_parts`), and the entries are parts."""
-    p, q = ctx.p, ctx.q
-    step = ctx.embed(q**a / (1 - q**a)).parts
-    deltas = _deltas(q**F, ctx)
-    qnF = q ** (n * F)
-
-    power = ctx.embed(1).parts  # not ctx.one(): that would cap the digits at working precision
-    column = []
-    for j, delta in enumerate(deltas):
-        base = mul_parts(p, power, delta)
-        if n:
-            base = mul_parts(p, base, ctx.embed(qnF**j - 1).parts)
-        column.append(base)
-        power = mul_parts(p, power, step)
+    The entries are parts: the running power (q^a/(1-q^a))^j is a
+    :func:`power_column`, and each product is :func:`mul_parts`."""
+    p, q, J = ctx.p, ctx.q, ctx.column_length
+    # start at embed(1), not ctx.one(): that would cap the digits at working precision
+    powers = power_column(p, ctx.embed(1).parts, ctx.embed(q**a / (1 - q**a)).parts, J)
+    column = [mul_parts(p, power, delta) for power, delta in zip(powers, _deltas(q**F, ctx))]
+    if n:
+        qnF = q ** (n * F)
+        column = [mul_parts(p, base, ctx.embed(qnF**j - 1).parts)
+                  for j, base in enumerate(column)]
     return column
 
 
@@ -291,17 +287,17 @@ def _twisted_series(n: int, s: PadicExponent, prm: PartialZetaParams,
 
     The j-th term is binom(-s, j) times the j-th s-free base, each read from
     a scoped column of ctx.column_length entries (:func:`_binomials`,
-    :func:`_term_bases`), within which the guard fires, and multiplied on
-    integer parts by :func:`mul_parts`, the rule of ``PadicNumber.__mul__``: it
-    adds valuations, reduces the unit mod p^(least precision) and bounds a zero
-    by the sum of the valuations, so it is associative and commutative and the
-    grouping exact.  The sign (-1)^a is a negation: the same value as a
-    product with embed(-1), as no factor's precision exceeds embed's."""
+    :func:`_term_bases`), within which the guard fires; :func:`sum_products`
+    multiplies the pairs inside its fold by the rule of ``PadicNumber.__mul__``
+    (:func:`mul_parts`): it adds valuations, reduces the unit mod p^(least
+    precision) and bounds a zero by the sum of the valuations, so it is
+    associative and commutative and the grouping exact.  The sign (-1)^a is a
+    negation: the same value as a product with embed(-1), as no factor's
+    precision exceeds embed's."""
     a = prm.a
     unit_pow = _unit_pow(a, s, ctx)
-    terms = map(functools.partial(mul_parts, ctx.p), _binomials(s, ctx),
-                _term_bases(n, a, prm.F, ctx))
-    body = sum_guarded(terms, ctx, description="K series" if n else "H_pq series")
+    body = sum_products(_binomials(s, ctx), _term_bases(n, a, prm.F, ctx), ctx,
+                        description="K series" if n else "H_pq series")
     value = unit_pow.value * body.value
     return merge_series(-value if a % 2 else value, [unit_pow, body])
 

@@ -14,11 +14,12 @@ working precision, truncation guard) travel in a :class:`QContext`.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Tuple, Union
+from typing import Iterable, Iterator, List, Tuple, Union
 
 IntOrRational = Union[int, Fraction]
 Valuation = Union[int, float]  # int, or math.inf for "zero as far as we know"
@@ -116,13 +117,34 @@ def binom_int(t: int, k: int) -> int:
 # Truncated p-adic numbers
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
+def _modulus(p: int, precision: int) -> int:
+    """p**precision, computed once per (p, precision): the product rule's modulus."""
+    return p**precision
+
+
 def mul_parts(p: int, x: Parts, y: Parts) -> Parts:
     """The product rule of :class:`PadicNumber`, on plain integer parts:
     valuations add and the unit product is reduced mod p**(least precision).
     A zero has precision 0, so a zero factor gives the zero (v1 + v2, 0, 0)."""
     (v1, u1, prec1), (v2, u2, prec2) = x, y
     prec = prec1 if prec1 < prec2 else prec2
-    return v1 + v2, u1 * u2 % p**prec, prec
+    return v1 + v2, u1 * u2 % _modulus(p, prec), prec
+
+
+def power_column(p: int, start: Parts, step: Parts, length: int) -> List[Parts]:
+    """start * step**k for k < length (length >= 1), each entry the
+    :func:`mul_parts` product of the one before and step: from k = 1 on, a
+    running integer unit reduced mod one p**min(start's precision, step's)."""
+    v, unit, prec = start
+    v_step, u_step, prec_step = step
+    prec = prec if prec < prec_step else prec_step
+    mod = _modulus(p, prec)
+    column = [start]
+    for _ in range(length - 1):
+        v, unit = v + v_step, unit * u_step % mod
+        column.append((v, unit, prec))
+    return column
 
 
 @dataclass(frozen=True)
@@ -289,9 +311,15 @@ class PadicNumber:
 
 
 def reduce_mod_pN(r: IntOrRational, p: int, N: int) -> PadicNumber:
-    """Image of an exact rational: valuation v_p(r), unit correct mod p**N."""
+    """Image of an exact rational: valuation v_p(r), unit correct mod p**N.
+    An integer takes no ``Fraction`` and no inverse: p stripped, unit mod p**N."""
     if N < 1:
         raise ValueError("reduce_mod_pN requires N >= 1")
+    if isinstance(r, int):
+        if r == 0:
+            return PadicNumber.zero(p)
+        unit, v = _strip_p(r, p)
+        return PadicNumber(p=p, valuation=v, unit=unit % _modulus(p, N), precision=N)
     r = Fraction(r)
     if r == 0:
         return PadicNumber.zero(p)
@@ -299,7 +327,7 @@ def reduce_mod_pN(r: IntOrRational, p: int, N: int) -> PadicNumber:
     # (often very large) numerator and denominator
     num, v_num = _strip_p(r.numerator, p)
     den, v_den = _strip_p(r.denominator, p)
-    modulus = p**N
+    modulus = _modulus(p, N)
     unit = num % modulus * pow(den % modulus, -1, modulus) % modulus
     return PadicNumber(p=p, valuation=v_num - v_den, unit=unit, precision=N)
 
@@ -431,28 +459,30 @@ class SeriesResult:
         }
 
 
-def sum_guarded(terms: Iterable[Union[PadicNumber, Parts]], ctx: QContext, *,
-                description: str = "series") -> SeriesResult:
-    """Sum a p-adically convergent series, stopping after ``ctx.guard``
-    consecutive terms of valuation >= ctx.working_precision, so that the
-    reported digits of the value stay trustworthy.
+def sum_products(xs: Iterable[Parts], ys: Iterable[Parts], ctx: QContext, *,
+                 description: str = "series") -> SeriesResult:
+    """Sum the series of products x_j y_j of two columns of parts, stopping
+    after ``ctx.guard`` consecutive terms of valuation >= ctx.working_precision,
+    so that the reported digits of the value stay trustworthy.
 
-    It reads at most ``ctx.column_length`` terms, by which the guard of a
+    It reads at most ``ctx.column_length`` pairs, by which the guard of a
     series whose j-th term has valuation >= j fires.  Terms that reach that
     length, or end, before the guard fires break that bound: a
     :class:`SeriesDivergenceError` naming the series, carrying the partial
     result.
 
-    A term is a PadicNumber of ctx.p or its parts (see :func:`mul_parts`).  The
-    sum is one integer reduction, equal to the left fold of ``PadicNumber.__add__``:
-    terms below the running ``bound`` (the least absolute precision so far; a
-    zero term counts with its bound) accumulate as ``total * p**base``, and one
-    ``PadicNumber.make`` reduces at either exit.  Each fold step keeps the sum
-    mod p**(running bound), the bound only falls, and a value mod p**bound has
-    one normalized form.
+    The j-th term is the :func:`mul_parts` product of x_j and y_j, and the sum
+    is one integer reduction, equal to the left fold of
+    ``PadicNumber.__add__`` over those products: terms below the running
+    ``bound`` (the least absolute precision so far; a zero term counts with
+    its bound) accumulate as ``total * p**base``, and one ``PadicNumber.make``
+    reduces mod p**(bound - base) at either exit.  Each fold step keeps the
+    sum mod p**(running bound), the bound only falls, and a value mod p**bound
+    has one normalized form.  So the unit product u1 u2 is added unreduced:
+    every term read has valuation + precision >= bound, so its reduction mod
+    p**precision moves the total by a multiple of p**(bound - base) only.
     """
     p, target, guard, length = ctx.p, ctx.working_precision, ctx.guard, ctx.column_length
-    check = ctx.zero()._check_same_prime
     bound: Valuation = INF
     base = total = run = 0  # run: terms of valuation >= target in a row
     valuations: list = []
@@ -463,18 +493,18 @@ def sum_guarded(terms: Iterable[Union[PadicNumber, Parts]], ctx: QContext, *,
                  else PadicNumber.zero(p, bound))
         return SeriesResult(value, index, min(valuations[-guard:], default=INF), converged)
 
-    for index, term in enumerate(itertools.islice(terms, length)):
-        if type(term) is not tuple:
-            check(term)
-            term = term.parts
-        v, unit, prec = term
-        bound = min(bound, v + prec)
+    pairs = itertools.islice(zip(xs, ys), length)
+    for index, ((v1, u1, prec1), (v2, u2, prec2)) in enumerate(pairs):
+        v = v1 + v2
+        end = v + (prec1 if prec1 < prec2 else prec2)
+        if end < bound:
+            bound = end
         if v < bound:
             shift = v - base
             if total and shift >= 0:
-                total += unit * p**shift
+                total += u1 * u2 * p**shift
             else:  # the first term, or a new least valuation: rebase the total
-                base, total = v, unit + (total * p**-shift if total else 0)
+                base, total = v, u1 * u2 + (total * p**-shift if total else 0)
         run = run + 1 if v >= target else 0
         valuations.append(v)
         if run >= guard:
@@ -482,6 +512,24 @@ def sum_guarded(terms: Iterable[Union[PadicNumber, Parts]], ctx: QContext, *,
     raise SeriesDivergenceError(
         f"{description}: guard not satisfied within its {length} column entries",
         result(False))
+
+
+def sum_guarded(terms: Iterable[Union[PadicNumber, Parts]], ctx: QContext, *,
+                description: str = "series") -> SeriesResult:
+    """The guarded sum of :func:`sum_products` over single terms, each a
+    PadicNumber of ctx.p or its parts, paired with the parts (0, 1, inf) of an
+    exact 1: the same stop rule, the same result and at most
+    ``ctx.column_length`` terms drawn."""
+    check = ctx.zero()._check_same_prime
+
+    def parts(term: Union[PadicNumber, Parts]) -> Parts:
+        if type(term) is tuple:
+            return term
+        check(term)
+        return term.parts
+
+    return sum_products(map(parts, terms), itertools.repeat((0, 1, INF)), ctx,
+                        description=description)
 
 
 def merge_series(value: PadicNumber, parts: Iterable[SeriesResult]) -> SeriesResult:
@@ -509,20 +557,15 @@ def binom_stream(s: PadicExponent, ctx: QContext) -> Iterator[PadicNumber]:
     integer s, from one running product and one running integer k!.
 
     For an integer s every value is the exact binomial, the running integer
-    b <- b (s - k) // (k + 1) reduced in place as ``ctx.embed(b)`` reduces it
-    (p stripped, the unit mod p**N); for a genuinely p-adic s the division by
-    k! costs v_p(k!) digits of absolute precision, which each value's
-    precision field reflects.  Once the product is a p-adic zero (s an
+    b <- b (s - k) // (k + 1), as ``ctx.embed(b)``; for a genuinely p-adic s
+    the division by k! costs v_p(k!) digits of absolute precision, which each
+    value's precision field reflects.  Once the product is a p-adic zero (s an
     embedded integer 0 <= s < k) it is no longer multiplied.
     """
     if isinstance(s, int):
-        p, N, b = ctx.p, ctx.working_precision + WORKING_MARGIN, 1
+        b = 1
         for k in itertools.count():
-            if b:
-                unit, v = _strip_p(b, p)
-                yield PadicNumber(p, v, unit % p**N, N)
-            else:
-                yield ctx.zero()
+            yield ctx.embed(b)
             b = b * (s - k) // (k + 1)
     if not s.is_zero and s.valuation < 0:
         raise PadicError("binom_stream requires a p-adic integer")
@@ -544,15 +587,9 @@ def padic_pow(u: PadicNumber, s: PadicExponent, ctx: QContext) -> SeriesResult:
     if isinstance(s, PadicNumber):
         if not s.is_zero and s.valuation < 0:
             raise PadicError("exponent must be a p-adic integer")
-    t = u - ctx.one()
-
-    def terms() -> Iterator[PadicNumber]:
-        power = ctx.one()
-        for coeff in binom_stream(s, ctx):
-            yield coeff * power
-            power = power * t
-
-    return sum_guarded(terms(), ctx, description="binomial power series")
+    powers = power_column(ctx.p, ctx.one().parts, (u - ctx.one()).parts, ctx.column_length)
+    return sum_products((c.parts for c in binom_stream(s, ctx)), powers, ctx,
+                        description="binomial power series")
 
 
 def angle_bracket(a: int, ctx: QContext) -> PadicNumber:

@@ -2,7 +2,7 @@
 
 import dataclasses
 from fractions import Fraction
-from itertools import count, islice
+from itertools import accumulate, count, islice, repeat
 from math import factorial, inf
 
 import pytest
@@ -19,10 +19,12 @@ from qlfun.numerics import (
     binom_stream,
     mul_parts,
     padic_pow,
+    power_column,
     q_int,
     reduce_mod_pN,
     residual_valuation,
     sum_guarded,
+    sum_products,
     teichmuller,
     v_p,
 )
@@ -605,6 +607,109 @@ def test_sum_guarded_raises_when_its_column_ends_before_the_guard():
     partial = info.value.partial
     assert (partial.last_index, partial.converged) == (L - 2, False)
     assert partial.value == left_fold(short, 3)
+
+
+def parts_of(p: int, low: int, high: int):
+    """Parts of nonzero values of valuation low..high and precision 1..25,
+    and of zeros whose bound is finite or infinite."""
+    nonzero = fold_nonzero(p, low, high).map(lambda t: t.parts)
+    zeros = st.one_of(st.just(inf), st.integers(low, high)).map(lambda b: (b, 0, 0))
+    return st.one_of(nonzero, nonzero, zeros)
+
+
+def pair_chunks(p: int, low: int, high: int, factor_low: int, factor_high: int):
+    """Runs of one pair (x, y), or of (x, y) and (-x, y): products that cancel
+    once reduced, though their unreduced unit products do not."""
+    pair = st.tuples(parts_of(p, low, high), parts_of(p, factor_low, factor_high))
+    return st.one_of(pair.map(lambda xy: [xy]),
+                     pair.map(lambda xy: [xy, ((-PadicNumber(p, *xy[0])).parts, xy[1])]))
+
+
+def summed_products(xs, ys, ctx):
+    """sum_products' result, or the partial result its error carries."""
+    try:
+        return sum_products(xs, ys, ctx)
+    except SeriesDivergenceError as exc:
+        return exc.partial
+
+
+@pytest.mark.parametrize("exit_kind", ["guard", "divergence"])
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_sum_products_equals_sum_guarded_over_the_products(exit_kind, data):
+    # the pair fold adds each unit product unreduced; it must give the
+    # SeriesResult of sum_guarded over the mul_parts products, field for
+    # field, at the guard and in the partial result of a divergence
+    p = data.draw(st.sampled_from([3, 5, 7]))
+    ctx = QContext(p=p, q=Fraction(1 + p), precision=8)
+    target, room = ctx.working_precision, ctx.column_length - ctx.guard
+    if exit_kind == "guard":
+        # the tail's products have valuation >= target: the guard fires
+        pairs = flat(data.draw(st.lists(pair_chunks(p, -2, 25, -2, 25), max_size=room // 2)))
+        pairs += data.draw(st.lists(st.tuples(parts_of(p, target, 25), parts_of(p, 0, 5)),
+                                    min_size=ctx.guard, max_size=ctx.guard))
+    else:
+        # a low-valuation product after every run keeps the guard window
+        # unmet, whether the pairs end or reach the column length first
+        low = st.tuples(fold_nonzero(p, -2, 8), fold_nonzero(p, -2, 8)).map(
+            lambda xy: [(xy[0].parts, xy[1].parts)])
+        chunks = data.draw(st.lists(st.tuples(pair_chunks(p, -2, 25, -2, 25), low),
+                                    max_size=12))
+        pairs = flat(chunk + low_pair for chunk, low_pair in chunks)
+    xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
+    products = [mul_parts(p, x, y) for x, y in pairs]
+    result = summed_products(iter(xs), iter(ys), ctx)
+    assert result == summed(iter(products), ctx)
+    assert result.converged is (exit_kind == "guard")
+    assert result.value == left_fold(
+        [PadicNumber(p, *t) for t in products[:result.last_index + 1]], p)
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_power_column_is_the_running_product(data):
+    # start * step**k as one running integer: the same parts as the
+    # accumulated mul_parts products, zeros and mixed precisions included
+    p = data.draw(st.sampled_from([3, 5, 7]))
+    start, step = data.draw(parts_of(p, -3, 25)), data.draw(parts_of(p, -3, 25))
+    length = data.draw(st.integers(1, 12))
+    expected = list(accumulate(repeat(step, length - 1),
+                               lambda x, y: mul_parts(p, x, y), initial=start))
+    assert power_column(p, start, step, length) == expected
+
+
+def test_power_column_examples():
+    ones = [(0, 1, 10), (1, 1, 10), (2, 1, 10)]
+    assert power_column(3, (0, 1, 10), (1, 1, 10), 3) == ones
+    # a start above the step's precision keeps its own only at k = 0
+    assert power_column(5, (0, 2, 30), (0, 3, 4), 3) == [(0, 2, 30), (0, 6, 4), (0, 18, 4)]
+    # a zero step: a zero from k = 1 on, its bound growing by the step's
+    assert power_column(7, (1, 3, 8), (2, 0, 0), 3) == [(1, 3, 8), (3, 0, 0), (5, 0, 0)]
+    assert power_column(7, (1, 3, 8), (inf, 0, 0), 2) == [(1, 3, 8), (inf, 0, 0)]
+    assert power_column(7, (1, 3, 8), (1, 2, 8), 1) == [(1, 3, 8)]
+
+
+@given(p=st.sampled_from([3, 5, 7]), m=st.integers(-10**12, 10**12),
+       k=st.integers(0, 8), N=st.integers(1, 40))
+@settings(max_examples=300, deadline=None)
+def test_reduce_of_an_integer_is_the_fraction_route(p, m, k, N):
+    # negative integers, zero and multiples of p: the integer path gives the
+    # dataclass the Fraction path gives, with a plain int unit
+    n = m * p**k
+    reduced = reduce_mod_pN(n, p, N)
+    assert reduced == reduce_mod_pN(Fraction(n), p, N)
+    assert type(reduced.unit) is int
+    ctx = QContext(p=p, q=Fraction(1 + p))
+    assert ctx.embed(n) == ctx.embed(Fraction(n))
+
+
+def test_reduce_integer_examples():
+    assert reduce_mod_pN(0, 5, 3) == PadicNumber.zero(5)
+    assert reduce_mod_pN(-3**4 * 2, 3, 3) == PadicNumber(3, 4, 25, 3)
+    assert reduce_mod_pN(7**2, 7, 1) == PadicNumber(7, 2, 1, 1)
+    assert reduce_mod_pN(-1, 5, 2) == PadicNumber(5, 0, 24, 2)
+    with pytest.raises(ValueError, match="N >= 1"):
+        reduce_mod_pN(3, 3, 0)
 
 
 # ---------------------------------------------------------------------------
