@@ -111,9 +111,9 @@ def series_cache() -> Iterator[SeriesCache]:
     power <a>^(-s) and the q-Euler Delta_j column are each computed once per
     key (T_partial reads the cached H_pq and K_partial values).  So are the
     term tables: the s-free H/K bases, per (n, a, F), the s-free powers
-    (<a> - 1)^k, per a, and the binomial column binom(-s, j), per s, which
-    both kinds of series read, each a list of ctx.column_length entries
-    (the Delta_j column too); a term is one product of two table entries,
+    (<a> - 1)^k, per a, and the binomial column binom(-s, j), per s, each
+    built to the length its series reads (:func:`_series_length`; the s-free
+    tables and Delta_j per length); a term is one product of two table entries,
     the same value as the product of its factors in any order (see
     :func:`_twisted_series`).  So is the character column chi(a) over the
     units a <= F, per (chi, F), which l_pq, T_full and K_full read at every s
@@ -157,20 +157,29 @@ def _require_padic_params(prm: PartialZetaParams, ctx: QContext, name: str) -> N
     ctx.require_q_not_one(name)
 
 
+def _series_length(s: PadicExponent, ctx: QContext) -> int:
+    """The length of the columns the H, K and <a>^(-s) series at s read: at
+    s = -n <= 0 binom(n, j) = 0 for j > n, so the guard fires by index n + guard;
+    else ctx.column_length.  The place for a certified J (``_term_bases``)."""
+    if isinstance(s, int) and s <= 0:
+        return min(ctx.column_length, ctx.guard + 1 - s)
+    return ctx.column_length
+
+
 @_scoped
 def _binomials(s: PadicExponent, ctx: QContext) -> List[Parts]:
-    """The parts of binom(-s, j) for j < ctx.column_length: one column per s,
-    shared by <a>^(-s) and the H and K series of every unit a and every n in
-    one scope.  binom_stream refuses an s that is not a p-adic integer."""
-    return [c.parts for c in itertools.islice(binom_stream(-s, ctx), ctx.column_length)]
+    """The parts of binom(-s, j) for j < _series_length(s, ctx): one column per
+    s, shared by <a>^(-s) and the H and K series of every unit a and every n
+    in one scope.  binom_stream refuses an s that is not a p-adic integer."""
+    return [c.parts for c in itertools.islice(binom_stream(-s, ctx), _series_length(s, ctx))]
 
 
 @_scoped
-def _unit_powers(a: int, ctx: QContext) -> List[Parts]:
-    """The parts of (<a> - 1)^k for k < ctx.column_length: the s-free column of
-    <a>^(-s), one per (a, ctx), shared by every s in one scope."""
+def _unit_powers(a: int, J: int, ctx: QContext) -> List[Parts]:
+    """The parts of (<a> - 1)^k for k < J: the s-free column of <a>^(-s), one
+    per (a, J, ctx), shared by every s of that series length in one scope."""
     t = (angle_bracket(a, ctx) - ctx.one()).parts
-    return power_column(ctx.p, ctx.one().parts, t, ctx.column_length)
+    return power_column(ctx.p, ctx.one().parts, t, J)
 
 
 @_scoped
@@ -181,8 +190,8 @@ def _unit_pow(a: int, s: PadicExponent, ctx: QContext) -> SeriesResult:
     :func:`_unit_powers`, formed inside the fold (:func:`sum_products`).
     Its k-th term has valuation >= k (binom(-s, k) is a p-adic integer and
     <a> = 1 mod p), so the guard fires within the columns."""
-    return sum_products(_binomials(s, ctx), _unit_powers(a, ctx), ctx,
-                        description="binomial power series")
+    return sum_products(_binomials(s, ctx), _unit_powers(a, _series_length(s, ctx), ctx),
+                        ctx, description="binomial power series")
 
 
 #: digits the Delta_j residues carry beyond N + J e (see :func:`_deltas`)
@@ -190,11 +199,11 @@ RESIDUE_MARGIN = 4
 
 
 @_scoped
-def _deltas(Q: Fraction, ctx: QContext) -> List[Parts]:
-    """Delta_j = sum_k C(j,k) (-1)^k / (1 + Q^k) for j < J = ctx.column_length,
-    in integers mod p^M: one column per (Q, ctx), shared by every series in one
-    scope, each value equal to the parts of
-    ``ctx.embed(euler_number(j, Q) (1-Q)^j / 2)`` (the closed form of
+def _deltas(Q: Fraction, J: int, ctx: QContext) -> List[Parts]:
+    """Delta_j = sum_k C(j,k) (-1)^k / (1 + Q^k) for j < J (the column's length,
+    :func:`_series_length`) in integers mod p^M: one column per (Q, J, ctx),
+    shared by every series of that length in one scope, each value equal to the
+    parts of ``ctx.embed(euler_number(j, Q) (1-Q)^j / 2)`` (the closed form of
     :func:`qlfun.qeuler.euler_number` is E_{j,Q} = 2 Delta_j / (1-Q)^j).
 
     Q = q^F = 1 mod p, so 1 + Q^k = 2 mod p is a unit, and Delta_j mod p^M is
@@ -204,11 +213,11 @@ def _deltas(Q: Fraction, ctx: QContext) -> List[Parts]:
     The values use M = N + J e + RESIDUE_MARGIN, with N = working precision +
     WORKING_MARGIN (the digits ``ctx.embed`` keeps) and e = v_p(Q - 1).  A
     nonzero residue p^v u gives v = v_p(Delta_j) and u mod p^(M - v), accepted
-    when M - v >= N.  The bound v_p(Delta_j) >= j e (proved in
-    :func:`_term_bases`) is why that almost always holds, but it is checked per
-    value: a zero or short residue takes the exact route.
+    when M - v >= N, so a shorter column is a prefix of a longer one.  The bound
+    v_p(Delta_j) >= j e (proved in :func:`_term_bases`) is why that holds almost
+    always; it is checked per value: a zero or short residue takes the exact route.
     """
-    p, N, J = ctx.p, ctx.working_precision + WORKING_MARGIN, ctx.column_length
+    p, N = ctx.p, ctx.working_precision + WORKING_MARGIN
     M = N + J * v_p(Q - 1, p) + RESIDUE_MARGIN
     mod = p**M
     Qm = Q.numerator * pow(Q.denominator, -1, mod) % mod
@@ -236,9 +245,9 @@ def _deltas(Q: Fraction, ctx: QContext) -> List[Parts]:
 
 
 @_scoped
-def _term_bases(n: int, a: int, F: int, ctx: QContext) -> List[Parts]:
+def _term_bases(n: int, a: int, F: int, J: int, ctx: QContext) -> List[Parts]:
     """The s-free part of the j-th H (n = 0) or K (n >= 1) term,
-    (q^a/(1-q^a))^j Delta_j [q^(nFj) - 1], for j < ctx.column_length: half the
+    (q^a/(1-q^a))^j Delta_j [q^(nFj) - 1], for j < J: half the
     paper's (q^a [F]/[a])^j E_{j,q^F} [q^(nFj) - 1], as [F]/(1-q^F) =
     [a]/(1-q^a) = 1/(1-q).
 
@@ -268,10 +277,10 @@ def _term_bases(n: int, a: int, F: int, ctx: QContext) -> List[Parts]:
     q^(nFj) - 1 is formed exactly first, so that it keeps its relative digits.
     The entries are parts: the running power (q^a/(1-q^a))^j is a
     :func:`power_column`, and each product is :func:`mul_parts`."""
-    p, q, J = ctx.p, ctx.q, ctx.column_length
+    p, q = ctx.p, ctx.q
     # start at embed(1), not ctx.one(): that would cap the digits at working precision
     powers = power_column(p, ctx.embed(1).parts, ctx.embed(q**a / (1 - q**a)).parts, J)
-    column = [mul_parts(p, power, delta) for power, delta in zip(powers, _deltas(q**F, ctx))]
+    column = [mul_parts(p, power, delta) for power, delta in zip(powers, _deltas(q**F, J, ctx))]
     if n:
         qnF = q ** (n * F)
         column = [mul_parts(p, base, ctx.embed(qnF**j - 1).parts)
@@ -286,7 +295,7 @@ def _twisted_series(n: int, s: PadicExponent, prm: PartialZetaParams,
     the term form of :func:`_term_bases`, whose 2 cancels the paper's 1/2.
 
     The j-th term is binom(-s, j) times the j-th s-free base, each read from
-    a scoped column of ctx.column_length entries (:func:`_binomials`,
+    a scoped column of :func:`_series_length` entries (:func:`_binomials`,
     :func:`_term_bases`), within which the guard fires; :func:`sum_products`
     multiplies the pairs inside its fold by the rule of ``PadicNumber.__mul__``
     (:func:`mul_parts`): it adds valuations, reduces the unit mod p^(least
@@ -294,9 +303,9 @@ def _twisted_series(n: int, s: PadicExponent, prm: PartialZetaParams,
     associative and commutative and the grouping exact.  The sign (-1)^a is a
     negation: the same value as a product with embed(-1), as no factor's
     precision exceeds embed's."""
-    a = prm.a
+    a, J = prm.a, _series_length(s, ctx)
     unit_pow = _unit_pow(a, s, ctx)
-    body = sum_products(_binomials(s, ctx), _term_bases(n, a, prm.F, ctx), ctx,
+    body = sum_products(_binomials(s, ctx), _term_bases(n, a, prm.F, J, ctx), ctx,
                         description="K series" if n else "H_pq series")
     value = unit_pow.value * body.value
     return merge_series(-value if a % 2 else value, [unit_pow, body])

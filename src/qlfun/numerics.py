@@ -342,7 +342,8 @@ def residual_valuation(a: PadicNumber, b: PadicNumber) -> Valuation:
 def teichmuller(a: int, p: int, N: int) -> PadicNumber:
     """The (p-1)-th root of unity congruent to a mod p, correct mod p**N.
 
-    Computed as the Frobenius limit a**(p**(N-1)) mod p**N.
+    Computed as the Frobenius limit a**(p**(N-1)) mod p**N, memoized process-wide
+    on (a mod p, p, N), all it depends on: at most p - 1 entries per (p, N).
     """
     if not is_odd_prime(p):
         raise PadicError(f"p must be an odd prime, got {p}")
@@ -350,9 +351,12 @@ def teichmuller(a: int, p: int, N: int) -> PadicNumber:
         raise ValueError("teichmuller requires N >= 1")
     if a % p == 0:
         raise PadicError("Teichmuller undefined at non-unit")
-    modulus = p**N
-    w = pow(a % modulus, p ** (N - 1), modulus)
-    return PadicNumber(p=p, valuation=0, unit=w, precision=N)
+    return _teichmuller_lift(a % p, p, N)
+
+
+@functools.lru_cache(maxsize=None)
+def _teichmuller_lift(a: int, p: int, N: int) -> PadicNumber:
+    return PadicNumber(p=p, valuation=0, unit=pow(a, p ** (N - 1), p**N), precision=N)
 
 
 # ---------------------------------------------------------------------------
@@ -403,8 +407,8 @@ class QContext:
 
     @property
     def column_length(self) -> int:
-        """Entries in a scoped series column, and the most terms
-        :func:`sum_guarded` reads: a series whose j-th term has valuation >= j
+        """The most terms :func:`sum_guarded` reads, and the entries of a scoped
+        column of an infinite series: a series whose j-th term has valuation >= j
         meets its guard by index working_precision + guard - 1."""
         return self.working_precision + self.guard
 

@@ -38,16 +38,20 @@ from .lfun import (
 from .numerics import (
     INF,
     PadicNumber,
+    Parts,
     QContext,
     SeriesResult,
     Valuation,
     binom_int,
     exact_sum,
     merge_series,
+    mul_parts,
+    power_column,
     q_int,
     require_odd_prime,
     residual_valuation,
     sum_guarded,
+    sum_products,
     teichmuller,
     v_p,
     valuation_json,
@@ -303,45 +307,35 @@ def _partial_sum_exact(n: int, r: int, a: int, ctx: QContext) -> Fraction:
 
 
 @_scoped
-def _eq24_free_parts(n: int, ctx: QContext) -> List[Tuple[Fraction, Fraction]]:
-    """((-1)^n inner/2, ((-1)^n Q^(ns) - 1) E_{s,Q}/2) for s < ctx.column_length
-    and Q = q^F, F = p: the factors of eq24's s-th group 1 and group 2 terms
-    free of a and r, one list per (n, ctx) for every unit and every r in one
-    series cache.  inner = E_{s,Q}(n) - Q^(ns) E_{s,Q} is group 1's inner sum
-    sum_{l<s} C(s,l) Q^(nl) E_{l,Q} [n]_Q^(s-l), the moment form of E_{s,Q}(n)
-    without its l = s term: one closed form per s instead of an O(s)
-    convolution (``identity_suite``'s ``poly_paths_agree`` checks the two)."""
-    Q, rows = ctx.q**ctx.p, []
+def _eq24_free_parts(n: int, ctx: QContext) -> Tuple[List[Parts], List[Parts]]:
+    """The parts of embed(g1 + g2) and embed(g1), s < ctx.column_length, Q = q^p:
+    eq24's factors free of a and r, g1 = (-1)^n inner/2 and
+    g2 = ((-1)^n Q^(ns) - 1) E_{s,Q}/2, two columns per (n, ctx), exact until
+    embedded (group 2 is the exact route eq26 checks T against).  inner =
+    E_{s,Q}(n) - Q^(ns) E_{s,Q} is the moment sum sum_{l<s} C(s,l) Q^(nl)
+    E_{l,Q} [n]_Q^(s-l) (``identity_suite``'s ``poly_paths_agree``)."""
+    Q, both, group1 = ctx.q**ctx.p, [], []
     for s in range(ctx.column_length):
         euler_s, Q_ns = euler_number(s, Q), Q ** (n * s)
-        rows.append(((-1) ** n * (euler_poly(s, n, Q) - Q_ns * euler_s) / 2,
-                     ((-1) ** n * Q_ns - 1) * euler_s / 2))
-    return rows
+        g1 = (-1) ** n * (euler_poly(s, n, Q) - Q_ns * euler_s) / 2
+        both.append(ctx.embed(g1 + ((-1) ** n * Q_ns - 1) * euler_s / 2).parts)
+        group1.append(ctx.embed(g1).parts)
+    return both, group1
 
 
-def _eq24_groups(n: int, r: int, a: int, ctx: QContext) -> List[Tuple[Fraction, Fraction]]:
-    """Exact terms of the binomial expansion of the partial sum, in the
-    expansion order s < ctx.column_length: (polynomial-part group 1, boundary
-    group 2), each binom(-r, s) head times a factor :func:`_eq24_free_parts`
-    keeps, with head = -[a]^(-r) (-1)^a (q^a [F]/[a])^s a running Fraction and
-    binom(-r, s) a running integer.
-
-    Each group's s-th term has valuation >= s v_p(F) = s: (q^a [F]/[a])^s has
-    valuation s v_p(F) (q^a and [a] are units, as p does not divide a),
-    binom(-r, s) is an integer, and E_{s,Q} = 2 Delta_s/(1-Q)^s is p-integral
-    by v_p(Delta_s) >= s v_p(Q - 1) (proved in ``lfun._term_bases``), so
-    E_{s,Q}(n) = sum_l C(s,l) Q^(nl) E_{l,Q} [n]_Q^(s-l) is too.  So both
-    sums meet their guard within the list."""
-    F, q = ctx.p, ctx.q
-    count_a = q_int(a, q)
-    step = q**a * q_int(F, q) / count_a
-    head, binom = -count_a ** (-r) * (-1) ** a, 1
-    groups = []
-    for s, (group1, group2) in enumerate(_eq24_free_parts(n, ctx)):
-        coeff = binom * head
-        groups.append((coeff * group1, coeff * group2))
-        head, binom = head * step, binom * (-r - s) // (s + 1)
-    return groups
+@_scoped
+def _eq24_heads(r: int, a: int, ctx: QContext) -> List[Parts]:
+    """The parts of binom(-r, s) (-[a]^(-r) (-1)^a) (q^a [p]/[a])^s for
+    s < ctx.column_length, one column per (r, a, ctx): as embed(x y) is the
+    :func:`mul_parts` product of embed(x) and embed(y), its product with a
+    :func:`_eq24_free_parts` entry is the embedded exact term.  Entry s has
+    valuation >= s and the free parts are p-integral (E_{s,Q} = 2 Delta_s/(1-Q)^s
+    and ``lfun._term_bases``' bound), so eq24's guards fire within the columns."""
+    p, q, count_a = ctx.p, ctx.q, q_int(a, ctx.q)
+    heads = power_column(p, ctx.embed(-count_a ** (-r) * (-1) ** a).parts,
+                         ctx.embed(q**a * q_int(p, q) / count_a).parts, ctx.column_length)
+    return [mul_parts(p, head, ctx.embed(binom_int(-r, s)).parts)
+            for s, head in enumerate(heads)]
 
 
 def _boundary_piece(n: int, r: int, a: int, ctx: QContext) -> PadicNumber:
@@ -415,15 +409,11 @@ def _thm5_point(n: int, r: int, ctx: QContext, cache: SeriesCache) -> Thm5Report
     for a in range(1, ctx.p):
         partials.append(_partial_sum_exact(n, r, a, ctx))
         partial_exact = ctx.embed(partials[-1])
-        # both groups of the expansion step, and the first (polynomial-part)
-        # group alone with its own stop rule, read one list of exact terms
-        groups = _eq24_groups(n, r, a, ctx)
-        series24 = sum_guarded((ctx.embed(g1 + g2) for g1, g2 in groups), ctx,
-                               description="eq24 series")
+        # eq24's series and its group 1 alone, folds over the same heads
+        heads, (both, group1_free) = _eq24_heads(r, a, ctx), _eq24_free_parts(n, ctx)
+        series24 = sum_products(heads, both, ctx, description="eq24 series")
+        group1 = sum_products(heads, group1_free, ctx, description="group1 series")
         eq24_vals.append(_residual_sentinel(partial_exact, series24.value))
-
-        group1 = sum_guarded((ctx.embed(g1) for g1, _ in groups), ctx,
-                             description="group1 series")
         boundary = _boundary_piece(n, r, a, ctx)
         eq26_vals.append(_residual_sentinel(partial_exact, group1.value + boundary))
 
@@ -444,11 +434,8 @@ def _thm5_point(n: int, r: int, ctx: QContext, cache: SeriesCache) -> Thm5Report
         "eq30": eq30_val,
         "assembly": _residual_sentinel(chain_value, printed.value),
     }
-    first_failing = None
-    for label in STEP_LABELS:
-        if step_residuals[label] < ctx.precision:
-            first_failing = label
-            break
+    first_failing = next((label for label in STEP_LABELS
+                          if step_residuals[label] < ctx.precision), None)
 
     return Thm5Report(
         lhs=lhs.at_absolute_precision(ctx.precision),

@@ -37,7 +37,7 @@ from qlfun.numerics import (
     v_p,
 )
 from qlfun.qeuler import euler_number, gen_euler_number
-from qlfun.verify import _eq24_free_parts, _eq24_groups, thm5_grid, thm5_report
+from qlfun.verify import _eq24_free_parts, _eq24_heads, thm5_grid, thm5_report
 
 CTX34 = QContext(p=3, q=Fraction(4), precision=8)
 CTX56 = QContext(p=5, q=Fraction(6), precision=8)
@@ -406,10 +406,14 @@ def test_series_cache_scope_gives_the_same_values():
     s_padic = CTX34.embed(Fraction(1, 2))
     s_values, units = (-2, 1, 3, s_padic), (1, 2)
     cases = [(s, PartialZetaParams(a, 3)) for s in s_values for a in units]
-    # H, K(2), K(1) and <a>^(-s) per case, one Delta_j stream, one binomial
-    # column per s, one term-base table per (n, a) and one power column
-    # (<a> - 1)^k per unit
-    keys = 4 * len(cases) + 1 + len(s_values) + 3 * len(units) + len(units)
+    # the s-free tables are built per series length: s = -2 reads 6 entries,
+    # the other s the full 21
+    lengths = len({lfun._series_length(s, CTX34) for s in s_values})
+    assert lengths == 2
+    # H, K(2), K(1) and <a>^(-s) per case, one binomial column per s, and per
+    # length one Delta_j stream, one term-base table per (n, a) and one power
+    # column (<a> - 1)^k per unit
+    keys = 4 * len(cases) + len(s_values) + lengths * (1 + 3 * len(units) + len(units))
 
     def evaluate():
         return [(H_pq(s, prm, CTX34), K_partial(2, s, prm, CTX34),
@@ -429,17 +433,18 @@ def test_series_cache_scope_gives_the_same_values():
     # The 3 * len(cases) series computed and the len(cases) unit powers
     # computed each read one binomial column, one per s (a unit power reads
     # it first, so the H series after it already hits); each series also
-    # reads one term-base table, one per (n, a) with n in {0, 1, 2}: every
-    # read but the first of each key hits.  Every case has F = 3, so the
-    # term-base tables share one Delta_j stream, read once per table built:
-    # one more key and miss, and 3 * len(units) - 1 hits on it.  Each unit
-    # power also reads the s-free power column of its unit: the first s
-    # builds it and every other s hits it, len(cases) - len(units) hits
+    # reads one term-base table, one per (n, a, length) with n in {0, 1, 2}:
+    # every read but the first of each key hits.  Every case has F = 3, so
+    # the term-base tables of one length share one Delta_j stream, read once
+    # per table built: one more key and miss per length, and
+    # 3 * len(units) - 1 hits on each.  Each unit power also reads the s-free
+    # power column of its unit and length: the first s builds it and every
+    # other s of that length hits it, len(cases) - lengths * len(units) hits
     assert cache.misses == keys
     series = 3 * len(cases)
     hits = (3 * len(cases) + 4 * len(cases) + (series + len(cases) - len(s_values))
-            + (series - 3 * len(units)) + 3 * len(units) - 1
-            + len(cases) - len(units))
+            + (series - lengths * 3 * len(units)) + lengths * (3 * len(units) - 1)
+            + len(cases) - lengths * len(units))
     assert cache.hits == hits
     assert not cache.values  # dropped with the scope
     # outside a scope nothing is recorded
@@ -555,14 +560,18 @@ def exact_delta(j, Q, ctx):
 
 @pytest.mark.parametrize("p,q,F", list(residue_grid()))
 def test_euler_residues_match_the_exact_route(p, q, F):
-    # every entry of the column, 21 to 45 of them
+    # every entry of the column, 21 to 45 of them; a shorter column, of a
+    # smaller modulus p^M, is a prefix of the full one
     Q = q**F
     for precision in (8, 16, 24, 32):
         ctx = QContext(p=p, q=q, precision=precision)
-        deltas = lfun._deltas(Q, ctx)
-        assert len(deltas) == ctx.column_length
+        L = ctx.column_length
+        deltas = lfun._deltas(Q, L, ctx)
+        assert len(deltas) == L
         for j, delta in enumerate(deltas):
             assert delta == exact_delta(j, Q, ctx).parts, (precision, j)
+        for J in (1, ctx.guard + 1, ctx.guard + 6, L - 1):
+            assert lfun._deltas(Q, J, ctx) == deltas[:J], (precision, J)
 
 
 @pytest.mark.parametrize("p,q,F", list(residue_grid()))
@@ -571,7 +580,8 @@ def test_residue_differences_meet_the_valuation_bound(p, q, F):
     Q = q**F
     e = v_p(Q - 1, p)
     for precision in (8, 16, 24, 32):
-        deltas = lfun._deltas(Q, QContext(p=p, q=q, precision=precision))
+        ctx = QContext(p=p, q=q, precision=precision)
+        deltas = lfun._deltas(Q, ctx.column_length, ctx)
         for j, parts in enumerate(deltas):
             delta = PadicNumber(p, *parts)
             assert delta.valuation >= j * e, (precision, j)  # inf for an exact zero
@@ -599,7 +609,7 @@ def test_refused_residues_take_the_exact_route(monkeypatch, margin_below_n, exac
         return euler_number(j, base)
 
     monkeypatch.setattr(lfun, "euler_number", recording_euler_number)
-    assert lfun._deltas(Q, ctx) == [exact_delta(j, Q, ctx).parts for j in range(J)]
+    assert lfun._deltas(Q, J, ctx) == [exact_delta(j, Q, ctx).parts for j in range(J)]
     assert set(exact_calls) == exact_indices
 
 
@@ -607,9 +617,9 @@ def test_unit_sums_share_one_residue_table_without_a_scope(monkeypatch):
     built = []
     unscoped = lfun._deltas.__wrapped__
 
-    def recording_deltas(Q, ctx):
+    def recording_deltas(Q, J, ctx):
         built.append(Q)
-        return unscoped(Q, ctx)
+        return unscoped(Q, J, ctx)
 
     monkeypatch.setattr(lfun, "_deltas", lfun._scoped(recording_deltas))
     chi = DirichletCharacter.teichmuller_power(1, 5)
@@ -682,7 +692,7 @@ def test_term_bases_meet_the_proven_bound(p, q, F):
         with series_cache():
             for a in (1, 2, F - 1):
                 for n in (0, 1, 2):
-                    for j, base in enumerate(lfun._term_bases(n, a, F, ctx)):
+                    for j, base in enumerate(lfun._term_bases(n, a, F, ctx.column_length, ctx)):
                         assert PadicNumber(p, *base).valuation >= j * vF, (precision, a, n, j)
 
 
@@ -693,18 +703,19 @@ def test_integer_columns_equal_the_padic_chains(p, q, F):
     # and (q^a/(1-q^a))^j Delta_j [q^(nFj) - 1] from ctx.embed(1)
     for precision in (8, 16, 24):
         ctx = QContext(p=p, q=q, precision=precision)
+        L = ctx.column_length
         with series_cache():
-            deltas = lfun._deltas(q**F, ctx)
+            deltas = lfun._deltas(q**F, L, ctx)
             for a in (1, 2, F - 1):
                 t = angle_bracket(a, ctx) - ctx.one()
                 power = ctx.one()
-                for k, entry in enumerate(lfun._unit_powers(a, ctx)):
+                for k, entry in enumerate(lfun._unit_powers(a, L, ctx)):
                     assert entry == power.parts, (precision, a, k)
                     power = power * t
                 step = ctx.embed(q**a / (1 - q**a))
                 for n in (0, 1, 2):
                     power = ctx.embed(1)
-                    for j, entry in enumerate(lfun._term_bases(n, a, F, ctx)):
+                    for j, entry in enumerate(lfun._term_bases(n, a, F, L, ctx)):
                         base = power * PadicNumber(p, *deltas[j])
                         if n:
                             base = base * ctx.embed(q ** (n * F * j) - 1)
@@ -764,34 +775,72 @@ def test_k_series_pieces_meet_the_proven_bound(p, q, F):
 
 @pytest.mark.parametrize("p,q", sorted({(p, q) for p, q, _ in residue_grid()}))
 def test_eq24_group_terms_meet_the_proven_bound(p, q):
-    # the s-th exact term of each eq24 group has valuation >= s v_p(F) = s (F = p):
-    # (q^a [F]/[a])^s has valuation s v_p(F) and E_{s,Q} = 2 Delta_s/(1-Q)^s is
-    # p-integral
+    # the s-th term of each eq24 group has valuation >= s v_p(F) = s (F = p):
+    # its coefficient binom(-r, s) head_s has valuation >= s, as
+    # (q^a [F]/[a])^s has valuation s v_p(F), and its free parts are
+    # p-integral, as E_{s,Q} = 2 Delta_s/(1-Q)^s is
     for precision in (8, 16):
         ctx = QContext(p=p, q=q, precision=precision)
         with series_cache():
             for n in (1, 2, 3):
-                for r in (1, 2):
-                    for a in range(1, p):
-                        for s, groups in enumerate(_eq24_groups(n, r, a, ctx)):
-                            for g in groups:
-                                assert v_p(g, p) >= s, (precision, n, r, a, s)
+                for column in _eq24_free_parts(n, ctx):
+                    for s, free in enumerate(column):
+                        assert PadicNumber(p, *free).valuation >= 0, (precision, n, s)
+            for r in (1, 2):
+                for a in range(1, p):
+                    for s, head in enumerate(_eq24_heads(r, a, ctx)):
+                        assert PadicNumber(p, *head).valuation >= s, (precision, r, a, s)
+
+
+def columns_at(s, ctx):
+    """Every scoped column the H, K and <a>^(-s) series at s read, at F = p."""
+    J = lfun._series_length(s, ctx)
+    return [lfun._binomials(s, ctx), lfun._unit_powers(2, J, ctx),
+            lfun._deltas(ctx.q**ctx.p, J, ctx), lfun._term_bases(0, 2, ctx.p, J, ctx),
+            lfun._term_bases(1, 2, ctx.p, J, ctx)]
 
 
 def test_scoped_columns_have_the_context_length():
-    # every column holds ctx.column_length = working precision + guard entries:
-    # a series whose j-th term has valuation >= j stops by the last of them
+    # at positive and p-adic s every column holds ctx.column_length = working
+    # precision + guard entries: a series whose j-th term has valuation >= j
+    # stops by the last of them; so do eq24's columns
     for ctx in (CTX34, QContext(p=5, q=Fraction(6), precision=16, guard=5)):
-        assert ctx.column_length == ctx.working_precision + ctx.guard
-        Q = ctx.q**ctx.p
+        L = ctx.column_length
+        assert L == ctx.working_precision + ctx.guard
         with series_cache():
-            columns = [lfun._binomials(2, ctx), lfun._binomials(ctx.embed(Fraction(1, 2)), ctx),
-                       lfun._unit_powers(2, ctx), lfun._deltas(Q, ctx),
-                       lfun._term_bases(0, 2, ctx.p, ctx), lfun._term_bases(1, 2, ctx.p, ctx),
-                       _eq24_free_parts(1, ctx), _eq24_groups(2, 1, 1, ctx)]
-        assert [len(c) for c in columns] == [ctx.column_length] * len(columns)
+            columns = (columns_at(2, ctx) + columns_at(ctx.embed(Fraction(1, 2)), ctx)
+                       + columns_at(ctx.embed(-2), ctx)
+                       + list(_eq24_free_parts(1, ctx)) + [_eq24_heads(2, 1, ctx)])
+            assert [len(c) for c in columns] == [L] * len(columns)
+            # at s = -n, binom(n, j) = 0 for j > n: the guard fires by index
+            # n + guard, so the columns hold min(L, n + guard + 1) entries
+            for n in (0, 1, 5, L - ctx.guard - 1, L - ctx.guard, 30):
+                lengths = [len(c) for c in columns_at(-n, ctx)]
+                assert lengths == [min(L, n + ctx.guard + 1)] * len(lengths), n
         # and no longer than they must be: here H meets its guard at the last entry
-        assert H_pq(1, PartialZetaParams(2, ctx.p), ctx).last_index == ctx.column_length - 1
+        assert H_pq(1, PartialZetaParams(2, ctx.p), ctx).last_index == L - 1
+        assert H_pq(-1, PartialZetaParams(2, ctx.p), ctx).last_index == 1 + ctx.guard
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 30])
+def test_finite_series_read_the_same_terms_from_shorter_columns(monkeypatch, n):
+    # at s = -n the columns of min(column_length, n + guard + 1) entries give
+    # the values and series fields of full-length columns, the guard doubled too
+    def values(ctx):
+        p = ctx.p
+        chi = DirichletCharacter.quadratic(5) * DirichletCharacter.teichmuller_power(1, p)
+        with series_cache():
+            return ([H_pq(-n, PartialZetaParams(a, 3 * p), ctx) for a in (1, 2, 4)]
+                    + [K_partial(m, -n, PartialZetaParams(2, p), ctx) for m in (1, 2)]
+                    + [T_partial(1, -n, PartialZetaParams(1, p), ctx), l_pq(-n, chi, ctx)])
+
+    for ctx in (CTX34, CTX34.with_doubled_truncation(),
+                QContext(p=7, q=Fraction(8), precision=16)):
+        short = values(ctx)
+        with monkeypatch.context() as patched:
+            patched.setattr(lfun, "_series_length", lambda s, ctx: ctx.column_length)
+            full = values(ctx)
+        assert short == full, (ctx, n)
 
 
 @pytest.mark.parametrize("module,column,series,name", [
@@ -799,7 +848,7 @@ def test_scoped_columns_have_the_context_length():
      "binomial power series"),
     (lfun, "_term_bases", lambda ctx: H_pq(2, PartialZetaParams(2, 9), ctx), "H_pq series"),
     (lfun, "_term_bases", lambda ctx: K_partial(1, 2, PartialZetaParams(2, 3), ctx), "K series"),
-    (verify, "_eq24_groups", lambda ctx: thm5_report(2, 1, ctx), "eq24 series"),
+    (verify, "_eq24_heads", lambda ctx: thm5_report(2, 1, ctx), "eq24 series"),
 ], ids=["unit-power", "H", "K", "eq24"])
 def test_columns_too_short_for_the_guard_raise(monkeypatch, module, column, series, name):
     # a column that ends before the guard can fire breaks the proven term

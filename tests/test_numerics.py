@@ -320,6 +320,36 @@ def test_teichmuller_rejects_non_units():
         teichmuller(10, 5, 4)
 
 
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_teichmuller_memo_equals_the_direct_lift(p):
+    # the lift is memoized on (a mod p, p, N): every a of a residue class,
+    # negative ones too, gets the direct Frobenius limit a^(p^(N-1)) mod p^N
+    for N in (1, 2, 8, 18):
+        modulus = p**N
+        for a in range(1, p):
+            for k in (0, 1, 7, -1, -3, 10**6):
+                b = a + k * p
+                assert teichmuller(b, p, N) == PadicNumber(
+                    p, 0, pow(b % modulus, p ** (N - 1), modulus), N), (N, b)
+
+
+@pytest.mark.parametrize("args,error,message", [
+    ((10, 5, 4), PadicError, "^Teichmuller undefined at non-unit$"),
+    ((0, 3, 2), PadicError, "^Teichmuller undefined at non-unit$"),
+    ((2, 9, 4), PadicError, "^p must be an odd prime, got 9$"),
+    ((1, 2, 4), PadicError, "^p must be an odd prime, got 2$"),
+    ((2, 5, 0), ValueError, "^teichmuller requires N >= 1$"),
+])
+def test_teichmuller_checks_every_call_under_the_memo(args, error, message):
+    # the checks run before the memo: a refused call raises on a repeat too,
+    # and after valid lifts at p = 5, N = 4 are memoized
+    for a in (1, 2):
+        teichmuller(a, 5, 4)
+    for _ in range(2):
+        with pytest.raises(error, match=message):
+            teichmuller(*args)
+
+
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_teichmuller_multiplicative_and_root_of_unity(p):
     N = 8

@@ -12,9 +12,11 @@ from qlfun.numerics import (
     QContext,
     SeriesDivergenceError,
     binom_int,
+    mul_parts,
     q_int,
     residual_valuation,
     sum_guarded,
+    sum_products,
     teichmuller,
     v_p,
 )
@@ -36,7 +38,8 @@ from qlfun.verify import (
 )
 from qlfun.verify import (
     Thm5Report,
-    _eq24_groups,
+    _eq24_free_parts,
+    _eq24_heads,
     _expansion_group,
     _outer_coeff,
     _residual_sentinel,
@@ -155,12 +158,47 @@ def eq24_groups_per_term(n, r, a, ctx, count):
 @pytest.mark.parametrize("r", [1, 2])
 def test_eq24_group1_closed_form_equals_the_convolution(p, q, n, r):
     # group 1 reads E_{s,Q}(n) - Q^(ns) E_{s,Q} instead of the moment sum, and
-    # both groups take their a- and r-free factors from one list, times a
-    # running head and a running binom(-r, s)
+    # both groups take their a- and r-free factors from one pair of columns,
+    # times a column of running heads and running binom(-r, s): each product
+    # is the embedded exact term
     ctx = QContext(p=p, q=q, precision=8)
+    both, group1 = _eq24_free_parts(n, ctx)
     for a in range(1, p):
-        assert _eq24_groups(n, r, a, ctx) == \
-            eq24_groups_per_term(n, r, a, ctx, ctx.column_length)
+        heads = _eq24_heads(r, a, ctx)
+        reference = eq24_groups_per_term(n, r, a, ctx, ctx.column_length)
+        assert [mul_parts(p, h, f) for h, f in zip(heads, both)] == \
+            [ctx.embed(g1 + g2).parts for g1, g2 in reference]
+        assert [mul_parts(p, h, f) for h, f in zip(heads, group1)] == \
+            [ctx.embed(g1).parts for g1, _ in reference]
+
+
+def eq24_grid():
+    # the (p, q) pairs of test_lfun's residue_grid, where F = p
+    for p in (3, 5, 7):
+        for q in (Fraction(1 + p), Fraction(1 - p), Fraction(1, 1 + p), Fraction(10),
+                  Fraction(7, 4)):
+            if v_p(q - 1, p) >= 1:
+                yield p, q
+
+
+@pytest.mark.parametrize("p,q", list(eq24_grid()))
+def test_eq24_folds_equal_the_guarded_sums_of_the_exact_terms(p, q):
+    # the eq24 series and group 1 alone, as _thm5_point folds them over a head
+    # column and a free-parts column, equal sum_guarded over the embedded
+    # exact terms: value, stop index, tail bound and convergence
+    for precision in (8, 16):
+        ctx = QContext(p=p, q=q, precision=precision)
+        with series_cache():
+            for n in (1, 2, 3):
+                both, group1 = _eq24_free_parts(n, ctx)
+                for r in (1, 2):
+                    for a in range(1, p):
+                        heads = _eq24_heads(r, a, ctx)
+                        terms = eq24_groups_per_term(n, r, a, ctx, ctx.column_length)
+                        assert sum_products(heads, both, ctx) == sum_guarded(
+                            (ctx.embed(g1 + g2) for g1, g2 in terms), ctx), (precision, n, r, a)
+                        assert sum_products(heads, group1, ctx) == sum_guarded(
+                            (ctx.embed(g1) for g1, _ in terms), ctx), (precision, n, r, a)
 
 
 def expansion_group_by_fraction_coefficients(n, r, a, ctx, with_correction):
