@@ -158,7 +158,37 @@ def json_option(fn):
                         help="emit a single JSON envelope")(fn)
 
 
-@click.group()
+class _Command(click.Command):
+    def parse_args(self, ctx, args):
+        # the option parser raises some errors (an option missing its value)
+        # without a context: name the command being parsed for the envelope
+        ctx.meta["qlfun.parsing"] = ctx
+        return super().parse_args(ctx, args)
+
+
+class _EnvelopeGroup(click.Group):
+    """A group whose commands keep the envelope contract before their body
+    runs: with --json among the arguments, an error click raises while
+    parsing them (a bad option value, a missing required option, an unknown
+    option or command) is printed as the error envelope, exit 2."""
+
+    command_class = _Command
+    group_class = type  # the subgroups are _EnvelopeGroups too
+
+    def invoke(self, ctx):
+        as_json, started = "--json" in ctx.args, time.monotonic()
+        try:
+            return super().invoke(ctx)
+        except click.UsageError as exc:
+            if not as_json:
+                raise
+            failed = exc.ctx or ctx.meta.get("qlfun.parsing", ctx)
+            command = failed.command_path[len(ctx.find_root().command_path):].strip()
+            emit(command, {}, {"message": exc.format_message()}, "error", started, True)
+            sys.exit(2)
+
+
+@click.group(cls=_EnvelopeGroup)
 def main() -> None:
     """Exact q-Euler numbers, q-l-values, and p-adic q-l-functions."""
 

@@ -98,13 +98,18 @@ def q_int(x: int, q: IntOrRational) -> Fraction:
 
 
 def exact_sum(terms: Iterable[IntOrRational]) -> Fraction:
-    """The sum of exact rationals as one integer numerator over the running lcm
-    of their denominators, normalized once (not one gcd per ``Fraction`` add)."""
+    """The sum of exact rationals, through :func:`exact_sum_pairs`."""
+    return exact_sum_pairs((term.numerator, term.denominator) for term in terms)
+
+
+def exact_sum_pairs(pairs: Iterable[Tuple[int, int]]) -> Fraction:
+    """The sum of the n/d over integer pairs (n, d), d != 0 and not necessarily in
+    lowest terms, as one integer numerator over the running lcm of the d,
+    normalized once (not one gcd per ``Fraction`` add or product)."""
     num, den = 0, 1
-    for term in terms:
-        d = term.denominator
+    for n, d in pairs:
         g = math.gcd(den, d)
-        num, den = num * (d // g) + term.numerator * (den // g), den // g * d
+        num, den = num * (d // g) + n * (den // g), den // g * d
     return Fraction(num, den)
 
 

@@ -18,7 +18,7 @@ from functools import lru_cache
 from typing import Callable, Iterable, Optional, Sequence, Tuple, Union
 
 from .characters import DirichletCharacter, chi_eval, chi_eval_exact
-from .numerics import IntOrRational, PadicNumber, QContext, exact_sum, q_int
+from .numerics import IntOrRational, PadicNumber, QContext, exact_sum, exact_sum_pairs, q_int
 
 
 class QEulerDomainError(ValueError):
@@ -118,30 +118,48 @@ def euler_poly_frac(n: int, arg: FractionalArg, q: IntOrRational,
 
 def euler_poly_moments(n: int, x: int, q: IntOrRational) -> Fraction:
     """The same polynomial value assembled from the q-Euler numbers:
-    sum_j C(n,j) q^(jx) E_j [x]^(n-j); an independent computation path."""
+    sum_j C(n,j) q^(jx) E_j [x]^(n-j); an independent computation path, so it
+    stays a sum over j of the numbers E_j, never a closed form.  Each term is one
+    integer pair, numerator C(n,j) qa^(jx) num(E_j) num([x])^(n-j) over
+    qb^(jx) den(E_j) den([x])^(n-j) with q^x = qa^x/qb^x a running power, and
+    ``exact_sum_pairs`` adds them over one lcm, normalized once."""
     if n < 0 or x < 0:
         raise ValueError("euler_poly_moments requires n, x >= 0")
     q = Fraction(q)
     _check_base(q, "euler_poly_moments")
-    qx = q**x
+    qa_x, qb_x = q.numerator**x, q.denominator**x
     cnt = q_int(x, q)
-    return exact_sum(math.comb(n, j) * qx**j * euler_number(j, q) * cnt ** (n - j)
-                     for j in range(n + 1))
+    terms, qa_jx, qb_jx = [], 1, 1
+    for j in range(n + 1):
+        e = euler_number(j, q)
+        terms.append((math.comb(n, j) * qa_jx * e.numerator * cnt.numerator ** (n - j),
+                      qb_jx * e.denominator * cnt.denominator ** (n - j)))
+        qa_jx, qb_jx = qa_jx * qa_x, qb_jx * qb_x
+    return exact_sum_pairs(terms)
 
 
 def _alt_level_sum(count: int, m: int, q: Fraction) -> Fraction:
-    """sum_{x<count} (-1)^x [x]^m term by term, never a closed form: with q = a/b,
+    """sum_{x<count} (-1)^x [x]^m term by term, never a closed form: the independent
+    route that the closed forms are checked against.  With q = a/b,
     [x] = b (b^x - a^x)/(b^x (b - a)), and Horner's rule over x keeps one integer
-    numerator sum (-1)^x (b^x - a^x)^m b^((count-1-x)m) ([0]^0 = 1; [x] = x at q = 1)."""
+    numerator sum (-1)^x (b^x - a^x)^m b^((count-1-x)m) ([0]^0 = 1; [x] = x at q = 1).
+    Each (b^x - a^x)^m is formed on its own as sum_i C(m,i) (-1)^i (a^i b^(m-i))^x
+    from m + 1 running powers, one product by a small integer each per x (no big
+    power); the sums over i and x are never swapped."""
     a, b = q.numerator, q.denominator
     if a == b:
         return Fraction(sum((-1) ** x * x**m for x in range(count)))
-    bm, num, a_x, b_x = b**m, 0, 1, 1
+    bm, num = b**m, 0
+    steps = [a**i * b ** (m - i) for i in range(m + 1)]
+    powers = [(-1) ** i * math.comb(m, i) for i in range(m + 1)]  # at x = 0
     for x in range(count):
-        term = (b_x - a_x) ** m
+        term = 0
+        for i, power in enumerate(powers):
+            term += power
+            powers[i] = power * steps[i]
         num = num * bm + (-term if x % 2 else term)
-        a_x, b_x = a_x * a, b_x * b
-    return Fraction(num * bm * bm, ((b - a) * b_x) ** m)
+    # powers[0] is now b^(m count)
+    return Fraction(num * bm * bm, (b - a) ** m * powers[0])
 
 
 def alt_power_sum_brute(n: int, m: int, q: IntOrRational) -> Fraction:

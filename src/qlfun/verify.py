@@ -44,6 +44,7 @@ from .numerics import (
     Valuation,
     binom_int,
     exact_sum,
+    exact_sum_pairs,
     merge_series,
     mul_parts,
     power_column,
@@ -78,30 +79,35 @@ def bernoulli_numbers(n_max: int) -> List[Fraction]:
         raise ValueError("bernoulli_numbers requires n_max >= 0")
     out = [Fraction(1)]
     for m in range(1, n_max + 1):
-        acc = Fraction(0)
-        for k in range(m):
-            acc += math.comb(m + 1, k) * out[k]
+        acc = exact_sum_pairs((math.comb(m + 1, k) * b.numerator, b.denominator)
+                              for k, b in enumerate(out))
         out.append(-acc / (m + 1))
     return out
+
+
+def _classical_euler(m: int, bern: Sequence[Fraction]) -> Fraction:
+    """E_m = 2 (1 - 2^(m+1)) B_{m+1} / (m+1) from a table that holds B_{m+1}."""
+    return Fraction(2) * (1 - Fraction(2) ** (m + 1)) * bern[m + 1] / (m + 1)
 
 
 def classical_euler_number(m: int) -> Fraction:
     """Euler polynomial at 0 via Bernoulli numbers: 2 (1 - 2^(m+1)) B_{m+1} / (m+1)."""
     if m < 0:
         raise ValueError("classical_euler_number requires m >= 0")
-    bern = bernoulli_numbers(m + 1)
-    return Fraction(2) * (1 - Fraction(2) ** (m + 1)) * bern[m + 1] / (m + 1)
+    return _classical_euler(m, bernoulli_numbers(m + 1))
 
 
 def classical_limit_check(m_max: int, p: int, k_list: Sequence[int],
                           slack: int = 1) -> dict:
     """Check v_p(E_{m, 1+p^k} - E_m) >= k - slack over the grid; E_m from the
-    Bernoulli oracle.  Returns a report with every observed valuation."""
+    Bernoulli oracle, one table of B_0..B_{m_max+1} for the whole grid.  Returns a
+    report with every observed valuation."""
     require_odd_prime(p)
     rows = []
     ok = True
+    bern = bernoulli_numbers(m_max + 1) if m_max >= 0 else []
     for m in range(m_max + 1):
-        target = classical_euler_number(m)
+        target = _classical_euler(m, bern)
         for k in k_list:
             qk = 1 + Fraction(p) ** k
             diff = euler_number(m, qk) - target

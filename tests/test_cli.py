@@ -74,7 +74,7 @@ def test_number_value_and_error_message(runner):
      "gen_euler_number: pole at 1 + q^1 = 0"),
 ])
 def test_domain_errors_name_the_refusing_function(runner, args, message):
-    result = invoke(runner, args + ["--json"])
+    result = invoke(runner, args[:2] + ["--json"] + args[2:])
     assert result.exit_code == 2
     envelope = json_result(result)
     assert envelope["status"] == "error"
@@ -190,6 +190,30 @@ def test_usage_errors_exit_two(runner):
     assert unknown.exit_code == 2
 
 
+@pytest.mark.parametrize("args,command,message", [
+    (["lfun", "lpq", "-s", "1/2", "--chi", "teich:1", "--p", "3"], "lfun lpq",
+     "Invalid value for '-s': '1/2' is not a valid integer."),
+    (["lfun", "lpq", "-s", "1", "--chi", "teich:1"], "lfun lpq", "Missing option '--p'."),
+    (["qeuler", "number", "-m", "1", "--q", "2", "--frobnicate"], "qeuler number",
+     "No such option '--frobnicate'."),
+    (["verify", "frobnicate"], "verify", "No such command 'frobnicate'."),
+    # click's option parser raises this one without naming the command
+    (["lfun", "lpq", "-s", "1", "--p", "3", "--chi"], "lfun lpq",
+     "Option '--chi' requires an argument."),
+])
+def test_parse_errors_get_an_envelope_with_json(runner, args, command, message):
+    # click rejects these before the command body runs: with --json the one
+    # error envelope goes to stdout, without it the usage text goes to stderr
+    result = invoke(runner, args[:2] + ["--json"] + args[2:])
+    assert result.exit_code == 2 and result.stderr == ""
+    envelope = json.loads(result.stdout)
+    assert envelope["command"] == command and envelope["status"] == "error"
+    assert envelope["result"] == {"message": message} and envelope["params"] == {}
+    plain = invoke(runner, args)
+    assert plain.exit_code == 2 and plain.stdout == ""
+    assert f"Error: {message}" in plain.stderr
+
+
 @pytest.mark.parametrize("args,env", [
     (["lfun", "lpq", "-s", "1", "--p", "3", "--json"], {"QEULER_PREC": "abc"}),
     (["qeuler", "gen", "-n", "1", "--chi", "trivial", "--json"], None),
@@ -252,7 +276,7 @@ def test_lpq_rejects_a_modulus_below_one(runner, modulus):
 ])
 def test_empty_verification_grids_are_usage_errors(runner, args, message):
     # a check over no points verifies nothing, so it must not report ok
-    result = invoke(runner, args + ["--json"])
+    result = invoke(runner, args[:2] + ["--json"] + args[2:])
     assert result.exit_code == 2
     envelope = json_result(result)
     assert envelope["status"] == "error"
@@ -281,7 +305,7 @@ def test_congruence_scan_rejects_repeated_samples(runner):
     (["lfun", "lpq", "-s", "1", "--chi", "trivial", "--p", "1"], 1),
 ])
 def test_every_p_option_requires_an_odd_prime(runner, args, p):
-    result = invoke(runner, args + ["--json"])
+    result = invoke(runner, args[:2] + ["--json"] + args[2:])
     assert result.exit_code == 2
     envelope = json_result(result)
     assert envelope["status"] == "error"

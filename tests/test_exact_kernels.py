@@ -5,9 +5,12 @@
 Fraction at the end; ``alt_power_sum_closed`` reads its polynomial value from
 ``euler_poly_moments``.  ``_closed_form`` sums weighted arguments over one
 denominator, so ``gen_euler_number`` ({0,+-1}-valued characters) and
-``distribution_sum`` are one closed form each, and ``numerics.exact_sum``
-adds the terms of ``euler_poly_moments``, the exact ``chi_weighted_sum``,
-``thm5_lhs_exact``, ``_partial_sum_exact`` and ``remark_check``.  The
+``distribution_sum`` are one closed form each.  ``numerics.exact_sum_pairs``
+adds the integer (numerator, denominator) terms of ``euler_poly_moments`` and
+``verify.bernoulli_numbers``, and through ``numerics.exact_sum`` the terms of
+the exact ``chi_weighted_sum``, ``thm5_lhs_exact``, ``_partial_sum_exact`` and
+``remark_check``.  ``verify.classical_limit_check`` reads one Bernoulli table
+for its whole grid, where the reference reruns the recurrence per m.  The
 references below are the earlier loops that added one Fraction per term; a
 Fraction is canonical, so every value must be equal, and every error must
 have the same type and message (the references pass the public function's
@@ -28,7 +31,7 @@ from hypothesis import strategies as st
 
 from qlfun.characters import DirichletCharacter, chi_eval, chi_eval_exact
 from qlfun.lfun import PartialZetaParams, lq_neg_series_path, partial_zeta_neg
-from qlfun.numerics import QContext, binom_int, exact_sum, q_int
+from qlfun.numerics import QContext, binom_int, exact_sum, exact_sum_pairs, q_int, v_p, valuation_json
 from qlfun.qeuler import (
     FractionalArg,
     QEulerDomainError,
@@ -47,7 +50,10 @@ from qlfun.qeuler import (
 )
 from qlfun.verify import (
     _partial_sum_exact,
+    bernoulli_numbers,
     binom_identities_check,
+    classical_euler_number,
+    classical_limit_check,
     remark_check,
     thm5_lhs_exact,
 )
@@ -201,6 +207,37 @@ def remark_reference(p, q):
     return lhs == rhs
 
 
+def bernoulli_reference(n_max):
+    out = [Fraction(1)]
+    for m in range(1, n_max + 1):
+        acc = Fraction(0)
+        for k in range(m):
+            acc += math.comb(m + 1, k) * out[k]
+        out.append(-acc / (m + 1))
+    return out
+
+
+def classical_euler_reference(m):
+    # one Bernoulli recurrence per m, from scratch
+    bern = bernoulli_reference(m + 1)
+    return Fraction(2) * (1 - Fraction(2) ** (m + 1)) * bern[m + 1] / (m + 1)
+
+
+def classical_limit_reference(m_max, p, k_list, slack=1):
+    rows = []
+    ok = True
+    for m in range(m_max + 1):
+        target = classical_euler_reference(m)
+        for k in k_list:
+            val = v_p(euler_number(m, 1 + Fraction(p) ** k) - target, p)
+            passed = val >= k - slack
+            ok = ok and passed
+            rows.append({"m": m, "k": k, "valuation": valuation_json(val),
+                         "required": k - slack, "ok": passed})
+    return {"p": p, "m_max": m_max, "k_list": list(k_list), "slack": slack,
+            "rows": rows, "ok": ok}
+
+
 def _outcome(call, *args):
     try:
         return call(*args)
@@ -260,6 +297,17 @@ def test_exact_sum_equals_the_fraction_fold(terms):
     for term in terms:
         total += term
     assert exact_sum(terms) == total and type(exact_sum(terms)) is Fraction
+
+
+@given(pairs=st.lists(st.tuples(st.integers(-10**6, 10**6),
+                                st.integers(1, 10**4).map(lambda d: d * 6)), max_size=20))
+@settings(max_examples=60, deadline=None)
+def test_exact_sum_pairs_equals_the_fraction_fold(pairs):
+    # the pairs need not be in lowest terms (every denominator here is a multiple of 6)
+    total = Fraction(0)
+    for n, d in pairs:
+        total += Fraction(n, d)
+    assert exact_sum_pairs(pairs) == total and type(exact_sum_pairs(pairs)) is Fraction
 
 
 @given(n=st.integers(-1, 14), chi=exact_chars, q=twist_qs)
@@ -322,6 +370,22 @@ def test_remark_check_equals_the_fraction_loop():
             assert _outcome(remark_check, p, q) == _outcome(remark_reference, p, q)
 
 
+def test_bernoulli_table_and_classical_euler_equal_the_fraction_loops():
+    assert bernoulli_numbers(24) == bernoulli_reference(24)
+    assert [classical_euler_number(m) for m in range(12)] == \
+        [classical_euler_reference(m) for m in range(12)]
+
+
+@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("m_max", [-1, 0, 4, 10])
+def test_classical_limit_check_equals_the_per_m_loop(p, m_max):
+    # one Bernoulli table for the whole grid gives the same report
+    for k_max in (1, 4, 7):
+        k_list = list(range(1, k_max + 1))
+        assert classical_limit_check(m_max, p, k_list) == \
+            classical_limit_reference(m_max, p, k_list)
+
+
 def test_twisted_sums_keep_their_error_messages():
     # each domain error names the public function called (they all used to
     # name euler_poly_frac), on the exact and on the p-adic branch
@@ -370,10 +434,19 @@ def test_padic_branches_give_the_same_padic_number(p, spec):
             assert lq_neg_series_path(k, chi, ctx=ctx) == lq_neg_series_reference(k, chi, q, ctx)
 
 
-@given(count=st.integers(0, 60), m=st.integers(0, 5),
+@given(count=st.integers(0, 60), m=st.integers(0, 8),
        q=st.one_of(small_qs, st.sampled_from([Fraction(0), Fraction(1), Fraction(-1)])))
 @settings(max_examples=300, deadline=None)
 def test_level_sum_equals_the_fraction_loop(count, m, q):
+    assert _alt_level_sum(count, m, q) == level_sum_reference(count, m, q)
+
+
+@pytest.mark.parametrize("count", [3**6, 5**4])
+@pytest.mark.parametrize("q", [Fraction(-4), Fraction(1, 4), Fraction(-2, 3)])
+@pytest.mark.parametrize("m", [2, 3])
+def test_level_sum_over_a_full_level_equals_the_fraction_loop(count, q, m):
+    # counts p^level as volkenborn_approx sums them: the running powers
+    # (a^i b^(m-i))^x grow to thousands of bits
     assert _alt_level_sum(count, m, q) == level_sum_reference(count, m, q)
 
 
