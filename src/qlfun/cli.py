@@ -170,15 +170,24 @@ class _EnvelopeGroup(click.Group):
     """A group whose commands keep the envelope contract before their body
     runs: with --json among the arguments, an error click raises while
     parsing them (a bad option value, a missing required option, an unknown
-    option or command) is printed as the error envelope, exit 2."""
+    option or command, the root group's own options included) is printed as
+    the error envelope, exit 2."""
 
     command_class = _Command
     group_class = type  # the subgroups are _EnvelopeGroups too
 
+    def parse_args(self, ctx, args):
+        # the root group parses its own options before any group invokes
+        return self._enveloped(ctx, "--json" in args, super().parse_args, ctx, args)
+
     def invoke(self, ctx):
-        as_json, started = "--json" in ctx.args, time.monotonic()
+        return self._enveloped(ctx, "--json" in ctx.args, super().invoke, ctx)
+
+    @staticmethod
+    def _enveloped(ctx, as_json, fn, *args):
+        started = time.monotonic()
         try:
-            return super().invoke(ctx)
+            return fn(*args)
         except click.UsageError as exc:
             if not as_json:
                 raise

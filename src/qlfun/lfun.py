@@ -35,7 +35,7 @@ from .numerics import (
     sum_products,
     v_p,
 )
-from .qeuler import FractionalArg, chi_weighted_sum, euler_number, euler_poly_frac
+from .qeuler import FractionalArg, _closed_form_pair, chi_weighted_sum, euler_number, euler_poly_frac
 
 
 @dataclass(frozen=True)
@@ -76,7 +76,10 @@ def lq_neg_series_path(
     chi(a) H(-k, a:F) = [F]^k sum_{a=1}^{F} chi(a) (-1)^a E_{k,q^F}(a/F) over
     the conductor F, the a = F term at argument 1: one closed form per a, summed
     with a outside, where gen_euler_number's one closed form has k outside.
-    A q that disagrees with the context is a ValueError, as there."""
+    Each closed form is its integer pair with the sign (-1)^a in its weight, so
+    for a {0,+-1}-valued chi the sum is normalized once before [F]^k
+    (:func:`chi_weighted_sum`).  A q that disagrees with the context is a
+    ValueError, as there."""
     if k < 0:
         raise ValueError("lq_neg_series_path requires k >= 0")
     if q is None:
@@ -86,9 +89,10 @@ def lq_neg_series_path(
     q = Fraction(q)
     if ctx is not None and ctx.q != q:
         raise ValueError("q argument disagrees with the context")
-    F = chi.conductor
-    return chi_weighted_sum(chi, range(1, F + 1), lambda a: (-1) ** a * euler_poly_frac(
-        k, FractionalArg(a, F), q, "lq_neg_series_path"), q_int(F, q) ** k, ctx)
+    F, qa, qb = chi.conductor, q.numerator, q.denominator
+    Q = q**F
+    return chi_weighted_sum(chi, range(1, F + 1), lambda a: _closed_form_pair(
+        k, Q, qb**a, [((-1) ** a, qa**a)], "lq_neg_series_path"), q_int(F, q) ** k, ctx)
 
 
 @dataclass

@@ -18,7 +18,7 @@ from functools import lru_cache
 from typing import Callable, Iterable, Optional, Sequence, Tuple, Union
 
 from .characters import DirichletCharacter, chi_eval, chi_eval_exact
-from .numerics import IntOrRational, PadicNumber, QContext, exact_sum, exact_sum_pairs, q_int
+from .numerics import IntOrRational, PadicNumber, QContext, exact_sum_pairs, q_int
 
 
 class QEulerDomainError(ValueError):
@@ -49,13 +49,14 @@ def _check_base(q: Fraction, operation: str) -> None:
         raise QEulerDomainError(f"{operation}: q = 1, use classical limit path")
 
 
-def _closed_form(n: int, Q: Fraction, xb: int, weights: Sequence[Tuple[int, int]],
-                 operation: str) -> Fraction:
+def _closed_form_pair(n: int, Q: Fraction, xb: int, weights: Sequence[Tuple[int, int]],
+                      operation: str) -> Tuple[int, int]:
     """sum_i c_i E_{n,Q}(xa_i/xb) over the ``weights`` (c_i, xa_i), where E_{n,Q}(X) =
-    2 (1/(1-Q))^n sum_k C(n,k) (-X)^k / (1+Q^k): one weight for a q-Euler number or
+    2 (1/(1-Q))^n sum_k C(n,k) (-X)^k / (1+Q^k), as an integer (numerator,
+    denominator) pair not in lowest terms: one weight for a q-Euler number or
     polynomial value, one per residue for the twisted and distribution sums.  For
     Q = qa/qb the k-th numerator is C(n,k) (sum_i c_i (-xa_i)^k) qb^k xb^(n-k), over
-    xb^n prod_k (qb^k + qa^k), normalized once; errors name the public ``operation``."""
+    xb^n prod_k (qb^k + qa^k); errors name the public ``operation``."""
     _check_base(Q, operation)
     qa, qb = Q.numerator, Q.denominator
     power_sums = [0] * (n + 1)  # sum_i c_i (-xa_i)^k
@@ -71,7 +72,13 @@ def _closed_form(n: int, Q: Fraction, xb: int, weights: Sequence[Tuple[int, int]
         num = num * d + math.comb(n, k) * power_sum * qb_k * xb ** (n - k) * den
         den *= d
         qa_k, qb_k = qa_k * qa, qb_k * qb
-    return Fraction(2 * qb**n * num, (qb - qa) ** n * xb**n * den)
+    return 2 * qb**n * num, (qb - qa) ** n * xb**n * den
+
+
+def _closed_form(n: int, Q: Fraction, xb: int, weights: Sequence[Tuple[int, int]],
+                 operation: str) -> Fraction:
+    """:func:`_closed_form_pair`, normalized once."""
+    return Fraction(*_closed_form_pair(n, Q, xb, weights, operation))
 
 
 def _shifted_sum(n: int, q: Fraction, F: int, x: int, signs: Sequence[int],
@@ -143,23 +150,24 @@ def _alt_level_sum(count: int, m: int, q: Fraction) -> Fraction:
     route that the closed forms are checked against.  With q = a/b,
     [x] = b (b^x - a^x)/(b^x (b - a)), and Horner's rule over x keeps one integer
     numerator sum (-1)^x (b^x - a^x)^m b^((count-1-x)m) ([0]^0 = 1; [x] = x at q = 1).
-    Each (b^x - a^x)^m is formed on its own as sum_i C(m,i) (-1)^i (a^i b^(m-i))^x
-    from m + 1 running powers, one product by a small integer each per x (no big
-    power); the sums over i and x are never swapped."""
+    Each (-1)^x (b^x - a^x)^m is formed on its own as sum_i C(m,i) (-1)^i
+    (-a^i b^(m-i))^x from m + 1 running powers, one product by a small integer each
+    per x (no big power); the sums over i and x are never swapped.  At an integer
+    q (b^m = 1) the Horner step is a plain add."""
     a, b = q.numerator, q.denominator
     if a == b:
         return Fraction(sum((-1) ** x * x**m for x in range(count)))
     bm, num = b**m, 0
-    steps = [a**i * b ** (m - i) for i in range(m + 1)]
+    steps = [-(a**i) * b ** (m - i) for i in range(m + 1)]
     powers = [(-1) ** i * math.comb(m, i) for i in range(m + 1)]  # at x = 0
     for x in range(count):
         term = 0
         for i, power in enumerate(powers):
             term += power
             powers[i] = power * steps[i]
-        num = num * bm + (-term if x % 2 else term)
-    # powers[0] is now b^(m count)
-    return Fraction(num * bm * bm, (b - a) ** m * powers[0])
+        num = num * bm + term if bm != 1 else num + term
+    # powers[0] is now (-1)^count b^(m count)
+    return Fraction(num * bm * bm, (b - a) ** m * abs(powers[0]))
 
 
 def alt_power_sum_brute(n: int, m: int, q: IntOrRational) -> Fraction:
@@ -195,26 +203,36 @@ def distribution_sum(n: int, x: int, m: int, q: IntOrRational) -> Fraction:
 def chi_weighted_sum(
     chi: DirichletCharacter,
     indices: Iterable[int],
-    exact_term: Callable[[int], Fraction],
+    exact_term: Callable[[int], Union[IntOrRational, Tuple[int, int]]],
     scale: IntOrRational,
     ctx: Optional[QContext],
 ) -> Union[Fraction, PadicNumber]:
-    """scale * sum over a in indices of chi(a) exact_term(a).
+    """scale * sum over a in indices of chi(a) exact_term(a), where a term is an
+    exact rational or an integer (numerator, denominator) pair, not necessarily in
+    lowest terms (a :func:`_closed_form_pair`).
 
-    Exact when the character is {0,+-1}-valued; otherwise the character
-    values are p-adic, a context is required, and the sum is a PadicNumber
-    mod p**working_precision.
+    Exact when the character is {0,+-1}-valued: the pairs (chi(a) numerator,
+    denominator) are added by ``exact_sum_pairs``, normalized once.  Otherwise
+    the character values are p-adic, a context is required, and the sum is a
+    PadicNumber mod p**working_precision, one embedded term per a.
     """
     if chi.is_plus_minus_one_valued:
-        return scale * exact_sum(c * exact_term(a) for a in indices
-                                 if (c := chi_eval_exact(chi, a)))
+        pairs = []
+        for a in indices:
+            if c := chi_eval_exact(chi, a):
+                term = exact_term(a)
+                num, den = term if isinstance(term, tuple) else (term.numerator,
+                                                                 term.denominator)
+                pairs.append((c * num, den))
+        return scale * exact_sum_pairs(pairs)
     if ctx is None:
         raise ValueError("p-adic-valued characters need a QContext")
     acc = ctx.zero()
     for a in indices:
         c = chi_eval(chi, a, ctx)
         if not c.is_zero:
-            acc = acc + c * ctx.embed(exact_term(a))
+            term = exact_term(a)
+            acc = acc + c * ctx.embed(Fraction(*term) if isinstance(term, tuple) else term)
     return acc * ctx.embed(scale)
 
 

@@ -58,6 +58,7 @@ from .numerics import (
     valuation_json,
 )
 from .qeuler import (
+    _closed_form_pair,
     alt_power_sum_brute,
     alt_power_sum_closed,
     distribution_sum,
@@ -319,13 +320,20 @@ def _eq24_free_parts(n: int, ctx: QContext) -> Tuple[List[Parts], List[Parts]]:
     g2 = ((-1)^n Q^(ns) - 1) E_{s,Q}/2, two columns per (n, ctx), exact until
     embedded (group 2 is the exact route eq26 checks T against).  inner =
     E_{s,Q}(n) - Q^(ns) E_{s,Q} is the moment sum sum_{l<s} C(s,l) Q^(nl)
-    E_{l,Q} [n]_Q^(s-l) (``identity_suite``'s ``poly_paths_agree``)."""
-    Q, both, group1 = ctx.q**ctx.p, [], []
+    E_{l,Q} [n]_Q^(s-l) (``identity_suite``'s ``poly_paths_agree``).  Each entry
+    is one two-weight closed form at the arguments Q^n and 1: g1 + g2 =
+    ((-1)^n E_{s,Q}(n) - E_{s,Q})/2, and g1 with its weights scaled by
+    Qb^(ns) (Q^(ns) = Qa^(ns)/Qb^(ns), running powers), then divided out."""
+    Q = ctx.q**ctx.p
+    sign, xa, xb = (-1) ** n, Q.numerator**n, Q.denominator**n
+    both, group1, xa_s, xb_s = [], [], 1, 1
     for s in range(ctx.column_length):
-        euler_s, Q_ns = euler_number(s, Q), Q ** (n * s)
-        g1 = (-1) ** n * (euler_poly(s, n, Q) - Q_ns * euler_s) / 2
-        both.append(ctx.embed(g1 + ((-1) ** n * Q_ns - 1) * euler_s / 2).parts)
-        group1.append(ctx.embed(g1).parts)
+        num, den = _closed_form_pair(s, Q, xb, [(sign, xa), (-1, xb)], "euler_number")
+        both.append(ctx.embed(Fraction(num, 2 * den)).parts)
+        num, den = _closed_form_pair(s, Q, xb, [(sign * xb_s, xa), (-sign * xa_s, xb)],
+                                     "euler_number")
+        group1.append(ctx.embed(Fraction(num, 2 * xb_s * den)).parts)
+        xa_s, xb_s = xa_s * xa, xb_s * xb
     return both, group1
 
 

@@ -214,6 +214,24 @@ def test_parse_errors_get_an_envelope_with_json(runner, args, command, message):
     assert f"Error: {message}" in plain.stderr
 
 
+@pytest.mark.parametrize("args,message", [
+    (["--json", "verify", "limits"], "No such option '--json'."),
+    (["--frobnicate", "verify", "limits", "--json"], "No such option '--frobnicate'."),
+])
+def test_root_parse_errors_get_an_envelope_with_json(runner, args, message):
+    # the root group has no options and parses its own before any command:
+    # with --json among the arguments its parse error is the one error
+    # envelope, named by the root's empty command path
+    result = invoke(runner, args)
+    assert result.exit_code == 2 and result.stderr == ""
+    envelope = json.loads(result.stdout)
+    assert envelope["command"] == "" and envelope["status"] == "error"
+    assert envelope["result"] == {"message": message} and envelope["params"] == {}
+    plain = invoke(runner, ["--frobnicate", "verify", "limits"])
+    assert plain.exit_code == 2 and plain.stdout == ""
+    assert "Error: No such option '--frobnicate'." in plain.stderr
+
+
 @pytest.mark.parametrize("args,env", [
     (["lfun", "lpq", "-s", "1", "--p", "3", "--json"], {"QEULER_PREC": "abc"}),
     (["qeuler", "gen", "-n", "1", "--chi", "trivial", "--json"], None),

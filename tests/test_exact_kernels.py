@@ -2,14 +2,20 @@
 
 ``qeuler._closed_form``, ``qeuler._alt_level_sum`` and
 ``verify.binom_identities_check`` keep integer numerators and build one
-Fraction at the end; ``alt_power_sum_closed`` reads its polynomial value from
+Fraction at the end; ``_closed_form`` is its integer core
+``_closed_form_pair``, whose pair need not be in lowest terms, normalized
+once.  ``alt_power_sum_closed`` reads its polynomial value from
 ``euler_poly_moments``.  ``_closed_form`` sums weighted arguments over one
 denominator, so ``gen_euler_number`` ({0,+-1}-valued characters) and
 ``distribution_sum`` are one closed form each.  ``numerics.exact_sum_pairs``
-adds the integer (numerator, denominator) terms of ``euler_poly_moments`` and
-``verify.bernoulli_numbers``, and through ``numerics.exact_sum`` the terms of
-the exact ``chi_weighted_sum``, ``thm5_lhs_exact``, ``_partial_sum_exact`` and
-``remark_check``.  ``verify.classical_limit_check`` reads one Bernoulli table
+adds the integer (numerator, denominator) terms of ``euler_poly_moments``,
+``verify.bernoulli_numbers`` and the exact ``chi_weighted_sum``, whose terms
+are Fractions or, from ``lq_neg_series_path``, each residue's unnormalized
+closed-form pair (checked at the benchmark's conductors and k, where the
+pairs grow to thousands of bits); through ``numerics.exact_sum`` it adds the
+terms of ``thm5_lhs_exact``, ``_partial_sum_exact`` and ``remark_check``.  At
+an integer q the level sum's Horner step is a plain add, checked at a full
+level of 5^4 terms.  ``verify.classical_limit_check`` reads one Bernoulli table
 for its whole grid, where the reference reruns the recurrence per m.  The
 references below are the earlier loops that added one Fraction per term; a
 Fraction is canonical, so every value must be equal, and every error must
@@ -38,6 +44,7 @@ from qlfun.qeuler import (
     _alt_level_sum,
     _check_base,
     _closed_form,
+    _closed_form_pair,
     alt_power_sum_brute,
     alt_power_sum_closed,
     chi_weighted_sum,
@@ -289,6 +296,18 @@ def test_weighted_closed_form_is_the_weighted_sum_of_closed_forms(n, Q, xb, weig
     assert _outcome(_closed_form, n, Q, xb, weights, "euler_poly_frac") == _outcome(reference)
 
 
+@pytest.mark.parametrize("n,Q,xa,xb", [
+    (6, Fraction(4), 3 * 7, 3**3), (9, Fraction(1, 3), 3**2 * 2, 3**4),
+    (12, Fraction(5, 3), 5**3, 5**2 * 2), (7, Fraction(-2), 2**5, 2**3)])
+def test_closed_form_pair_divided_out_equals_the_fraction_loop(n, Q, xa, xb):
+    # arguments xa/xb that share a prime power: the integer core's pair is not
+    # in lowest terms, and its quotient is the closed form
+    num, den = _closed_form_pair(n, Q, xb, [(1, xa)], "euler_poly_frac")
+    assert math.gcd(num, den) > 1
+    assert Fraction(num, den) == closed_form_reference(n, Q, Fraction(xa, xb),
+                                                       "euler_poly_frac")
+
+
 @given(terms=st.lists(st.one_of(st.integers(-10**6, 10**6),
                                 st.fractions(max_denominator=10**4)), max_size=20))
 @settings(max_examples=200, deadline=None)
@@ -325,6 +344,16 @@ def test_gen_euler_number_equals_the_per_residue_loop(n, chi, q):
 def test_lq_neg_series_path_equals_the_per_residue_loop(k, chi, q):
     assert _outcome(lq_neg_series_path, k, chi, q) == \
         _outcome(lq_neg_series_reference, k, chi, q)
+
+
+@pytest.mark.parametrize("d", [15, 17, 19])
+@pytest.mark.parametrize("q", [Fraction(7), Fraction(5, 3), Fraction(7, 2), Fraction(1, 3)])
+def test_lq_neg_series_path_at_the_benchmark_sizes(d, q):
+    # the gen_vs_series sizes, which hypothesis seldom reaches: the closed forms'
+    # pairs grow to thousands of bits, and a rational q makes xb = qb^a != 1
+    chi = DirichletCharacter.quadratic(d)
+    for k in range(10, 15):
+        assert lq_neg_series_path(k, chi, q) == lq_neg_series_reference(k, chi, q)
 
 
 @given(n=st.integers(-1, 14), x=st.integers(-2, 8), m=st.integers(0, 9), q=twist_qs)
@@ -448,6 +477,13 @@ def test_level_sum_over_a_full_level_equals_the_fraction_loop(count, q, m):
     # counts p^level as volkenborn_approx sums them: the running powers
     # (a^i b^(m-i))^x grow to thousands of bits
     assert _alt_level_sum(count, m, q) == level_sum_reference(count, m, q)
+
+
+@pytest.mark.parametrize("q", [Fraction(4), Fraction(11), Fraction(-4)])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_level_sum_at_an_integer_q_equals_the_fraction_loop(q, m):
+    # b^m = 1: the Horner step is a plain add
+    assert _alt_level_sum(5**4, m, q) == level_sum_reference(5**4, m, q)
 
 
 def test_level_sum_counts_zero_to_the_zeroth_power_as_one():
