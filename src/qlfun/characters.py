@@ -193,25 +193,36 @@ def chi_eval_exact(chi: DirichletCharacter, n: int) -> int:
     return value
 
 
-def chi_eval(chi: DirichletCharacter, n: int, ctx: QContext) -> PadicNumber:
-    """Character value at n as a p-adic number mod p**working_precision."""
-    if n < 0:
-        raise ValueError("chi_eval requires n >= 0")
-    for p in chi.teichmuller_primes():
-        if p != ctx.p:
-            raise CharacterError(f"character lives at p={p}, context has p={ctx.p}")
+def chi_residue(chi: DirichletCharacter, n: int, p: int, W: int) -> int:
+    """chi(n) mod p**W as an integer in [0, p**W): 0 when n shares a factor
+    with the conductor, else w(n)^t times the Jacobi signs of the quadratic
+    atoms, t the sum of the Teichmuller exponents.  As w is multiplicative,
+    w(n)^t = w(n^t), read from the memoized lift.  A Teichmuller atom at a
+    prime other than p is a CharacterError."""
+    for prime in chi.teichmuller_primes():
+        if prime != p:
+            raise CharacterError(f"character lives at p={prime}, context has p={p}")
     cond = chi.conductor
     if cond > 1 and math.gcd(n, cond) > 1:
-        return ctx.zero()
-    value = ctx.one()
+        return 0
+    t, sign = 0, 1
     for atom in chi.factors:
         if isinstance(atom, TeichmullerPower):
-            if atom.exponent != 0:
-                w = teichmuller(n, atom.p, ctx.working_precision)
-                value = value * w**atom.exponent
+            t += atom.exponent
         else:
-            value = value * ctx.embed(jacobi_symbol(n, atom.d))
-    return value
+            sign *= jacobi_symbol(n, atom.d)
+    value = teichmuller(pow(n, t, p), p, W).unit if t % (p - 1) else 1
+    return value if sign == 1 else p**W - value
+
+
+def chi_eval(chi: DirichletCharacter, n: int, ctx: QContext) -> PadicNumber:
+    """Character value at n as a p-adic number mod p**working_precision, read
+    from :func:`chi_residue`: zero when n shares a factor with the conductor."""
+    if n < 0:
+        raise ValueError("chi_eval requires n >= 0")
+    W = ctx.working_precision
+    residue = chi_residue(chi, n, ctx.p, W)
+    return PadicNumber(ctx.p, 0, residue, W) if residue else ctx.zero()
 
 
 def parse_character(text: str, p: Optional[int] = None) -> DirichletCharacter:

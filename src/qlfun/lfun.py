@@ -15,9 +15,9 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterator, List, Optional, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
 
-from .characters import DirichletCharacter, chi_eval
+from .characters import DirichletCharacter, chi_residue
 from .numerics import (
     WORKING_MARGIN,
     PadicExponent,
@@ -26,13 +26,14 @@ from .numerics import (
     QContext,
     SeriesResult,
     _strip_p,
-    angle_bracket,
-    binom_stream,
+    binom_parts,
     merge_series,
     mul_parts,
     power_column,
     q_int,
+    residue_parts,
     sum_products,
+    unit_residues,
     v_p,
 )
 from .qeuler import FractionalArg, _closed_form_pair, chi_weighted_sum, euler_number, euler_poly_frac
@@ -113,9 +114,11 @@ _ACTIVE_CACHE: ContextVar[Optional[SeriesCache]] = ContextVar(
 def series_cache() -> Iterator[SeriesCache]:
     """Open a fresh evaluation scope.  Inside it H_pq, K_partial, the unit
     power <a>^(-s) and the q-Euler Delta_j column are each computed once per
-    key (T_partial reads the cached H_pq and K_partial values).  So are the
-    term tables: the s-free H/K bases, per (n, a, F), the s-free powers
-    (<a> - 1)^k, per a, and the binomial column binom(-s, j), per s, each
+    key (T_partial reads the cached H_pq and K_partial values).  So is the
+    unit table of <a> - 1 and q^a/(1-q^a) over the units a < F, per F
+    (:func:`_unit_table`), and so are the term tables: the s-free H/K bases,
+    per (n, a, F), the s-free powers (<a> - 1)^k, per (a, F), and the
+    binomial column binom(-s, j), per s, each
     built to the length its series reads (:func:`_series_length`; the s-free
     tables and Delta_j per length); a term is one product of two table entries,
     the same value as the product of its factors in any order (see
@@ -172,29 +175,50 @@ def _series_length(s: PadicExponent, ctx: QContext) -> int:
 
 @_scoped
 def _binomials(s: PadicExponent, ctx: QContext) -> List[Parts]:
-    """The parts of binom(-s, j) for j < _series_length(s, ctx): one column per
-    s, shared by <a>^(-s) and the H and K series of every unit a and every n
-    in one scope.  binom_stream refuses an s that is not a p-adic integer."""
-    return [c.parts for c in itertools.islice(binom_stream(-s, ctx), _series_length(s, ctx))]
+    """The parts of binom(-s, j) for j < _series_length(s, ctx), read from
+    :func:`binom_parts`: one column per s, shared by <a>^(-s) and the H and K
+    series of every unit a and every n in one scope.  binom_parts refuses an s
+    that is not a p-adic integer."""
+    return list(itertools.islice(binom_parts(-s, ctx), _series_length(s, ctx)))
 
 
 @_scoped
-def _unit_powers(a: int, J: int, ctx: QContext) -> List[Parts]:
-    """The parts of (<a> - 1)^k for k < J: the s-free column of <a>^(-s), one
-    per (a, J, ctx), shared by every s of that series length in one scope."""
-    t = (angle_bracket(a, ctx) - ctx.one()).parts
-    return power_column(ctx.p, ctx.one().parts, t, J)
+def _unit_table(F: int, ctx: QContext) -> Dict[int, Tuple[Parts, Parts]]:
+    """{a: (the parts of <a> - 1, of q^a/(1-q^a))} for the units a < F, from
+    the integer residues of :func:`qlfun.numerics.unit_residues`: one table
+    per (F, ctx), shared by every s, n and series length in one scope.
+
+    <a> - 1 is ``angle_bracket(a, ctx) - ctx.one()``, known to the working
+    precision.  q^a/(1-q^a) = q^a/((1-q)[a]_q) has valuation -v_p(1-q), as
+    [a]_q is a unit, and the unit of ``ctx.embed(q^a/(1-q^a))``: 1 - q is
+    reduced once, and each entry takes one inverse of [a]_q mod p^N.  The
+    series that read the table refuse q = 1 first."""
+    p, W, N = ctx.p, ctx.working_precision, ctx.working_precision + WORKING_MARGIN
+    mod = p**N
+    v, unit, _ = ctx.embed(1 - ctx.q).parts
+    inverse = pow(unit, -1, mod)
+    return {a: (residue_parts(p, 0, angle - 1, W),
+                (-v, power * pow(bracket, -1, mod) * inverse % mod, N))
+            for a, (angle, power, bracket) in unit_residues(F, ctx).items()}
 
 
 @_scoped
-def _unit_pow(a: int, s: PadicExponent, ctx: QContext) -> SeriesResult:
+def _unit_powers(a: int, F: int, J: int, ctx: QContext) -> List[Parts]:
+    """The parts of (<a> - 1)^k for k < J, from ``ctx.one()``: the s-free
+    column of <a>^(-s), one per (a, F, J, ctx), shared by every s of that
+    series length in one scope; <a> - 1 is read from :func:`_unit_table`."""
+    return power_column(ctx.p, (0, 1, ctx.working_precision), _unit_table(F, ctx)[a][0], J)
+
+
+@_scoped
+def _unit_pow(a: int, F: int, s: PadicExponent, ctx: QContext) -> SeriesResult:
     """<a>^(-s) = sum_k binom(-s, k) (<a> - 1)^k, shared by the H and K series
     of the same (a, s): the guarded series of ``padic_pow(<a>, -s)``, its
     k-th term the product of the k-th entries of :func:`_binomials` and
     :func:`_unit_powers`, formed inside the fold (:func:`sum_products`).
     Its k-th term has valuation >= k (binom(-s, k) is a p-adic integer and
     <a> = 1 mod p), so the guard fires within the columns."""
-    return sum_products(_binomials(s, ctx), _unit_powers(a, _series_length(s, ctx), ctx),
+    return sum_products(_binomials(s, ctx), _unit_powers(a, F, _series_length(s, ctx), ctx),
                         ctx, description="binomial power series")
 
 
@@ -213,11 +237,14 @@ def _deltas(Q: Fraction, J: int, ctx: QContext) -> List[Parts]:
     Q = q^F = 1 mod p, so 1 + Q^k = 2 mod p is a unit, and Delta_j mod p^M is
     the j-th difference of the integers 1/(1 + Q^k) mod p^M, from a running
     Q^k and one ``pow(., -1, p^M)`` (of the row's prefix product): the one
-    place where a difference is formed from reduced parts, not exact values.
-    The values use M = N + J e + RESIDUE_MARGIN, with N = working precision +
-    WORKING_MARGIN (the digits ``ctx.embed`` keeps) and e = v_p(Q - 1).  A
-    nonzero residue p^v u gives v = v_p(Delta_j) and u mod p^(M - v), accepted
-    when M - v >= N, so a shorter column is a prefix of a longer one.  The bound
+    place where a difference is formed from reduced parts, not exact values
+    (the running sum [a]_q of :func:`qlfun.numerics.unit_residues` is the one
+    such sum).  The differences are taken in plain integers and each Delta_j
+    is reduced mod p^M once (reduction is additive).  The values use
+    M = N + J e + RESIDUE_MARGIN, with N = working precision + WORKING_MARGIN
+    (the digits ``ctx.embed`` keeps) and e = v_p(Q - 1).  A nonzero residue
+    p^v u gives v = v_p(Delta_j) and u mod p^(M - v), accepted when
+    M - v >= N, so a shorter column is a prefix of a longer one.  The bound
     v_p(Delta_j) >= j e (proved in :func:`_term_bases`) is why that holds almost
     always; it is checked per value: a zero or short residue takes the exact route.
     """
@@ -240,11 +267,12 @@ def _deltas(Q: Fraction, J: int, ctx: QContext) -> List[Parts]:
                 return v, unit % p**N, N
         return ctx.embed(euler_number(j, Q) * (1 - Q) ** j / 2).parts
 
-    # Delta_j is the first entry after j steps of row[k] - row[k+1]
+    # Delta_j is the first entry after j steps of row[k] - row[k+1], in plain
+    # integers: reduction is additive, so each Delta_j is reduced once
     column = []
     for j in range(J):
-        column.append(value(j, row[0]))
-        row = [(x - y) % mod for x, y in zip(row, row[1:])]
+        column.append(value(j, row[0] % mod))
+        row = [x - y for x, y in zip(row, row[1:])]
     return column
 
 
@@ -277,16 +305,18 @@ def _term_bases(n: int, a: int, F: int, J: int, ctx: QContext) -> List[Parts]:
       too, and the tail after index J has valuation >= (J + 1) v_p(F),
       plus e for K.  As v_p(F) >= 1, the guard fires within the columns.
 
-    Each factor is reduced on its own (reduction is multiplicative); K's
-    q^(nFj) - 1 is formed exactly first, so that it keeps its relative digits.
-    The entries are parts: the running power (q^a/(1-q^a))^j is a
-    :func:`power_column`, and each product is :func:`mul_parts`."""
-    p, q = ctx.p, ctx.q
-    # start at embed(1), not ctx.one(): that would cap the digits at working precision
-    powers = power_column(p, ctx.embed(1).parts, ctx.embed(q**a / (1 - q**a)).parts, J)
-    column = [mul_parts(p, power, delta) for power, delta in zip(powers, _deltas(q**F, J, ctx))]
+    Each factor is reduced on its own (reduction is multiplicative), with the
+    digits of ``ctx.embed`` of its exact value: the step q^a/(1-q^a) read
+    from :func:`_unit_table` and Delta_j from :func:`_deltas`; K's
+    q^(nFj) - 1 is formed exactly first, so that it keeps its relative
+    digits.  The entries are parts: the running power (q^a/(1-q^a))^j is a
+    :func:`power_column` from embed(1), and each product is :func:`mul_parts`."""
+    p, N = ctx.p, ctx.working_precision + WORKING_MARGIN
+    powers = power_column(p, (0, 1, N), _unit_table(F, ctx)[a][1], J)
+    column = [mul_parts(p, power, delta)
+              for power, delta in zip(powers, _deltas(ctx.q**F, J, ctx))]
     if n:
-        qnF = q ** (n * F)
+        qnF = ctx.q ** (n * F)
         column = [mul_parts(p, base, ctx.embed(qnF**j - 1).parts)
                   for j, base in enumerate(column)]
     return column
@@ -308,7 +338,7 @@ def _twisted_series(n: int, s: PadicExponent, prm: PartialZetaParams,
     negation: the same value as a product with embed(-1), as no factor's
     precision exceeds embed's."""
     a, J = prm.a, _series_length(s, ctx)
-    unit_pow = _unit_pow(a, s, ctx)
+    unit_pow = _unit_pow(a, prm.F, s, ctx)
     body = sum_products(_binomials(s, ctx), _term_bases(n, a, prm.F, J, ctx), ctx,
                         description="K series" if n else "H_pq series")
     value = unit_pow.value * body.value
@@ -328,10 +358,13 @@ def H_pq(s: PadicExponent, prm: PartialZetaParams, ctx: QContext) -> SeriesResul
 
 @_scoped
 def _chi_column(chi: DirichletCharacter, F: int, ctx: QContext) -> List[Tuple[int, PadicNumber]]:
-    """(a, chi(a)) over the units a <= F where chi(a) is not zero, one
-    ``chi_eval`` per a: one column per (chi, F, ctx), shared by every s."""
-    values = ((a, chi_eval(chi, a, ctx)) for a in range(1, F + 1) if a % ctx.p)
-    return [(a, c) for a, c in values if not c.is_zero]
+    """(a, chi(a)) over the units a <= F where chi(a) is not zero, from the
+    integer residue :func:`qlfun.characters.chi_residue` that ``chi_eval`` also
+    reads, mod p^(working precision): one column per (chi, F, ctx), shared by
+    every s."""
+    p, W = ctx.p, ctx.working_precision
+    values = ((a, chi_residue(chi, a, p, W)) for a in range(1, F + 1) if a % p)
+    return [(a, PadicNumber(p, 0, c, W)) for a, c in values if c]
 
 
 def _unit_sum(partial: Callable[[PartialZetaParams], SeriesResult],

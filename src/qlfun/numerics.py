@@ -19,7 +19,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, List, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Tuple, Union
 
 IntOrRational = Union[int, Fraction]
 Valuation = Union[int, float]  # int, or math.inf for "zero as far as we know"
@@ -137,6 +137,62 @@ def mul_parts(p: int, x: Parts, y: Parts) -> Parts:
     return v1 + v2, u1 * u2 % _modulus(p, prec), prec
 
 
+def residue_parts(p: int, valuation: int, residue: int, precision: int) -> Parts:
+    """The parts of ``residue * p**valuation`` known mod p**(valuation + precision),
+    normalized: p stripped from the residue mod p**precision, a zero's parts
+    (valuation + precision, 0, 0) when nothing is left (``PadicNumber.make``)."""
+    if precision <= 0:
+        return valuation + precision, 0, 0
+    residue %= _modulus(p, precision)
+    if residue == 0:
+        return valuation + precision, 0, 0
+    residue, shift = _strip_p(residue, p)
+    return valuation + shift, residue, precision - shift
+
+
+def int_parts(r: int, p: int, N: int) -> Parts:
+    """The parts of an exact integer's image mod p**N (``reduce_mod_pN``): p
+    stripped and the unit mod p**N, no ``Fraction``; an exact 0 is (inf, 0, 0)."""
+    if r == 0:
+        return INF, 0, 0
+    unit, v = _strip_p(r, p)
+    return v, unit % _modulus(p, N), N
+
+
+def _at_absolute_precision(p: int, x: Parts, bound: Valuation) -> Parts:
+    """x's parts with everything beyond p**bound forgotten."""
+    v, unit, prec = x
+    if not prec:
+        return (v if v < bound else bound), 0, 0
+    rel = bound - v
+    if rel <= 0:
+        return bound, 0, 0
+    if rel >= prec:
+        return x
+    rel = int(rel)
+    return v, unit % _modulus(p, rel), rel
+
+
+def add_parts(p: int, x: Parts, y: Parts) -> Parts:
+    """The sum rule of :class:`PadicNumber`, on plain integer parts: the sum is
+    known to the lesser absolute precision, a zero summand only truncates the
+    other, and two units are added at their least valuation and normalized
+    (:func:`residue_parts`)."""
+    (v1, u1, prec1), (v2, u2, prec2) = x, y
+    end1, end2 = v1 + prec1, v2 + prec2
+    bound = end1 if end1 < end2 else end2
+    if not prec1:
+        return (bound, 0, 0) if not prec2 else _at_absolute_precision(p, y, bound)
+    if not prec2:
+        return _at_absolute_precision(p, x, bound)
+    base = v1 if v1 < v2 else v2
+    rel = int(bound - base)
+    if rel <= 0:
+        return bound, 0, 0
+    total = u1 * p ** int(v1 - base) + u2 * p ** int(v2 - base)
+    return residue_parts(p, int(base), total, rel)
+
+
 def power_column(p: int, start: Parts, step: Parts, length: int) -> List[Parts]:
     """start * step**k for k < length (length >= 1), each entry the
     :func:`mul_parts` product of the one before and step: from k = 1 on, a
@@ -178,15 +234,7 @@ class PadicNumber:
     @classmethod
     def make(cls, p: int, valuation: int, residue: int, precision: int) -> "PadicNumber":
         """Normalize ``residue * p**valuation`` known mod p**(valuation+precision)."""
-        if precision <= 0:
-            return cls.zero(p, bound=valuation + precision)
-        residue %= p**precision
-        if residue == 0:
-            return cls.zero(p, bound=valuation + precision)
-        residue, shift = _strip_p(residue, p)
-        precision -= shift
-        return cls(p=p, valuation=valuation + shift,
-                   unit=residue % p**precision, precision=precision)
+        return cls(p, *residue_parts(p, valuation, residue, precision))
 
     @classmethod
     def one(cls, p: int, precision: int) -> "PadicNumber":
@@ -236,15 +284,7 @@ class PadicNumber:
 
     def at_absolute_precision(self, bound: Valuation) -> "PadicNumber":
         """Forget everything beyond p**bound."""
-        if self.is_zero:
-            return PadicNumber.zero(self.p, bound=min(self.valuation, bound))
-        rel = bound - self.valuation
-        if rel <= 0:
-            return PadicNumber.zero(self.p, bound=bound)
-        if rel >= self.precision:
-            return self
-        return PadicNumber(p=self.p, valuation=self.valuation,
-                           unit=self.unit % self.p**int(rel), precision=int(rel))
+        return PadicNumber(self.p, *_at_absolute_precision(self.p, self.parts, bound))
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -261,20 +301,7 @@ class PadicNumber:
 
     def __add__(self, other: "PadicNumber") -> "PadicNumber":
         self._check_same_prime(other)
-        bound = min(self.abs_precision, other.abs_precision)
-        if self.is_zero and other.is_zero:
-            return PadicNumber.zero(self.p, bound=bound)
-        if self.is_zero:
-            return other.at_absolute_precision(bound)
-        if other.is_zero:
-            return self.at_absolute_precision(bound)
-        base = min(self.valuation, other.valuation)
-        rel = int(bound - base)
-        if rel <= 0:
-            return PadicNumber.zero(self.p, bound=bound)
-        total = (self.unit * self.p ** int(self.valuation - base)
-                 + other.unit * self.p ** int(other.valuation - base))
-        return PadicNumber.make(self.p, int(base), total, rel)
+        return PadicNumber(self.p, *add_parts(self.p, self.parts, other.parts))
 
     def __sub__(self, other: "PadicNumber") -> "PadicNumber":
         return self + (-other)
@@ -321,10 +348,7 @@ def reduce_mod_pN(r: IntOrRational, p: int, N: int) -> PadicNumber:
     if N < 1:
         raise ValueError("reduce_mod_pN requires N >= 1")
     if isinstance(r, int):
-        if r == 0:
-            return PadicNumber.zero(p)
-        unit, v = _strip_p(r, p)
-        return PadicNumber(p=p, valuation=v, unit=unit % _modulus(p, N), precision=N)
+        return PadicNumber(p, *int_parts(r, p, N))
     r = Fraction(r)
     if r == 0:
         return PadicNumber.zero(p)
@@ -561,35 +585,62 @@ def merge_series(value: PadicNumber, parts: Iterable[SeriesResult]) -> SeriesRes
 PadicExponent = Union[int, PadicNumber]
 
 
-def binom_stream(s: PadicExponent, ctx: QContext) -> Iterator[PadicNumber]:
-    """binom(s, k) = s(s-1)...(s-k+1)/k! for k = 0, 1, 2, ... and a p-adic
-    integer s, from one running product and one running integer k!.
+def binom_parts(s: PadicExponent, ctx: QContext) -> Iterator[Parts]:
+    """The parts of binom(s, k) = s(s-1)...(s-k+1)/k! for k = 0, 1, 2, ... and a
+    p-adic integer s: one running product of the factors s - k, divided by k!,
+    each step the rule of the ``PadicNumber`` operation it replaces, on plain
+    integer parts.
 
-    For an integer s every value is the exact binomial, the running integer
-    b <- b (s - k) // (k + 1), as ``ctx.embed(b)``; for a genuinely p-adic s
-    the division by k! costs v_p(k!) digits of absolute precision, which each
-    value's precision field reflects.  Once the product is a p-adic zero (s an
-    embedded integer 0 <= s < k) it is no longer multiplied.
-    """
+    The product is :func:`mul_parts`.  For an integer s it starts at embed(1)
+    and each factor s - k is the exact integer's parts (:func:`int_parts`), so
+    every value is the parts of ``ctx.embed`` of the exact binomial.  For a
+    PadicNumber s it starts at ``ctx.one()`` and each factor is
+    s - ctx.embed(k) by :func:`add_parts`; the division by k! then costs
+    v_p(k!) digits of absolute precision, which each value's precision field
+    reflects.  The division is ``PadicNumber.__truediv__``'s: valuations
+    subtract and the unit is multiplied by the inverse of k!'s unit mod
+    p**(the product's precision), here from one running inverse mod p**N
+    (N = the digits ``ctx.embed`` keeps).  Once the product is a p-adic zero
+    (s an integer, or an embedded one, with 0 <= s < k) it is no longer
+    multiplied.  An s that is not a p-adic integer is a PadicError when the
+    first value is drawn."""
+    p, N = ctx.p, ctx.working_precision + WORKING_MARGIN
+    mod = _modulus(p, N)
     if isinstance(s, int):
-        b = 1
-        for k in itertools.count():
-            yield ctx.embed(b)
-            b = b * (s - k) // (k + 1)
-    if not s.is_zero and s.valuation < 0:
-        raise PadicError("binom_stream requires a p-adic integer")
-    prod = ctx.one()
-    factorial = 1
+        prod: Parts = (0, 1, N)
+
+        def factor(k: int) -> Parts:
+            return int_parts(s - k, p, N)
+    else:
+        ctx.zero()._check_same_prime(s)
+        if not s.is_zero and s.valuation < 0:
+            raise PadicError("binom_stream requires a p-adic integer")
+        prod, s_parts = ctx.one().parts, s.parts
+
+        def factor(k: int) -> Parts:
+            return add_parts(p, s_parts, int_parts(-k, p, N))
+    fact_v, fact_inv = 0, 1  # v_p(k!) and the inverse of k!'s unit mod p**N
     for k in itertools.count():
-        yield prod / ctx.embed(factorial)
-        if not prod.is_zero:
-            prod = prod * (s - ctx.embed(k))
-        factorial *= k + 1
+        v, unit, prec = prod
+        yield v - fact_v, unit * fact_inv % _modulus(p, prec), prec
+        if prec:
+            prod = mul_parts(p, prod, factor(k))
+        unit, shift = _strip_p(k + 1, p)
+        fact_v, fact_inv = fact_v + shift, fact_inv * pow(unit, -1, mod) % mod
+
+
+def binom_stream(s: PadicExponent, ctx: QContext) -> Iterator[PadicNumber]:
+    """binom(s, k) for k = 0, 1, 2, ... and a p-adic integer s, as PadicNumbers
+    built from the parts of :func:`binom_parts`: for an integer s each value is
+    ``ctx.embed`` of the exact binomial; for a PadicNumber s the division by
+    k! costs v_p(k!) digits of absolute precision."""
+    return (PadicNumber(ctx.p, *parts) for parts in binom_parts(s, ctx))
 
 
 def padic_pow(u: PadicNumber, s: PadicExponent, ctx: QContext) -> SeriesResult:
     """u**s for u congruent to 1 mod p and a p-adic integer exponent s,
-    via the binomial series sum_k binom(s, k) (u-1)**k with guarded truncation;
+    via the binomial series sum_k binom(s, k) (u-1)**k with guarded truncation,
+    the parts of :func:`binom_parts` against a :func:`power_column` of u - 1;
     its k-th term has valuation >= k, so the guard fires within the column length."""
     if u.is_zero or u.valuation != 0 or u.unit % ctx.p != 1:
         raise PadicError("binomial series diverges: base must be congruent to 1 mod p")
@@ -597,15 +648,41 @@ def padic_pow(u: PadicNumber, s: PadicExponent, ctx: QContext) -> SeriesResult:
         if not s.is_zero and s.valuation < 0:
             raise PadicError("exponent must be a p-adic integer")
     powers = power_column(ctx.p, ctx.one().parts, (u - ctx.one()).parts, ctx.column_length)
-    return sum_products((c.parts for c in binom_stream(s, ctx)), powers, ctx,
-                        description="binomial power series")
+    return sum_products(binom_parts(s, ctx), powers, ctx, description="binomial power series")
+
+
+def unit_residues(F: int, ctx: QContext) -> Dict[int, Tuple[int, int, int]]:
+    """{a: (<a>, q^a, [a]_q)} for the units 0 < a < F, as integer residues mod
+    p**N, N = working precision + WORKING_MARGIN (the digits ``ctx.embed``
+    keeps).
+
+    q is reduced once; q^a is a running power and [a]_q = [a-1]_q + q^(a-1) a
+    running sum.  Reduction mod p**N is a ring map on the p-integral rationals,
+    so each residue is the exact value's, and for p not dividing a,
+    [a]_q = a mod p is a unit: its residue is its unit to all N digits, and the
+    sum, though formed from reduced parts, loses none.  <a> = [a]_q / w(a),
+    with 1 / w(a) = w(a') for a a' = 1 mod p, read from the memoized lift.
+    At q = 1, [a]_q = a."""
+    p, N = ctx.p, ctx.working_precision + WORKING_MARGIN
+    mod = _modulus(p, N)
+    q = ctx.q.numerator * pow(ctx.q.denominator, -1, mod) % mod
+    table = {}
+    power, bracket = 1, 0  # q^a and [a]_q at a = 0
+    for a in range(1, F):
+        power, bracket = power * q % mod, (bracket + power) % mod
+        if a % p:
+            inverse_lift = teichmuller(pow(a, -1, p), p, N).unit
+            table[a] = bracket * inverse_lift % mod, power, bracket
+    return table
 
 
 def angle_bracket(a: int, ctx: QContext) -> PadicNumber:
     """Principal-unit part of the base-q count of a unit a:
-    q_int(a, q) divided by its Teichmuller lift; congruent to 1 mod p."""
+    q_int(a, q) divided by its Teichmuller lift; congruent to 1 mod p.
+    Read from :func:`unit_residues`, to the digits ``ctx.embed`` keeps."""
     if a % ctx.p == 0:
         raise PadicError("angle_bracket undefined at non-unit")
-    numerator = ctx.embed(q_int(a, ctx.q))
-    w = teichmuller(a, ctx.p, ctx.working_precision + WORKING_MARGIN)
-    return numerator / w
+    if a < 0:
+        raise ValueError("q_int requires x >= 0")
+    return PadicNumber(ctx.p, 0, unit_residues(a + 1, ctx)[a][0],
+                       ctx.working_precision + WORKING_MARGIN)

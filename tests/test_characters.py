@@ -9,8 +9,10 @@ import pytest
 from qlfun.characters import (
     CharacterError,
     DirichletCharacter,
+    TeichmullerPower,
     chi_eval,
     chi_eval_exact,
+    chi_residue,
     jacobi_symbol,
     parse_character,
     twist,
@@ -192,5 +194,61 @@ def test_parse_character_errors():
 
 def test_context_prime_mismatch_is_caught():
     w1 = DirichletCharacter.teichmuller_power(1, 5)
-    with pytest.raises(CharacterError):
+    with pytest.raises(CharacterError, match="^character lives at p=5, context has p=3$"):
         chi_eval(w1, 2, CTX3)
+    with pytest.raises(CharacterError, match="^character lives at p=5, context has p=3$"):
+        chi_residue(w1, 2, 3, CTX3.working_precision)
+    # checked before the value: also at an n that shares a factor with the conductor
+    with pytest.raises(CharacterError):
+        chi_eval(w1, 10, CTX3)
+
+
+# ---------------------------------------------------------------------------
+# the integer residue against the PadicNumber product it replaces
+# ---------------------------------------------------------------------------
+
+def chi_eval_reference(chi, n, ctx):
+    """The PadicNumber route: ctx.one() times w(n)**t per Teichmuller atom and
+    the embedded Jacobi symbol per quadratic atom."""
+    if n < 0:
+        raise ValueError("chi_eval requires n >= 0")
+    for p in chi.teichmuller_primes():
+        if p != ctx.p:
+            raise CharacterError(f"character lives at p={p}, context has p={ctx.p}")
+    cond = chi.conductor
+    if cond > 1 and math.gcd(n, cond) > 1:
+        return ctx.zero()
+    value = ctx.one()
+    for atom in chi.factors:
+        if isinstance(atom, TeichmullerPower):
+            if atom.exponent != 0:
+                value = value * teichmuller(n, atom.p, ctx.working_precision) ** atom.exponent
+        else:
+            value = value * ctx.embed(jacobi_symbol(n, atom.d))
+    return value
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_chi_eval_equals_the_padic_product(p):
+    specs = ["trivial", "teich:1", "teich:2", f"teich:{p - 2}", f"teich:{(p - 1) // 2}",
+             "quad:5*teich:1", "quad:3*teich:2", "quad:7*quad:5"]
+    # an unnormalized product: two Teichmuller atoms and a quadratic one
+    doubled = DirichletCharacter((TeichmullerPower(1, p), TeichmullerPower(2, p),
+                                  DirichletCharacter.quadratic(7).factors[0]))
+    for precision in (1, 4, 8, 16, 24):
+        ctx = QContext(p=p, q=Fraction(1 + p), precision=precision)
+        W = ctx.working_precision
+        for chi in [parse_character(spec, p) for spec in specs] + [doubled]:
+            for n in range(0, 2 * chi.conductor + 1):  # two periods
+                expected = chi_eval_reference(chi, n, ctx)
+                assert chi_eval(chi, n, ctx) == expected, (precision, chi, n)
+                assert chi_residue(chi, n, p, W) == expected.unit
+
+
+def test_chi_eval_keeps_its_errors_and_zeros():
+    chi = DirichletCharacter.quadratic(3) * DirichletCharacter.teichmuller_power(1, 5)
+    with pytest.raises(ValueError, match="^chi_eval requires n >= 0$"):
+        chi_eval(chi, -1, CTX5)
+    for n in (0, 3, 5, 6, 10, 15, 45):  # a factor shared with the conductor 15
+        assert chi_eval(chi, n, CTX5) == CTX5.zero()
+        assert chi_residue(chi, n, 5, CTX5.working_precision) == 0

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from qlfun import lfun, verify
-from qlfun.characters import DirichletCharacter, chi_eval, twist
+from qlfun.characters import DirichletCharacter, chi_eval, chi_residue, parse_character, twist
 from qlfun.lfun import (
     H_pq,
     K_full,
@@ -410,10 +410,10 @@ def test_series_cache_scope_gives_the_same_values():
     # the other s the full 21
     lengths = len({lfun._series_length(s, CTX34) for s in s_values})
     assert lengths == 2
-    # H, K(2), K(1) and <a>^(-s) per case, one binomial column per s, and per
-    # length one Delta_j stream, one term-base table per (n, a) and one power
-    # column (<a> - 1)^k per unit
-    keys = 4 * len(cases) + len(s_values) + lengths * (1 + 3 * len(units) + len(units))
+    # H, K(2), K(1) and <a>^(-s) per case, one binomial column per s, one unit
+    # table (F = 3), and per length one Delta_j stream, one term-base table
+    # per (n, a) and one power column (<a> - 1)^k per unit
+    keys = 4 * len(cases) + len(s_values) + 1 + lengths * (1 + 3 * len(units) + len(units))
 
     def evaluate():
         return [(H_pq(s, prm, CTX34), K_partial(2, s, prm, CTX34),
@@ -439,12 +439,15 @@ def test_series_cache_scope_gives_the_same_values():
     # per table built: one more key and miss per length, and
     # 3 * len(units) - 1 hits on each.  Each unit power also reads the s-free
     # power column of its unit and length: the first s builds it and every
-    # other s of that length hits it, len(cases) - lengths * len(units) hits
+    # other s of that length hits it, len(cases) - lengths * len(units) hits.
+    # Every power column and term-base table built reads the one unit table:
+    # lengths * 4 * len(units) reads, all but the first hits
     assert cache.misses == keys
     series = 3 * len(cases)
     hits = (3 * len(cases) + 4 * len(cases) + (series + len(cases) - len(s_values))
             + (series - lengths * 3 * len(units)) + lengths * (3 * len(units) - 1)
-            + len(cases) - lengths * len(units))
+            + len(cases) - lengths * len(units)
+            + lengths * 4 * len(units) - 1)
     assert cache.hits == hits
     assert not cache.values  # dropped with the scope
     # outside a scope nothing is recorded
@@ -474,30 +477,30 @@ def test_series_cache_is_dropped_with_its_scope():
         with series_cache() as inner:
             H_pq(1, prm, CTX34)
         assert inner.misses == outer.misses > 0
-        # one hit each: the H series reads the binomial column that its unit
-        # power <a>^(-1), computed first, has built
-        assert inner.hits == outer.hits == 1
+        # two hits each: the H series reads the binomial column and the unit
+        # table that its unit power <a>^(-1), computed first, has built
+        assert inner.hits == outer.hits == 2
         H_pq(1, prm, CTX34)
-        assert outer.hits == 2
+        assert outer.hits == 3
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_unit_power_matches_padic_pow(p):
     # <a>^(-s) read from the shared binomial column is padic_pow's own
     # series, as a dataclass: outside a scope, inside one, and after an H
-    # series has read the same column
+    # series has read the same column; the unit table covers the units < 2p
     ctx = QContext(p=p, q=Fraction(p + 1), precision=8)
     units = [a for a in range(1, 2 * p) if a % p]
     exponents = [0, 2, -3, ctx.embed(4), ctx.embed(-2),
                  ctx.embed(Fraction(1, 2)), ctx.embed(Fraction(-3, 4))]
     for s in exponents:
         expected = [padic_pow(angle_bracket(a, ctx), -s, ctx) for a in units]
-        assert [lfun._unit_pow(a, s, ctx) for a in units] == expected
+        assert [lfun._unit_pow(a, 2 * p, s, ctx) for a in units] == expected
         with series_cache():
-            assert [lfun._unit_pow(a, s, ctx) for a in units] == expected
+            assert [lfun._unit_pow(a, 2 * p, s, ctx) for a in units] == expected
         with series_cache():
             H_pq(s, PartialZetaParams(p - 1, p), ctx)
-            assert [lfun._unit_pow(a, s, ctx) for a in units] == expected
+            assert [lfun._unit_pow(a, 2 * p, s, ctx) for a in units] == expected
 
 
 def test_non_integral_exponent_is_refused_on_every_call_in_a_scope():
@@ -672,11 +675,11 @@ def test_thm5_grid_evaluates_each_character_value_once(monkeypatch):
     # (chi, F, ctx) column: at most (p - 1)^2 distinct values, each once
     calls = []
 
-    def recording_chi_eval(chi, a, ctx):
-        calls.append((chi, a, ctx))
-        return chi_eval(chi, a, ctx)
+    def recording_chi_residue(chi, a, p, W):
+        calls.append((chi, a, p, W))
+        return chi_residue(chi, a, p, W)
 
-    monkeypatch.setattr(lfun, "chi_eval", recording_chi_eval)
+    monkeypatch.setattr(lfun, "chi_residue", recording_chi_residue)
     ctx = QContext(p=5, q=Fraction(6), precision=8)
     thm5_grid([1, 2], [1, 2], ctx)
     assert len(calls) == len(set(calls)) <= (ctx.p - 1) ** 2
@@ -709,7 +712,7 @@ def test_integer_columns_equal_the_padic_chains(p, q, F):
             for a in (1, 2, F - 1):
                 t = angle_bracket(a, ctx) - ctx.one()
                 power = ctx.one()
-                for k, entry in enumerate(lfun._unit_powers(a, L, ctx)):
+                for k, entry in enumerate(lfun._unit_powers(a, F, L, ctx)):
                     assert entry == power.parts, (precision, a, k)
                     power = power * t
                 step = ctx.embed(q**a / (1 - q**a))
@@ -721,6 +724,66 @@ def test_integer_columns_equal_the_padic_chains(p, q, F):
                             base = base * ctx.embed(q ** (n * F * j) - 1)
                         assert entry == base.parts, (precision, a, n, j)
                         power = power * step
+
+
+def table_grid():
+    """(p, q): q = 1+p, 1+2p, 1-p, 1/(1+p) and 1+p^2 (v_p(q-1) = 2), and 7/4 at p = 3."""
+    for p in (3, 5, 7, 11):
+        qs = [Fraction(1 + p), Fraction(1 + 2 * p), Fraction(1 - p), Fraction(1, 1 + p),
+              Fraction(1 + p * p)] + ([Fraction(7, 4)] if p == 3 else [])
+        for q in qs:
+            yield p, q
+
+
+def deltas_reduced_row(Q, J, ctx):
+    """Delta_j for j < J from the row of 1/(1 + Q^k) mod p^M, its differences
+    reduced mod p^M every round, each accepted when M - v_p >= N, as in
+    :func:`lfun._deltas` (the exact route covers the rest)."""
+    p, N = ctx.p, ctx.working_precision + WORKING_MARGIN
+    M = N + J * v_p(Q - 1, p) + lfun.RESIDUE_MARGIN
+    mod = p**M
+    Qm = Q.numerator * pow(Q.denominator, -1, mod) % mod
+    row = [pow(1 + pow(Qm, k, mod), -1, mod) for k in range(J)]
+    column = []
+    for j in range(J):
+        unit, v = (0, M) if row[0] == 0 else lfun._strip_p(row[0], p)
+        column.append((v, unit % p**N, N) if M - v >= N else exact_delta(j, Q, ctx).parts)
+        row = [(x - y) % mod for x, y in zip(row, row[1:])]
+    return column
+
+
+@pytest.mark.parametrize("p,q", list(table_grid()))
+def test_unit_tables_equal_the_fraction_routes(p, q):
+    # <a> - 1 from angle_bracket's Fraction route and q^a/(1-q^a) embedded
+    # exactly, for every unit a < 15p, and Delta_j from the reduced
+    # difference row
+    for precision in (1, 4, 8, 16, 24):
+        ctx = QContext(p=p, q=q, precision=precision)
+        N, L = ctx.working_precision + WORKING_MARGIN, ctx.column_length
+        F = 15 * p if precision == 24 else 3 * p
+        with series_cache():
+            table = lfun._unit_table(F, ctx)
+            assert list(table) == [a for a in range(1, F) if a % p]
+            for a, (minus_one, ratio) in table.items():
+                angle = ctx.embed(q_int(a, q)) / teichmuller(a, p, N)
+                assert minus_one == (angle - ctx.one()).parts, (precision, a)
+                assert ratio == ctx.embed(q**a / (1 - q**a)).parts, (precision, a)
+            for G in (p, 3 * p):
+                expected = deltas_reduced_row(q**G, L, ctx)
+                assert lfun._deltas(q**G, L, ctx) == expected, (precision, G)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_chi_column_reads_the_integer_residue(p):
+    # chi(a) over the units a <= F, the zeros dropped: chi_eval's values
+    # (whose PadicNumber route tests/test_characters.py keeps as reference)
+    for precision in (1, 8, 24):
+        ctx = QContext(p=p, q=Fraction(1 + p), precision=precision)
+        for spec in ("trivial", "teich:1", "quad:5*teich:1", "quad:3*teich:2", "quad:7*quad:5"):
+            chi = parse_character(spec, p)
+            F = math.lcm(p, chi.conductor)
+            values = [(a, chi_eval(chi, a, ctx)) for a in range(1, F + 1) if a % p]
+            assert lfun._chi_column(chi, F, ctx) == [(a, c) for a, c in values if not c.is_zero]
 
 
 @pytest.mark.parametrize("p,q,F", list(residue_grid()))
@@ -795,7 +858,7 @@ def test_eq24_group_terms_meet_the_proven_bound(p, q):
 def columns_at(s, ctx):
     """Every scoped column the H, K and <a>^(-s) series at s read, at F = p."""
     J = lfun._series_length(s, ctx)
-    return [lfun._binomials(s, ctx), lfun._unit_powers(2, J, ctx),
+    return [lfun._binomials(s, ctx), lfun._unit_powers(2, ctx.p, J, ctx),
             lfun._deltas(ctx.q**ctx.p, J, ctx), lfun._term_bases(0, 2, ctx.p, J, ctx),
             lfun._term_bases(1, 2, ctx.p, J, ctx)]
 

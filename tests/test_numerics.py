@@ -10,12 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qlfun.numerics import (
+    WORKING_MARGIN,
     PadicError,
     PadicNumber,
     QContext,
     SeriesDivergenceError,
     angle_bracket,
     binom_int,
+    binom_parts,
     binom_stream,
     mul_parts,
     padic_pow,
@@ -26,6 +28,7 @@ from qlfun.numerics import (
     sum_guarded,
     sum_products,
     teichmuller,
+    unit_residues,
     v_p,
 )
 
@@ -496,8 +499,113 @@ def test_binom_stream_matches_binom_padic(p):
 
 def test_binom_stream_rejects_non_integral_exponent():
     ctx = QContext(p=5, q=Fraction(6), precision=8)
-    with pytest.raises(PadicError):
+    with pytest.raises(PadicError, match="^binom_stream requires a p-adic integer$"):
         next(binom_stream(ctx.embed(Fraction(1, 5)), ctx))
+    with pytest.raises(PadicError, match="^binom_stream requires a p-adic integer$"):
+        next(binom_parts(ctx.embed(Fraction(1, 5)), ctx))
+
+
+# ---------------------------------------------------------------------------
+# integer routes against the Fraction and PadicNumber routes they replace
+# ---------------------------------------------------------------------------
+
+PRECISIONS = (1, 4, 8, 16, 24)
+
+
+def route_grid():
+    """(p, q): q = 1+p, 1+2p, 1-p, 1/(1+p) and 1+p^2 (v_p(q-1) = 2), and 7/4 at p = 3."""
+    for p in (3, 5, 7, 11):
+        qs = [Fraction(1 + p), Fraction(1 + 2 * p), Fraction(1 - p), Fraction(1, 1 + p),
+              Fraction(1 + p * p)] + ([Fraction(7, 4)] if p == 3 else [])
+        for q in qs:
+            yield p, q
+
+
+def angle_bracket_reference(a, ctx):
+    """The Fraction route: [a]_q reduced, divided by the Teichmuller lift of a."""
+    N = ctx.working_precision + WORKING_MARGIN
+    return ctx.embed(q_int(a, ctx.q)) / teichmuller(a, ctx.p, N)
+
+
+@pytest.mark.parametrize("p,q", list(route_grid()))
+def test_unit_residues_equal_the_fraction_route(p, q):
+    # every unit a < 15p: <a>, q^a and [a]_q from the running residues are
+    # the reduced exact values; angle_bracket reads the same table
+    for precision in PRECISIONS:
+        ctx = QContext(p=p, q=q, precision=precision)
+        N = ctx.working_precision + WORKING_MARGIN
+        F = 15 * p if precision == 24 else 3 * p
+        table = unit_residues(F, ctx)
+        assert list(table) == [a for a in range(1, F) if a % p]
+        for a, (angle, power, bracket) in table.items():
+            assert PadicNumber(p, 0, angle, N) == angle_bracket_reference(a, ctx), (precision, a)
+            assert (0, power, N) == ctx.embed(q**a).parts
+            assert (0, bracket, N) == ctx.embed(q_int(a, q)).parts
+        for a in (1, 2, p + 1, F - 1):
+            assert angle_bracket(a, ctx) == angle_bracket_reference(a, ctx), (precision, a)
+
+
+def test_angle_bracket_at_q_one_is_a_over_its_lift():
+    # the residue of 1 - q is 0 here: the running sum [a]_1 = a never divides by it
+    for p in (3, 5, 7, 11):
+        for precision in (1, 8):
+            ctx = QContext(p=p, q=Fraction(1), precision=precision)
+            N = ctx.working_precision + WORKING_MARGIN
+            for a in (a for a in range(1, 3 * p) if a % p):
+                assert angle_bracket(a, ctx) == ctx.embed(a) / teichmuller(a, p, N), (p, a)
+
+
+def test_angle_bracket_keeps_its_errors():
+    ctx = QContext(p=5, q=Fraction(6), precision=8)
+    with pytest.raises(ValueError, match="^q_int requires x >= 0$") as refused:
+        angle_bracket(-1, ctx)
+    assert type(refused.value) is ValueError
+    for a in (5, -5, 0):
+        with pytest.raises(PadicError, match="non-unit"):
+            angle_bracket(a, ctx)
+
+
+def binom_stream_reference(s, ctx):
+    """The PadicNumber loop: for an integer s the running integer binomial,
+    embedded; for a PadicNumber s a running product from ctx.one() over the
+    embedded k!, no longer multiplied once it is a p-adic zero."""
+    if isinstance(s, int):
+        b = 1
+        for k in count():
+            yield ctx.embed(b)
+            b = b * (s - k) // (k + 1)
+    if not s.is_zero and s.valuation < 0:
+        raise PadicError("binom_stream requires a p-adic integer")
+    prod, fact = ctx.one(), 1
+    for k in count():
+        yield prod / ctx.embed(fact)
+        if not prod.is_zero:
+            prod = prod * (s - ctx.embed(k))
+        fact *= k + 1
+
+
+def binom_exponents(p, ctx):
+    """Integer s in -30..40; embedded integers, whose product hits a p-adic
+    zero; truncated, positive-valuation and zero p-adic s."""
+    half = ctx.embed(Fraction(1, 2))
+    return (list(range(-30, 41))
+            + [ctx.embed(n) for n in (0, 1, 3, p, 2 * p + 1, -4)]
+            + [half.at_absolute_precision(b) for b in (1, 3, ctx.precision)]
+            + [ctx.embed(Fraction(p, 2)), ctx.embed(p * p * 3), ctx.embed(Fraction(-p, 7))]
+            + [ctx.zero(), PadicNumber.zero(p, 5), half])
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_binom_parts_equal_the_padic_loop(p):
+    for precision in PRECISIONS:
+        ctx = QContext(p=p, q=Fraction(1 + p), precision=precision)
+        L = ctx.column_length
+        for s in binom_exponents(p, ctx):
+            if isinstance(s, int) and precision not in (1, 24) and s % 5:
+                continue  # the integer s at every fifth value in between
+            expected = list(islice(binom_stream_reference(s, ctx), L))
+            assert list(islice(binom_stream(s, ctx), L)) == expected, (precision, s)
+            assert list(islice(binom_parts(s, ctx), L)) == [c.parts for c in expected]
 
 
 # ---------------------------------------------------------------------------
