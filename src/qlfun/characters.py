@@ -5,13 +5,16 @@ are supported: the trivial character, powers of the Teichmuller character,
 quadratic characters given by the Jacobi symbol for an odd squarefree
 conductor, and finite products of these.  That is exactly the family the
 rest of the library evaluates, and it avoids any cyclotomic extension tower.
+:func:`chi_sum` is the one place that chooses between exact and p-adic
+character values for a character-weighted sum.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from fractions import Fraction
+from typing import Callable, Dict, Iterable, Optional, Tuple, Union
 
 from .numerics import PadicNumber, QContext, is_odd_prime, teichmuller
 
@@ -223,6 +226,31 @@ def chi_eval(chi: DirichletCharacter, n: int, ctx: QContext) -> PadicNumber:
     W = ctx.working_precision
     residue = chi_residue(chi, n, ctx.p, W)
     return PadicNumber(ctx.p, 0, residue, W) if residue else ctx.zero()
+
+
+def chi_sum(chi: DirichletCharacter, indices: Iterable[int],
+            class_sum: Callable[[Dict[int, int]], Fraction],
+            ctx: Optional[QContext] = None) -> Union[Fraction, PadicNumber]:
+    """sum over a in indices of chi(a) x_a, where ``class_sum(weights)`` is the
+    exact sum of weights[a] x_a.  A {0,+-1}-valued chi is one class with the
+    weights ``chi_eval_exact``: an exact Fraction, with or without a context.
+    Any other chi needs a context: one class of weights 1 per distinct nonzero
+    value :func:`chi_residue` (at most p - 1), each class sum embedded once,
+    exact until then, and multiplied by its value: a PadicNumber mod
+    p**working_precision."""
+    if chi.is_plus_minus_one_valued:
+        return class_sum({a: c for a in indices if (c := chi_eval_exact(chi, a))})
+    if ctx is None:
+        raise ValueError("p-adic-valued characters need a QContext")
+    p, W = ctx.p, ctx.working_precision
+    classes: Dict[int, Dict[int, int]] = {}
+    for a in indices:
+        if c := chi_residue(chi, a, p, W):
+            classes.setdefault(c, {})[a] = 1
+    acc = ctx.zero()
+    for c, weights in classes.items():
+        acc = acc + PadicNumber(p, 0, c, W) * ctx.embed(class_sum(weights))
+    return acc
 
 
 def parse_character(text: str, p: Optional[int] = None) -> DirichletCharacter:

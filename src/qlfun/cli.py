@@ -143,7 +143,9 @@ def run_command(command: str, params: dict, as_json: bool, fn) -> None:
 def _twisted_euler(n: int, chi: str, p: Optional[int], q: Optional[str],
                    prec: Optional[int]):
     """Body of ``qeuler gen`` and ``lfun lq``: the n-th twisted q-Euler
-    number, exact for {0,+-1}-valued characters and p-adic otherwise."""
+    number, exact for {0,+-1}-valued characters and p-adic otherwise.  Only
+    the p-adic case builds a context, whose q and --prec checks an exact
+    character with no --p must not meet."""
     if p is not None:
         require_odd_prime(p)
     character = parse_character(chi, p)

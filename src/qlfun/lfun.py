@@ -3,7 +3,9 @@
 At negative integers everything here has an exact rational closed form
 built from the q-Euler polynomials; the p-adic functions reproduce those
 closed forms (up to a Teichmuller twist) and extend them to p-adic integer
-arguments through guarded binomial series.
+arguments through guarded binomial series.  The twisted sum at -k reads its
+character values from ``characters.chi_sum``, one class per value; the
+p-adic unit sums read ``characters.chi_residue``.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
 
-from .characters import DirichletCharacter, chi_residue
+from .characters import DirichletCharacter, chi_residue, chi_sum
 from .numerics import (
     WORKING_MARGIN,
     PadicExponent,
@@ -27,6 +29,7 @@ from .numerics import (
     SeriesResult,
     _strip_p,
     binom_parts,
+    exact_sum_pairs,
     merge_series,
     mul_parts,
     power_column,
@@ -36,7 +39,7 @@ from .numerics import (
     unit_residues,
     v_p,
 )
-from .qeuler import FractionalArg, _closed_form_pair, chi_weighted_sum, euler_number, euler_poly_frac
+from .qeuler import FractionalArg, _closed_form_pair, _twist_base, euler_number, euler_poly_frac
 
 
 @dataclass(frozen=True)
@@ -77,23 +80,19 @@ def lq_neg_series_path(
     chi(a) H(-k, a:F) = [F]^k sum_{a=1}^{F} chi(a) (-1)^a E_{k,q^F}(a/F) over
     the conductor F, the a = F term at argument 1: one closed form per a, summed
     with a outside, where gen_euler_number's one closed form has k outside.
-    Each closed form is its integer pair with the sign (-1)^a in its weight, so
-    for a {0,+-1}-valued chi the sum is normalized once before [F]^k
-    (:func:`chi_weighted_sum`).  A q that disagrees with the context is a
-    ValueError, as there."""
+    Each closed form is its integer pair with chi(a) (-1)^a in its weight, and
+    the pairs of one class of :func:`chi_sum` (one class for a {0,+-1}-valued
+    chi, one per character value otherwise) are added by ``exact_sum_pairs``,
+    normalized once.  A q that disagrees with the context is a ValueError, as
+    there."""
     if k < 0:
         raise ValueError("lq_neg_series_path requires k >= 0")
-    if q is None:
-        if ctx is None:
-            raise ValueError("lq_neg_series_path needs q or a context")
-        q = ctx.q
-    q = Fraction(q)
-    if ctx is not None and ctx.q != q:
-        raise ValueError("q argument disagrees with the context")
+    q = _twist_base(q, ctx, "lq_neg_series_path")
     F, qa, qb = chi.conductor, q.numerator, q.denominator
-    Q = q**F
-    return chi_weighted_sum(chi, range(1, F + 1), lambda a: _closed_form_pair(
-        k, Q, qb**a, [((-1) ** a, qa**a)], "lq_neg_series_path"), q_int(F, q) ** k, ctx)
+    Q, scale = q**F, q_int(F, q) ** k
+    return chi_sum(chi, range(1, F + 1), lambda weights: scale * exact_sum_pairs(
+        _closed_form_pair(k, Q, qb**a, [((-1) ** a * c, qa**a)], "lq_neg_series_path")
+        for a, c in weights.items()), ctx)
 
 
 @dataclass
@@ -227,9 +226,9 @@ RESIDUE_MARGIN = 4
 
 
 @_scoped
-def _deltas(Q: Fraction, J: int, ctx: QContext) -> List[Parts]:
-    """Delta_j = sum_k C(j,k) (-1)^k / (1 + Q^k) for j < J (the column's length,
-    :func:`_series_length`) in integers mod p^M: one column per (Q, J, ctx),
+def _deltas(F: int, J: int, ctx: QContext) -> List[Parts]:
+    """Delta_j = sum_k C(j,k) (-1)^k / (1 + Q^k), Q = q^F, for j < J (the column's
+    length, :func:`_series_length`) in integers mod p^M: one column per (F, J, ctx),
     shared by every series of that length in one scope, each value equal to the
     parts of ``ctx.embed(euler_number(j, Q) (1-Q)^j / 2)`` (the closed form of
     :func:`qlfun.qeuler.euler_number` is E_{j,Q} = 2 Delta_j / (1-Q)^j).
@@ -248,7 +247,7 @@ def _deltas(Q: Fraction, J: int, ctx: QContext) -> List[Parts]:
     v_p(Delta_j) >= j e (proved in :func:`_term_bases`) is why that holds almost
     always; it is checked per value: a zero or short residue takes the exact route.
     """
-    p, N = ctx.p, ctx.working_precision + WORKING_MARGIN
+    p, N, Q = ctx.p, ctx.working_precision + WORKING_MARGIN, ctx.q**F
     M = N + J * v_p(Q - 1, p) + RESIDUE_MARGIN
     mod = p**M
     Qm = Q.numerator * pow(Q.denominator, -1, mod) % mod
@@ -314,7 +313,7 @@ def _term_bases(n: int, a: int, F: int, J: int, ctx: QContext) -> List[Parts]:
     p, N = ctx.p, ctx.working_precision + WORKING_MARGIN
     powers = power_column(p, (0, 1, N), _unit_table(F, ctx)[a][1], J)
     column = [mul_parts(p, power, delta)
-              for power, delta in zip(powers, _deltas(ctx.q**F, J, ctx))]
+              for power, delta in zip(powers, _deltas(F, J, ctx))]
     if n:
         qnF = ctx.q ** (n * F)
         column = [mul_parts(p, base, ctx.embed(qnF**j - 1).parts)

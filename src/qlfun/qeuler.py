@@ -3,10 +3,11 @@
 All values here are closed finite sums evaluated in exact rational
 arithmetic; they only meet p-adic arithmetic at the reduction boundary.
 One weighted closed form, ``_closed_form``, gives every q-Euler number and
-polynomial value, the character-twisted (generalized) numbers and the
-multiplication-by-m relation.  The module also provides the alternating
-power-sum identities and the finite-level analogue of
-the q-measure integral that these numbers arise from.
+polynomial value, the character-twisted (generalized) numbers, one per
+character value (``characters.chi_sum``), and the multiplication-by-m
+relation.  The module also provides the alternating power-sum identities and
+the finite-level analogue of the q-measure integral that these numbers arise
+from.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
-from .characters import DirichletCharacter, chi_eval, chi_eval_exact
+from .characters import DirichletCharacter, chi_sum
 from .numerics import IntOrRational, PadicNumber, QContext, exact_sum_pairs, q_int
 
 
@@ -200,40 +201,17 @@ def distribution_sum(n: int, x: int, m: int, q: IntOrRational) -> Fraction:
                                            "distribution_sum")
 
 
-def chi_weighted_sum(
-    chi: DirichletCharacter,
-    indices: Iterable[int],
-    exact_term: Callable[[int], Union[IntOrRational, Tuple[int, int]]],
-    scale: IntOrRational,
-    ctx: Optional[QContext],
-) -> Union[Fraction, PadicNumber]:
-    """scale * sum over a in indices of chi(a) exact_term(a), where a term is an
-    exact rational or an integer (numerator, denominator) pair, not necessarily in
-    lowest terms (a :func:`_closed_form_pair`).
-
-    Exact when the character is {0,+-1}-valued: the pairs (chi(a) numerator,
-    denominator) are added by ``exact_sum_pairs``, normalized once.  Otherwise
-    the character values are p-adic, a context is required, and the sum is a
-    PadicNumber mod p**working_precision, one embedded term per a.
-    """
-    if chi.is_plus_minus_one_valued:
-        pairs = []
-        for a in indices:
-            if c := chi_eval_exact(chi, a):
-                term = exact_term(a)
-                num, den = term if isinstance(term, tuple) else (term.numerator,
-                                                                 term.denominator)
-                pairs.append((c * num, den))
-        return scale * exact_sum_pairs(pairs)
-    if ctx is None:
-        raise ValueError("p-adic-valued characters need a QContext")
-    acc = ctx.zero()
-    for a in indices:
-        c = chi_eval(chi, a, ctx)
-        if not c.is_zero:
-            term = exact_term(a)
-            acc = acc + c * ctx.embed(Fraction(*term) if isinstance(term, tuple) else term)
-    return acc * ctx.embed(scale)
+def _twist_base(q: Optional[IntOrRational], ctx: Optional[QContext], operation: str) -> Fraction:
+    """The q of a twisted number: q, else the context's; a q that disagrees with
+    the context is a ValueError.  Errors name the public ``operation``."""
+    if q is None:
+        if ctx is None:
+            raise ValueError(f"{operation} needs q or a context")
+        return ctx.q
+    q = Fraction(q)
+    if ctx is not None and ctx.q != q:
+        raise ValueError("q argument disagrees with the context")
+    return q
 
 
 def gen_euler_number(
@@ -243,31 +221,22 @@ def gen_euler_number(
     ctx: Optional[QContext] = None,
 ) -> Union[Fraction, PadicNumber]:
     """Character-twisted q-Euler number
-    [f]^n sum_{a<f} chi(a) (-1)^a E_{n,q^f}(a/f)  over the odd conductor f.
+    [f]^n sum_{a<f} chi(a) (-1)^a E_{n,q^f}(a/f)  over the conductor f
+    (odd: the atoms refuse p = 2 and even d).
 
-    Returns an exact Fraction when the character is {0,+-1}-valued (q alone
-    suffices), one closed form in base q^f over the weighted arguments q^a;
-    otherwise the character values are p-adic and a context is required,
-    giving a PadicNumber mod p**working_precision.
+    One :func:`chi_sum` over a < f, each class one closed form in base q^f over
+    the weighted arguments q^a (:func:`_shifted_sum`): an exact Fraction when
+    the character is {0,+-1}-valued (q alone suffices); otherwise the character
+    values are p-adic and a context is required, giving a PadicNumber mod
+    p**working_precision, one closed form per character value.
     """
     if n < 0:
         raise ValueError("gen_euler_number requires n >= 0")
-    if q is None:
-        if ctx is None:
-            raise ValueError("gen_euler_number needs q or a context")
-        q = ctx.q
-    q = Fraction(q)
-    if ctx is not None and ctx.q != q:
-        raise ValueError("q argument disagrees with the context")
+    q = _twist_base(q, ctx, "gen_euler_number")
     f = chi.conductor
-    if f % 2 == 0:
-        raise ValueError("gen_euler_number requires an odd conductor")
     scale = q_int(f, q) ** n
-    if chi.is_plus_minus_one_valued:
-        return scale * _shifted_sum(n, q, f, 0, [(-1) ** a * chi_eval_exact(chi, a)
-                                                 for a in range(f)], "gen_euler_number")
-    return chi_weighted_sum(chi, range(f), lambda a: (-1) ** a * euler_poly_frac(
-        n, FractionalArg(a, f), q, "gen_euler_number"), scale, ctx)
+    return chi_sum(chi, range(f), lambda weights: scale * _shifted_sum(
+        n, q, f, 0, [(-1) ** a * weights.get(a, 0) for a in range(f)], "gen_euler_number"), ctx)
 
 
 def volkenborn_approx(m: int, level: int, ctx: QContext) -> Fraction:

@@ -9,10 +9,12 @@ import pytest
 from qlfun.characters import (
     CharacterError,
     DirichletCharacter,
+    QuadraticSymbol,
     TeichmullerPower,
     chi_eval,
     chi_eval_exact,
     chi_residue,
+    chi_sum,
     jacobi_symbol,
     parse_character,
     twist,
@@ -69,6 +71,18 @@ def test_construction_rejects_bad_conductors():
         DirichletCharacter.quadratic(9)
     with pytest.raises(CharacterError):
         DirichletCharacter.teichmuller_power(1, 4)
+
+
+def test_atoms_refuse_even_input_so_every_conductor_is_odd():
+    # a conductor is an lcm of atom conductors, odd primes p and odd d
+    for t in (0, 1, 3):
+        with pytest.raises(CharacterError,
+                           match="^Teichmuller atom requires an odd prime, got 2$"):
+            TeichmullerPower(t, 2)
+    for d in (2, 6, 10, 30, -3):
+        with pytest.raises(CharacterError,
+                           match=f"^quadratic conductor must be odd and positive, got {d}$"):
+            QuadraticSymbol(d)
 
 
 def test_quadratic_one_collapses_to_trivial():
@@ -252,3 +266,37 @@ def test_chi_eval_keeps_its_errors_and_zeros():
     for n in (0, 3, 5, 6, 10, 15, 45):  # a factor shared with the conductor 15
         assert chi_eval(chi, n, CTX5) == CTX5.zero()
         assert chi_residue(chi, n, 5, CTX5.working_precision) == 0
+
+
+# ---------------------------------------------------------------------------
+# character-weighted sums
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("p,t", [(5, 1), (5, 3), (7, 1), (7, 2)])
+def test_chi_sum_embeds_one_exact_sum_per_character_value(p, t):
+    # a p-adic-valued chi: one class of weights 1 per value chi_eval, each
+    # class's exact sum embedded once and multiplied by its value
+    chi = DirichletCharacter.teichmuller_power(t, p) * DirichletCharacter.quadratic(3)
+    ctx = QContext(p=p, q=Fraction(p + 1), precision=8)
+    indices = range(2 * chi.conductor)
+
+    def x(a):  # valuations -2..0, so the classes' sums may cancel digits
+        return Fraction(a * a + 1, p ** (a % 3) * (a + 2))
+    calls = []
+
+    def class_sum(weights):
+        calls.append(weights)
+        return sum((c * x(a) for a, c in weights.items()), Fraction(0))
+    classes = {}
+    for a in indices:
+        c = chi_eval(chi, a, ctx)
+        if not c.is_zero:
+            classes.setdefault(c, []).append(a)
+    expected = ctx.zero()
+    for c, members in classes.items():
+        expected = expected + c * ctx.embed(sum((x(a) for a in members), Fraction(0)))
+    assert chi_sum(chi, indices, class_sum, ctx) == expected
+    assert [list(w) for w in calls] == list(classes.values())
+    assert all(set(w.values()) == {1} for w in calls)
+    with pytest.raises(ValueError, match="^p-adic-valued characters need a QContext$"):
+        chi_sum(chi, indices, class_sum)

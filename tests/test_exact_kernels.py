@@ -6,11 +6,14 @@ Fraction at the end; ``_closed_form`` is its integer core
 ``_closed_form_pair``, whose pair need not be in lowest terms, normalized
 once.  ``alt_power_sum_closed`` reads its polynomial value from
 ``euler_poly_moments``.  ``_closed_form`` sums weighted arguments over one
-denominator, so ``gen_euler_number`` ({0,+-1}-valued characters) and
-``distribution_sum`` are one closed form each.  ``numerics.exact_sum_pairs``
-adds the integer (numerator, denominator) terms of ``euler_poly_moments``,
-``verify.bernoulli_numbers`` and the exact ``chi_weighted_sum``, whose terms
-are Fractions or, from ``lq_neg_series_path``, each residue's unnormalized
+denominator, so ``gen_euler_number`` and ``distribution_sum`` are one closed
+form each, per character value for a p-adic-valued character.
+``characters.chi_sum`` is the one place that picks exact or p-adic character
+values: one class weighted by chi(a) for a {0,+-1}-valued character, else one
+class per distinct value, each class sum exact and embedded once.
+``numerics.exact_sum_pairs`` adds the integer (numerator, denominator) terms
+of ``euler_poly_moments``, ``verify.bernoulli_numbers`` and each class of
+``lq_neg_series_path``, whose terms are each residue's unnormalized
 closed-form pair (checked at the benchmark's conductors and k, where the
 pairs grow to thousands of bits); through ``numerics.exact_sum`` it adds the
 terms of ``thm5_lhs_exact``, ``_partial_sum_exact`` and ``remark_check``.  At
@@ -21,8 +24,10 @@ references below are the earlier loops that added one Fraction per term; a
 Fraction is canonical, so every value must be equal, and every error must
 have the same type and message (the references pass the public function's
 name to ``euler_poly_frac``, which its errors carry, as the library does).
-The p-adic branches keep their per-term sum and must give the same
-PadicNumber as before.
+The p-adic twisted sums equal a class-sum reference, one embedded Fraction
+loop per character value, and agree with the earlier per-residue sum to that
+sum's absolute precision, never claiming fewer digits: a class sum is exact
+before it is embedded, so it can keep digits the per-residue terms lost.
 """
 
 import hashlib
@@ -35,7 +40,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qlfun.characters import DirichletCharacter, chi_eval, chi_eval_exact
+from qlfun import qeuler
+from qlfun.characters import (
+    DirichletCharacter,
+    chi_eval,
+    chi_eval_exact,
+    chi_residue,
+    chi_sum,
+    parse_character,
+)
 from qlfun.lfun import PartialZetaParams, lq_neg_series_path, partial_zeta_neg
 from qlfun.numerics import QContext, binom_int, exact_sum, exact_sum_pairs, q_int, v_p, valuation_json
 from qlfun.qeuler import (
@@ -47,7 +60,6 @@ from qlfun.qeuler import (
     _closed_form_pair,
     alt_power_sum_brute,
     alt_power_sum_closed,
-    chi_weighted_sum,
     distribution_sum,
     euler_number,
     euler_poly_frac,
@@ -127,6 +139,8 @@ def binom_identities_reference(r_range, k_range, j_range):
 
 
 def chi_weighted_sum_reference(chi, indices, exact_term, scale, ctx):
+    """The per-residue sum: one Fraction per index, or one embedded term per
+    index times its p-adic character value."""
     if chi.is_plus_minus_one_valued:
         total = Fraction(0)
         for a in indices:
@@ -142,22 +156,50 @@ def chi_weighted_sum_reference(chi, indices, exact_term, scale, ctx):
     return acc * ctx.embed(scale)
 
 
-def gen_euler_reference(n, chi, q, ctx=None):
+def chi_class_sum_reference(chi, indices, exact_term, scale, ctx):
+    """The class sum: for a p-adic-valued chi, the indices grouped by their
+    value chi_eval, each group's Fraction loop scaled and embedded once."""
+    if chi.is_plus_minus_one_valued:
+        return chi_weighted_sum_reference(chi, indices, exact_term, scale, ctx)
+    classes = {}
+    for a in indices:
+        c = chi_eval(chi, a, ctx)
+        if not c.is_zero:
+            classes.setdefault(c, []).append(a)
+    acc = ctx.zero()
+    for c, members in classes.items():
+        total = Fraction(0)
+        for a in members:
+            total += exact_term(a)
+        acc = acc + c * ctx.embed(scale * total)
+    return acc
+
+
+def gen_euler_reference(n, chi, q, ctx=None, total=chi_weighted_sum_reference):
     f = chi.conductor
-    return chi_weighted_sum_reference(
+    return total(
         chi, range(f), lambda a: (-1) ** a * euler_poly_frac(n, FractionalArg(a, f), q,
                                                              "gen_euler_number"),
         q_int(f, q) ** n, ctx)
 
 
-def lq_neg_series_reference(k, chi, q, ctx=None):
+def lq_neg_series_reference(k, chi, q, ctx=None, total=chi_weighted_sum_reference):
     # 2 sum_a chi(a) H(-k, a:F), each term (-1)^a ([F]^k / 2) E_{k,q^F}(a/F)
     F = chi.conductor
-    return chi_weighted_sum_reference(
+    return total(
         chi, range(1, F + 1),
         lambda a: (Fraction((-1) ** a) * q_int(F, q) ** k / 2
                    * euler_poly_frac(k, FractionalArg(a, F), q, "lq_neg_series_path")),
         2, ctx)
+
+
+def agrees_with_no_fewer_digits(value, reference):
+    """value equals reference to reference's absolute precision and claims at
+    least as many digits; an exact reference must be equal."""
+    if isinstance(reference, Fraction):
+        return value == reference
+    bound = reference.abs_precision
+    return value.abs_precision >= bound and value.at_absolute_precision(bound) == reference
 
 
 def distribution_reference(n, x, m, q):
@@ -371,13 +413,18 @@ def test_euler_poly_moments_equals_the_fraction_loop(n, x, q):
 @given(chi=exact_chars, q=twist_qs, k=st.integers(0, 14),
        scale=st.one_of(st.integers(-3, 3), small_qs))
 @settings(max_examples=150, deadline=None)
-def test_exact_chi_weighted_sum_equals_the_fraction_loop(chi, q, k, scale):
+def test_exact_chi_sum_equals_the_fraction_loop(chi, q, k, scale):
+    # one class weighted by chi(a), an exact Fraction with or without a context
     F = chi.conductor
 
     def term(a):
         return euler_poly_frac(k, FractionalArg(a, F), q)
-    assert _outcome(chi_weighted_sum, chi, range(2 * F), term, scale, None) == \
-        _outcome(chi_weighted_sum_reference, chi, range(2 * F), term, scale, None)
+
+    def class_sum(weights):
+        return scale * sum((c * term(a) for a, c in weights.items()), Fraction(0))
+    expected = _outcome(chi_weighted_sum_reference, chi, range(2 * F), term, scale, None)
+    assert _outcome(chi_sum, chi, range(2 * F), class_sum) == expected
+    assert _outcome(chi_sum, chi, range(2 * F), class_sum, QContext(p=3, q=4)) == expected
 
 
 @given(point=thm5_points, n=st.integers(0, 4), r=st.integers(0, 4))
@@ -450,17 +497,73 @@ def test_twisted_sums_keep_their_error_messages():
 @pytest.mark.parametrize("p", [3, 5, 7])
 @pytest.mark.parametrize("spec", ["teich:1", "teich:2", "quad:5*teich:1"])
 def test_padic_branches_give_the_same_padic_number(p, spec):
-    # the p-adic branch of gen_euler_number, and lq_neg_series_path now
-    # scaled by [F]^k instead of 2 with (-1)^a [F]^k / 2 in every term: the
-    # same PadicNumber dataclass, valuation, unit and precision
-    chi = DirichletCharacter.teichmuller_power(int(spec[-1]), p)
-    if spec.startswith("quad"):
-        chi = DirichletCharacter.quadratic(5) * chi
+    # the p-adic branches of gen_euler_number and lq_neg_series_path: the class
+    # sum's PadicNumber dataclass, valuation, unit and precision, and the
+    # per-residue sum's digits to its absolute precision, never fewer
+    chi = parse_character(spec, p)
     for q in (Fraction(1 + p), Fraction(1 - p), Fraction(1, 1 + p)):
         ctx = QContext(p=p, q=q)
         for k in range(6):
-            assert gen_euler_number(k, chi, ctx=ctx) == gen_euler_reference(k, chi, q, ctx)
-            assert lq_neg_series_path(k, chi, ctx=ctx) == lq_neg_series_reference(k, chi, q, ctx)
+            for call, reference in ((gen_euler_number, gen_euler_reference),
+                                    (lq_neg_series_path, lq_neg_series_reference)):
+                value = call(k, chi, ctx=ctx)
+                assert value == reference(k, chi, q, ctx, total=chi_class_sum_reference)
+                assert agrees_with_no_fewer_digits(value, reference(k, chi, q, ctx))
+
+
+def sweep_points():
+    """A subset of the sweep p in {3, 5, 7, 11}, q in {1+p, 1-p, 1+p^2, 7/4},
+    precision 4/8/16, teich:t and quad:d*teich:t, n up to P + 4."""
+    yield 3, Fraction(7, 4), 4, "quad:5*teich:1", (0, 3, 8)
+    yield 5, Fraction(26), 8, "teich:1", (1, 7, 12)
+    yield 5, Fraction(-4), 4, "quad:3*teich:3", (0, 2, 8)
+    yield 7, Fraction(50), 4, "teich:2", (2, 5, 8)
+    yield 7, Fraction(8), 16, "teich:5", (1, 20)
+    yield 11, Fraction(-10), 4, "quad:3*teich:2", (1, 8)
+
+
+@pytest.mark.parametrize("p,q,precision,spec,ns", list(sweep_points()))
+def test_class_sums_keep_the_per_residue_digits(p, q, precision, spec, ns):
+    ctx = QContext(p=p, q=q, precision=precision)
+    chi = parse_character(spec, p)
+    for n in ns:
+        value = gen_euler_number(n, chi, ctx=ctx)
+        assert value == gen_euler_reference(n, chi, q, ctx, total=chi_class_sum_reference)
+        assert agrees_with_no_fewer_digits(value, gen_euler_reference(n, chi, q, ctx)), n
+
+
+def test_an_even_character_gains_a_digit_and_cancels_exactly():
+    # teich:2 at p = 7, q = 8: the per-residue sum (the earlier value) against
+    # the class sum; at k = 0 each class (-1)^a + (-1)^(7-a) cancels exactly
+    chi = DirichletCharacter.teichmuller_power(2, 7)
+    ctx = QContext(p=7, q=Fraction(8))
+    old = {k: str(gen_euler_reference(k, chi, ctx.q, ctx)) for k in (0, 2)}
+    assert old == {0: "0 (mod 7^18)", 2: "42056381756021*7^1 (mod 7^18)"}
+    for call in (gen_euler_number, lq_neg_series_path):
+        assert str(call(0, chi, ctx=ctx)) == "0 (mod 7^inf)"
+        assert str(call(2, chi, ctx=ctx)) == "972578437704849*7^1 (mod 7^19)"
+
+
+def test_gen_euler_number_takes_one_closed_form_per_character_value(monkeypatch):
+    calls = []
+    shifted_sum = qeuler._shifted_sum
+
+    def counting(n, q, F, x, signs, operation):
+        calls.append([a for a, c in enumerate(signs) if c])
+        return shifted_sum(n, q, F, x, signs, operation)
+    monkeypatch.setattr(qeuler, "_shifted_sum", counting)
+    ctx = QContext(p=7, q=Fraction(8))
+    chi = parse_character("quad:5*teich:1", 7)
+    values = {chi_residue(chi, a, 7, ctx.working_precision) for a in range(35)} - {0}
+    gen_euler_number(3, chi, ctx=ctx)
+    assert len(calls) == len(values) == 6
+    # the classes partition the residues a < 35 prime to 35
+    assert sorted(a for members in calls for a in members) == \
+        [a for a in range(35) if math.gcd(a, 35) == 1]
+    calls.clear()
+    gen_euler_number(3, DirichletCharacter.quadratic(5), q=Fraction(8))
+    gen_euler_number(3, parse_character("teich:3", 7), ctx=ctx)  # {0,+-1}-valued
+    assert len(calls) == 2
 
 
 @given(count=st.integers(0, 60), m=st.integers(0, 8),

@@ -15,7 +15,6 @@ from qlfun.qeuler import (
     QEulerDomainError,
     alt_power_sum_brute,
     alt_power_sum_closed,
-    chi_weighted_sum,
     distribution_sum,
     euler_number,
     euler_poly,
@@ -229,23 +228,12 @@ def test_gen_euler_padic_valued_character():
     assert residual_valuation(value, acc) >= ctx.precision
 
 
-@pytest.mark.parametrize("p,t", [(5, 1), (5, 3), (7, 1), (7, 2)])
-def test_chi_weighted_sum_scale_two_is_the_doubled_padic_sum(p, t):
-    # the p-adic branch multiplies by embed(scale); for scale 2 that is the
-    # same PadicNumber as acc + acc
-    chi = DirichletCharacter.teichmuller_power(t, p)
-    ctx = QContext(p=p, q=Fraction(p + 1), precision=8)
-    for k in range(6):
-        def term(a):
-            return euler_poly_frac(k, FractionalArg(a, p), ctx.q)
-        acc = chi_weighted_sum(chi, range(1, p), term, 1, ctx)
-        assert chi_weighted_sum(chi, range(1, p), term, 2, ctx) == acc + acc
-
-
-def test_gen_euler_rejects_even_conductor_and_missing_context():
+def test_gen_euler_needs_a_context_for_a_padic_valued_character():
     w1 = DirichletCharacter.teichmuller_power(1, 5)
-    with pytest.raises(ValueError):
-        gen_euler_number(1, w1, q=Fraction(6))  # needs a context
+    with pytest.raises(ValueError, match="^p-adic-valued characters need a QContext$"):
+        gen_euler_number(1, w1, q=Fraction(6))
+    with pytest.raises(ValueError, match="^gen_euler_number needs q or a context$"):
+        gen_euler_number(1, w1)
 
 
 # ---------------------------------------------------------------------------
