@@ -27,6 +27,7 @@ from .numerics import (
     Parts,
     QContext,
     SeriesResult,
+    SeriesScan,
     _strip_p,
     binom_parts,
     exact_sum_pairs,
@@ -35,11 +36,12 @@ from .numerics import (
     power_column,
     q_int,
     residue_parts,
-    sum_products,
+    scan_products,
     unit_residues,
     v_p,
 )
-from .qeuler import FractionalArg, _closed_form_pair, _twist_base, euler_number, euler_poly_frac
+from .qeuler import (FractionalArg, _closed_form_pair, _closed_form_row, _twist_base,
+                     euler_number, euler_poly_frac)
 
 
 @dataclass(frozen=True)
@@ -80,19 +82,18 @@ def lq_neg_series_path(
     chi(a) H(-k, a:F) = [F]^k sum_{a=1}^{F} chi(a) (-1)^a E_{k,q^F}(a/F) over
     the conductor F, the a = F term at argument 1: one closed form per a, summed
     with a outside, where gen_euler_number's one closed form has k outside.
-    Each closed form is its integer pair with chi(a) (-1)^a in its weight, and
-    the pairs of one class of :func:`chi_sum` (one class for a {0,+-1}-valued
-    chi, one per character value otherwise) are added by ``exact_sum_pairs``,
-    normalized once.  A q that disagrees with the context is a ValueError, as
-    there."""
+    Each closed form is its integer pair with chi(a) (-1)^a in its weight, over
+    one row of q^F's factors (``_closed_form_row``) for every a, and the pairs
+    of one class of :func:`chi_sum` (one class for a {0,+-1}-valued chi, one
+    per character value otherwise) are added by ``exact_sum_pairs``, normalized
+    once.  A q that disagrees with the context is a ValueError, as there."""
     if k < 0:
         raise ValueError("lq_neg_series_path requires k >= 0")
     q = _twist_base(q, ctx, "lq_neg_series_path")
     F, qa, qb = chi.conductor, q.numerator, q.denominator
-    Q, scale = q**F, q_int(F, q) ** k
+    row, scale = _closed_form_row(k, q**F, "lq_neg_series_path"), q_int(F, q) ** k
     return chi_sum(chi, range(1, F + 1), lambda weights: scale * exact_sum_pairs(
-        _closed_form_pair(k, Q, qb**a, [((-1) ** a * c, qa**a)], "lq_neg_series_path")
-        for a, c in weights.items()), ctx)
+        _closed_form_pair(row, qb**a, [((-1) ** a * c, qa**a)]) for a, c in weights.items()), ctx)
 
 
 @dataclass
@@ -111,22 +112,16 @@ _ACTIVE_CACHE: ContextVar[Optional[SeriesCache]] = ContextVar(
 
 @contextmanager
 def series_cache() -> Iterator[SeriesCache]:
-    """Open a fresh evaluation scope.  Inside it H_pq, K_partial, the unit
-    power <a>^(-s) and the q-Euler Delta_j column are each computed once per
-    key (T_partial reads the cached H_pq and K_partial values).  So is the
-    unit table of <a> - 1 and q^a/(1-q^a) over the units a < F, per F
-    (:func:`_unit_table`), and so are the term tables: the s-free H/K bases,
-    per (n, a, F), the s-free powers (<a> - 1)^k, per (a, F), and the
-    binomial column binom(-s, j), per s, each
-    built to the length its series reads (:func:`_series_length`; the s-free
-    tables and Delta_j per length); a term is one product of two table entries,
-    the same value as the product of its factors in any order (see
-    :func:`_twisted_series`).  So is the character column chi(a) over the
-    units a <= F, per (chi, F), which l_pq, T_full and K_full read at every s
-    (:func:`_chi_column`).  Every value that depends on s has s in its
-    key, so values at different s never share a cache entry.  The values are
-    dropped when the scope exits, so the scope is the cache's only bound;
-    the hit and miss counts stay readable."""
+    """Open a fresh evaluation scope.  Inside it H_pq, K_partial and the unit
+    power <a>^(-s) are each computed once per key (T_partial reads the cached
+    H_pq and K_partial values), and so is every table they read, none per
+    unit: the unit table per F (:func:`_unit_table`), the character column
+    per (chi, F), the binomial column per s, Delta_j and the unit-free H/K
+    column per (n, F) (:func:`_term_column`), and one scan per (n, s, F) and
+    per (s, shape of <a> - 1), evaluated at each unit's own point; columns
+    per the length their series reads (:func:`_series_length`).  Every value
+    that depends on s has s in its key.  The values are dropped (the counts
+    kept) when the scope exits: the scope is the cache's only bound."""
     cache = SeriesCache()
     token = _ACTIVE_CACHE.set(cache)
     try:
@@ -166,7 +161,7 @@ def _require_padic_params(prm: PartialZetaParams, ctx: QContext, name: str) -> N
 def _series_length(s: PadicExponent, ctx: QContext) -> int:
     """The length of the columns the H, K and <a>^(-s) series at s read: at
     s = -n <= 0 binom(n, j) = 0 for j > n, so the guard fires by index n + guard;
-    else ctx.column_length.  The place for a certified J (``_term_bases``)."""
+    else ctx.column_length.  The place for a certified J (``_term_column``)."""
     if isinstance(s, int) and s <= 0:
         return min(ctx.column_length, ctx.guard + 1 - s)
     return ctx.column_length
@@ -202,23 +197,22 @@ def _unit_table(F: int, ctx: QContext) -> Dict[int, Tuple[Parts, Parts]]:
 
 
 @_scoped
-def _unit_powers(a: int, F: int, J: int, ctx: QContext) -> List[Parts]:
-    """The parts of (<a> - 1)^k for k < J, from ``ctx.one()``: the s-free
-    column of <a>^(-s), one per (a, F, J, ctx), shared by every s of that
-    series length in one scope; <a> - 1 is read from :func:`_unit_table`."""
-    return power_column(ctx.p, (0, 1, ctx.working_precision), _unit_table(F, ctx)[a][0], J)
+def _power_scan(s: PadicExponent, v: int, precision: int, ctx: QContext) -> SeriesScan:
+    """The scan of sum_k binom(-s, k) (<a> - 1)^k, one per (s, v, precision,
+    ctx) for every unit a with <a> - 1 = p^v t known to ``precision`` digits
+    (0 for a zero): the powers (p^v)^k from ``ctx.one()`` have the
+    valuations and precisions of the (<a> - 1)^k, whose units are t^k, so
+    <a>'s series is this scan at t.  Its k-th term has valuation >= k."""
+    shape = power_column(ctx.p, ctx.one().parts, (v, 1, precision), _series_length(s, ctx))
+    return scan_products(_binomials(s, ctx), shape, ctx, description="binomial power series")
 
 
 @_scoped
 def _unit_pow(a: int, F: int, s: PadicExponent, ctx: QContext) -> SeriesResult:
-    """<a>^(-s) = sum_k binom(-s, k) (<a> - 1)^k, shared by the H and K series
-    of the same (a, s): the guarded series of ``padic_pow(<a>, -s)``, its
-    k-th term the product of the k-th entries of :func:`_binomials` and
-    :func:`_unit_powers`, formed inside the fold (:func:`sum_products`).
-    Its k-th term has valuation >= k (binom(-s, k) is a p-adic integer and
-    <a> = 1 mod p), so the guard fires within the columns."""
-    return sum_products(_binomials(s, ctx), _unit_powers(a, F, _series_length(s, ctx), ctx),
-                        ctx, description="binomial power series")
+    """<a>^(-s), the series of ``padic_pow(<a>, -s)``, for the H and K series
+    of (a, s): the :func:`_power_scan` of <a> - 1 (:func:`_unit_table`) at its unit."""
+    v, unit, precision = _unit_table(F, ctx)[a][0]
+    return _power_scan(s, v, precision, ctx).at(unit)
 
 
 #: digits the Delta_j residues carry beyond N + J e (see :func:`_deltas`)
@@ -244,7 +238,7 @@ def _deltas(F: int, J: int, ctx: QContext) -> List[Parts]:
     (the digits ``ctx.embed`` keeps) and e = v_p(Q - 1).  A nonzero residue
     p^v u gives v = v_p(Delta_j) and u mod p^(M - v), accepted when
     M - v >= N, so a shorter column is a prefix of a longer one.  The bound
-    v_p(Delta_j) >= j e (proved in :func:`_term_bases`) is why that holds almost
+    v_p(Delta_j) >= j e (proved in :func:`_term_column`) is why that holds almost
     always; it is checked per value: a zero or short residue takes the exact route.
     """
     p, N, Q = ctx.p, ctx.working_precision + WORKING_MARGIN, ctx.q**F
@@ -276,11 +270,15 @@ def _deltas(F: int, J: int, ctx: QContext) -> List[Parts]:
 
 
 @_scoped
-def _term_bases(n: int, a: int, F: int, J: int, ctx: QContext) -> List[Parts]:
-    """The s-free part of the j-th H (n = 0) or K (n >= 1) term,
-    (q^a/(1-q^a))^j Delta_j [q^(nFj) - 1], for j < J: half the
-    paper's (q^a [F]/[a])^j E_{j,q^F} [q^(nFj) - 1], as [F]/(1-q^F) =
-    [a]/(1-q^a) = 1/(1-q).
+def _term_column(n: int, F: int, J: int, ctx: QContext) -> List[Parts]:
+    """The unit-free part p^(-j v) Delta_j [q^(nFj) - 1], v = v_p(1 - q), of
+    the j-th H (n = 0) or K (n >= 1) term for j < J, one column per (n, F, J,
+    ctx).  Unit a's term base is (q^a/(1-q^a))^j Delta_j [q^(nFj) - 1], half
+    the paper's (q^a [F]/[a])^j E_{j,q^F} [q^(nFj) - 1], as [F]/(1-q^F) =
+    [a]/(1-q^a) = 1/(1-q).  Every q^a/(1-q^a) has valuation -v and N digits
+    (:func:`_unit_table`), so with r_a its unit, unit a's base (one
+    :func:`mul_parts`, which reduces once) has this entry's valuation and
+    precision and its unit times r_a^j: its series is this column's scan at r_a.
 
     Every entry has valuation >= j v_p(F).  Proof, with Q = q^F and
     e = v_p(Q - 1) = v_p(q - 1) + v_p(F) (p odd and q = 1 mod p):
@@ -296,24 +294,17 @@ def _term_bases(n: int, a: int, F: int, J: int, ctx: QContext) -> List[Parts]:
       >= j e for i >= 1 and zero for i = 0 (j >= 1).
     * So v_p(D(j, m)) >= max(j, m) e: the sum over m converges and
       v_p(Delta_j) >= j e.
-    * v_p(q^a) = 0 and v_p(1 - q^a) = v_p(q - 1) (p does not divide a), so
-      the entry has valuation >= j e - j v_p(q - 1) = j v_p(F); K's factor
+    * So the entry has valuation >= j e - j v = j v_p(F); K's factor
       q^(nFj) - 1 adds >= e for j >= 1 and is 0 at j = 0.
     * binom(-s, j) is a p-adic integer for every p-adic integer s and
       <a>^(-s) is a unit, so the j-th H or K term has valuation >= j v_p(F)
       too, and the tail after index J has valuation >= (J + 1) v_p(F),
       plus e for K.  As v_p(F) >= 1, the guard fires within the columns.
 
-    Each factor is reduced on its own (reduction is multiplicative), with the
-    digits of ``ctx.embed`` of its exact value: the step q^a/(1-q^a) read
-    from :func:`_unit_table` and Delta_j from :func:`_deltas`; K's
-    q^(nFj) - 1 is formed exactly first, so that it keeps its relative
-    digits.  The entries are parts: the running power (q^a/(1-q^a))^j is a
-    :func:`power_column` from embed(1), and each product is :func:`mul_parts`."""
-    p, N = ctx.p, ctx.working_precision + WORKING_MARGIN
-    powers = power_column(p, (0, 1, N), _unit_table(F, ctx)[a][1], J)
-    column = [mul_parts(p, power, delta)
-              for power, delta in zip(powers, _deltas(F, J, ctx))]
+    Delta_j is read from :func:`_deltas`; K's q^(nFj) - 1 is formed exactly
+    first, so that it keeps its relative digits, and embedded once per j."""
+    p, N, v = ctx.p, ctx.working_precision + WORKING_MARGIN, v_p(ctx.q - 1, ctx.p)
+    column = [mul_parts(p, (-j * v, 1, N), delta) for j, delta in enumerate(_deltas(F, J, ctx))]
     if n:
         qnF = ctx.q ** (n * F)
         column = [mul_parts(p, base, ctx.embed(qnF**j - 1).parts)
@@ -321,25 +312,24 @@ def _term_bases(n: int, a: int, F: int, J: int, ctx: QContext) -> List[Parts]:
     return column
 
 
+@_scoped
+def _body_scan(n: int, s: PadicExponent, F: int, ctx: QContext) -> SeriesScan:
+    """The scan of the H (n = 0) or K (n >= 1) body, sum_j binom(-s, j) times
+    :func:`_term_column`'s j-th entry, one per (n, s, F, ctx)."""
+    return scan_products(_binomials(s, ctx), _term_column(n, F, _series_length(s, ctx), ctx),
+                         ctx, description="K series" if n else "H_pq series")
+
+
 def _twisted_series(n: int, s: PadicExponent, prm: PartialZetaParams,
                     ctx: QContext) -> SeriesResult:
     """(-1)^a <a>^(-s) sum_j binom(-s, j) (q^a/(1-q^a))^j Delta_j [q^(nFj) - 1],
-    the series behind H_pq (n = 0, no last factor) and K_partial (n >= 1) in
-    the term form of :func:`_term_bases`, whose 2 cancels the paper's 1/2.
-
-    The j-th term is binom(-s, j) times the j-th s-free base, each read from
-    a scoped column of :func:`_series_length` entries (:func:`_binomials`,
-    :func:`_term_bases`), within which the guard fires; :func:`sum_products`
-    multiplies the pairs inside its fold by the rule of ``PadicNumber.__mul__``
-    (:func:`mul_parts`): it adds valuations, reduces the unit mod p^(least
-    precision) and bounds a zero by the sum of the valuations, so it is
-    associative and commutative and the grouping exact.  The sign (-1)^a is a
-    negation: the same value as a product with embed(-1), as no factor's
-    precision exceeds embed's."""
-    a, J = prm.a, _series_length(s, ctx)
-    unit_pow = _unit_pow(a, prm.F, s, ctx)
-    body = sum_products(_binomials(s, ctx), _term_bases(n, a, prm.F, J, ctx), ctx,
-                        description="K series" if n else "H_pq series")
+    the series behind H_pq (n = 0, no last factor) and K_partial (n >= 1),
+    whose 2 cancels the paper's 1/2, its body the :func:`_body_scan` at the
+    unit of q^a/(1-q^a).  The sign (-1)^a is a negation: the same value as a
+    product with embed(-1), as no factor's precision exceeds embed's."""
+    a, F = prm.a, prm.F
+    unit_pow = _unit_pow(a, F, s, ctx)
+    body = _body_scan(n, s, F, ctx).at(_unit_table(F, ctx)[a][1][1])
     value = unit_pow.value * body.value
     return merge_series(-value if a % 2 else value, [unit_pow, body])
 
@@ -371,7 +361,7 @@ def _unit_sum(partial: Callable[[PartialZetaParams], SeriesResult],
     """2 sum over units a <= F of chi(a) partial(a : F), the character-weighted
     sum behind l_pq, T_full and K_full, which check conductor(chi) | F: the units
     a <= F then run over whole periods of chi.  Without an active series cache
-    it opens one, so that its units share one Delta_j column."""
+    it opens one, so that its units share one scan per series."""
     if _ACTIVE_CACHE.get() is None:
         with series_cache():
             return _unit_sum(partial, chi, F, ctx)

@@ -19,7 +19,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, List, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple, Union
 
 IntOrRational = Union[int, Fraction]
 Valuation = Union[int, float]  # int, or math.inf for "zero as far as we know"
@@ -492,59 +492,80 @@ class SeriesResult:
         }
 
 
-def sum_products(xs: Iterable[Parts], ys: Iterable[Parts], ctx: QContext, *,
-                 description: str = "series") -> SeriesResult:
-    """Sum the series of products x_j y_j of two columns of parts, stopping
-    after ``ctx.guard`` consecutive terms of valuation >= ctx.working_precision,
-    so that the reported digits of the value stay trustworthy.
+class SeriesScan(NamedTuple):
+    """What :func:`scan_products` read: ``terms[j]`` is u_j p^(v_j - base), u_j the
+    unreduced unit product, for a term kept below the bound, else 0."""
 
-    It reads at most ``ctx.column_length`` pairs, by which the guard of a
-    series whose j-th term has valuation >= j fires.  Terms that reach that
-    length, or end, before the guard fires break that bound: a
-    :class:`SeriesDivergenceError` naming the series, carrying the partial
-    result.
+    p: int
+    base: Valuation
+    bound: Valuation
+    terms: Tuple[int, ...]
+    tail_bound: Valuation
+    error: Optional[str]  # a missed guard's message
 
-    The j-th term is the :func:`mul_parts` product of x_j and y_j, and the sum
-    is one integer reduction, equal to the left fold of
-    ``PadicNumber.__add__`` over those products: terms below the running
-    ``bound`` (the least absolute precision so far; a zero term counts with
-    its bound) accumulate as ``total * p**base``, and one ``PadicNumber.make``
-    reduces mod p**(bound - base) at either exit.  Each fold step keeps the
-    sum mod p**(running bound), the bound only falls, and a value mod p**bound
-    has one normalized form.  So the unit product u1 u2 is added unreduced:
-    every term read has valuation + precision >= bound, so its reduction mod
-    p**precision moves the total by a multiple of p**(bound - base) only.
-    """
-    p, target, guard, length = ctx.p, ctx.working_precision, ctx.guard, ctx.column_length
-    bound: Valuation = INF
-    base = total = run = 0  # run: terms of valuation >= target in a row
-    valuations: list = []
-    index = -1
-
-    def result(converged: bool) -> SeriesResult:
+    def at(self, rho: int = 1) -> SeriesResult:
+        """The series with its j-th term times rho^j (an integer), by Horner's
+        rule mod p^(bound - base): the scan of (x_j) against (v_j, rho^j u_j mod
+        p^prec_j, prec_j) for the scanned y_j = (v_j, u_j, prec_j), field for
+        field, as no term's valuation or precision moves and a kept term's unit
+        moves mod p^(bound - v_j) only.  A missed guard raises here."""
+        p, base, bound, total = self.p, self.base, self.bound, 0
+        if bound > base and rho == 1:  # bound <= base: nothing is known below it
+            total = sum(self.terms)
+        elif bound > base:
+            mod = _modulus(p, bound - base)
+            for term in reversed(self.terms):
+                total = (total * rho + term) % mod
         value = (PadicNumber.make(p, base, total, bound - base) if total
                  else PadicNumber.zero(p, bound))
-        return SeriesResult(value, index, min(valuations[-guard:], default=INF), converged)
+        result = SeriesResult(value, len(self.terms) - 1, self.tail_bound, not self.error)
+        if self.error:
+            raise SeriesDivergenceError(self.error, result)
+        return result
 
-    pairs = itertools.islice(zip(xs, ys), length)
-    for index, ((v1, u1, prec1), (v2, u2, prec2)) in enumerate(pairs):
+
+def scan_products(xs: Iterable[Parts], ys: Iterable[Parts], ctx: QContext, *,
+                  description: str = "series") -> SeriesScan:
+    """The one guarded fold over the products x_j y_j of two columns of parts:
+    it stops after ``ctx.guard`` terms in a row of valuation >= the working
+    precision, and reads at most ``ctx.column_length`` pairs, by which a series
+    whose j-th term has valuation >= j meets its guard; one that ends or reaches
+    that length first breaks that bound (``SeriesScan.error``).
+
+    The j-th term is the :func:`mul_parts` product of x_j and y_j, and the
+    value (:meth:`SeriesScan.at`) is one integer reduction, equal to the left
+    fold of ``PadicNumber.__add__`` over those products: terms below the
+    running ``bound`` (the least absolute precision so far; a zero term
+    counts with its bound) accumulate as ``total * p**base``, reduced mod
+    p**(bound - base) once.  Each fold step keeps the sum mod p**(running
+    bound), the bound only falls, and a value mod p**bound has one normalized
+    form.  So u1 u2 is kept unreduced: every term read has valuation +
+    precision >= bound, so reducing it moves the total by a multiple of p**(bound - base)."""
+    p, target, guard, length = ctx.p, ctx.working_precision, ctx.guard, ctx.column_length
+    bound = base = INF  # the least absolute precision, the least kept valuation
+    terms, valuations = [], []
+    run, error = 0, None  # run: terms of valuation >= target in a row
+    for (v1, u1, prec1), (v2, u2, prec2) in itertools.islice(zip(xs, ys), length):
         v = v1 + v2
         end = v + (prec1 if prec1 < prec2 else prec2)
         if end < bound:
             bound = end
-        if v < bound:
-            shift = v - base
-            if total and shift >= 0:
-                total += u1 * u2 * p**shift
-            else:  # the first term, or a new least valuation: rebase the total
-                base, total = v, u1 * u2 + (total * p**-shift if total else 0)
-        run = run + 1 if v >= target else 0
+        if v < bound and v < base:  # a new least valuation: rebase the kept terms
+            terms, base = [t * p ** (base - v) if t else 0 for t in terms], v
+        terms.append(u1 * u2 * p ** (v - base) if v < bound else 0)
         valuations.append(v)
+        run = run + 1 if v >= target else 0
         if run >= guard:
-            return result(True)
-    raise SeriesDivergenceError(
-        f"{description}: guard not satisfied within its {length} column entries",
-        result(False))
+            break
+    else:
+        error = f"{description}: guard not satisfied within its {length} column entries"
+    return SeriesScan(p, base, bound, tuple(terms), min(valuations[-guard:], default=INF), error)
+
+
+def sum_products(xs: Iterable[Parts], ys: Iterable[Parts], ctx: QContext, *,
+                 description: str = "series") -> SeriesResult:
+    """The value of :func:`scan_products`: the guarded sum of x_j y_j."""
+    return scan_products(xs, ys, ctx, description=description).at()
 
 
 def sum_guarded(terms: Iterable[Union[PadicNumber, Parts]], ctx: QContext, *,

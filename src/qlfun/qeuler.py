@@ -50,36 +50,47 @@ def _check_base(q: Fraction, operation: str) -> None:
         raise QEulerDomainError(f"{operation}: q = 1, use classical limit path")
 
 
-def _closed_form_pair(n: int, Q: Fraction, xb: int, weights: Sequence[Tuple[int, int]],
-                      operation: str) -> Tuple[int, int]:
-    """sum_i c_i E_{n,Q}(xa_i/xb) over the ``weights`` (c_i, xa_i), where E_{n,Q}(X) =
-    2 (1/(1-Q))^n sum_k C(n,k) (-X)^k / (1+Q^k), as an integer (numerator,
-    denominator) pair not in lowest terms: one weight for a q-Euler number or
-    polynomial value, one per residue for the twisted and distribution sums.  For
-    Q = qa/qb the k-th numerator is C(n,k) (sum_i c_i (-xa_i)^k) qb^k xb^(n-k), over
-    xb^n prod_k (qb^k + qa^k); errors name the public ``operation``."""
+def _closed_form_row(n: int, Q: Fraction, operation: str) -> Tuple[list, int, int]:
+    """The part of :func:`_closed_form_pair` that depends on n and Q = qa/qb alone:
+    for k <= n, d_k = qb^k + qa^k, C(n,k) qb^k and prod_{i<k} d_i, then the
+    scales 2 qb^n and (qb - qa)^n prod_k d_k; errors name the public ``operation``."""
     _check_base(Q, operation)
     qa, qb = Q.numerator, Q.denominator
+    row, den, qa_k, qb_k = [], 1, 1, 1
+    for k in range(n + 1):
+        d = qb_k + qa_k
+        if d == 0:
+            raise QEulerDomainError(f"{operation}: pole at 1 + q^{k} = 0")
+        row.append((d, math.comb(n, k) * qb_k, den))
+        den *= d
+        qa_k, qb_k = qa_k * qa, qb_k * qb
+    return row, 2 * qb**n, (qb - qa) ** n * den
+
+
+def _closed_form_pair(row: Tuple[list, int, int], xb: int,
+                      weights: Sequence[Tuple[int, int]]) -> Tuple[int, int]:
+    """sum_i c_i E_{n,Q}(xa_i/xb) over the ``weights`` (c_i, xa_i) and the
+    :func:`_closed_form_row` of (n, Q), where E_{n,Q}(X) = 2 (1/(1-Q))^n sum_k
+    C(n,k) (-X)^k / (1+Q^k), as an integer pair not in lowest terms: for Q =
+    qa/qb the k-th numerator C(n,k) (sum_i c_i (-xa_i)^k) qb^k xb^(n-k) over
+    xb^n prod_k (qb^k + qa^k); one weight per value or residue summed."""
+    factors, scale, den = row
+    n = len(factors) - 1
     power_sums = [0] * (n + 1)  # sum_i c_i (-xa_i)^k
     for c, xa in weights:
         for k in range(n + 1):
             power_sums[k] += c
             c *= -xa
-    num, den, qa_k, qb_k = 0, 1, 1, 1
-    for k, power_sum in enumerate(power_sums):
-        d = qb_k + qa_k
-        if d == 0:
-            raise QEulerDomainError(f"{operation}: pole at 1 + q^{k} = 0")
-        num = num * d + math.comb(n, k) * power_sum * qb_k * xb ** (n - k) * den
-        den *= d
-        qa_k, qb_k = qa_k * qa, qb_k * qb
-    return 2 * qb**n * num, (qb - qa) ** n * xb**n * den
+    num = 0
+    for (d, weight, prefix), power_sum, k in zip(factors, power_sums, range(n, -1, -1)):
+        num = num * d + power_sum * weight * xb**k * prefix
+    return scale * num, den * xb**n
 
 
 def _closed_form(n: int, Q: Fraction, xb: int, weights: Sequence[Tuple[int, int]],
                  operation: str) -> Fraction:
-    """:func:`_closed_form_pair`, normalized once."""
-    return Fraction(*_closed_form_pair(n, Q, xb, weights, operation))
+    """:func:`_closed_form_pair` over the row of (n, Q), normalized once."""
+    return Fraction(*_closed_form_pair(_closed_form_row(n, Q, operation), xb, weights))
 
 
 def _shifted_sum(n: int, q: Fraction, F: int, x: int, signs: Sequence[int],

@@ -59,6 +59,7 @@ from .numerics import (
 )
 from .qeuler import (
     _closed_form_pair,
+    _closed_form_row,
     alt_power_sum_brute,
     alt_power_sum_closed,
     distribution_sum,
@@ -328,10 +329,10 @@ def _eq24_free_parts(n: int, ctx: QContext) -> Tuple[List[Parts], List[Parts]]:
     sign, xa, xb = (-1) ** n, Q.numerator**n, Q.denominator**n
     both, group1, xa_s, xb_s = [], [], 1, 1
     for s in range(ctx.column_length):
-        num, den = _closed_form_pair(s, Q, xb, [(sign, xa), (-1, xb)], "euler_number")
+        row = _closed_form_row(s, Q, "euler_number")
+        num, den = _closed_form_pair(row, xb, [(sign, xa), (-1, xb)])
         both.append(ctx.embed(Fraction(num, 2 * den)).parts)
-        num, den = _closed_form_pair(s, Q, xb, [(sign * xb_s, xa), (-sign * xa_s, xb)],
-                                     "euler_number")
+        num, den = _closed_form_pair(row, xb, [(sign * xb_s, xa), (-sign * xa_s, xb)])
         group1.append(ctx.embed(Fraction(num, 2 * xb_s * den)).parts)
         xa_s, xb_s = xa_s * xa, xb_s * xb
     return both, group1
@@ -344,7 +345,7 @@ def _eq24_heads(r: int, a: int, ctx: QContext) -> List[Parts]:
     :func:`mul_parts` product of embed(x) and embed(y), its product with a
     :func:`_eq24_free_parts` entry is the embedded exact term.  Entry s has
     valuation >= s and the free parts are p-integral (E_{s,Q} = 2 Delta_s/(1-Q)^s
-    and ``lfun._term_bases``' bound), so eq24's guards fire within the columns."""
+    and ``lfun._term_column``' bound), so eq24's guards fire within the columns."""
     p, q, count_a = ctx.p, ctx.q, q_int(a, ctx.q)
     heads = power_column(p, ctx.embed(-count_a ** (-r) * (-1) ** a).parts,
                          ctx.embed(q**a * q_int(p, q) / count_a).parts, ctx.column_length)

@@ -58,6 +58,7 @@ from qlfun.qeuler import (
     _check_base,
     _closed_form,
     _closed_form_pair,
+    _closed_form_row,
     alt_power_sum_brute,
     alt_power_sum_closed,
     distribution_sum,
@@ -344,7 +345,7 @@ def test_weighted_closed_form_is_the_weighted_sum_of_closed_forms(n, Q, xb, weig
 def test_closed_form_pair_divided_out_equals_the_fraction_loop(n, Q, xa, xb):
     # arguments xa/xb that share a prime power: the integer core's pair is not
     # in lowest terms, and its quotient is the closed form
-    num, den = _closed_form_pair(n, Q, xb, [(1, xa)], "euler_poly_frac")
+    num, den = _closed_form_pair(_closed_form_row(n, Q, "euler_poly_frac"), xb, [(1, xa)])
     assert math.gcd(num, den) > 1
     assert Fraction(num, den) == closed_form_reference(n, Q, Fraction(xa, xb),
                                                        "euler_poly_frac")

@@ -27,12 +27,16 @@ from qlfun.numerics import (
     PadicError,
     PadicNumber,
     QContext,
+    SeriesDivergenceError,
     angle_bracket,
     binom_stream,
     merge_series,
+    mul_parts,
     padic_pow,
+    power_column,
     q_int,
     residual_valuation,
+    sum_products,
     teichmuller,
     v_p,
 )
@@ -399,6 +403,73 @@ def test_series_metadata_contract():
 
 
 # ---------------------------------------------------------------------------
+# the per-unit route, kept as the reference for the unit-free scans
+# ---------------------------------------------------------------------------
+
+def per_unit_powers(a, F, J, ctx):
+    """(<a> - 1)^k for k < J from ctx.one(): unit a's own power column."""
+    return power_column(ctx.p, ctx.one().parts, lfun._unit_table(F, ctx)[a][0], J)
+
+
+def per_unit_term_bases(n, a, F, J, ctx):
+    """(q^a/(1-q^a))^j Delta_j [q^(nFj) - 1] for j < J: unit a's own H/K column,
+    K's factor embedded for this unit."""
+    p, N = ctx.p, ctx.working_precision + WORKING_MARGIN
+    powers = power_column(p, (0, 1, N), lfun._unit_table(F, ctx)[a][1], J)
+    column = [mul_parts(p, power, delta) for power, delta in zip(powers, lfun._deltas(F, J, ctx))]
+    if n:
+        column = [mul_parts(p, base, ctx.embed(ctx.q ** (n * F * j) - 1).parts)
+                  for j, base in enumerate(column)]
+    return column
+
+
+def per_unit_pow(a, F, s, ctx):
+    """<a>^(-s) as its own guarded fold over unit a's power column."""
+    J = lfun._series_length(s, ctx)
+    return sum_products(lfun._binomials(s, ctx), per_unit_powers(a, F, J, ctx), ctx,
+                        description="binomial power series")
+
+
+def per_unit_series(n, s, prm, ctx):
+    """H_pq (n = 0) or K_partial (n >= 1) with one guarded fold per unit."""
+    a, F, J = prm.a, prm.F, lfun._series_length(s, ctx)
+    unit_pow = per_unit_pow(a, F, s, ctx)
+    body = sum_products(lfun._binomials(s, ctx), per_unit_term_bases(n, a, F, J, ctx), ctx,
+                        description="K series" if n else "H_pq series")
+    value = unit_pow.value * body.value
+    return merge_series(-value if a % 2 else value, [unit_pow, body])
+
+
+@pytest.mark.parametrize("p,q,contexts", [
+    (3, Fraction(4), [(1, 1), (8, 3), (16, 5)]),
+    (3, Fraction(7, 4), [(3, 3)]),
+    (5, Fraction(-4), [(1, 3), (8, 5)]),
+    (5, Fraction(1, 6), [(3, 1)]),
+    (7, Fraction(8), [(3, 1), (8, 3)]),
+    (7, Fraction(50), [(1, 5)]),
+])
+def test_unit_free_scans_equal_the_per_unit_route(p, q, contexts):
+    # H, K (n = 1, 2) and <a>^(-s) at every unit a < F, F in {p, 3p, 5p}, as
+    # dataclasses: one scan per series evaluated at each unit's point gives
+    # the per-unit fold's value, stop, tail bound and converged flag
+    for precision, guard in contexts:
+        ctx = QContext(p=p, q=q, precision=precision, guard=guard)
+        exponents = [-7, 0, 3, ctx.embed(-3), ctx.embed(Fraction(1, 2)),
+                     ctx.embed(Fraction(-3, 4)), ctx.embed(Fraction(p + 1, p - 1))]
+        for F in (p, 3 * p, 5 * p):
+            with series_cache():
+                for s in exponents:
+                    for a in range(1, F):
+                        if a % p == 0:
+                            continue
+                        prm = PartialZetaParams(a, F)
+                        assert lfun._unit_pow(a, F, s, ctx) == per_unit_pow(a, F, s, ctx)
+                        assert H_pq(s, prm, ctx) == per_unit_series(0, s, prm, ctx), (ctx, s, a)
+                        for n in (1, 2):
+                            assert K_partial(n, s, prm, ctx) == per_unit_series(n, s, prm, ctx)
+
+
+# ---------------------------------------------------------------------------
 # evaluation-scoped series cache
 # ---------------------------------------------------------------------------
 
@@ -406,14 +477,20 @@ def test_series_cache_scope_gives_the_same_values():
     s_padic = CTX34.embed(Fraction(1, 2))
     s_values, units = (-2, 1, 3, s_padic), (1, 2)
     cases = [(s, PartialZetaParams(a, 3)) for s in s_values for a in units]
-    # the s-free tables are built per series length: s = -2 reads 6 entries,
+    # the s-free columns are built per series length: s = -2 reads 6 entries,
     # the other s the full 21
     lengths = len({lfun._series_length(s, CTX34) for s in s_values})
     assert lengths == 2
+    # the power scans are keyed on the shape (valuation, precision) of <a> - 1:
+    # <1> - 1 is a zero, <2> - 1 is not, so each unit has its own
+    shapes = len({lfun._unit_table(3, CTX34)[a][0][::2] for a in units})
+    assert shapes == len(units)
     # H, K(2), K(1) and <a>^(-s) per case, one binomial column per s, one unit
-    # table (F = 3), and per length one Delta_j stream, one term-base table
-    # per (n, a) and one power column (<a> - 1)^k per unit
-    keys = 4 * len(cases) + len(s_values) + 1 + lengths * (1 + 3 * len(units) + len(units))
+    # table (F = 3), per length one Delta_j column and one unit-free column
+    # per n in {0, 1, 2}, one body scan per (n, s) and one power scan per
+    # (s, shape)
+    keys = (4 * len(cases) + len(s_values) + 1 + lengths * (1 + 3)
+            + 3 * len(s_values) + len(s_values) * shapes)
 
     def evaluate():
         return [(H_pq(s, prm, CTX34), K_partial(2, s, prm, CTX34),
@@ -430,24 +507,21 @@ def test_series_cache_scope_gives_the_same_values():
     # key: T(1) = -(2 K(1) + 4 H) reads K(1), computed on its behalf, and
     # hits H.  Both K series reuse H's unit power, so the first pass hits
     # 3 per case; the second pass hits H, K(2), and K(1) and H through T.
-    # The 3 * len(cases) series computed and the len(cases) unit powers
-    # computed each read one binomial column, one per s (a unit power reads
-    # it first, so the H series after it already hits); each series also
-    # reads one term-base table, one per (n, a, length) with n in {0, 1, 2}:
-    # every read but the first of each key hits.  Every case has F = 3, so
-    # the term-base tables of one length share one Delta_j stream, read once
-    # per table built: one more key and miss per length, and
-    # 3 * len(units) - 1 hits on each.  Each unit power also reads the s-free
-    # power column of its unit and length: the first s builds it and every
-    # other s of that length hits it, len(cases) - lengths * len(units) hits.
-    # Every power column and term-base table built reads the one unit table:
-    # lengths * 4 * len(units) reads, all but the first hits
+    # Each case reads the unit table 4 times, once for <a> - 1 in its unit
+    # power and once per series for the point q^a/(1-q^a), all but the first
+    # read hits.  Each unit power reads the power scan of its (s, shape),
+    # built once per key.  The len(s_values) * shapes power scans and the
+    # 3 * len(s_values) body scans built each read the binomial column of
+    # their s, one per s: the rest of those reads hit.  The 3 * len(cases)
+    # series read their body scan, one per (n, s), and each body scan built
+    # reads the unit-free column of its (n, length): the first of each key
+    # builds it.  Every case has F = 3, so the unit-free columns of one
+    # length share one Delta_j column: 2 hits per length
     assert cache.misses == keys
-    series = 3 * len(cases)
-    hits = (3 * len(cases) + 4 * len(cases) + (series + len(cases) - len(s_values))
-            + (series - lengths * 3 * len(units)) + lengths * (3 * len(units) - 1)
-            + len(cases) - lengths * len(units)
-            + lengths * 4 * len(units) - 1)
+    hits = (3 * len(cases) + 4 * len(cases) + (4 * len(cases) - 1)
+            + (len(cases) - len(s_values) * shapes) + len(s_values) * (2 + shapes)
+            + 3 * (len(cases) - len(s_values)) + 3 * (len(s_values) - lengths)
+            + 2 * lengths)
     assert cache.hits == hits
     assert not cache.values  # dropped with the scope
     # outside a scope nothing is recorded
@@ -476,9 +550,12 @@ def test_series_cache_is_dropped_with_its_scope():
         H_pq(1, prm, CTX34)
         with series_cache() as inner:
             H_pq(1, prm, CTX34)
-        assert inner.misses == outer.misses > 0
-        # two hits each: the H series reads the binomial column and the unit
-        # table that its unit power <a>^(-1), computed first, has built
+        # H, <a>^(-1), the unit table, the power scan and the binomial column
+        # it reads, the body scan, its unit-free column and Delta_j
+        assert inner.misses == outer.misses == 8
+        # two hits each: the body scan reads the binomial column that the unit
+        # power, computed first, has built, and H reads the unit table for its
+        # point q^a/(1-q^a)
         assert inner.hits == outer.hits == 2
         H_pq(1, prm, CTX34)
         assert outer.hits == 3
@@ -687,43 +764,56 @@ def test_thm5_grid_evaluates_each_character_value_once(monkeypatch):
 
 @pytest.mark.parametrize("p,q,F", list(residue_grid()))
 def test_term_bases_meet_the_proven_bound(p, q, F):
-    # every H/K term base (q^a/(1-q^a))^j Delta_j [q^(nFj) - 1] has
-    # valuation >= j v_p(F): v_p(1-q^a) = v_p(q-1) and v_p(Delta_j) >= j v_p(q^F - 1)
-    vF = v_p(F, p)
+    # every unit-free H/K entry p^(-j v) Delta_j [q^(nFj) - 1], v = v_p(1-q),
+    # has valuation >= j v_p(F), plus e = v_p(q^F - 1) for K at j >= 1:
+    # v_p(Delta_j) >= j e; and the premise of the unit-free column holds for
+    # every unit a < F: q^a/(1-q^a) has valuation -v_p(1-q) and N digits
+    vF, v, e = v_p(F, p), v_p(1 - q, p), v_p(q**F - 1, p)
     for precision in (8, 16, 24):
         ctx = QContext(p=p, q=q, precision=precision)
+        N = ctx.working_precision + WORKING_MARGIN
         with series_cache():
-            for a in (1, 2, F - 1):
-                for n in (0, 1, 2):
-                    for j, base in enumerate(lfun._term_bases(n, a, F, ctx.column_length, ctx)):
-                        assert PadicNumber(p, *base).valuation >= j * vF, (precision, a, n, j)
+            for a, (_, ratio) in lfun._unit_table(F, ctx).items():
+                assert (ratio[0], ratio[2]) == (-v, N), (precision, a)
+            for n in (0, 1, 2):
+                for j, base in enumerate(lfun._term_column(n, F, ctx.column_length, ctx)):
+                    bound = j * vF + (e if n and j else 0)
+                    assert PadicNumber(p, *base).valuation >= bound, (precision, n, j)
 
 
 @pytest.mark.parametrize("p,q,F", list(residue_grid()))
 def test_integer_columns_equal_the_padic_chains(p, q, F):
-    # the s-free columns built on integer parts equal the parts of the
-    # PadicNumber product chains they replace: (<a> - 1)^k from ctx.one(),
-    # and (q^a/(1-q^a))^j Delta_j [q^(nFj) - 1] from ctx.embed(1)
+    # each unit's columns, the unit-free ones times its unit r^j, equal the
+    # parts of the PadicNumber product chains they replace: (<a> - 1)^k from
+    # ctx.one(), and (q^a/(1-q^a))^j Delta_j [q^(nFj) - 1] from ctx.embed(1)
     for precision in (8, 16, 24):
         ctx = QContext(p=p, q=q, precision=precision)
         L = ctx.column_length
+
+        def scaled(column, r):
+            return [(v, u * pow(r, j, p**prec) % p**prec if prec else u, prec)
+                    for j, (v, u, prec) in enumerate(column)]
+
         with series_cache():
             deltas = lfun._deltas(F, L, ctx)
             for a in (1, 2, F - 1):
-                t = angle_bracket(a, ctx) - ctx.one()
-                power = ctx.one()
-                for k, entry in enumerate(lfun._unit_powers(a, F, L, ctx)):
-                    assert entry == power.parts, (precision, a, k)
-                    power = power * t
+                (v, t, prec), (_, r, _) = lfun._unit_table(F, ctx)[a]
+                shape = power_column(p, ctx.one().parts, (v, 1, prec), L)
+                chain, power = [], ctx.one()
+                for _ in range(L):
+                    chain.append(power.parts)
+                    power = power * (angle_bracket(a, ctx) - ctx.one())
+                assert scaled(shape, t) == chain, (precision, a)
                 step = ctx.embed(q**a / (1 - q**a))
                 for n in (0, 1, 2):
-                    power = ctx.embed(1)
-                    for j, entry in enumerate(lfun._term_bases(n, a, F, L, ctx)):
+                    power, chain = ctx.embed(1), []
+                    for j in range(L):
                         base = power * PadicNumber(p, *deltas[j])
                         if n:
                             base = base * ctx.embed(q ** (n * F * j) - 1)
-                        assert entry == base.parts, (precision, a, n, j)
+                        chain.append(base.parts)
                         power = power * step
+                    assert scaled(lfun._term_column(n, F, L, ctx), r) == chain, (precision, a, n)
 
 
 def table_grid():
@@ -788,20 +878,31 @@ def test_chi_column_reads_the_integer_residue(p):
 
 @pytest.mark.parametrize("p,q,F", list(residue_grid()))
 def test_unit_power_terms_meet_the_proven_bound(p, q, F):
-    # every term binom(-s, k) (<a> - 1)^k of <a>^(-s) has valuation >= k for
-    # every p-adic integer s: binom(-s, k) is a p-adic integer and <a> = 1 mod p
+    # every term binom(-s, k) (p^v)^k of a power scan's column has valuation
+    # >= k for every p-adic integer s: binom(-s, k) is a p-adic integer and
+    # <a> = 1 mod p; and the premise of the scan holds for every unit a < F:
+    # the valuations and precisions of (<a> - 1)^k depend only on the shape
+    # (v, precision) of <a> - 1, the units being t^k
     rational = [x for x in (Fraction(1, 2), Fraction(-1, 3), Fraction(2, 7)) if v_p(x, p) >= 0]
     for precision in (8, 16, 24):
         ctx = QContext(p=p, q=q, precision=precision)
+        L = ctx.column_length
         with series_cache():
-            for a in (1, 2, F - 1):
-                t = angle_bracket(a, ctx) - ctx.one()
+            shapes = {}
+            for a in range(1, F):
+                if a % p:
+                    t = angle_bracket(a, ctx) - ctx.one()
+                    assert t.parts == lfun._unit_table(F, ctx)[a][0], (precision, a)
+                    powers = power_column(p, ctx.one().parts, t.parts, L)
+                    shape = shapes.setdefault((t.valuation, t.precision), powers)
+                    assert [(v, prec) for v, _, prec in powers] == \
+                        [(v, prec) for v, _, prec in shape], (precision, a)
+            for v, prec in shapes:
+                column = power_column(p, ctx.one().parts, (v, 1, prec), L)
                 for s in [-3, 0, 1, 2, 7] + [ctx.embed(x) for x in rational]:
-                    power = ctx.one()
-                    for k, coeff in enumerate(lfun._binomials(s, ctx)):
-                        term = PadicNumber(p, *coeff) * power
-                        assert term.valuation >= k, (precision, a, s, k)
-                        power = power * t
+                    for k, (coeff, entry) in enumerate(zip(lfun._binomials(s, ctx), column)):
+                        term = PadicNumber(p, *mul_parts(p, coeff, entry))
+                        assert term.valuation >= k, (precision, v, s, k)
 
 
 @pytest.mark.parametrize("p,q,F", [(p, q, F) for p, q, F in residue_grid() if F % p == 0])
@@ -858,9 +959,8 @@ def test_eq24_group_terms_meet_the_proven_bound(p, q):
 def columns_at(s, ctx):
     """Every scoped column the H, K and <a>^(-s) series at s read, at F = p."""
     J = lfun._series_length(s, ctx)
-    return [lfun._binomials(s, ctx), lfun._unit_powers(2, ctx.p, J, ctx),
-            lfun._deltas(ctx.p, J, ctx), lfun._term_bases(0, 2, ctx.p, J, ctx),
-            lfun._term_bases(1, 2, ctx.p, J, ctx)]
+    return [lfun._binomials(s, ctx), lfun._deltas(ctx.p, J, ctx),
+            lfun._term_column(0, ctx.p, J, ctx), lfun._term_column(1, ctx.p, J, ctx)]
 
 
 def test_scoped_columns_have_the_context_length():
@@ -906,21 +1006,46 @@ def test_finite_series_read_the_same_terms_from_shorter_columns(monkeypatch, n):
         assert short == full, (ctx, n)
 
 
-@pytest.mark.parametrize("module,column,series,name", [
-    (lfun, "_unit_powers", lambda ctx: H_pq(2, PartialZetaParams(2, 9), ctx),
-     "binomial power series"),
-    (lfun, "_term_bases", lambda ctx: H_pq(2, PartialZetaParams(2, 9), ctx), "H_pq series"),
-    (lfun, "_term_bases", lambda ctx: K_partial(1, 2, PartialZetaParams(2, 3), ctx), "K series"),
-    (verify, "_eq24_heads", lambda ctx: thm5_report(2, 1, ctx), "eq24 series"),
+def too_short_power(ctx):
+    """The per-unit <a>^(-s) of H(2, 2:9) over a column of 6 entries."""
+    return sum_products(lfun._binomials(2, ctx), per_unit_powers(2, 9, 21, ctx)[:6], ctx)
+
+
+def too_short_body(n, F):
+    """The per-unit H (n = 0) or K body at (2, 2:F) over a column of 6 entries."""
+    return lambda ctx: sum_products(lfun._binomials(2, ctx),
+                                    per_unit_term_bases(n, 2, F, 21, ctx)[:6], ctx)
+
+
+def too_short_eq24(ctx):
+    """eq24's series of thm5 (2, 1) at a = 1 over heads of 6 entries."""
+    return sum_products(_eq24_heads(1, 1, ctx)[:6], _eq24_free_parts(2, ctx)[0], ctx)
+
+
+@pytest.mark.parametrize("module,column,series,name,reference", [
+    (lfun, "power_column", lambda ctx: H_pq(2, PartialZetaParams(2, 9), ctx),
+     "binomial power series", too_short_power),
+    (lfun, "_term_column", lambda ctx: H_pq(2, PartialZetaParams(2, 9), ctx), "H_pq series",
+     too_short_body(0, 9)),
+    (lfun, "_term_column", lambda ctx: K_partial(1, 2, PartialZetaParams(2, 3), ctx),
+     "K series", too_short_body(1, 3)),
+    (verify, "_eq24_heads", lambda ctx: thm5_report(2, 1, ctx), "eq24 series", too_short_eq24),
 ], ids=["unit-power", "H", "K", "eq24"])
-def test_columns_too_short_for_the_guard_raise(monkeypatch, module, column, series, name):
+def test_columns_too_short_for_the_guard_raise(monkeypatch, module, column, series, name,
+                                               reference):
     # a column that ends before the guard can fire breaks the proven term
     # bound: a PadicError naming the series, never a converged value whose
-    # tail is reported identically zero
+    # tail is reported identically zero; its partial is the per-unit fold's
+    # over the same short column (for <a>^(-s), H and K the unit's point
+    # applied to the unit-free scan)
+    with pytest.raises(SeriesDivergenceError) as expected:
+        reference(CTX34)
     full = getattr(module, column)
     monkeypatch.setattr(module, column, lambda *args: full(*args)[:6])
-    with pytest.raises(PadicError, match=f"^{name}: guard not satisfied within its 21 column"):
+    with pytest.raises(PadicError, match=f"^{name}: guard not satisfied within its 21 column") \
+            as info:
         series(CTX34)
+    assert info.value.partial == expected.value.partial
 
 
 @pytest.mark.parametrize("q", [Fraction(4), Fraction(-2), Fraction(7, 4), Fraction(1, 4)])
