@@ -117,9 +117,11 @@ def series_cache() -> Iterator[SeriesCache]:
     H_pq and K_partial values), and so is every table they read, none per
     unit: the unit table per F (:func:`_unit_table`), the character column
     per (chi, F), the binomial column per s, Delta_j and the unit-free H/K
-    column per (n, F) (:func:`_term_column`), and one scan per (n, s, F) and
-    per (s, shape of <a> - 1), evaluated at each unit's own point; columns
-    per the length their series reads (:func:`_series_length`).  Every value
+    column per (n, F) (:func:`_term_column`), one body scan per (n, s, F),
+    evaluated at each unit's own point, and per (s, shape of <a> - 1) a power
+    scan at a p-adic s, evaluated likewise, or at an integer s, where <a>^(-s)
+    is one modular power, the stop of its series (:func:`_power_stop`);
+    columns per the length their series reads (:func:`_series_length`).  Every value
     that depends on s has s in its key.  The values are dropped (the counts
     kept) when the scope exits: the scope is the cache's only bound."""
     cache = SeriesCache()
@@ -170,9 +172,9 @@ def _series_length(s: PadicExponent, ctx: QContext) -> int:
 @_scoped
 def _binomials(s: PadicExponent, ctx: QContext) -> List[Parts]:
     """The parts of binom(-s, j) for j < _series_length(s, ctx), read from
-    :func:`binom_parts`: one column per s, shared by <a>^(-s) and the H and K
-    series of every unit a and every n in one scope.  binom_parts refuses an s
-    that is not a p-adic integer."""
+    :func:`binom_parts` (the exact binomials' at an integer s): one column per
+    s, shared by <a>^(-s) and the H and K series of every unit a and every n
+    in one scope.  binom_parts refuses an s that is not a p-adic integer."""
     return list(itertools.islice(binom_parts(-s, ctx), _series_length(s, ctx)))
 
 
@@ -197,10 +199,10 @@ def _unit_table(F: int, ctx: QContext) -> Dict[int, Tuple[Parts, Parts]]:
 
 
 @_scoped
-def _power_scan(s: PadicExponent, v: int, precision: int, ctx: QContext) -> SeriesScan:
-    """The scan of sum_k binom(-s, k) (<a> - 1)^k, one per (s, v, precision,
-    ctx) for every unit a with <a> - 1 = p^v t known to ``precision`` digits
-    (0 for a zero): the powers (p^v)^k from ``ctx.one()`` have the
+def _power_scan(s: PadicNumber, v: int, precision: int, ctx: QContext) -> SeriesScan:
+    """The scan of sum_k binom(-s, k) (<a> - 1)^k at a p-adic s, one per (s, v,
+    precision, ctx) for every unit a with <a> - 1 = p^v t known to ``precision``
+    digits (0 for a zero): the powers (p^v)^k from ``ctx.one()`` have the
     valuations and precisions of the (<a> - 1)^k, whose units are t^k, so
     <a>'s series is this scan at t.  Its k-th term has valuation >= k."""
     shape = power_column(ctx.p, ctx.one().parts, (v, 1, precision), _series_length(s, ctx))
@@ -208,11 +210,34 @@ def _power_scan(s: PadicExponent, v: int, precision: int, ctx: QContext) -> Seri
 
 
 @_scoped
-def _unit_pow(a: int, F: int, s: PadicExponent, ctx: QContext) -> SeriesResult:
-    """<a>^(-s), the series of ``padic_pow(<a>, -s)``, for the H and K series
-    of (a, s): the :func:`_power_scan` of <a> - 1 (:func:`_unit_table`) at its unit."""
-    v, unit, precision = _unit_table(F, ctx)[a][0]
-    return _power_scan(s, v, precision, ctx).at(unit)
+def _power_stop(s: int, v: int, ctx: QContext) -> SeriesScan:
+    """Where sum_k binom(-s, k) (<a> - 1)^k stops at an integer s, one scan per
+    (s, v, ctx) for every unit a whose <a> - 1 has the parts' valuation v (W,
+    the working precision, for a zero): the binomials against the zeros
+    (k v, 0, 0), a column of valuations alone, give the terms the valuations
+    v_p(binom(-s, k)) + k v of the series', all that its stop reads."""
+    zeros = ((k * v, 0, 0) for k in itertools.count())
+    return scan_products(_binomials(s, ctx), zeros, ctx, description="binomial power series")
+
+
+@_scoped
+def _unit_pow(s: PadicExponent, angle: Parts, ctx: QContext) -> SeriesResult:
+    """<a>^(-s), the series of ``padic_pow(<a>, -s)``, for the H and K series of
+    (a, s), with ``angle`` = (v, t, precision) the parts of <a> - 1
+    (:func:`_unit_table`): at a p-adic s the :func:`_power_scan` at t.
+
+    At an integer s the value is one modular power, (1 + p^v t)^(-s) mod p^W,
+    W the working precision, with the stop, tail bound and flag of
+    :func:`_power_stop` (a missed guard raises with the power as the partial).
+    The series' value is the same power, its k = 0 term setting its bound to
+    W, whenever every term after its stop has valuation >= W; a guard of 1
+    can stop before a term of lower valuation, where the series' value is
+    wrong and the power is not."""
+    v, unit, precision = angle
+    if not isinstance(s, int):
+        return _power_scan(s, v, precision, ctx).at(unit)
+    p, W = ctx.p, ctx.working_precision
+    return _power_stop(s, v, ctx).result(PadicNumber.make(p, 0, pow(1 + p**v * unit, -s, p**W), W))
 
 
 #: digits the Delta_j residues carry beyond N + J e (see :func:`_deltas`)
@@ -328,8 +353,9 @@ def _twisted_series(n: int, s: PadicExponent, prm: PartialZetaParams,
     unit of q^a/(1-q^a).  The sign (-1)^a is a negation: the same value as a
     product with embed(-1), as no factor's precision exceeds embed's."""
     a, F = prm.a, prm.F
-    unit_pow = _unit_pow(a, F, s, ctx)
-    body = _body_scan(n, s, F, ctx).at(_unit_table(F, ctx)[a][1][1])
+    angle, (_, ratio, _) = _unit_table(F, ctx)[a]
+    unit_pow = _unit_pow(s, angle, ctx)
+    body = _body_scan(n, s, F, ctx).at(ratio)
     value = unit_pow.value * body.value
     return merge_series(-value if a % 2 else value, [unit_pow, body])
 

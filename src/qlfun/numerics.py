@@ -516,8 +516,12 @@ class SeriesScan(NamedTuple):
             mod = _modulus(p, bound - base)
             for term in reversed(self.terms):
                 total = (total * rho + term) % mod
-        value = (PadicNumber.make(p, base, total, bound - base) if total
-                 else PadicNumber.zero(p, bound))
+        return self.result(PadicNumber.make(p, base, total, bound - base) if total
+                           else PadicNumber.zero(p, bound))
+
+    def result(self, value: PadicNumber) -> SeriesResult:
+        """value with this scan's stop, tail bound and flag: a missed guard
+        raises here, value the partial."""
         result = SeriesResult(value, len(self.terms) - 1, self.tail_bound, not self.error)
         if self.error:
             raise SeriesDivergenceError(self.error, result)
@@ -608,44 +612,35 @@ PadicExponent = Union[int, PadicNumber]
 
 def binom_parts(s: PadicExponent, ctx: QContext) -> Iterator[Parts]:
     """The parts of binom(s, k) = s(s-1)...(s-k+1)/k! for k = 0, 1, 2, ... and a
-    p-adic integer s: one running product of the factors s - k, divided by k!,
+    p-adic integer s.
+
+    For an integer s each value is the exact binomial's parts (:func:`int_parts`
+    of :func:`binom_int`), those of its ``ctx.embed``.  For a PadicNumber s
+    they come from one running product of the factors s - k, divided by k!,
     each step the rule of the ``PadicNumber`` operation it replaces, on plain
-    integer parts.
-
-    The product is :func:`mul_parts`.  For an integer s it starts at embed(1)
-    and each factor s - k is the exact integer's parts (:func:`int_parts`), so
-    every value is the parts of ``ctx.embed`` of the exact binomial.  For a
-    PadicNumber s it starts at ``ctx.one()`` and each factor is
-    s - ctx.embed(k) by :func:`add_parts`; the division by k! then costs
-    v_p(k!) digits of absolute precision, which each value's precision field
-    reflects.  The division is ``PadicNumber.__truediv__``'s: valuations
-    subtract and the unit is multiplied by the inverse of k!'s unit mod
-    p**(the product's precision), here from one running inverse mod p**N
+    integer parts: the product is :func:`mul_parts`, from ``ctx.one()``, and
+    each factor is s - ctx.embed(k) by :func:`add_parts`; the division by k!
+    then costs v_p(k!) digits of absolute precision, which each value's
+    precision field reflects.  The division is ``PadicNumber.__truediv__``'s:
+    valuations subtract and the unit is multiplied by the inverse of k!'s unit
+    mod p**(the product's precision), here from one running inverse mod p**N
     (N = the digits ``ctx.embed`` keeps).  Once the product is a p-adic zero
-    (s an integer, or an embedded one, with 0 <= s < k) it is no longer
-    multiplied.  An s that is not a p-adic integer is a PadicError when the
-    first value is drawn."""
+    (s an embedded integer with 0 <= s < k) it is no longer multiplied.  An s
+    that is not a p-adic integer is a PadicError when the first value is drawn."""
     p, N = ctx.p, ctx.working_precision + WORKING_MARGIN
-    mod = _modulus(p, N)
     if isinstance(s, int):
-        prod: Parts = (0, 1, N)
-
-        def factor(k: int) -> Parts:
-            return int_parts(s - k, p, N)
-    else:
-        ctx.zero()._check_same_prime(s)
-        if not s.is_zero and s.valuation < 0:
-            raise PadicError("binom_stream requires a p-adic integer")
-        prod, s_parts = ctx.one().parts, s.parts
-
-        def factor(k: int) -> Parts:
-            return add_parts(p, s_parts, int_parts(-k, p, N))
+        for k in itertools.count():
+            yield int_parts(binom_int(s, k), p, N)
+    ctx.zero()._check_same_prime(s)
+    if not s.is_zero and s.valuation < 0:
+        raise PadicError("binom_stream requires a p-adic integer")
+    mod, prod, s_parts = _modulus(p, N), ctx.one().parts, s.parts
     fact_v, fact_inv = 0, 1  # v_p(k!) and the inverse of k!'s unit mod p**N
     for k in itertools.count():
         v, unit, prec = prod
         yield v - fact_v, unit * fact_inv % _modulus(p, prec), prec
         if prec:
-            prod = mul_parts(p, prod, factor(k))
+            prod = mul_parts(p, prod, add_parts(p, s_parts, int_parts(-k, p, N)))
         unit, shift = _strip_p(k + 1, p)
         fact_v, fact_inv = fact_v + shift, fact_inv * pow(unit, -1, mod) % mod
 

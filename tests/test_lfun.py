@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 from fractions import Fraction
 from itertools import islice
 from pathlib import Path
@@ -29,6 +30,7 @@ from qlfun.numerics import (
     QContext,
     SeriesDivergenceError,
     angle_bracket,
+    binom_int,
     binom_stream,
     merge_series,
     mul_parts,
@@ -423,11 +425,29 @@ def per_unit_term_bases(n, a, F, J, ctx):
     return column
 
 
-def per_unit_pow(a, F, s, ctx):
+def exact_unit_pow(a, s, ctx):
+    """<a>^(-s) for an integer s as a PadicNumber power, to the working precision."""
+    return (angle_bracket(a, ctx) ** -s).at_absolute_precision(ctx.working_precision)
+
+
+def unit_pow(a, F, s, ctx):
+    """lfun._unit_pow of unit a < F: at the parts of <a> - 1 that _twisted_series reads."""
+    return lfun._unit_pow(s, lfun._unit_table(F, ctx)[a][0], ctx)
+
+
+def per_unit_fold(a, F, s, ctx):
     """<a>^(-s) as its own guarded fold over unit a's power column."""
     J = lfun._series_length(s, ctx)
     return sum_products(lfun._binomials(s, ctx), per_unit_powers(a, F, J, ctx), ctx,
                         description="binomial power series")
+
+
+def per_unit_pow(a, F, s, ctx):
+    """The per-unit fold of <a>^(-s), at an integer s with the exact power as
+    its value: the fold's own, unless the fold stops before a term of
+    valuation < W (see test_exact_unit_power_mends_only_early_stops)."""
+    fold = per_unit_fold(a, F, s, ctx)
+    return replace(fold, value=exact_unit_pow(a, s, ctx)) if isinstance(s, int) else fold
 
 
 def per_unit_series(n, s, prm, ctx):
@@ -440,6 +460,11 @@ def per_unit_series(n, s, prm, ctx):
     return merge_series(-value if a % 2 else value, [unit_pow, body])
 
 
+def large_exponents(p):
+    """Large integer s: p^m - 1, p^m and p^m + 1 for m <= 6, and 2 p^5."""
+    return [p**m + d for m in range(1, 7) for d in (-1, 0, 1)] + [2 * p**5]
+
+
 @pytest.mark.parametrize("p,q,contexts", [
     (3, Fraction(4), [(1, 1), (8, 3), (16, 5)]),
     (3, Fraction(7, 4), [(3, 3)]),
@@ -447,23 +472,32 @@ def per_unit_series(n, s, prm, ctx):
     (5, Fraction(1, 6), [(3, 1)]),
     (7, Fraction(8), [(3, 1), (8, 3)]),
     (7, Fraction(50), [(1, 5)]),
+    (3, Fraction(-2), [(4, 1)]),
+    (3, Fraction(1, 4), [(8, 3)]),
+    (7, Fraction(-6), [(3, 3)]),
+    (7, Fraction(1, 8), [(1, 1)]),
 ])
 def test_unit_free_scans_equal_the_per_unit_route(p, q, contexts):
     # H, K (n = 1, 2) and <a>^(-s) at every unit a < F, F in {p, 3p, 5p}, as
     # dataclasses: one scan per series evaluated at each unit's point gives
-    # the per-unit fold's value, stop, tail bound and converged flag
+    # the per-unit fold's value, stop, tail bound and converged flag, and so
+    # does the one modular power <a>^(-s) at an integer s, at large s as well
+    # for q = 1 - p and 1/(1 + p) (F = p); at a guard of 1, where the fold can
+    # stop before a term of valuation < W, its value is the exact power
     for precision, guard in contexts:
         ctx = QContext(p=p, q=q, precision=precision, guard=guard)
         exponents = [-7, 0, 3, ctx.embed(-3), ctx.embed(Fraction(1, 2)),
                      ctx.embed(Fraction(-3, 4)), ctx.embed(Fraction(p + 1, p - 1))]
         for F in (p, 3 * p, 5 * p):
             with series_cache():
-                for s in exponents:
+                large = large_exponents(p) if F == p and q in (1 - p, Fraction(1, 1 + p)) else []
+                for s in exponents + large:
                     for a in range(1, F):
                         if a % p == 0:
                             continue
                         prm = PartialZetaParams(a, F)
-                        assert lfun._unit_pow(a, F, s, ctx) == per_unit_pow(a, F, s, ctx)
+                        expected = (per_unit_fold if guard > 1 else per_unit_pow)(a, F, s, ctx)
+                        assert unit_pow(a, F, s, ctx) == expected, (ctx, s, a)
                         assert H_pq(s, prm, ctx) == per_unit_series(0, s, prm, ctx), (ctx, s, a)
                         for n in (1, 2):
                             assert K_partial(n, s, prm, ctx) == per_unit_series(n, s, prm, ctx)
@@ -481,14 +515,15 @@ def test_series_cache_scope_gives_the_same_values():
     # the other s the full 21
     lengths = len({lfun._series_length(s, CTX34) for s in s_values})
     assert lengths == 2
-    # the power scans are keyed on the shape (valuation, precision) of <a> - 1:
-    # <1> - 1 is a zero, <2> - 1 is not, so each unit has its own
+    # the power scans (p-adic s) are keyed on the shape (valuation, precision)
+    # of <a> - 1, the power stops (integer s) on its valuation: <1> - 1 is a
+    # zero, <2> - 1 is not, so each unit has its own
     shapes = len({lfun._unit_table(3, CTX34)[a][0][::2] for a in units})
-    assert shapes == len(units)
+    assert shapes == len({lfun._unit_table(3, CTX34)[a][0][0] for a in units}) == len(units)
     # H, K(2), K(1) and <a>^(-s) per case, one binomial column per s, one unit
     # table (F = 3), per length one Delta_j column and one unit-free column
-    # per n in {0, 1, 2}, one body scan per (n, s) and one power scan per
-    # (s, shape)
+    # per n in {0, 1, 2}, one body scan per (n, s) and one power scan or stop
+    # per (s, shape)
     keys = (4 * len(cases) + len(s_values) + 1 + lengths * (1 + 3)
             + 3 * len(s_values) + len(s_values) * shapes)
 
@@ -507,10 +542,11 @@ def test_series_cache_scope_gives_the_same_values():
     # key: T(1) = -(2 K(1) + 4 H) reads K(1), computed on its behalf, and
     # hits H.  Both K series reuse H's unit power, so the first pass hits
     # 3 per case; the second pass hits H, K(2), and K(1) and H through T.
-    # Each case reads the unit table 4 times, once for <a> - 1 in its unit
-    # power and once per series for the point q^a/(1-q^a), all but the first
-    # read hits.  Each unit power reads the power scan of its (s, shape),
-    # built once per key.  The len(s_values) * shapes power scans and the
+    # Each case reads the unit table once per series, for both of its unit's
+    # entries (<a> - 1 for the unit power, the point q^a/(1-q^a) for the
+    # body), all but the first read hits.  Each unit power reads the power
+    # scan or stop of its (s, shape), built once per key.  The
+    # len(s_values) * shapes power scans and stops and the
     # 3 * len(s_values) body scans built each read the binomial column of
     # their s, one per s: the rest of those reads hit.  The 3 * len(cases)
     # series read their body scan, one per (n, s), and each body scan built
@@ -518,7 +554,7 @@ def test_series_cache_scope_gives_the_same_values():
     # builds it.  Every case has F = 3, so the unit-free columns of one
     # length share one Delta_j column: 2 hits per length
     assert cache.misses == keys
-    hits = (3 * len(cases) + 4 * len(cases) + (4 * len(cases) - 1)
+    hits = (3 * len(cases) + 4 * len(cases) + (3 * len(cases) - 1)
             + (len(cases) - len(s_values) * shapes) + len(s_values) * (2 + shapes)
             + 3 * (len(cases) - len(s_values)) + 3 * (len(s_values) - lengths)
             + 2 * lengths)
@@ -550,15 +586,14 @@ def test_series_cache_is_dropped_with_its_scope():
         H_pq(1, prm, CTX34)
         with series_cache() as inner:
             H_pq(1, prm, CTX34)
-        # H, <a>^(-1), the unit table, the power scan and the binomial column
+        # H, the unit table, <a>^(-1), the power stop and the binomial column
         # it reads, the body scan, its unit-free column and Delta_j
         assert inner.misses == outer.misses == 8
-        # two hits each: the body scan reads the binomial column that the unit
-        # power, computed first, has built, and H reads the unit table for its
-        # point q^a/(1-q^a)
-        assert inner.hits == outer.hits == 2
+        # one hit each: the body scan reads the binomial column that the power
+        # stop, computed first, has built
+        assert inner.hits == outer.hits == 1
         H_pq(1, prm, CTX34)
-        assert outer.hits == 3
+        assert outer.hits == 2
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -572,12 +607,40 @@ def test_unit_power_matches_padic_pow(p):
                  ctx.embed(Fraction(1, 2)), ctx.embed(Fraction(-3, 4))]
     for s in exponents:
         expected = [padic_pow(angle_bracket(a, ctx), -s, ctx) for a in units]
-        assert [lfun._unit_pow(a, 2 * p, s, ctx) for a in units] == expected
+        assert [unit_pow(a, 2 * p, s, ctx) for a in units] == expected
         with series_cache():
-            assert [lfun._unit_pow(a, 2 * p, s, ctx) for a in units] == expected
+            assert [unit_pow(a, 2 * p, s, ctx) for a in units] == expected
         with series_cache():
             H_pq(s, PartialZetaParams(p - 1, p), ctx)
-            assert [lfun._unit_pow(a, 2 * p, s, ctx) for a in units] == expected
+            assert [unit_pow(a, 2 * p, s, ctx) for a in units] == expected
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_exact_unit_power_mends_only_early_stops(p):
+    # at an integer s <a>^(-s) is the exact power mod p^W with the per-unit
+    # fold's stop, tail bound and flag; its value differs from the fold's only
+    # where the fold stopped before a term of valuation < W, which a guard of
+    # 1 allows: the fold's value was wrong there, the power is not
+    differ = 0
+    for precision, guard in ((1, 1), (4, 1), (16, 1), (4, 3), (8, 2)):
+        ctx = QContext(p=p, q=Fraction(1 + p), precision=precision, guard=guard)
+        W = ctx.working_precision
+        for s in list(range(-30, 45)) + large_exponents(p):
+            for a in range(1, p):
+                got, fold = unit_pow(a, p, s, ctx), per_unit_fold(a, p, s, ctx)
+                assert replace(got, value=fold.value) == fold
+                assert got.value == exact_unit_pow(a, s, ctx)
+                if got.value != fold.value:
+                    differ += 1
+                    v = lfun._unit_table(p, ctx)[a][0][0]
+                    assert min(v_p(binom_int(-s, k), p) + k * v
+                               for k in range(fold.last_index + 1, W)) < W, (ctx, s, a)
+    assert differ > 0
+    if p == 3:  # the fold stops at k = 8 (valuation 11) and leaves out k = 9 (10)
+        ctx = QContext(p=3, q=Fraction(4), precision=1, guard=1)
+        assert per_unit_fold(2, 3, 20, ctx).value.unit == 86791
+        assert unit_pow(2, 3, 20, ctx).value.unit == 27742 == pow(
+            angle_bracket(2, ctx).unit, -20, 3**11)
 
 
 def test_non_integral_exponent_is_refused_on_every_call_in_a_scope():
@@ -1007,8 +1070,18 @@ def test_finite_series_read_the_same_terms_from_shorter_columns(monkeypatch, n):
 
 
 def too_short_power(ctx):
-    """The per-unit <a>^(-s) of H(2, 2:9) over a column of 6 entries."""
-    return sum_products(lfun._binomials(2, ctx), per_unit_powers(2, 9, 21, ctx)[:6], ctx)
+    """The per-unit <a>^(-s) of H(1/2, 2:9) over a power column of 6 entries."""
+    s = ctx.embed(Fraction(1, 2))
+    return sum_products(lfun._binomials(s, ctx), per_unit_powers(2, 9, 21, ctx)[:6], ctx)
+
+
+def too_short_exact_power(ctx):
+    """<a>^(-s) of H(2, 2:9) over a binomial column of 6 entries: the per-unit
+    fold's stop, tail bound and flag, its value the exact power <2>^(-2)."""
+    with pytest.raises(SeriesDivergenceError) as fold:
+        sum_products(lfun._binomials(2, ctx)[:6], per_unit_powers(2, 9, 21, ctx), ctx)
+    exact = (angle_bracket(2, ctx) ** -2).at_absolute_precision(ctx.working_precision)
+    raise SeriesDivergenceError(str(fold.value), replace(fold.value.partial, value=exact))
 
 
 def too_short_body(n, F):
@@ -1023,21 +1096,25 @@ def too_short_eq24(ctx):
 
 
 @pytest.mark.parametrize("module,column,series,name,reference", [
-    (lfun, "power_column", lambda ctx: H_pq(2, PartialZetaParams(2, 9), ctx),
+    (lfun, "power_column",
+     lambda ctx: H_pq(ctx.embed(Fraction(1, 2)), PartialZetaParams(2, 9), ctx),
      "binomial power series", too_short_power),
+    (lfun, "_binomials", lambda ctx: H_pq(2, PartialZetaParams(2, 9), ctx),
+     "binomial power series", too_short_exact_power),
     (lfun, "_term_column", lambda ctx: H_pq(2, PartialZetaParams(2, 9), ctx), "H_pq series",
      too_short_body(0, 9)),
     (lfun, "_term_column", lambda ctx: K_partial(1, 2, PartialZetaParams(2, 3), ctx),
      "K series", too_short_body(1, 3)),
     (verify, "_eq24_heads", lambda ctx: thm5_report(2, 1, ctx), "eq24 series", too_short_eq24),
-], ids=["unit-power", "H", "K", "eq24"])
+], ids=["unit-power", "unit-power-integer-s", "H", "K", "eq24"])
 def test_columns_too_short_for_the_guard_raise(monkeypatch, module, column, series, name,
                                                reference):
     # a column that ends before the guard can fire breaks the proven term
     # bound: a PadicError naming the series, never a converged value whose
     # tail is reported identically zero; its partial is the per-unit fold's
     # over the same short column (for <a>^(-s), H and K the unit's point
-    # applied to the unit-free scan)
+    # applied to the unit-free scan), except that <a>^(-s) at an integer s,
+    # one modular power, keeps its exact value
     with pytest.raises(SeriesDivergenceError) as expected:
         reference(CTX34)
     full = getattr(module, column)

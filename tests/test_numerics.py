@@ -488,8 +488,8 @@ def test_binom_stream_matches_binom_padic(p):
     for s in padic + embedded:
         stream = list(islice(binom_stream(s, ctx), 40))
         assert stream == [binom_rebuilt(s, k, ctx) for k in range(40)]
-    # an integer s: the running integer binomial, reduced in place, against
-    # the embedded math.comb value it replaces (zero once k > s >= 0)
+    # an integer s: the exact binomial's parts against the embedded math.comb
+    # value (zero once k > s >= 0)
     for precision in (8, 24):
         ctx = QContext(p=p, q=Fraction(p + 1), precision=precision)
         for s in (0, 2, -3, 11, -40, 57):
@@ -585,10 +585,12 @@ def binom_stream_reference(s, ctx):
 
 
 def binom_exponents(p, ctx):
-    """Integer s in -30..40; embedded integers, whose product hits a p-adic
-    zero; truncated, positive-valuation and zero p-adic s."""
+    """Integer s in -30..40 and +-(p^m - 1), +-p^m, +-(p^m + 1) for m <= 6 and
+    +-2 p^5; embedded integers, whose product hits a p-adic zero; truncated,
+    positive-valuation and zero p-adic s."""
     half = ctx.embed(Fraction(1, 2))
-    return (list(range(-30, 41))
+    large = [p**m + d for m in range(1, 7) for d in (-1, 0, 1)] + [2 * p**5]
+    return (list(range(-30, 41)) + large + [-s for s in large]
             + [ctx.embed(n) for n in (0, 1, 3, p, 2 * p + 1, -4)]
             + [half.at_absolute_precision(b) for b in (1, 3, ctx.precision)]
             + [ctx.embed(Fraction(p, 2)), ctx.embed(p * p * 3), ctx.embed(Fraction(-p, 7))]
