@@ -15,7 +15,7 @@ import os
 import sys
 import time
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Union
 
 import click
 
@@ -25,6 +25,7 @@ from .lfun import (H_pq, K_full, K_partial, PartialZetaParams, T_full, T_partial
                    series_cache)
 from .numerics import (
     INF,
+    PadicExponent,
     PadicNumber,
     QContext,
     SeriesDivergenceError,
@@ -60,6 +61,25 @@ def _resolve_q(q: Optional[str], p: Optional[int]) -> Fraction:
     if p is not None:
         return Fraction(1 + p)
     raise click.UsageError("--q is required when --p is not given")
+
+
+def _parse_exponent(_ctx, _param, text: str) -> Union[int, Fraction]:
+    """-s: an integer, kept an int, or a fraction A/B (see :func:`_exponent`)."""
+    try:
+        s = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise click.BadParameter(f"{text!r} is not a valid integer or fraction A/B.")
+    return int(s) if s.denominator == 1 else s
+
+
+def _exponent(s: Union[int, Fraction], ctx: QContext) -> PadicExponent:
+    """An integer s as it is; a fraction as the p-adic integer ctx.embed(s)."""
+    if isinstance(s, int):
+        return s
+    if s.denominator % ctx.p == 0:
+        raise ValueError(f"-s {fmt_fraction(s)} is not a p-adic integer: "
+                         f"{ctx.p} divides its denominator")
+    return ctx.embed(s)
 
 
 def _context(p: int, q: Optional[str], prec: Optional[int]) -> QContext:
@@ -283,7 +303,7 @@ def lfun_lq(k: int, chi: str, q: Optional[str], p: Optional[int],
 
 
 @lfun.command("lpq")
-@click.option("-s", type=int, required=True)
+@click.option("-s", callback=_parse_exponent, required=True)
 @click.option("--chi", type=str, default="trivial")
 @click.option("--p", type=int, required=True)
 @click.option("--q", "q", type=str, default=None)
@@ -291,40 +311,40 @@ def lfun_lq(k: int, chi: str, q: Optional[str], p: Optional[int],
 @click.option("--modulus", "-F", "modulus", type=int, default=None,
               help="odd positive multiple of p (default p * conductor)")
 @json_option
-def lfun_lpq(s: int, chi: str, p: int, q: Optional[str], prec: Optional[int],
+def lfun_lpq(s: Union[int, Fraction], chi: str, p: int, q: Optional[str], prec: Optional[int],
              modulus: Optional[int], as_json: bool) -> None:
     params = {"s": s, "chi": chi, "p": p, "q": q, "prec": prec, "modulus": modulus}
 
     def body():
         ctx = _context(p, q, prec)
         character = parse_character(chi, p)
-        return at_target(l_pq(s, character, ctx, F=modulus), ctx), "ok"
+        return at_target(l_pq(_exponent(s, ctx), character, ctx, F=modulus), ctx), "ok"
 
     run_command("lfun lpq", params, as_json, body)
 
 
 @lfun.command("hpq")
-@click.option("-s", type=int, required=True)
+@click.option("-s", callback=_parse_exponent, required=True)
 @click.option("-a", type=int, required=True)
 @click.option("-F", "--modulus", "modulus", type=int, required=True)
 @click.option("--p", type=int, required=True)
 @click.option("--q", "q", type=str, default=None)
 @click.option("--prec", type=int, default=None)
 @json_option
-def lfun_hpq(s: int, a: int, modulus: int, p: int, q: Optional[str],
+def lfun_hpq(s: Union[int, Fraction], a: int, modulus: int, p: int, q: Optional[str],
              prec: Optional[int], as_json: bool) -> None:
     params = {"s": s, "a": a, "F": modulus, "p": p, "q": q, "prec": prec}
 
     def body():
         ctx = _context(p, q, prec)
-        return at_target(H_pq(s, PartialZetaParams(a, modulus), ctx), ctx), "ok"
+        return at_target(H_pq(_exponent(s, ctx), PartialZetaParams(a, modulus), ctx), ctx), "ok"
 
     run_command("lfun hpq", params, as_json, body)
 
 
 @lfun.command("tk")
 @click.option("-n", type=int, required=True)
-@click.option("-s", type=int, required=True)
+@click.option("-s", callback=_parse_exponent, required=True)
 @click.option("-a", type=int, default=None)
 @click.option("-F", "--modulus", "modulus", type=int, default=None)
 @click.option("--chi", type=str, default=None)
@@ -332,7 +352,7 @@ def lfun_hpq(s: int, a: int, modulus: int, p: int, q: Optional[str],
 @click.option("--q", "q", type=str, default=None)
 @click.option("--prec", type=int, default=None)
 @json_option
-def lfun_tk(n: int, s: int, a: Optional[int], modulus: Optional[int],
+def lfun_tk(n: int, s: Union[int, Fraction], a: Optional[int], modulus: Optional[int],
             chi: Optional[str], p: int, q: Optional[str],
             prec: Optional[int], as_json: bool) -> None:
     """Boundary (T) and correction (K) series, partial (-a/-F) or full (--chi)."""
@@ -345,14 +365,15 @@ def lfun_tk(n: int, s: int, a: Optional[int], modulus: Optional[int],
         if a is None and modulus is not None:
             raise click.UsageError("-F needs -a: the full aggregate runs at F = p")
         ctx = _context(p, q, prec)
+        s_arg = _exponent(s, ctx)
         with series_cache():  # T reads the K (and H) values it shares with K
             if a is not None:
                 prm = PartialZetaParams(a, modulus if modulus is not None else p)
-                return {"T": at_target(T_partial(n, s, prm, ctx), ctx),
-                        "K": at_target(K_partial(n, s, prm, ctx), ctx)}, "ok"
+                return {"T": at_target(T_partial(n, s_arg, prm, ctx), ctx),
+                        "K": at_target(K_partial(n, s_arg, prm, ctx), ctx)}, "ok"
             character = parse_character(chi if chi is not None else "trivial", p)
-            return {"T": at_target(T_full(n, s, character, ctx), ctx),
-                    "K": at_target(K_full(n, s, character, ctx), ctx)}, "ok"
+            return {"T": at_target(T_full(n, s_arg, character, ctx), ctx),
+                    "K": at_target(K_full(n, s_arg, character, ctx), ctx)}, "ok"
 
     run_command("lfun tk", params, as_json, body)
 

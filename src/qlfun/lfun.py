@@ -3,19 +3,19 @@
 At negative integers everything here has an exact rational closed form
 built from the q-Euler polynomials; the p-adic functions reproduce those
 closed forms (up to a Teichmuller twist) and extend them to p-adic integer
-arguments through guarded binomial series.  The twisted sum at -k reads its
-character values from ``characters.chi_sum``, one class per value; the
-p-adic unit sums read ``characters.chi_residue``.
+arguments through guarded binomial series, whose tables one evaluation scope
+(:func:`series_cache`) holds per (F, ctx) in a :class:`SeriesTables`.  The
+twisted sum at -k reads its character values from ``characters.chi_sum``, one
+class per value; the p-adic unit sums read ``characters.chi_residue``.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
 
@@ -71,12 +71,8 @@ def partial_zeta_neg(n: int, prm: PartialZetaParams, q) -> Fraction:
         n, FractionalArg(prm.a, prm.F), q, "partial_zeta_neg")
 
 
-def lq_neg_series_path(
-    k: int,
-    chi: DirichletCharacter,
-    q=None,
-    ctx: Optional[QContext] = None,
-) -> Union[Fraction, PadicNumber]:
+def lq_neg_series_path(k: int, chi: DirichletCharacter, q=None,
+                       ctx: Optional[QContext] = None) -> Union[Fraction, PadicNumber]:
     """Independent route to the Dirichlet-type q-l-value at -k (the k-th
     twisted q-Euler number, :func:`gen_euler_number`): 2 sum_{a=1}^{F}
     chi(a) H(-k, a:F) = [F]^k sum_{a=1}^{F} chi(a) (-1)^a E_{k,q^F}(a/F) over
@@ -96,14 +92,50 @@ def lq_neg_series_path(
         _closed_form_pair(row, qb**a, [((-1) ** a * c, qa**a)]) for a, c in weights.items()), ctx)
 
 
-@dataclass
-class SeriesCache:
-    """Values computed inside one evaluation scope, keyed on the function and
-    its arguments (the QContext among them), with hit and miss counts."""
+class SeriesTables:
+    """The tables of one (F, ctx) in a series scope, plain dicts keyed by ints, s
+    (an int or a PadicNumber) and chi: ``unit_tables`` {F}; ``chi_columns`` {chi};
+    ``binomials`` {s}; ``power_stops`` {(s, v)}; ``power_scans`` {(s, v, precision)};
+    ``shapes`` {(v, precision, length)}, the power scans' columns (p^v)^k; ``deltas``
+    {J}; ``terms`` {(n, J)}; ``scans`` {(n, s)}; ``powers`` {(s, the parts of <a> - 1)};
+    ``hk`` {(n, s, a)}, the H/K values; and eq24's ``eq24_free_parts`` {n} and
+    ``eq24_heads`` {(r, a)}.  :meth:`read` fills one on a miss from its builder."""
 
-    values: dict = field(default_factory=dict)
-    hits: int = 0
-    misses: int = 0
+    TABLES = ("unit_tables", "chi_columns", "binomials", "power_stops", "power_scans", "shapes",
+              "deltas", "terms", "scans", "powers", "hk", "eq24_free_parts", "eq24_heads")
+
+    def __init__(self, F: int, ctx: QContext, scope: "SeriesCache") -> None:
+        self.F, self.ctx, self.scope = F, ctx, scope
+        for name in self.TABLES:
+            setattr(self, name, {})
+
+    def read(self, table: dict, key, build: Callable, *args):
+        """table[key], set to build(*args) on a miss (no table holds None)."""
+        value = table.get(key)
+        if value is None:
+            self.scope.misses += 1
+            value = table[key] = build(*args)
+        else:
+            self.scope.hits += 1
+        return value
+
+    def series(self, n: int, s: PadicExponent, a: int) -> SeriesResult:
+        """H (n = 0) or K (n >= 1) of the unit a < F at s, with no check of its own."""
+        return self.read(self.hk, (n, s, a), _twisted_series, n, s, a, self)
+
+
+class SeriesCache:
+    """One evaluation scope: a :class:`SeriesTables` per (F, ctx), made on first
+    use, and the hits and misses of their reads."""
+
+    def __init__(self) -> None:
+        self.tables: Dict[Tuple[int, QContext], SeriesTables] = {}
+        self.hits = self.misses = 0
+
+    def sizes(self) -> Dict[str, int]:
+        """Entries per table, over every (F, ctx)."""
+        return {name: sum(len(getattr(tables, name)) for tables in self.tables.values())
+                for name in SeriesTables.TABLES}
 
 
 _ACTIVE_CACHE: ContextVar[Optional[SeriesCache]] = ContextVar(
@@ -112,44 +144,30 @@ _ACTIVE_CACHE: ContextVar[Optional[SeriesCache]] = ContextVar(
 
 @contextmanager
 def series_cache() -> Iterator[SeriesCache]:
-    """Open a fresh evaluation scope.  Inside it H_pq, K_partial and the unit
-    power <a>^(-s) are each computed once per key (T_partial reads the cached
-    H_pq and K_partial values), and so is every table they read, none per
-    unit: the unit table per F (:func:`_unit_table`), the character column
-    per (chi, F), the binomial column per s, Delta_j and the unit-free H/K
-    column per (n, F) (:func:`_term_column`), one body scan per (n, s, F),
-    evaluated at each unit's own point, and per (s, shape of <a> - 1) a power
-    scan at a p-adic s, evaluated likewise, or at an integer s, where <a>^(-s)
-    is one modular power, the stop of its series (:func:`_power_stop`);
-    columns per the length their series reads (:func:`_series_length`).  Every value
-    that depends on s has s in its key.  The values are dropped (the counts
-    kept) when the scope exits: the scope is the cache's only bound."""
+    """Open a fresh evaluation scope: every series value and every table they
+    read is built once, in the :class:`SeriesTables` of its (F, ctx), none per
+    unit (a unit's series are the scans evaluated at its own point), and every
+    value that depends on s has s in its key.  The tables are dropped (the
+    counts kept) when the scope exits: the scope is their only bound.  Outside
+    a scope, each public series call reads fresh tables of its own."""
     cache = SeriesCache()
     token = _ACTIVE_CACHE.set(cache)
     try:
         yield cache
     finally:
         _ACTIVE_CACHE.reset(token)
-        cache.values.clear()
+        cache.tables.clear()
 
 
-def _scoped(fn):
-    """Memoize ``fn`` in the active series cache; outside a scope, call through."""
-
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        cache = _ACTIVE_CACHE.get()
-        if cache is None:
-            return fn(*args, **kwargs)
-        key = (fn, args, frozenset(kwargs.items())) if kwargs else (fn, args)
-        if key in cache.values:
-            cache.hits += 1
-            return cache.values[key]
-        cache.misses += 1
-        value = cache.values[key] = fn(*args, **kwargs)
-        return value
-
-    return wrapper
+def _tables(F: int, ctx: QContext) -> SeriesTables:
+    """The open scope's tables of (F, ctx); outside a scope, fresh ones."""
+    cache = _ACTIVE_CACHE.get()
+    if cache is None:  # held by no scope: no cycle keeps them alive after the call
+        return SeriesTables(F, ctx, SeriesCache())
+    tables = cache.tables.get((F, ctx))
+    if tables is None:
+        tables = cache.tables[F, ctx] = SeriesTables(F, ctx, cache)
+    return tables
 
 
 def _require_padic_params(prm: PartialZetaParams, ctx: QContext, name: str) -> None:
@@ -169,20 +187,18 @@ def _series_length(s: PadicExponent, ctx: QContext) -> int:
     return ctx.column_length
 
 
-@_scoped
 def _binomials(s: PadicExponent, ctx: QContext) -> List[Parts]:
     """The parts of binom(-s, j) for j < _series_length(s, ctx), read from
-    :func:`binom_parts` (the exact binomials' at an integer s): one column per
-    s, shared by <a>^(-s) and the H and K series of every unit a and every n
-    in one scope.  binom_parts refuses an s that is not a p-adic integer."""
+    :func:`binom_parts` (the exact binomials' at an integer s), shared by
+    <a>^(-s) and the H and K series of every unit a and every n.  binom_parts
+    refuses an s that is not a p-adic integer."""
     return list(itertools.islice(binom_parts(-s, ctx), _series_length(s, ctx)))
 
 
-@_scoped
 def _unit_table(F: int, ctx: QContext) -> Dict[int, Tuple[Parts, Parts]]:
     """{a: (the parts of <a> - 1, of q^a/(1-q^a))} for the units a < F, from
-    the integer residues of :func:`qlfun.numerics.unit_residues`: one table
-    per (F, ctx), shared by every s, n and series length in one scope.
+    the integer residues of :func:`qlfun.numerics.unit_residues`, shared by
+    every s, n and series length.
 
     <a> - 1 is ``angle_bracket(a, ctx) - ctx.one()``, known to the working
     precision.  q^a/(1-q^a) = q^a/((1-q)[a]_q) has valuation -v_p(1-q), as
@@ -198,69 +214,64 @@ def _unit_table(F: int, ctx: QContext) -> Dict[int, Tuple[Parts, Parts]]:
             for a, (angle, power, bracket) in unit_residues(F, ctx).items()}
 
 
-@_scoped
-def _power_scan(s: PadicNumber, v: int, precision: int, ctx: QContext) -> SeriesScan:
-    """The scan of sum_k binom(-s, k) (<a> - 1)^k at a p-adic s, one per (s, v,
-    precision, ctx) for every unit a with <a> - 1 = p^v t known to ``precision``
-    digits (0 for a zero): the powers (p^v)^k from ``ctx.one()`` have the
-    valuations and precisions of the (<a> - 1)^k, whose units are t^k, so
-    <a>'s series is this scan at t.  Its k-th term has valuation >= k."""
-    shape = power_column(ctx.p, ctx.one().parts, (v, 1, precision), _series_length(s, ctx))
-    return scan_products(_binomials(s, ctx), shape, ctx, description="binomial power series")
+def _power_scan(s: PadicNumber, v: int, precision: int, tables: SeriesTables) -> SeriesScan:
+    """The scan of sum_k binom(-s, k) (<a> - 1)^k at a p-adic s for every unit
+    a with <a> - 1 = p^v t known to ``precision`` digits (0 for a zero): the
+    shape column (p^v)^k from ``ctx.one()``, shared by every s, has the
+    valuations and precisions of the (<a> - 1)^k, whose units are t^k, so <a>'s
+    series is this scan at t.  Its k-th term has valuation >= k."""
+    ctx, length = tables.ctx, _series_length(s, tables.ctx)
+    shape = tables.read(tables.shapes, (v, precision, length), power_column,
+                        ctx.p, ctx.one().parts, (v, 1, precision), length)
+    return scan_products(tables.read(tables.binomials, s, _binomials, s, ctx), shape, ctx,
+                         description="binomial power series")
 
 
-@_scoped
-def _power_stop(s: int, v: int, ctx: QContext) -> SeriesScan:
-    """Where sum_k binom(-s, k) (<a> - 1)^k stops at an integer s, one scan per
-    (s, v, ctx) for every unit a whose <a> - 1 has the parts' valuation v (W,
-    the working precision, for a zero): the binomials against the zeros
-    (k v, 0, 0), a column of valuations alone, give the terms the valuations
-    v_p(binom(-s, k)) + k v of the series', all that its stop reads."""
-    zeros = ((k * v, 0, 0) for k in itertools.count())
-    return scan_products(_binomials(s, ctx), zeros, ctx, description="binomial power series")
+def _power_stop(s: int, v: int, tables: SeriesTables) -> SeriesScan:
+    """Where sum_k binom(-s, k) (<a> - 1)^k stops at an integer s for every unit
+    a whose <a> - 1 has the parts' valuation v (W, the working precision, for a
+    zero): the binomials against the zeros (k v, 0, 0), a column of valuations
+    alone, give the terms the valuations v_p(binom(-s, k)) + k v of the
+    series', all that its stop reads."""
+    zeros, ctx = ((k * v, 0, 0) for k in itertools.count()), tables.ctx
+    return scan_products(tables.read(tables.binomials, s, _binomials, s, ctx), zeros, ctx,
+                         description="binomial power series")
 
 
-@_scoped
-def _unit_pow(s: PadicExponent, angle: Parts, ctx: QContext) -> SeriesResult:
-    """<a>^(-s), the series of ``padic_pow(<a>, -s)``, for the H and K series of
-    (a, s), with ``angle`` = (v, t, precision) the parts of <a> - 1
-    (:func:`_unit_table`): at a p-adic s the :func:`_power_scan` at t.
-
-    At an integer s the value is one modular power, (1 + p^v t)^(-s) mod p^W,
-    W the working precision, with the stop, tail bound and flag of
+def _unit_pow(s: PadicExponent, angle: Parts, tables: SeriesTables) -> SeriesResult:
+    """<a>^(-s), the series of ``padic_pow(<a>, -s)``, with ``angle`` = (v, t,
+    precision) the parts of <a> - 1 (:func:`_unit_table`): at a p-adic s the
+    :func:`_power_scan` at t; at an integer s one modular power, (1 + p^v t)^(-s)
+    mod p^W, W the working precision, with the stop, tail bound and flag of
     :func:`_power_stop` (a missed guard raises with the power as the partial).
-    The series' value is the same power, its k = 0 term setting its bound to
-    W, whenever every term after its stop has valuation >= W; a guard of 1
-    can stop before a term of lower valuation, where the series' value is
-    wrong and the power is not."""
+    The series' value is that power whenever every term after its stop has
+    valuation >= W; a guard of 1 can stop before a term of lower valuation,
+    where the series' value is wrong and the power is not."""
     v, unit, precision = angle
     if not isinstance(s, int):
-        return _power_scan(s, v, precision, ctx).at(unit)
-    p, W = ctx.p, ctx.working_precision
-    return _power_stop(s, v, ctx).result(PadicNumber.make(p, 0, pow(1 + p**v * unit, -s, p**W), W))
+        key = (s, v, precision)
+        return tables.read(tables.power_scans, key, _power_scan, *key, tables).at(unit)
+    p, W = tables.ctx.p, tables.ctx.working_precision
+    stop = tables.read(tables.power_stops, (s, v), _power_stop, s, v, tables)
+    return stop.result(PadicNumber.make(p, 0, pow(1 + p**v * unit, -s, p**W), W))
 
 
 #: digits the Delta_j residues carry beyond N + J e (see :func:`_deltas`)
 RESIDUE_MARGIN = 4
 
 
-@_scoped
 def _deltas(F: int, J: int, ctx: QContext) -> List[Parts]:
     """Delta_j = sum_k C(j,k) (-1)^k / (1 + Q^k), Q = q^F, for j < J (the column's
-    length, :func:`_series_length`) in integers mod p^M: one column per (F, J, ctx),
-    shared by every series of that length in one scope, each value equal to the
-    parts of ``ctx.embed(euler_number(j, Q) (1-Q)^j / 2)`` (the closed form of
-    :func:`qlfun.qeuler.euler_number` is E_{j,Q} = 2 Delta_j / (1-Q)^j).
+    length, :func:`_series_length`) in integers mod p^M, each value equal to
+    the parts of ``ctx.embed(euler_number(j, Q) (1-Q)^j / 2)`` (the closed form
+    of :func:`qlfun.qeuler.euler_number` is E_{j,Q} = 2 Delta_j / (1-Q)^j).
 
     Q = q^F = 1 mod p, so 1 + Q^k = 2 mod p is a unit, and Delta_j mod p^M is
     the j-th difference of the integers 1/(1 + Q^k) mod p^M, from a running
-    Q^k and one ``pow(., -1, p^M)`` (of the row's prefix product): the one
-    place where a difference is formed from reduced parts, not exact values
-    (the running sum [a]_q of :func:`qlfun.numerics.unit_residues` is the one
-    such sum).  The differences are taken in plain integers and each Delta_j
-    is reduced mod p^M once (reduction is additive).  The values use
-    M = N + J e + RESIDUE_MARGIN, with N = working precision + WORKING_MARGIN
-    (the digits ``ctx.embed`` keeps) and e = v_p(Q - 1).  A nonzero residue
+    Q^k and one ``pow(., -1, p^M)`` (of the row's prefix product), taken in
+    plain integers and reduced mod p^M once (reduction is additive), with
+    M = N + J e + RESIDUE_MARGIN, N = working precision + WORKING_MARGIN (the
+    digits ``ctx.embed`` keeps) and e = v_p(Q - 1).  A nonzero residue
     p^v u gives v = v_p(Delta_j) and u mod p^(M - v), accepted when
     M - v >= N, so a shorter column is a prefix of a longer one.  The bound
     v_p(Delta_j) >= j e (proved in :func:`_term_column`) is why that holds almost
@@ -294,13 +305,12 @@ def _deltas(F: int, J: int, ctx: QContext) -> List[Parts]:
     return column
 
 
-@_scoped
-def _term_column(n: int, F: int, J: int, ctx: QContext) -> List[Parts]:
-    """The unit-free part p^(-j v) Delta_j [q^(nFj) - 1], v = v_p(1 - q), of
-    the j-th H (n = 0) or K (n >= 1) term for j < J, one column per (n, F, J,
-    ctx).  Unit a's term base is (q^a/(1-q^a))^j Delta_j [q^(nFj) - 1], half
-    the paper's (q^a [F]/[a])^j E_{j,q^F} [q^(nFj) - 1], as [F]/(1-q^F) =
-    [a]/(1-q^a) = 1/(1-q).  Every q^a/(1-q^a) has valuation -v and N digits
+def _term_column(n: int, J: int, tables: SeriesTables) -> List[Parts]:
+    """The unit-free part p^(-j v) Delta_j [q^(nFj) - 1], v = v_p(1 - q), of the
+    j-th H (n = 0) or K (n >= 1) term for j < J, F the tables'.  Unit a's term
+    base is (q^a/(1-q^a))^j Delta_j [q^(nFj) - 1], half the paper's
+    (q^a [F]/[a])^j E_{j,q^F} [q^(nFj) - 1], as [F]/(1-q^F) = [a]/(1-q^a) =
+    1/(1-q).  Every q^a/(1-q^a) has valuation -v and N digits
     (:func:`_unit_table`), so with r_a its unit, unit a's base (one
     :func:`mul_parts`, which reduces once) has this entry's valuation and
     precision and its unit times r_a^j: its series is this column's scan at r_a.
@@ -328,8 +338,10 @@ def _term_column(n: int, F: int, J: int, ctx: QContext) -> List[Parts]:
 
     Delta_j is read from :func:`_deltas`; K's q^(nFj) - 1 is formed exactly
     first, so that it keeps its relative digits, and embedded once per j."""
+    ctx, F = tables.ctx, tables.F
     p, N, v = ctx.p, ctx.working_precision + WORKING_MARGIN, v_p(ctx.q - 1, ctx.p)
-    column = [mul_parts(p, (-j * v, 1, N), delta) for j, delta in enumerate(_deltas(F, J, ctx))]
+    deltas = tables.read(tables.deltas, J, _deltas, F, J, ctx)
+    column = [mul_parts(p, (-j * v, 1, N), delta) for j, delta in enumerate(deltas)]
     if n:
         qnF = ctx.q ** (n * F)
         column = [mul_parts(p, base, ctx.embed(qnF**j - 1).parts)
@@ -337,30 +349,30 @@ def _term_column(n: int, F: int, J: int, ctx: QContext) -> List[Parts]:
     return column
 
 
-@_scoped
-def _body_scan(n: int, s: PadicExponent, F: int, ctx: QContext) -> SeriesScan:
+def _body_scan(n: int, s: PadicExponent, tables: SeriesTables) -> SeriesScan:
     """The scan of the H (n = 0) or K (n >= 1) body, sum_j binom(-s, j) times
-    :func:`_term_column`'s j-th entry, one per (n, s, F, ctx)."""
-    return scan_products(_binomials(s, ctx), _term_column(n, F, _series_length(s, ctx), ctx),
+    :func:`_term_column`'s j-th entry."""
+    ctx, J = tables.ctx, _series_length(s, tables.ctx)
+    return scan_products(tables.read(tables.binomials, s, _binomials, s, ctx),
+                         tables.read(tables.terms, (n, J), _term_column, n, J, tables),
                          ctx, description="K series" if n else "H_pq series")
 
 
-def _twisted_series(n: int, s: PadicExponent, prm: PartialZetaParams,
-                    ctx: QContext) -> SeriesResult:
+def _twisted_series(n: int, s: PadicExponent, a: int, tables: SeriesTables) -> SeriesResult:
     """(-1)^a <a>^(-s) sum_j binom(-s, j) (q^a/(1-q^a))^j Delta_j [q^(nFj) - 1],
     the series behind H_pq (n = 0, no last factor) and K_partial (n >= 1),
     whose 2 cancels the paper's 1/2, its body the :func:`_body_scan` at the
-    unit of q^a/(1-q^a).  The sign (-1)^a is a negation: the same value as a
-    product with embed(-1), as no factor's precision exceeds embed's."""
-    a, F = prm.a, prm.F
-    angle, (_, ratio, _) = _unit_table(F, ctx)[a]
-    unit_pow = _unit_pow(s, angle, ctx)
-    body = _body_scan(n, s, F, ctx).at(ratio)
+    unit of q^a/(1-q^a), read from unit a's entry of the unit table.  The sign
+    (-1)^a is a negation: the same value as a product with embed(-1), as no
+    factor's precision exceeds embed's."""
+    F, ctx = tables.F, tables.ctx
+    angle, (_, ratio, _) = tables.read(tables.unit_tables, F, _unit_table, F, ctx)[a]
+    unit_pow = tables.read(tables.powers, (s, angle), _unit_pow, s, angle, tables)
+    body = tables.read(tables.scans, (n, s), _body_scan, n, s, tables).at(ratio)
     value = unit_pow.value * body.value
     return merge_series(-value if a % 2 else value, [unit_pow, body])
 
 
-@_scoped
 def H_pq(s: PadicExponent, prm: PartialZetaParams, ctx: QContext) -> SeriesResult:
     """p-adic interpolation of the partial zeta value:
     ((-1)^a / 2) <a>^(-s) sum_j binom(-s, j) q^(ja) ([F]/[a])^j E_{j,q^F},
@@ -368,44 +380,32 @@ def H_pq(s: PadicExponent, prm: PartialZetaParams, ctx: QContext) -> SeriesResul
     value is the Teichmuller-twisted exact partial zeta value.
     """
     _require_padic_params(prm, ctx, "H_pq")
-    return _twisted_series(0, s, prm, ctx)
+    return _tables(prm.F, ctx).series(0, s, prm.a)
 
 
-@_scoped
 def _chi_column(chi: DirichletCharacter, F: int, ctx: QContext) -> List[Tuple[int, PadicNumber]]:
     """(a, chi(a)) over the units a <= F where chi(a) is not zero, from the
     integer residue :func:`qlfun.characters.chi_residue` that ``chi_eval`` also
-    reads, mod p^(working precision): one column per (chi, F, ctx), shared by
-    every s."""
+    reads, mod p^(working precision), shared by every s."""
     p, W = ctx.p, ctx.working_precision
     values = ((a, chi_residue(chi, a, p, W)) for a in range(1, F + 1) if a % p)
     return [(a, PadicNumber(p, 0, c, W)) for a, c in values if c]
 
 
-def _unit_sum(partial: Callable[[PartialZetaParams], SeriesResult],
+def _unit_sum(part: Callable[[SeriesTables, int], SeriesResult],
               chi: DirichletCharacter, F: int, ctx: QContext) -> SeriesResult:
-    """2 sum over units a <= F of chi(a) partial(a : F), the character-weighted
-    sum behind l_pq, T_full and K_full, which check conductor(chi) | F: the units
-    a <= F then run over whole periods of chi.  Without an active series cache
-    it opens one, so that its units share one scan per series."""
-    if _ACTIVE_CACHE.get() is None:
-        with series_cache():
-            return _unit_sum(partial, chi, F, ctx)
-    acc = ctx.zero()
-    parts: List[SeriesResult] = []
-    for a, c in _chi_column(chi, F, ctx):
-        part = partial(PartialZetaParams(a, F))
-        parts.append(part)
-        acc = acc + c * part.value
+    """2 sum over units a <= F of chi(a) part(tables, a), behind l_pq, T_full
+    and K_full, which check the series' arguments and conductor(chi) | F (so the
+    units run over whole periods of chi); the units share the (F, ctx) tables."""
+    tables, acc, parts = _tables(F, ctx), ctx.zero(), []
+    for a, c in tables.read(tables.chi_columns, chi, _chi_column, chi, F, ctx):
+        parts.append(part(tables, a))
+        acc = acc + c * parts[-1].value
     return merge_series(acc + acc, parts)
 
 
-def l_pq(
-    s: PadicExponent,
-    chi: DirichletCharacter,
-    ctx: QContext,
-    F: Optional[int] = None,
-) -> SeriesResult:
+def l_pq(s: PadicExponent, chi: DirichletCharacter, ctx: QContext,
+         F: Optional[int] = None) -> SeriesResult:
     """p-adic l-function: 2 sum over units a <= F of chi(a) H_pq(s, a : F)."""
     if F is None:
         F = math.lcm(ctx.p, chi.conductor)
@@ -413,10 +413,10 @@ def l_pq(
         raise ValueError("l_pq requires an odd positive multiple of p for F")
     if F % chi.conductor != 0:
         raise ValueError("l_pq requires conductor(chi) | F")
-    return _unit_sum(lambda prm: H_pq(s, prm, ctx), chi, F, ctx)
+    ctx.require_q_not_one("H_pq")
+    return _unit_sum(lambda tables, a: tables.series(0, s, a), chi, F, ctx)
 
 
-@_scoped
 def K_partial(n: int, s: PadicExponent, prm: PartialZetaParams, ctx: QContext) -> SeriesResult:
     """Correction series carrying the q-power twist left over when q^(nFl)
     is expanded around 1:
@@ -428,7 +428,17 @@ def K_partial(n: int, s: PadicExponent, prm: PartialZetaParams, ctx: QContext) -
     if n < 1:
         raise ValueError("K_partial requires n >= 1")
     _require_padic_params(prm, ctx, "K_partial")
-    return _twisted_series(n, s, prm, ctx)
+    return _tables(prm.F, ctx).series(n, s, prm.a)
+
+
+def _boundary_series(tables: SeriesTables, n: int, s: PadicExponent, a: int) -> SeriesResult:
+    """T_partial of the unit a < F at s from the tables' K and H values."""
+    ctx, k_part = tables.ctx, tables.series(n, s, a)
+    twice_k = ctx.embed(2) * k_part.value
+    if n % 2 == 0:
+        return merge_series(twice_k, [k_part])
+    h_part = tables.series(0, s, a)
+    return merge_series(-(twice_k + ctx.embed(4) * h_part.value), [h_part, k_part])
 
 
 def T_partial(n: int, s: PadicExponent, prm: PartialZetaParams, ctx: QContext) -> SeriesResult:
@@ -437,7 +447,7 @@ def T_partial(n: int, s: PadicExponent, prm: PartialZetaParams, ctx: QContext) -
 
     Derived, not summed: T has twice the scale of H and K, and its factor
     is K's q^(nFk) - 1 for even n and -(q^(nFk) - 1) - 2 for odd n, so term
-    by term T = 2 K (n even) and T = -(2 K + 4 H) (n odd), from the scoped
+    by term T = 2 K (n even) and T = -(2 K + 4 H) (n odd), from the tables'
     values.  The equal form 2 ((-1)^n (H + K) - H) would subtract the
     unit-size H for even n too and cap 2 K at H's absolute precision,
     dropping the digits K's valuation adds.  The metadata is merged from the
@@ -445,28 +455,29 @@ def T_partial(n: int, s: PadicExponent, prm: PartialZetaParams, ctx: QContext) -
     if n < 1:
         raise ValueError("T_partial requires n >= 1")
     _require_padic_params(prm, ctx, "T_partial")
-    k_part = K_partial(n, s, prm, ctx)
-    twice_k = ctx.embed(2) * k_part.value
-    if n % 2 == 0:
-        return merge_series(twice_k, [k_part])
-    h_part = H_pq(s, prm, ctx)
-    return merge_series(-(twice_k + ctx.embed(4) * h_part.value), [h_part, k_part])
+    return _boundary_series(_tables(prm.F, ctx), n, s, prm.a)
 
 
-def _full_sum(name: str, partial: Callable[[PartialZetaParams], SeriesResult],
+def _full_sum(name: str, partial: str, n: int,
+              part: Callable[[SeriesTables, int], SeriesResult],
               chi: DirichletCharacter, ctx: QContext) -> SeriesResult:
-    """The unit sum at F = p of T_full and K_full, which take no F."""
+    """The unit sum at F = p of T_full and K_full, which take no F, after the
+    checks of the partial series it sums (T_partial's or K_partial's)."""
     if ctx.p % chi.conductor != 0:
         raise ValueError(f"{name} requires conductor(chi) = {chi.conductor} "
                          f"to divide F = p = {ctx.p}")
-    return _unit_sum(partial, chi, ctx.p, ctx)
+    if n < 1:
+        raise ValueError(f"{partial} requires n >= 1")
+    ctx.require_q_not_one(partial)
+    return _unit_sum(part, chi, ctx.p, ctx)
 
 
 def T_full(n: int, s: PadicExponent, chi: DirichletCharacter, ctx: QContext) -> SeriesResult:
     """Character-weighted aggregate of the boundary-term series at F = p."""
-    return _full_sum("T_full", lambda prm: T_partial(n, s, prm, ctx), chi, ctx)
+    return _full_sum("T_full", "T_partial", n,
+                     lambda tables, a: _boundary_series(tables, n, s, a), chi, ctx)
 
 
 def K_full(n: int, s: PadicExponent, chi: DirichletCharacter, ctx: QContext) -> SeriesResult:
     """Character-weighted aggregate of the correction series at F = p."""
-    return _full_sum("K_full", lambda prm: K_partial(n, s, prm, ctx), chi, ctx)
+    return _full_sum("K_full", "K_partial", n, lambda tables, a: tables.series(n, s, a), chi, ctx)

@@ -427,7 +427,7 @@ class QContext:
         object.__setattr__(self, "_hash", hash(
             (self.p, self.q, self.precision, self.guard)))
 
-    def __hash__(self) -> int:  # the dataclass hash, computed once: scoped lookups hash it
+    def __hash__(self) -> int:  # the dataclass hash, computed once: table lookups hash it
         return self._hash
 
     @property

@@ -23,40 +23,12 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .characters import DirichletCharacter
-from .lfun import (
-    H_pq,
-    K_full,
-    K_partial,
-    PartialZetaParams,
-    SeriesCache,
-    T_full,
-    T_partial,
-    _scoped,
-    l_pq,
-    series_cache,
-)
-from .numerics import (
-    INF,
-    PadicNumber,
-    Parts,
-    QContext,
-    SeriesResult,
-    Valuation,
-    binom_int,
-    exact_sum,
-    exact_sum_pairs,
-    merge_series,
-    mul_parts,
-    power_column,
-    q_int,
-    require_odd_prime,
-    residual_valuation,
-    sum_guarded,
-    sum_products,
-    teichmuller,
-    v_p,
-    valuation_json,
-)
+from .lfun import (K_full, K_partial, PartialZetaParams, SeriesCache, T_full, T_partial, _tables,
+                   l_pq, series_cache)
+from .numerics import (INF, PadicNumber, Parts, QContext, SeriesResult, Valuation, binom_int,
+                       exact_sum, exact_sum_pairs, merge_series, mul_parts, power_column, q_int,
+                       require_odd_prime, residual_valuation, sum_guarded, sum_products,
+                       teichmuller, v_p, valuation_json)
 from .qeuler import (
     _closed_form_pair,
     _closed_form_row,
@@ -266,11 +238,9 @@ class Thm5Report:
     printed form fails (a residual below the target precision means the
     step as printed does not hold at that grid point).  ``precision`` is
     the target the report was computed at, and the cache counts are this
-    point's own lookups in the series cache it ran in, the series values and
-    the scoped columns (term tables, character values, eq24's free parts)
-    alike (from ``thm5_grid``, one cache shared with the grid's other points,
-    so a value an earlier point computed counts as a hit); none of the three
-    is part of the JSON form.
+    point's own table reads in the series scope it ran in (shared with the
+    grid's other points, so a value an earlier point computed counts as a
+    hit); none of the three is part of the JSON form.
     """
 
     lhs: PadicNumber
@@ -314,7 +284,6 @@ def _partial_sum_exact(n: int, r: int, a: int, ctx: QContext) -> Fraction:
                      for j in range(a, a + n * ctx.p, ctx.p))
 
 
-@_scoped
 def _eq24_free_parts(n: int, ctx: QContext) -> Tuple[List[Parts], List[Parts]]:
     """The parts of embed(g1 + g2) and embed(g1), s < ctx.column_length, Q = q^p:
     eq24's factors free of a and r, g1 = (-1)^n inner/2 and
@@ -338,7 +307,6 @@ def _eq24_free_parts(n: int, ctx: QContext) -> Tuple[List[Parts], List[Parts]]:
     return both, group1
 
 
-@_scoped
 def _eq24_heads(r: int, a: int, ctx: QContext) -> List[Parts]:
     """The parts of binom(-r, s) (-[a]^(-r) (-1)^a) (q^a [p]/[a])^s for
     s < ctx.column_length, one column per (r, a, ctx): as embed(x y) is the
@@ -374,8 +342,8 @@ def _expansion_group(n: int, r: int, a: int, ctx: QContext,
     Its k-th term has valuation >= k, so its guard fires within
     ctx.column_length terms: coeff_k is an integer, v_p((q^a [pn])^k) >= k,
     w(a) is a unit and H and K at s = r + k are p-adic integers."""
-    p = ctx.p
-    prm = PartialZetaParams(a, p)
+    p, tables = ctx.p, _tables(ctx.p, ctx)
+    ctx.require_q_not_one("H_pq")  # the one check of the H and K values read: a < p is a unit
     step = ctx.embed(ctx.q**a * q_int(p * n, ctx.q))
     w_inv = teichmuller(a, p, ctx.working_precision) ** -1
 
@@ -386,9 +354,9 @@ def _expansion_group(n: int, r: int, a: int, ctx: QContext,
         for k in itertools.count(1):
             coeff, power = -coeff * (r + k - 1) // k, power * step
             twist = twist * w_inv
-            piece = H_pq(r + k, prm, ctx).value
+            piece = tables.series(0, r + k, a).value
             if with_correction:
-                piece = piece + K_partial(n, r + k, prm, ctx).value
+                piece = piece + tables.series(n, r + k, a).value
             yield -(ctx.embed(coeff) * power * twist * piece)
 
     return sum_guarded(terms(), ctx, description="chain k-series").value
@@ -408,10 +376,10 @@ def _residual_sentinel(a: PadicNumber, b: PadicNumber) -> Valuation:
 
 
 def _thm5_point(n: int, r: int, ctx: QContext, cache: SeriesCache) -> Thm5Report:
-    """One grid point inside the open series cache: exact sum, printed
+    """One grid point inside the open series scope: exact sum, printed
     expansion, re-derived chain, and per-step residual valuations.  The
-    report counts only this point's own cache lookups."""
-    hits, misses = cache.hits, cache.misses
+    report counts only this point's own table reads."""
+    hits, misses, tables = cache.hits, cache.misses, _tables(ctx.p, ctx)
     lhs_exact = thm5_lhs_exact(n, r, ctx)
     lhs = ctx.embed(lhs_exact)
     printed = thm5_rhs(n, r, ctx)
@@ -425,7 +393,8 @@ def _thm5_point(n: int, r: int, ctx: QContext, cache: SeriesCache) -> Thm5Report
         partials.append(_partial_sum_exact(n, r, a, ctx))
         partial_exact = ctx.embed(partials[-1])
         # eq24's series and its group 1 alone, folds over the same heads
-        heads, (both, group1_free) = _eq24_heads(r, a, ctx), _eq24_free_parts(n, ctx)
+        heads = tables.read(tables.eq24_heads, (r, a), _eq24_heads, r, a, ctx)
+        both, group1_free = tables.read(tables.eq24_free_parts, n, _eq24_free_parts, n, ctx)
         series24 = sum_products(heads, both, ctx, description="eq24 series")
         group1 = sum_products(heads, group1_free, ctx, description="group1 series")
         eq24_vals.append(_residual_sentinel(partial_exact, series24.value))
@@ -485,8 +454,7 @@ def thm5_qone_surrogate(n: int, r: int, ctx: QContext) -> dict:
     q = 1 + p**depth), every boundary and correction contribution carries
     at least the valuation of q - 1, so the exact sum is reproduced by the
     bare l-series group alone at that depth.  Returns the observed evidence.
-    The series run in one series cache, so every unit reads one q-Euler
-    residue table.
+    The units share one series scope, and so one Delta_j column.
     """
     if n % 2:
         raise ValueError("the near-classical collapse needs even n")

@@ -1,13 +1,16 @@
 """Command-line interface: envelopes, exit codes, round-trips."""
 
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 from qlfun import lfun
-from qlfun.cli import main
+from qlfun.characters import DirichletCharacter
+from qlfun.cli import at_target, main
+from qlfun.lfun import H_pq, K_partial, PartialZetaParams, T_partial, l_pq
 from qlfun.numerics import QContext
 
 
@@ -191,8 +194,8 @@ def test_usage_errors_exit_two(runner):
 
 
 @pytest.mark.parametrize("args,command,message", [
-    (["lfun", "lpq", "-s", "1/2", "--chi", "teich:1", "--p", "3"], "lfun lpq",
-     "Invalid value for '-s': '1/2' is not a valid integer."),
+    (["lfun", "lpq", "-s", "1/0", "--chi", "teich:1", "--p", "3"], "lfun lpq",
+     "Invalid value for '-s': '1/0' is not a valid integer or fraction A/B."),
     (["lfun", "lpq", "-s", "1", "--chi", "teich:1"], "lfun lpq", "Missing option '--p'."),
     (["qeuler", "number", "-m", "1", "--q", "2", "--frobnicate"], "qeuler number",
      "No such option '--frobnicate'."),
@@ -425,6 +428,60 @@ def test_lfun_tk_sums_each_series_once(runner, monkeypatch, n, series):
                              "--p", "5", "--json"])
     assert result.exit_code == 0
     assert sorted(ran) == series
+
+
+@pytest.mark.parametrize("args,value", [
+    (["lfun", "lpq", "--p", "5", "-s", "1/2", "--chi", "teich:1", "--prec", "16"],
+     lambda ctx, s: l_pq(s, DirichletCharacter.teichmuller_power(1, 5), ctx)),
+    (["lfun", "hpq", "-s", "-1/2", "-a", "2", "-F", "9", "--p", "3"],
+     lambda ctx, s: H_pq(s, PartialZetaParams(2, 9), ctx)),
+    (["lfun", "tk", "-n", "1", "-s", "2/7", "-a", "2", "--p", "5"],
+     lambda ctx, s: {"T": T_partial(1, s, PartialZetaParams(2, 5), ctx),
+                     "K": K_partial(1, s, PartialZetaParams(2, 5), ctx)}),
+])
+def test_lfun_s_takes_a_fraction_as_a_padic_integer(runner, args, value):
+    # -s A/B with B prime to p is the p-adic integer ctx.embed(A/B): the
+    # library's value at target precision, with the fraction in the params
+    envelope = json_result(invoke(runner, args + ["--json"]))
+    assert envelope["status"] == "ok"
+    text = args[args.index("-s") + 1]
+    assert envelope["params"]["s"] == text
+    p = int(args[args.index("--p") + 1])
+    prec = int(args[args.index("--prec") + 1]) if "--prec" in args else 8
+    ctx = QContext(p=p, q=Fraction(1 + p), precision=prec)
+    expected = value(ctx, ctx.embed(Fraction(text)))
+    if isinstance(expected, dict):
+        assert envelope["result"] == {k: at_target(v, ctx).to_json_dict() for k, v in expected.items()}
+    else:
+        assert envelope["result"] == at_target(expected, ctx).to_json_dict()
+
+
+@pytest.mark.parametrize("args", [
+    ["lfun", "lpq", "--p", "3", "-s", "1/3", "--chi", "teich:1"],
+    ["lfun", "hpq", "-s", "-2/9", "-a", "2", "-F", "9", "--p", "3"],
+    ["lfun", "tk", "-n", "1", "-s", "1/5", "-a", "2", "--p", "5"],
+])
+def test_lfun_s_refuses_a_denominator_divisible_by_p(runner, args):
+    result = invoke(runner, args + ["--json"])
+    assert result.exit_code == 2
+    envelope = json_result(result)
+    text = args[args.index("-s") + 1]
+    p = args[args.index("--p") + 1]
+    assert envelope["status"] == "error" and envelope["params"]["s"] == text
+    assert envelope["result"] == {
+        "message": f"-s {text} is not a p-adic integer: {p} divides its denominator"}
+
+
+def test_lfun_integer_s_stays_an_integer(runner):
+    # an integer -s, written as one or as a fraction, is the int it was
+    envelopes = [json_result(invoke(runner, ["lfun", "hpq", "-s", s, "-a", "2", "-F", "9",
+                                             "--p", "3", "--json"])) for s in ("2", "4/2")]
+    for envelope in envelopes:
+        envelope.pop("elapsed_ms")
+    assert envelopes[0] == envelopes[1] and envelopes[0]["params"]["s"] == 2
+    ctx = QContext(p=3, q=Fraction(4))
+    assert envelopes[0]["result"] == at_target(H_pq(2, PartialZetaParams(2, 9), ctx),
+                                               ctx).to_json_dict()
 
 
 def test_verify_thm5_has_no_jobs_option(runner):

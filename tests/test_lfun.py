@@ -1,5 +1,8 @@
 """Partial zeta values, q-l-values, and their p-adic interpolations."""
 
+import contextlib
+import gc
+import itertools
 import json
 import math
 from dataclasses import replace
@@ -38,6 +41,7 @@ from qlfun.numerics import (
     power_column,
     q_int,
     residual_valuation,
+    sum_guarded,
     sum_products,
     teichmuller,
     v_p,
@@ -431,8 +435,9 @@ def exact_unit_pow(a, s, ctx):
 
 
 def unit_pow(a, F, s, ctx):
-    """lfun._unit_pow of unit a < F: at the parts of <a> - 1 that _twisted_series reads."""
-    return lfun._unit_pow(s, lfun._unit_table(F, ctx)[a][0], ctx)
+    """lfun._unit_pow of unit a < F: at the parts of <a> - 1 that _twisted_series reads,
+    with the tables of (F, ctx) (the open scope's, or fresh ones)."""
+    return lfun._unit_pow(s, lfun._unit_table(F, ctx)[a][0], lfun._tables(F, ctx))
 
 
 def per_unit_fold(a, F, s, ctx):
@@ -515,17 +520,22 @@ def test_series_cache_scope_gives_the_same_values():
     # the other s the full 21
     lengths = len({lfun._series_length(s, CTX34) for s in s_values})
     assert lengths == 2
-    # the power scans (p-adic s) are keyed on the shape (valuation, precision)
-    # of <a> - 1, the power stops (integer s) on its valuation: <1> - 1 is a
-    # zero, <2> - 1 is not, so each unit has its own
+    # the power scans (p-adic s) and their shape columns are keyed on the shape
+    # (valuation, precision) of <a> - 1, the power stops (integer s) on its
+    # valuation: <1> - 1 is a zero, <2> - 1 is not, so each unit has its own
     shapes = len({lfun._unit_table(3, CTX34)[a][0][::2] for a in units})
     assert shapes == len({lfun._unit_table(3, CTX34)[a][0][0] for a in units}) == len(units)
-    # H, K(2), K(1) and <a>^(-s) per case, one binomial column per s, one unit
-    # table (F = 3), per length one Delta_j column and one unit-free column
-    # per n in {0, 1, 2}, one body scan per (n, s) and one power scan or stop
-    # per (s, shape)
-    keys = (4 * len(cases) + len(s_values) + 1 + lengths * (1 + 3)
-            + 3 * len(s_values) + len(s_values) * shapes)
+    # H, K(2) and K(1) per case and one <a>^(-s) per case, one binomial column
+    # per s, one unit table (F = 3), per length one Delta_j column and one
+    # unit-free column per n in {0, 1, 2}, one body scan per (n, s), one power
+    # stop per (integer s, shape), one power scan and one shape column per
+    # (p-adic s, shape)
+    sizes = {"unit_tables": 1, "chi_columns": 0, "binomials": len(s_values),
+             "power_stops": (len(s_values) - 1) * shapes, "power_scans": shapes,
+             "shapes": shapes, "deltas": lengths, "terms": 3 * lengths,
+             "scans": 3 * len(s_values), "powers": len(cases), "hk": 3 * len(cases),
+             "eq24_free_parts": 0, "eq24_heads": 0}
+    keys = sum(sizes.values())
 
     def evaluate():
         return [(H_pq(s, prm, CTX34), K_partial(2, s, prm, CTX34),
@@ -535,31 +545,31 @@ def test_series_cache_scope_gives_the_same_values():
     with series_cache() as cache:
         inside = evaluate()
         again = evaluate()
-        assert len(cache.values) == keys
+        assert cache.sizes() == sizes
     assert inside == outside
     assert again == outside
-    # per case: H, K(2), K(1) and one <a>^(-s) computed.  T is not a cached
-    # key: T(1) = -(2 K(1) + 4 H) reads K(1), computed on its behalf, and
-    # hits H.  Both K series reuse H's unit power, so the first pass hits
-    # 3 per case; the second pass hits H, K(2), and K(1) and H through T.
-    # Each case reads the unit table once per series, for both of its unit's
-    # entries (<a> - 1 for the unit power, the point q^a/(1-q^a) for the
-    # body), all but the first read hits.  Each unit power reads the power
-    # scan or stop of its (s, shape), built once per key.  The
-    # len(s_values) * shapes power scans and stops and the
-    # 3 * len(s_values) body scans built each read the binomial column of
-    # their s, one per s: the rest of those reads hit.  The 3 * len(cases)
-    # series read their body scan, one per (n, s), and each body scan built
-    # reads the unit-free column of its (n, length): the first of each key
-    # builds it.  Every case has F = 3, so the unit-free columns of one
-    # length share one Delta_j column: 2 hits per length
+    # per case: H, K(2), K(1) and one <a>^(-s) computed.  T is not a table:
+    # T(1) = -(2 K(1) + 4 H) reads K(1), computed on its behalf, and hits H.
+    # Both K series reuse H's unit power, so the first pass hits 3 per case;
+    # the second pass hits H, K(2), and K(1) and H through T.  Each series
+    # built reads the unit table once, for both of its unit's entries (<a> - 1
+    # for the unit power, the point q^a/(1-q^a) for the body), all but the
+    # first read hits.  Each unit power reads the power scan or stop of its
+    # (s, shape), built once per key, and each power scan the shape column of
+    # its shape, read once.  The len(s_values) * shapes power scans and stops
+    # and the 3 * len(s_values) body scans built each read the binomial
+    # column of their s, one per s: the rest of those reads hit.  The
+    # 3 * len(cases) series read their body scan, one per (n, s), and each
+    # body scan built reads the unit-free column of its (n, length): the first
+    # of each key builds it.  Every case has F = 3, so the unit-free columns
+    # of one length share one Delta_j column: 2 hits per length
     assert cache.misses == keys
     hits = (3 * len(cases) + 4 * len(cases) + (3 * len(cases) - 1)
             + (len(cases) - len(s_values) * shapes) + len(s_values) * (2 + shapes)
             + 3 * (len(cases) - len(s_values)) + 3 * (len(s_values) - lengths)
             + 2 * lengths)
     assert cache.hits == hits
-    assert not cache.values  # dropped with the scope
+    assert not any(cache.sizes().values())  # dropped with the scope
     # outside a scope nothing is recorded
     evaluate()
     assert (cache.hits, cache.misses) == (hits, keys)
@@ -589,11 +599,16 @@ def test_series_cache_is_dropped_with_its_scope():
         # H, the unit table, <a>^(-1), the power stop and the binomial column
         # it reads, the body scan, its unit-free column and Delta_j
         assert inner.misses == outer.misses == 8
+        built = ("unit_tables", "binomials", "power_stops", "deltas", "terms", "scans",
+                 "powers", "hk")
+        assert outer.sizes() == {name: int(name in built) for name in lfun.SeriesTables.TABLES}
+        assert not any(inner.sizes().values())
         # one hit each: the body scan reads the binomial column that the power
         # stop, computed first, has built
         assert inner.hits == outer.hits == 1
         H_pq(1, prm, CTX34)
         assert outer.hits == 2
+    assert not any(outer.sizes().values())
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -757,14 +772,15 @@ def test_refused_residues_take_the_exact_route(monkeypatch, margin_below_n, exac
 
 
 def test_unit_sums_share_one_residue_table_without_a_scope(monkeypatch):
+    # the tables call their builder on a miss only: each call records one build
     built = []
-    unscoped = lfun._deltas.__wrapped__
+    builder = lfun._deltas
 
     def recording_deltas(F, J, ctx):
         built.append(F)
-        return unscoped(F, J, ctx)
+        return builder(F, J, ctx)
 
-    monkeypatch.setattr(lfun, "_deltas", lfun._scoped(recording_deltas))
+    monkeypatch.setattr(lfun, "_deltas", recording_deltas)
     chi = DirichletCharacter.teichmuller_power(1, 5)
     l_pq(2, chi, CTX56)  # four units a, one q^F
     T_full(1, 2, chi, CTX56)
@@ -810,6 +826,141 @@ def test_unit_sums_read_the_chi_column(s):
     assert K_full(2, s, w1, CTX56) == expected
 
 
+def test_series_cache_sizes_of_one_l_pq_scope():
+    # l_pq(2, w^1) at p = 5 reads the tables of (F = 5, ctx): one unit table,
+    # chi column, binomial column, Delta_j column, unit-free H column and body
+    # scan, and per unit a < 5 one unit power and one H value; the power stops
+    # are per valuation of <a> - 1, three among the four units (<1> - 1 = 0)
+    w1 = DirichletCharacter.teichmuller_power(1, 5)
+    assert len({lfun._unit_table(5, CTX56)[a][0][0] for a in range(1, 5)}) == 3
+    with series_cache() as cache:
+        l_pq(2, w1, CTX56)
+        sizes = cache.sizes()
+    assert sizes == {"unit_tables": 1, "chi_columns": 1, "binomials": 1, "power_stops": 3,
+                     "power_scans": 0, "shapes": 0, "deltas": 1, "terms": 1, "scans": 1,
+                     "powers": 4, "hk": 4, "eq24_free_parts": 0, "eq24_heads": 0}
+    # every table entry is one miss; the hits are the reads of the tables
+    # built once: the unit table (4 series), the body scan (4 units), the
+    # binomial column (3 stops and the body scan) and one power stop (4 powers)
+    assert cache.misses == sum(sizes.values()) == 17
+    assert cache.hits == 3 + 3 + 3 + 1
+
+
+def test_tables_outside_a_scope_leave_no_cycle():
+    # the fresh tables of a call outside a scope are freed by reference
+    # counting when it returns: a cycle between them and a scope object would
+    # keep every column alive until the garbage collector runs
+    w1 = DirichletCharacter.teichmuller_power(1, 5)
+    gc.collect()
+    gc.disable()
+    try:
+        l_pq(2, w1, CTX56)
+        l_pq(CTX56.embed(Fraction(1, 2)), w1, CTX56)
+        T_partial(1, 2, PartialZetaParams(2, 5), CTX56)
+        with series_cache():
+            K_full(1, 2, w1, CTX56)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_power_scans_share_one_shape_column_per_shape(monkeypatch):
+    # at a p-adic s the power scan's column (p^v)^k depends on the shape
+    # (v, precision) of <a> - 1 and the column's length, not on s: one scope
+    # over two p-adic s builds it once per shape
+    units, s_values = (1, 2, 4, 5, 7, 8), [CTX34.embed(Fraction(1, 2)), CTX34.embed(Fraction(-3, 4))]
+    expected = [H_pq(s, PartialZetaParams(a, 9), CTX34) for s in s_values for a in units]
+    shapes = {lfun._unit_table(9, CTX34)[a][0][::2] for a in units}
+    assert len(shapes) > 1
+    calls = []
+
+    def counting(p, start, step, length):
+        calls.append((step, length))
+        return power_column(p, start, step, length)
+
+    monkeypatch.setattr(lfun, "power_column", counting)
+    with series_cache():
+        got = [H_pq(s, PartialZetaParams(a, 9), CTX34) for s in s_values for a in units]
+    assert got == expected
+    L = CTX34.column_length
+    assert sorted(calls) == sorted(((v, 1, prec), L) for v, prec in shapes)
+
+
+def chain_by_public_calls(n, r, a, ctx):
+    """verify._expansion_group as one public H_pq and K_partial call per k."""
+    prm = PartialZetaParams(a, ctx.p)
+    step = ctx.embed(ctx.q**a * q_int(ctx.p * n, ctx.q))
+    w_inv = teichmuller(a, ctx.p, ctx.working_precision) ** -1
+
+    def terms():
+        coeff, power, twist = 1, ctx.embed((-1) ** n), w_inv ** r
+        for k in itertools.count(1):
+            coeff, power, twist = -coeff * (r + k - 1) // k, power * step, twist * w_inv
+            piece = H_pq(r + k, prm, ctx).value + K_partial(n, r + k, prm, ctx).value
+            yield -(ctx.embed(coeff) * power * twist * piece)
+
+    return sum_guarded(terms(), ctx, description="chain k-series").value
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_unit_sums_equal_the_per_unit_public_route(p):
+    # outside any scope, l_pq, K_full, T_full and the chain k-series read the
+    # tables' H/K values per unit; each equals its sum over one public
+    # H_pq/K_partial/T_partial call per unit, as a dataclass, at integer,
+    # embedded integer and p-adic s
+    ctx = QContext(p=p, q=Fraction(1 + p), precision=8)
+    w1 = DirichletCharacter.teichmuller_power(1, p)
+    mixed = DirichletCharacter.quadratic(5 if p == 3 else 3) * w1
+    for s in (2, -3, ctx.embed(3), ctx.embed(Fraction(1, 2))):
+        for chi in (w1, mixed):
+            F = math.lcm(p, chi.conductor)
+            expected = unit_sum_by_chi_eval(lambda prm: H_pq(s, prm, ctx), chi, F, ctx)
+            assert l_pq(s, chi, ctx) == expected, (s, chi)
+        for n in (1, 2):
+            assert K_full(n, s, w1, ctx) == unit_sum_by_chi_eval(
+                lambda prm: K_partial(n, s, prm, ctx), w1, p, ctx), (s, n)
+            assert T_full(n, s, w1, ctx) == unit_sum_by_chi_eval(
+                lambda prm: T_partial(n, s, prm, ctx), w1, p, ctx), (s, n)
+    for n in (1, 2):
+        for a in range(1, p):
+            assert verify._expansion_group(n, 1, a, ctx) == chain_by_public_calls(n, 1, a, ctx)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_aggregates_keep_the_per_unit_error_messages(p):
+    # the aggregates check their arguments once, before any table is built,
+    # and refuse with the message of the per-unit series they sum: q = 1 does
+    # not reach the unit table's inverse of 1 - q
+    ctx, one = QContext(p=p, q=Fraction(1 + p)), QContext(p=p, q=Fraction(1))
+    w1, prm = DirichletCharacter.teichmuller_power(1, p), PartialZetaParams(1, p)
+    cases = [
+        ([lambda: l_pq(2, w1, one), lambda: verify._expansion_group(1, 1, 1, one),
+          lambda: H_pq(2, prm, one)], "H_pq divides by (1 - q): use classical limit path"),
+        ([lambda: K_full(1, 2, w1, one), lambda: K_partial(1, 2, prm, one)],
+         "K_partial divides by (1 - q): use classical limit path"),
+        ([lambda: T_full(1, 2, w1, one), lambda: T_partial(1, 2, prm, one)],
+         "T_partial divides by (1 - q): use classical limit path"),
+        ([lambda: K_full(0, 2, w1, ctx), lambda: K_partial(0, 2, prm, ctx)],
+         "K_partial requires n >= 1"),
+        ([lambda: T_full(0, 2, w1, ctx), lambda: T_partial(0, 2, prm, ctx)],
+         "T_partial requires n >= 1"),
+        ([lambda: l_pq(2, w1, ctx, F=p + 2)], "l_pq requires an odd positive multiple of p for F"),
+    ]
+    for name, series in (("H_pq", lambda prm: H_pq(2, prm, ctx)),
+                         ("K_partial", lambda prm: K_partial(1, 2, prm, ctx)),
+                         ("T_partial", lambda prm: T_partial(1, 2, prm, ctx))):
+        cases.append(([lambda f=series: f(PartialZetaParams(1, p + 2))], f"{name} requires p | F"))
+        cases.append(([lambda f=series: f(PartialZetaParams(p, 3 * p))],
+                      f"{name} requires gcd(a, p) = 1"))
+    for calls, message in cases:
+        for call in calls:
+            for scoped in (False, True):
+                with series_cache() if scoped else contextlib.nullcontext():
+                    with pytest.raises(ValueError) as info:
+                        call()
+                assert str(info.value) == message
+
+
 def test_thm5_grid_evaluates_each_character_value_once(monkeypatch):
     # l_pq, K_full and T_full at every k of every grid point read one
     # (chi, F, ctx) column: at most (p - 1)^2 distinct values, each once
@@ -839,7 +990,7 @@ def test_term_bases_meet_the_proven_bound(p, q, F):
             for a, (_, ratio) in lfun._unit_table(F, ctx).items():
                 assert (ratio[0], ratio[2]) == (-v, N), (precision, a)
             for n in (0, 1, 2):
-                for j, base in enumerate(lfun._term_column(n, F, ctx.column_length, ctx)):
+                for j, base in enumerate(lfun._term_column(n, ctx.column_length, lfun._tables(F, ctx))):
                     bound = j * vF + (e if n and j else 0)
                     assert PadicNumber(p, *base).valuation >= bound, (precision, n, j)
 
@@ -876,7 +1027,7 @@ def test_integer_columns_equal_the_padic_chains(p, q, F):
                             base = base * ctx.embed(q ** (n * F * j) - 1)
                         chain.append(base.parts)
                         power = power * step
-                    assert scaled(lfun._term_column(n, F, L, ctx), r) == chain, (precision, a, n)
+                    assert scaled(lfun._term_column(n, L, lfun._tables(F, ctx)), r) == chain, (precision, a, n)
 
 
 def table_grid():
@@ -1023,7 +1174,8 @@ def columns_at(s, ctx):
     """Every scoped column the H, K and <a>^(-s) series at s read, at F = p."""
     J = lfun._series_length(s, ctx)
     return [lfun._binomials(s, ctx), lfun._deltas(ctx.p, J, ctx),
-            lfun._term_column(0, ctx.p, J, ctx), lfun._term_column(1, ctx.p, J, ctx)]
+            lfun._term_column(0, J, lfun._tables(ctx.p, ctx)),
+            lfun._term_column(1, J, lfun._tables(ctx.p, ctx))]
 
 
 def test_scoped_columns_have_the_context_length():
