@@ -5,10 +5,18 @@ One binary with a subcommand tree mirroring the library modules
 output envelope: human-readable lines by default, or a single JSON object
 with ``--json``.  Exit codes: 0 ok, 1 verification assertion failed,
 2 usage, domain, or convergence error.
+
+The envelope is built in one place, the leaf command class ``_Command``: it
+gives every leaf its ``--json`` flag, takes the envelope's params from the
+leaf's declared options by name, and emits the one envelope of what the leaf's
+callback returns, ``(result, status)``, or of the error it raises.
+``_EnvelopeGroup`` emits the error envelope of a usage error click raises
+before a leaf runs.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import os
@@ -96,19 +104,14 @@ def at_target(result, ctx: QContext):
     if isinstance(result, PadicNumber):
         return result.at_absolute_precision(ctx.precision)
     if isinstance(result, SeriesResult):
-        return SeriesResult(value=result.value.at_absolute_precision(ctx.precision),
-                            last_index=result.last_index,
-                            tail_valuation_bound=result.tail_valuation_bound,
-                            converged=result.converged)
+        return dataclasses.replace(result, value=at_target(result.value, ctx))
     return result
 
 
 def _encode(result):
     if isinstance(result, Fraction):
         return fmt_fraction(result)
-    if isinstance(result, PadicNumber):
-        return result.to_json_dict()
-    if isinstance(result, SeriesResult):
+    if isinstance(result, (PadicNumber, SeriesResult)):
         return result.to_json_dict()
     if isinstance(result, dict):
         return {k: _encode(v) for k, v in result.items()}
@@ -142,24 +145,6 @@ def emit(command: str, params: dict, result, status: str,
 EXIT_CODES = {"ok": 0, "assertion_failed": 1, "error": 2}
 
 
-def run_command(command: str, params: dict, as_json: bool, fn) -> None:
-    """Execute a leaf command body, emit the envelope, and exit accordingly."""
-    started = time.monotonic()
-    try:
-        result, status = fn()
-    except SeriesDivergenceError as exc:
-        emit(command, params, {"message": str(exc),
-                               "partial": exc.partial.to_json_dict()},
-             "error", started, as_json)
-        sys.exit(2)
-    except (ValueError, ZeroDivisionError, CharacterError, click.ClickException) as exc:
-        # a usage error raised inside the body gets its envelope too
-        emit(command, params, {"message": str(exc)}, "error", started, as_json)
-        sys.exit(2)
-    emit(command, params, result, status, started, as_json)
-    sys.exit(EXIT_CODES[status])
-
-
 def _twisted_euler(n: int, chi: str, p: Optional[int], q: Optional[str],
                    prec: Optional[int]):
     """Body of ``qeuler gen`` and ``lfun lq``: the n-th twisted q-Euler
@@ -175,17 +160,43 @@ def _twisted_euler(n: int, chi: str, p: Optional[int], q: Optional[str],
     return at_target(gen_euler_number(n, character, ctx=ctx), ctx), "ok"
 
 
-def json_option(fn):
-    return click.option("--json", "as_json", is_flag=True,
-                        help="emit a single JSON envelope")(fn)
+def _command_name(ctx: click.Context) -> str:
+    """The invoked command's path below the root, whatever the root is called."""
+    return ctx.command_path[len(ctx.find_root().command_path):].strip()
 
 
 class _Command(click.Command):
+    """A leaf command that keeps the envelope contract: it appends the --json
+    flag to the leaf's options, and its callback returns (result, status).
+    The envelope's params are the declared options by name, in declared order,
+    --json left out; an error the callback raises gets the error envelope."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.params.append(click.Option(["--json", "as_json"], is_flag=True,
+                                        help="emit a single JSON envelope"))
+
     def parse_args(self, ctx, args):
         # the option parser raises some errors (an option missing its value)
         # without a context: name the command being parsed for the envelope
         ctx.meta["qlfun.parsing"] = ctx
         return super().parse_args(ctx, args)
+
+    def invoke(self, ctx):
+        as_json = ctx.params.pop("as_json")
+        command = _command_name(ctx)
+        params = {param.name: ctx.params[param.name]
+                  for param in self.params if param.name in ctx.params}
+        started = time.monotonic()
+        try:
+            result, status = super().invoke(ctx)
+        except (ValueError, ZeroDivisionError, CharacterError, click.ClickException) as exc:
+            # a usage error raised inside the body gets its envelope too
+            result, status = {"message": str(exc)}, "error"
+            if isinstance(exc, SeriesDivergenceError):
+                result["partial"] = exc.partial.to_json_dict()
+        emit(command, params, result, status, started, as_json)
+        sys.exit(EXIT_CODES[status])
 
 
 class _EnvelopeGroup(click.Group):
@@ -213,8 +224,7 @@ class _EnvelopeGroup(click.Group):
         except click.UsageError as exc:
             if not as_json:
                 raise
-            failed = exc.ctx or ctx.meta.get("qlfun.parsing", ctx)
-            command = failed.command_path[len(ctx.find_root().command_path):].strip()
+            command = _command_name(exc.ctx or ctx.meta.get("qlfun.parsing", ctx))
             emit(command, {}, {"message": exc.format_message()}, "error", started, True)
             sys.exit(2)
 
@@ -236,22 +246,16 @@ def qeuler() -> None:
 @qeuler.command("number")
 @click.option("-m", type=int, required=True)
 @click.option("--q", "q", type=str, required=True)
-@json_option
-def qeuler_number(m: int, q: str, as_json: bool) -> None:
-    params = {"m": m, "q": q}
-    run_command("qeuler number", params, as_json,
-                lambda: (qeuler_mod.euler_number(m, parse_fraction(q)), "ok"))
+def qeuler_number(m: int, q: str):
+    return qeuler_mod.euler_number(m, parse_fraction(q)), "ok"
 
 
 @qeuler.command("poly")
 @click.option("-n", type=int, required=True)
 @click.option("-x", type=int, required=True)
 @click.option("--q", "q", type=str, required=True)
-@json_option
-def qeuler_poly(n: int, x: int, q: str, as_json: bool) -> None:
-    params = {"n": n, "x": x, "q": q}
-    run_command("qeuler poly", params, as_json,
-                lambda: (qeuler_mod.euler_poly(n, x, parse_fraction(q)), "ok"))
+def qeuler_poly(n: int, x: int, q: str):
+    return qeuler_mod.euler_poly(n, x, parse_fraction(q)), "ok"
 
 
 @qeuler.command("gen")
@@ -260,11 +264,8 @@ def qeuler_poly(n: int, x: int, q: str, as_json: bool) -> None:
 @click.option("--p", type=int, default=None)
 @click.option("--q", "q", type=str, default=None)
 @click.option("--prec", type=int, default=None)
-@json_option
-def qeuler_gen(n: int, chi: str, p: Optional[int], q: Optional[str],
-               prec: Optional[int], as_json: bool) -> None:
-    params = {"n": n, "chi": chi, "p": p, "q": q, "prec": prec}
-    run_command("qeuler gen", params, as_json, lambda: _twisted_euler(n, chi, p, q, prec))
+def qeuler_gen(n: int, chi: str, p: Optional[int], q: Optional[str], prec: Optional[int]):
+    return _twisted_euler(n, chi, p, q, prec)
 
 
 @qeuler.command("volkenborn")
@@ -272,11 +273,8 @@ def qeuler_gen(n: int, chi: str, p: Optional[int], q: Optional[str],
 @click.option("--level", type=int, required=True)
 @click.option("--p", type=int, required=True)
 @click.option("--q", "q", type=str, default=None)
-@json_option
-def qeuler_volkenborn(m: int, level: int, p: int, q: Optional[str], as_json: bool) -> None:
-    params = {"m": m, "level": level, "p": p, "q": q}
-    run_command("qeuler volkenborn", params, as_json,
-                lambda: (volkenborn_approx(m, level, _context(p, q, None)), "ok"))
+def qeuler_volkenborn(m: int, level: int, p: int, q: Optional[str]):
+    return volkenborn_approx(m, level, _context(p, q, None)), "ok"
 
 
 # ---------------------------------------------------------------------------
@@ -294,12 +292,9 @@ def lfun() -> None:
 @click.option("--q", "q", type=str, default=None)
 @click.option("--p", type=int, default=None)
 @click.option("--prec", type=int, default=None)
-@json_option
-def lfun_lq(k: int, chi: str, q: Optional[str], p: Optional[int],
-            prec: Optional[int], as_json: bool) -> None:
+def lfun_lq(k: int, chi: str, q: Optional[str], p: Optional[int], prec: Optional[int]):
     """Dirichlet-type q-l-value at -k: the k-th twisted q-Euler number."""
-    params = {"k": k, "chi": chi, "q": q, "p": p, "prec": prec}
-    run_command("lfun lq", params, as_json, lambda: _twisted_euler(k, chi, p, q, prec))
+    return _twisted_euler(k, chi, p, q, prec)
 
 
 @lfun.command("lpq")
@@ -310,72 +305,52 @@ def lfun_lq(k: int, chi: str, q: Optional[str], p: Optional[int],
 @click.option("--prec", type=int, default=None)
 @click.option("--modulus", "-F", "modulus", type=int, default=None,
               help="odd positive multiple of p (default p * conductor)")
-@json_option
 def lfun_lpq(s: Union[int, Fraction], chi: str, p: int, q: Optional[str], prec: Optional[int],
-             modulus: Optional[int], as_json: bool) -> None:
-    params = {"s": s, "chi": chi, "p": p, "q": q, "prec": prec, "modulus": modulus}
-
-    def body():
-        ctx = _context(p, q, prec)
-        character = parse_character(chi, p)
-        return at_target(l_pq(_exponent(s, ctx), character, ctx, F=modulus), ctx), "ok"
-
-    run_command("lfun lpq", params, as_json, body)
+             modulus: Optional[int]):
+    ctx = _context(p, q, prec)
+    character = parse_character(chi, p)
+    return at_target(l_pq(_exponent(s, ctx), character, ctx, F=modulus), ctx), "ok"
 
 
 @lfun.command("hpq")
 @click.option("-s", callback=_parse_exponent, required=True)
 @click.option("-a", type=int, required=True)
-@click.option("-F", "--modulus", "modulus", type=int, required=True)
+@click.option("-F", "--modulus", "F", type=int, required=True)
 @click.option("--p", type=int, required=True)
 @click.option("--q", "q", type=str, default=None)
 @click.option("--prec", type=int, default=None)
-@json_option
-def lfun_hpq(s: Union[int, Fraction], a: int, modulus: int, p: int, q: Optional[str],
-             prec: Optional[int], as_json: bool) -> None:
-    params = {"s": s, "a": a, "F": modulus, "p": p, "q": q, "prec": prec}
-
-    def body():
-        ctx = _context(p, q, prec)
-        return at_target(H_pq(_exponent(s, ctx), PartialZetaParams(a, modulus), ctx), ctx), "ok"
-
-    run_command("lfun hpq", params, as_json, body)
+def lfun_hpq(s: Union[int, Fraction], a: int, F: int, p: int, q: Optional[str],
+             prec: Optional[int]):
+    ctx = _context(p, q, prec)
+    return at_target(H_pq(_exponent(s, ctx), PartialZetaParams(a, F), ctx), ctx), "ok"
 
 
 @lfun.command("tk")
 @click.option("-n", type=int, required=True)
 @click.option("-s", callback=_parse_exponent, required=True)
 @click.option("-a", type=int, default=None)
-@click.option("-F", "--modulus", "modulus", type=int, default=None)
+@click.option("-F", "--modulus", "F", type=int, default=None)
 @click.option("--chi", type=str, default=None)
 @click.option("--p", type=int, required=True)
 @click.option("--q", "q", type=str, default=None)
 @click.option("--prec", type=int, default=None)
-@json_option
-def lfun_tk(n: int, s: Union[int, Fraction], a: Optional[int], modulus: Optional[int],
-            chi: Optional[str], p: int, q: Optional[str],
-            prec: Optional[int], as_json: bool) -> None:
+def lfun_tk(n: int, s: Union[int, Fraction], a: Optional[int], F: Optional[int],
+            chi: Optional[str], p: int, q: Optional[str], prec: Optional[int]):
     """Boundary (T) and correction (K) series, partial (-a/-F) or full (--chi)."""
-    params = {"n": n, "s": s, "a": a, "F": modulus, "chi": chi,
-              "p": p, "q": q, "prec": prec}
-
-    def body():
-        if a is not None and chi is not None:
-            raise click.UsageError("-a (partial) and --chi (full) cannot be combined")
-        if a is None and modulus is not None:
-            raise click.UsageError("-F needs -a: the full aggregate runs at F = p")
-        ctx = _context(p, q, prec)
-        s_arg = _exponent(s, ctx)
-        with series_cache():  # T reads the K (and H) values it shares with K
-            if a is not None:
-                prm = PartialZetaParams(a, modulus if modulus is not None else p)
-                return {"T": at_target(T_partial(n, s_arg, prm, ctx), ctx),
-                        "K": at_target(K_partial(n, s_arg, prm, ctx), ctx)}, "ok"
-            character = parse_character(chi if chi is not None else "trivial", p)
-            return {"T": at_target(T_full(n, s_arg, character, ctx), ctx),
-                    "K": at_target(K_full(n, s_arg, character, ctx), ctx)}, "ok"
-
-    run_command("lfun tk", params, as_json, body)
+    if a is not None and chi is not None:
+        raise click.UsageError("-a (partial) and --chi (full) cannot be combined")
+    if a is None and F is not None:
+        raise click.UsageError("-F needs -a: the full aggregate runs at F = p")
+    ctx = _context(p, q, prec)
+    s_arg = _exponent(s, ctx)
+    with series_cache():  # T reads the K (and H) values it shares with K
+        if a is not None:
+            prm = PartialZetaParams(a, F if F is not None else p)
+            return {"T": at_target(T_partial(n, s_arg, prm, ctx), ctx),
+                    "K": at_target(K_partial(n, s_arg, prm, ctx), ctx)}, "ok"
+        character = parse_character(chi if chi is not None else "trivial", p)
+        return {"T": at_target(T_full(n, s_arg, character, ctx), ctx),
+                "K": at_target(K_full(n, s_arg, character, ctx), ctx)}, "ok"
 
 
 # ---------------------------------------------------------------------------
@@ -390,26 +365,18 @@ def verify() -> None:
 @verify.command("thm5")
 @click.option("--p", type=int, required=True)
 @click.option("--q", "q", type=str, default=None)
-@click.option("-n", "n_list", type=str, required=True, help="value or comma list")
-@click.option("-r", "r_list", type=str, required=True, help="value or comma list")
+@click.option("-n", type=str, required=True, help="value or comma list")
+@click.option("-r", type=str, required=True, help="value or comma list")
 @click.option("--prec", type=int, default=None)
-@json_option
-def verify_thm5(p: int, q: Optional[str], n_list: str, r_list: str,
-                prec: Optional[int], as_json: bool) -> None:
+def verify_thm5(p: int, q: Optional[str], n: str, r: str, prec: Optional[int]):
     """Power-sum expansion harness over the n x r grid, in one series cache."""
-    params = {"p": p, "q": q, "n": n_list, "r": r_list, "prec": prec}
-
-    def body():
-        ctx = _context(p, q, prec)
-        ns, rs = _int_list(n_list, "-n"), _int_list(r_list, "-r")
-        reports = [dict(rep.to_json_dict(), n=n, r=r, p=p, passes=rep.passes())
-                   for (n, r), rep in zip(itertools.product(ns, rs),
-                                          verify_mod.thm5_grid(ns, rs, ctx))]
-        result = reports[0] if len(reports) == 1 else reports
-        ok = all(rep["passes"] for rep in reports)
-        return result, "ok" if ok else "assertion_failed"
-
-    run_command("verify thm5", params, as_json, body)
+    ctx = _context(p, q, prec)
+    ns, rs = _int_list(n, "-n"), _int_list(r, "-r")
+    reports = [dict(rep.to_json_dict(), n=point_n, r=point_r, p=p, passes=rep.passes())
+               for (point_n, point_r), rep in zip(itertools.product(ns, rs),
+                                                  verify_mod.thm5_grid(ns, rs, ctx))]
+    ok = all(rep["passes"] for rep in reports)
+    return reports[0] if len(reports) == 1 else reports, "ok" if ok else "assertion_failed"
 
 
 def _int_list(text: str, option: str) -> list:
@@ -424,72 +391,46 @@ def _int_list(text: str, option: str) -> list:
 @verify.command("congruences")
 @click.option("--p", type=int, required=True)
 @click.option("--t", type=int, required=True)
-@click.option("--s", "s_list", type=str, required=True, help="comma list of integers")
+@click.option("--s", type=str, required=True, help="comma list of integers")
 @click.option("--q", "q", type=str, default=None)
 @click.option("--prec", type=int, default=None)
-@json_option
-def verify_congruences(p: int, t: int, s_list: str, q: Optional[str],
-                       prec: Optional[int], as_json: bool) -> None:
-    params = {"p": p, "t": t, "s": s_list, "q": q, "prec": prec}
-
-    def body():
-        ctx = _context(p, q, prec)
-        return verify_mod.congruence_scan_eq21(t, _int_list(s_list, "--s"), ctx), "ok"
-
-    run_command("verify congruences", params, as_json, body)
+def verify_congruences(p: int, t: int, s: str, q: Optional[str], prec: Optional[int]):
+    ctx = _context(p, q, prec)
+    return verify_mod.congruence_scan_eq21(t, _int_list(s, "--s"), ctx), "ok"
 
 
 @verify.command("remark")
 @click.option("--p", type=int, required=True)
 @click.option("--q", "q", type=str, required=True)
-@json_option
-def verify_remark(p: int, q: str, as_json: bool) -> None:
-    params = {"p": p, "q": q}
-
-    def body():
-        require_odd_prime(p)
-        ok = verify_mod.remark_check(p, parse_fraction(q))
-        return {"holds": ok}, "ok" if ok else "assertion_failed"
-
-    run_command("verify remark", params, as_json, body)
+def verify_remark(p: int, q: str):
+    require_odd_prime(p)
+    ok = verify_mod.remark_check(p, parse_fraction(q))
+    return {"holds": ok}, "ok" if ok else "assertion_failed"
 
 
 @verify.command("identities")
-@json_option
-def verify_identities(as_json: bool) -> None:
+def verify_identities():
     """Exact identity suite: dual-path polynomial values, the
     multiplication-by-m relation, power-sum closed forms (with the
     misprinted-variant regression pinned), the inverse power-sum identity,
     and the binomial coefficient identities."""
-    params: dict = {}
-
-    def body():
-        checks = verify_mod.identity_suite()
-        return checks, "ok" if all(checks.values()) else "assertion_failed"
-
-    run_command("verify identities", params, as_json, body)
+    checks = verify_mod.identity_suite()
+    return checks, "ok" if all(checks.values()) else "assertion_failed"
 
 
 @verify.command("limits")
-@click.option("--p", "p_list", type=str, default="3,5")
+@click.option("--p", type=str, default="3,5")
 @click.option("--m-max", type=int, default=4)
 @click.option("--k-max", type=int, default=5)
-@json_option
-def verify_limits(p_list: str, m_max: int, k_max: int, as_json: bool) -> None:
+def verify_limits(p: str, m_max: int, k_max: int):
     """Classical-limit checks against the Bernoulli-number oracle."""
-    params = {"p": p_list, "m_max": m_max, "k_max": k_max}
-
-    def body():
-        if m_max < 0:
-            raise click.UsageError(f"--m-max must be >= 0, got {m_max}")
-        if k_max < 1:
-            raise click.UsageError(f"--k-max must be >= 1, got {k_max}")
-        reports = [verify_mod.classical_limit_check(m_max, pp, list(range(1, k_max + 1)))
-                   for pp in _int_list(p_list, "--p")]
-        ok = all(rep["ok"] for rep in reports)
-        return reports, "ok" if ok else "assertion_failed"
-
-    run_command("verify limits", params, as_json, body)
+    if m_max < 0:
+        raise click.UsageError(f"--m-max must be >= 0, got {m_max}")
+    if k_max < 1:
+        raise click.UsageError(f"--k-max must be >= 1, got {k_max}")
+    reports = [verify_mod.classical_limit_check(m_max, pp, list(range(1, k_max + 1)))
+               for pp in _int_list(p, "--p")]
+    return reports, "ok" if all(rep["ok"] for rep in reports) else "assertion_failed"
 
 
 if __name__ == "__main__":

@@ -21,7 +21,6 @@ from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 from .characters import DirichletCharacter, chi_residue, chi_sum
 from .numerics import (
-    WORKING_MARGIN,
     PadicExponent,
     PadicNumber,
     Parts,
@@ -95,14 +94,14 @@ def lq_neg_series_path(k: int, chi: DirichletCharacter, q=None,
 class SeriesTables:
     """The tables of one (F, ctx) in a series scope, plain dicts keyed by ints, s
     (an int or a PadicNumber) and chi: ``unit_tables`` {F}; ``chi_columns`` {chi};
-    ``binomials`` {s}; ``power_stops`` {(s, v)}; ``power_scans`` {(s, v, precision)};
-    ``shapes`` {(v, precision, length)}, the power scans' columns (p^v)^k; ``deltas``
+    ``binomials`` {s}; ``power_scans`` {(s, v, precision)}; ``shapes``
+    {(v, precision, length)}, the power scans' columns (p^v)^k; ``deltas``
     {J}; ``terms`` {(n, J)}; ``scans`` {(n, s)}; ``powers`` {(s, the parts of <a> - 1)};
     ``hk`` {(n, s, a)}, the H/K values; and eq24's ``eq24_free_parts`` {n} and
     ``eq24_heads`` {(r, a)}.  :meth:`read` fills one on a miss from its builder."""
 
-    TABLES = ("unit_tables", "chi_columns", "binomials", "power_stops", "power_scans", "shapes",
-              "deltas", "terms", "scans", "powers", "hk", "eq24_free_parts", "eq24_heads")
+    TABLES = ("unit_tables", "chi_columns", "binomials", "power_scans", "shapes", "deltas",
+              "terms", "scans", "powers", "hk", "eq24_free_parts", "eq24_heads")
 
     def __init__(self, F: int, ctx: QContext, scope: "SeriesCache") -> None:
         self.F, self.ctx, self.scope = F, ctx, scope
@@ -205,7 +204,7 @@ def _unit_table(F: int, ctx: QContext) -> Dict[int, Tuple[Parts, Parts]]:
     [a]_q is a unit, and the unit of ``ctx.embed(q^a/(1-q^a))``: 1 - q is
     reduced once, and each entry takes one inverse of [a]_q mod p^N.  The
     series that read the table refuse q = 1 first."""
-    p, W, N = ctx.p, ctx.working_precision, ctx.working_precision + WORKING_MARGIN
+    p, W, N = ctx.p, ctx.working_precision, ctx.embed_precision
     mod = p**N
     v, unit, _ = ctx.embed(1 - ctx.q).parts
     inverse = pow(unit, -1, mod)
@@ -214,12 +213,12 @@ def _unit_table(F: int, ctx: QContext) -> Dict[int, Tuple[Parts, Parts]]:
             for a, (angle, power, bracket) in unit_residues(F, ctx).items()}
 
 
-def _power_scan(s: PadicNumber, v: int, precision: int, tables: SeriesTables) -> SeriesScan:
-    """The scan of sum_k binom(-s, k) (<a> - 1)^k at a p-adic s for every unit
-    a with <a> - 1 = p^v t known to ``precision`` digits (0 for a zero): the
-    shape column (p^v)^k from ``ctx.one()``, shared by every s, has the
-    valuations and precisions of the (<a> - 1)^k, whose units are t^k, so <a>'s
-    series is this scan at t.  Its k-th term has valuation >= k."""
+def _power_scan(s: PadicExponent, v: int, precision: int, tables: SeriesTables) -> SeriesScan:
+    """The scan of sum_k binom(-s, k) (<a> - 1)^k for every unit a with
+    <a> - 1 = p^v t known to ``precision`` digits (0 for a zero): the shape
+    column (p^v)^k from ``ctx.one()``, shared by every s, has the valuations and
+    precisions of the (<a> - 1)^k, whose units are t^k, so <a>'s series is this
+    scan at t.  Its k-th term has valuation >= k."""
     ctx, length = tables.ctx, _series_length(s, tables.ctx)
     shape = tables.read(tables.shapes, (v, precision, length), power_column,
                         ctx.p, ctx.one().parts, (v, 1, precision), length)
@@ -227,33 +226,23 @@ def _power_scan(s: PadicNumber, v: int, precision: int, tables: SeriesTables) ->
                          description="binomial power series")
 
 
-def _power_stop(s: int, v: int, tables: SeriesTables) -> SeriesScan:
-    """Where sum_k binom(-s, k) (<a> - 1)^k stops at an integer s for every unit
-    a whose <a> - 1 has the parts' valuation v (W, the working precision, for a
-    zero): the binomials against the zeros (k v, 0, 0), a column of valuations
-    alone, give the terms the valuations v_p(binom(-s, k)) + k v of the
-    series', all that its stop reads."""
-    zeros, ctx = ((k * v, 0, 0) for k in itertools.count()), tables.ctx
-    return scan_products(tables.read(tables.binomials, s, _binomials, s, ctx), zeros, ctx,
-                         description="binomial power series")
-
-
 def _unit_pow(s: PadicExponent, angle: Parts, tables: SeriesTables) -> SeriesResult:
     """<a>^(-s), the series of ``padic_pow(<a>, -s)``, with ``angle`` = (v, t,
-    precision) the parts of <a> - 1 (:func:`_unit_table`): at a p-adic s the
-    :func:`_power_scan` at t; at an integer s one modular power, (1 + p^v t)^(-s)
-    mod p^W, W the working precision, with the stop, tail bound and flag of
-    :func:`_power_stop` (a missed guard raises with the power as the partial).
+    precision) the parts of <a> - 1 (:func:`_unit_table`), from the
+    :func:`_power_scan` of (s, v, precision): at a p-adic s the scan at t; at an
+    integer s one modular power, (1 + p^v t)^(-s) mod p^W, W the working
+    precision, with the scan's stop, tail bound and flag, which read the terms'
+    valuations alone (a missed guard raises with the power as the partial).
     The series' value is that power whenever every term after its stop has
     valuation >= W; a guard of 1 can stop before a term of lower valuation,
     where the series' value is wrong and the power is not."""
     v, unit, precision = angle
+    key = (s, v, precision)
+    scan = tables.read(tables.power_scans, key, _power_scan, *key, tables)
     if not isinstance(s, int):
-        key = (s, v, precision)
-        return tables.read(tables.power_scans, key, _power_scan, *key, tables).at(unit)
+        return scan.at(unit)
     p, W = tables.ctx.p, tables.ctx.working_precision
-    stop = tables.read(tables.power_stops, (s, v), _power_stop, s, v, tables)
-    return stop.result(PadicNumber.make(p, 0, pow(1 + p**v * unit, -s, p**W), W))
+    return scan.result(PadicNumber.make(p, 0, pow(1 + p**v * unit, -s, p**W), W))
 
 
 #: digits the Delta_j residues carry beyond N + J e (see :func:`_deltas`)
@@ -270,14 +259,14 @@ def _deltas(F: int, J: int, ctx: QContext) -> List[Parts]:
     the j-th difference of the integers 1/(1 + Q^k) mod p^M, from a running
     Q^k and one ``pow(., -1, p^M)`` (of the row's prefix product), taken in
     plain integers and reduced mod p^M once (reduction is additive), with
-    M = N + J e + RESIDUE_MARGIN, N = working precision + WORKING_MARGIN (the
-    digits ``ctx.embed`` keeps) and e = v_p(Q - 1).  A nonzero residue
+    M = N + J e + RESIDUE_MARGIN, N = ``ctx.embed_precision`` (the digits
+    ``ctx.embed`` keeps) and e = v_p(Q - 1).  A nonzero residue
     p^v u gives v = v_p(Delta_j) and u mod p^(M - v), accepted when
     M - v >= N, so a shorter column is a prefix of a longer one.  The bound
     v_p(Delta_j) >= j e (proved in :func:`_term_column`) is why that holds almost
     always; it is checked per value: a zero or short residue takes the exact route.
     """
-    p, N, Q = ctx.p, ctx.working_precision + WORKING_MARGIN, ctx.q**F
+    p, N, Q = ctx.p, ctx.embed_precision, ctx.q**F
     M = N + J * v_p(Q - 1, p) + RESIDUE_MARGIN
     mod = p**M
     Qm = Q.numerator * pow(Q.denominator, -1, mod) % mod
@@ -339,7 +328,7 @@ def _term_column(n: int, J: int, tables: SeriesTables) -> List[Parts]:
     Delta_j is read from :func:`_deltas`; K's q^(nFj) - 1 is formed exactly
     first, so that it keeps its relative digits, and embedded once per j."""
     ctx, F = tables.ctx, tables.F
-    p, N, v = ctx.p, ctx.working_precision + WORKING_MARGIN, v_p(ctx.q - 1, ctx.p)
+    p, N, v = ctx.p, ctx.embed_precision, v_p(ctx.q - 1, ctx.p)
     deltas = tables.read(tables.deltas, J, _deltas, F, J, ctx)
     column = [mul_parts(p, (-j * v, 1, N), delta) for j, delta in enumerate(deltas)]
     if n:

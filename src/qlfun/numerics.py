@@ -435,6 +435,11 @@ class QContext:
         return self.precision + WORKING_MARGIN
 
     @property
+    def embed_precision(self) -> int:
+        """The digits :meth:`embed` keeps: working_precision + WORKING_MARGIN."""
+        return self.working_precision + WORKING_MARGIN
+
+    @property
     def column_length(self) -> int:
         """The most terms :func:`sum_guarded` reads, and the entries of a scoped
         column of an infinite series: a series whose j-th term has valuation >= j
@@ -451,7 +456,7 @@ class QContext:
 
     def embed(self, r: IntOrRational) -> PadicNumber:
         """Reduce an exact rational at a precision that never binds results."""
-        return reduce_mod_pN(r, self.p, self.working_precision + WORKING_MARGIN)
+        return reduce_mod_pN(r, self.p, self.embed_precision)
 
     def zero(self) -> PadicNumber:
         return PadicNumber.zero(self.p)
@@ -627,7 +632,7 @@ def binom_parts(s: PadicExponent, ctx: QContext) -> Iterator[Parts]:
     (N = the digits ``ctx.embed`` keeps).  Once the product is a p-adic zero
     (s an embedded integer with 0 <= s < k) it is no longer multiplied.  An s
     that is not a p-adic integer is a PadicError when the first value is drawn."""
-    p, N = ctx.p, ctx.working_precision + WORKING_MARGIN
+    p, N = ctx.p, ctx.embed_precision
     if isinstance(s, int):
         for k in itertools.count():
             yield int_parts(binom_int(s, k), p, N)
@@ -669,8 +674,7 @@ def padic_pow(u: PadicNumber, s: PadicExponent, ctx: QContext) -> SeriesResult:
 
 def unit_residues(F: int, ctx: QContext) -> Dict[int, Tuple[int, int, int]]:
     """{a: (<a>, q^a, [a]_q)} for the units 0 < a < F, as integer residues mod
-    p**N, N = working precision + WORKING_MARGIN (the digits ``ctx.embed``
-    keeps).
+    p**N, N = ``ctx.embed_precision`` (the digits ``ctx.embed`` keeps).
 
     q is reduced once; q^a is a running power and [a]_q = [a-1]_q + q^(a-1) a
     running sum.  Reduction mod p**N is a ring map on the p-integral rationals,
@@ -679,7 +683,7 @@ def unit_residues(F: int, ctx: QContext) -> Dict[int, Tuple[int, int, int]]:
     sum, though formed from reduced parts, loses none.  <a> = [a]_q / w(a),
     with 1 / w(a) = w(a') for a a' = 1 mod p, read from the memoized lift.
     At q = 1, [a]_q = a."""
-    p, N = ctx.p, ctx.working_precision + WORKING_MARGIN
+    p, N = ctx.p, ctx.embed_precision
     mod = _modulus(p, N)
     q = ctx.q.numerator * pow(ctx.q.denominator, -1, mod) % mod
     table = {}
@@ -700,5 +704,4 @@ def angle_bracket(a: int, ctx: QContext) -> PadicNumber:
         raise PadicError("angle_bracket undefined at non-unit")
     if a < 0:
         raise ValueError("q_int requires x >= 0")
-    return PadicNumber(ctx.p, 0, unit_residues(a + 1, ctx)[a][0],
-                       ctx.working_precision + WORKING_MARGIN)
+    return PadicNumber(ctx.p, 0, unit_residues(a + 1, ctx)[a][0], ctx.embed_precision)

@@ -4,10 +4,11 @@ import json
 from fractions import Fraction
 from pathlib import Path
 
+import click
 import pytest
 from click.testing import CliRunner
 
-from qlfun import lfun
+from qlfun import cli, lfun
 from qlfun.characters import DirichletCharacter
 from qlfun.cli import at_target, main
 from qlfun.lfun import H_pq, K_partial, PartialZetaParams, T_partial, l_pq
@@ -104,6 +105,44 @@ def test_envelope_fields(runner):
     assert env["command"] == "qeuler poly"
     assert env["result"] == "5/3"
     assert isinstance(env["elapsed_ms"], int)
+
+
+HUMAN_ENVELOPES = [
+    # one leaf per group, its options given out of declared order: the params
+    # lines follow the declared order, an option not given reads None
+    (["qeuler", "number", "--q", "2", "-m", "1"],
+     ["command: qeuler number", "  m: 1", "  q: 2", "status: ok"]),
+    (["lfun", "hpq", "--p", "3", "-F", "9", "-a", "2", "-s", "2"],
+     ["command: lfun hpq", "  s: 2", "  a: 2", "  F: 9", "  p: 3", "  q: None",
+      "  prec: None", "status: ok"]),
+    (["verify", "remark", "--q", "2", "--p", "3"],
+     ["command: verify remark", "  p: 3", "  q: 2", "status: ok"]),
+]
+
+
+@pytest.mark.parametrize("args,head", HUMAN_ENVELOPES)
+def test_human_envelope_lines(runner, args, head):
+    human = invoke(runner, args)
+    env = json_result(invoke(runner, args + ["--json"]))
+    assert human.exit_code == 0
+    assert human.output.splitlines() == head + [
+        "result: " + json.dumps(env["result"], sort_keys=True)]
+
+
+def _leaves(command):
+    if isinstance(command, click.Group):
+        for sub in command.commands.values():
+            yield from _leaves(sub)
+    else:
+        yield command
+
+
+def test_every_leaf_is_an_envelope_command_with_json_last():
+    leaves = list(_leaves(main))
+    assert len(leaves) == 13
+    for leaf in leaves:
+        assert type(leaf) is cli._Command, leaf.name
+        assert leaf.params[-1].opts == ["--json"] and leaf.params[-1].is_flag, leaf.name
 
 
 def test_lpq_pinned_value_in_json(runner):

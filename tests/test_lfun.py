@@ -520,19 +520,19 @@ def test_series_cache_scope_gives_the_same_values():
     # the other s the full 21
     lengths = len({lfun._series_length(s, CTX34) for s in s_values})
     assert lengths == 2
-    # the power scans (p-adic s) and their shape columns are keyed on the shape
-    # (valuation, precision) of <a> - 1, the power stops (integer s) on its
-    # valuation: <1> - 1 is a zero, <2> - 1 is not, so each unit has its own
+    # the power scans are keyed on s and the shape (valuation, precision) of
+    # <a> - 1, their shape columns on the shape and the series length: <1> - 1
+    # is a zero, <2> - 1 is not, so each unit has its own
     shapes = len({lfun._unit_table(3, CTX34)[a][0][::2] for a in units})
-    assert shapes == len({lfun._unit_table(3, CTX34)[a][0][0] for a in units}) == len(units)
+    assert shapes == len(units)
     # H, K(2) and K(1) per case and one <a>^(-s) per case, one binomial column
     # per s, one unit table (F = 3), per length one Delta_j column and one
     # unit-free column per n in {0, 1, 2}, one body scan per (n, s), one power
-    # stop per (integer s, shape), one power scan and one shape column per
-    # (p-adic s, shape)
+    # scan per (s, shape), integer or p-adic, and one shape column per (shape,
+    # length)
     sizes = {"unit_tables": 1, "chi_columns": 0, "binomials": len(s_values),
-             "power_stops": (len(s_values) - 1) * shapes, "power_scans": shapes,
-             "shapes": shapes, "deltas": lengths, "terms": 3 * lengths,
+             "power_scans": len(s_values) * shapes,
+             "shapes": shapes * lengths, "deltas": lengths, "terms": 3 * lengths,
              "scans": 3 * len(s_values), "powers": len(cases), "hk": 3 * len(cases),
              "eq24_free_parts": 0, "eq24_heads": 0}
     keys = sum(sizes.values())
@@ -554,10 +554,10 @@ def test_series_cache_scope_gives_the_same_values():
     # the second pass hits H, K(2), and K(1) and H through T.  Each series
     # built reads the unit table once, for both of its unit's entries (<a> - 1
     # for the unit power, the point q^a/(1-q^a) for the body), all but the
-    # first read hits.  Each unit power reads the power scan or stop of its
-    # (s, shape), built once per key, and each power scan the shape column of
-    # its shape, read once.  The len(s_values) * shapes power scans and stops
-    # and the 3 * len(s_values) body scans built each read the binomial
+    # first read hits.  Each unit power reads the power scan of its (s, shape),
+    # built once per key, and each power scan built the shape column of its
+    # (shape, length), built once per key.  The len(s_values) * shapes power
+    # scans and the 3 * len(s_values) body scans built each read the binomial
     # column of their s, one per s: the rest of those reads hit.  The
     # 3 * len(cases) series read their body scan, one per (n, s), and each
     # body scan built reads the unit-free column of its (n, length): the first
@@ -565,7 +565,8 @@ def test_series_cache_scope_gives_the_same_values():
     # of one length share one Delta_j column: 2 hits per length
     assert cache.misses == keys
     hits = (3 * len(cases) + 4 * len(cases) + (3 * len(cases) - 1)
-            + (len(cases) - len(s_values) * shapes) + len(s_values) * (2 + shapes)
+            + (len(cases) - len(s_values) * shapes) + shapes * (len(s_values) - lengths)
+            + len(s_values) * (2 + shapes)
             + 3 * (len(cases) - len(s_values)) + 3 * (len(s_values) - lengths)
             + 2 * lengths)
     assert cache.hits == hits
@@ -596,15 +597,15 @@ def test_series_cache_is_dropped_with_its_scope():
         H_pq(1, prm, CTX34)
         with series_cache() as inner:
             H_pq(1, prm, CTX34)
-        # H, the unit table, <a>^(-1), the power stop and the binomial column
-        # it reads, the body scan, its unit-free column and Delta_j
-        assert inner.misses == outer.misses == 8
-        built = ("unit_tables", "binomials", "power_stops", "deltas", "terms", "scans",
-                 "powers", "hk")
+        # H, the unit table, <a>^(-1), the power scan and the shape and binomial
+        # columns it reads, the body scan, its unit-free column and Delta_j
+        assert inner.misses == outer.misses == 9
+        built = ("unit_tables", "binomials", "power_scans", "shapes", "deltas", "terms",
+                 "scans", "powers", "hk")
         assert outer.sizes() == {name: int(name in built) for name in lfun.SeriesTables.TABLES}
         assert not any(inner.sizes().values())
         # one hit each: the body scan reads the binomial column that the power
-        # stop, computed first, has built
+        # scan, computed first, has built
         assert inner.hits == outer.hits == 1
         H_pq(1, prm, CTX34)
         assert outer.hits == 2
@@ -829,20 +830,21 @@ def test_unit_sums_read_the_chi_column(s):
 def test_series_cache_sizes_of_one_l_pq_scope():
     # l_pq(2, w^1) at p = 5 reads the tables of (F = 5, ctx): one unit table,
     # chi column, binomial column, Delta_j column, unit-free H column and body
-    # scan, and per unit a < 5 one unit power and one H value; the power stops
-    # are per valuation of <a> - 1, three among the four units (<1> - 1 = 0)
+    # scan, and per unit a < 5 one unit power and one H value; the power scans
+    # and their shape columns are per shape (valuation, precision) of <a> - 1,
+    # three among the four units (<1> - 1 = 0)
     w1 = DirichletCharacter.teichmuller_power(1, 5)
-    assert len({lfun._unit_table(5, CTX56)[a][0][0] for a in range(1, 5)}) == 3
+    assert len({lfun._unit_table(5, CTX56)[a][0][::2] for a in range(1, 5)}) == 3
     with series_cache() as cache:
         l_pq(2, w1, CTX56)
         sizes = cache.sizes()
-    assert sizes == {"unit_tables": 1, "chi_columns": 1, "binomials": 1, "power_stops": 3,
-                     "power_scans": 0, "shapes": 0, "deltas": 1, "terms": 1, "scans": 1,
+    assert sizes == {"unit_tables": 1, "chi_columns": 1, "binomials": 1, "power_scans": 3,
+                     "shapes": 3, "deltas": 1, "terms": 1, "scans": 1,
                      "powers": 4, "hk": 4, "eq24_free_parts": 0, "eq24_heads": 0}
     # every table entry is one miss; the hits are the reads of the tables
     # built once: the unit table (4 series), the body scan (4 units), the
-    # binomial column (3 stops and the body scan) and one power stop (4 powers)
-    assert cache.misses == sum(sizes.values()) == 17
+    # binomial column (3 scans and the body scan) and one power scan (4 powers)
+    assert cache.misses == sum(sizes.values()) == 20
     assert cache.hits == 3 + 3 + 3 + 1
 
 
