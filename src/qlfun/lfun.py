@@ -28,6 +28,7 @@ from .numerics import (
     SeriesResult,
     SeriesScan,
     _strip_p,
+    add_parts,
     binom_parts,
     exact_sum_pairs,
     merge_series,
@@ -95,7 +96,7 @@ class SeriesTables:
     """The tables of one (F, ctx) in a series scope, plain dicts keyed by ints, s
     (an int or a PadicNumber) and chi: ``unit_tables`` {F}; ``chi_columns`` {chi};
     ``binomials`` {s}; ``power_scans`` {(s, v, precision)}; ``shapes``
-    {(v, precision, length)}, the power scans' columns (p^v)^k; ``deltas``
+    {(v, precision or None, length)}, the power scans' columns; ``deltas``
     {J}; ``terms`` {(n, J)}; ``scans`` {(n, s)}; ``powers`` {(s, the parts of <a> - 1)};
     ``hk`` {(n, s, a)}, the H/K values; and eq24's ``eq24_free_parts`` {n} and
     ``eq24_heads`` {(r, a)}.  :meth:`read` fills one on a miss from its builder."""
@@ -216,12 +217,17 @@ def _unit_table(F: int, ctx: QContext) -> Dict[int, Tuple[Parts, Parts]]:
 def _power_scan(s: PadicExponent, v: int, precision: int, tables: SeriesTables) -> SeriesScan:
     """The scan of sum_k binom(-s, k) (<a> - 1)^k for every unit a with
     <a> - 1 = p^v t known to ``precision`` digits (0 for a zero): the shape
-    column (p^v)^k from ``ctx.one()``, shared by every s, has the valuations and
-    precisions of the (<a> - 1)^k, whose units are t^k, so <a>'s series is this
-    scan at t.  Its k-th term has valuation >= k."""
+    column (p^v)^k from ``ctx.one()``, shared by every p-adic s, has the
+    valuations and precisions of the (<a> - 1)^k, whose units are t^k, so <a>'s
+    series is this scan at t.  Its k-th term has valuation >= k.  At an integer s
+    :func:`_unit_pow` reads only its stop, tail bound and flag, from valuations:
+    the column is the zeros (k v, 0, 0), keyed apart as (v, None, length)."""
     ctx, length = tables.ctx, _series_length(s, tables.ctx)
-    shape = tables.read(tables.shapes, (v, precision, length), power_column,
-                        ctx.p, ctx.one().parts, (v, 1, precision), length)
+    if isinstance(s, int):
+        key, start, step = (v, None, length), (0, 0, 0), (v, 0, 0)
+    else:
+        key, start, step = (v, precision, length), ctx.one().parts, (v, 1, precision)
+    shape = tables.read(tables.shapes, key, power_column, ctx.p, start, step, length)
     return scan_products(tables.read(tables.binomials, s, _binomials, s, ctx), shape, ctx,
                          description="binomial power series")
 
@@ -383,14 +389,15 @@ def _chi_column(chi: DirichletCharacter, F: int, ctx: QContext) -> List[Tuple[in
 
 def _unit_sum(part: Callable[[SeriesTables, int], SeriesResult],
               chi: DirichletCharacter, F: int, ctx: QContext) -> SeriesResult:
-    """2 sum over units a <= F of chi(a) part(tables, a), behind l_pq, T_full
-    and K_full, which check the series' arguments and conductor(chi) | F (so the
-    units run over whole periods of chi); the units share the (F, ctx) tables."""
-    tables, acc, parts = _tables(F, ctx), ctx.zero(), []
+    """2 sum over units a <= F of chi(a) part(tables, a), kept as parts and made a
+    PadicNumber once, behind l_pq, T_full and K_full, which check the series'
+    arguments and conductor(chi) | F (so the units run over whole periods of chi);
+    the units share the (F, ctx) tables."""
+    p, tables, acc, parts = ctx.p, _tables(F, ctx), ctx.zero().parts, []
     for a, c in tables.read(tables.chi_columns, chi, _chi_column, chi, F, ctx):
         parts.append(part(tables, a))
-        acc = acc + c * parts[-1].value
-    return merge_series(acc + acc, parts)
+        acc = add_parts(p, acc, mul_parts(p, c.parts, parts[-1].value.parts))
+    return merge_series(PadicNumber(p, *add_parts(p, acc, acc)), parts)
 
 
 def l_pq(s: PadicExponent, chi: DirichletCharacter, ctx: QContext,

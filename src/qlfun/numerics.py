@@ -441,7 +441,7 @@ class QContext:
 
     @property
     def column_length(self) -> int:
-        """The most terms :func:`sum_guarded` reads, and the entries of a scoped
+        """The most terms :func:`scan_products` reads, and the entries of a scoped
         column of an infinite series: a series whose j-th term has valuation >= j
         meets its guard by index working_precision + guard - 1."""
         return self.working_precision + self.guard

@@ -18,17 +18,17 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .characters import DirichletCharacter
 from .lfun import (K_full, K_partial, PartialZetaParams, SeriesCache, T_full, T_partial, _tables,
                    l_pq, series_cache)
-from .numerics import (INF, PadicNumber, Parts, QContext, SeriesResult, Valuation, binom_int,
-                       exact_sum, exact_sum_pairs, merge_series, mul_parts, power_column, q_int,
-                       require_odd_prime, residual_valuation, sum_guarded, sum_products,
-                       teichmuller, v_p, valuation_json)
+from .numerics import (INF, PadicNumber, Parts, QContext, SeriesResult, Valuation, add_parts,
+                       binom_int, exact_sum, exact_sum_pairs, merge_series, mul_parts,
+                       power_column, q_int, require_odd_prime, residual_valuation,
+                       sum_products, teichmuller, v_p, valuation_json)
 from .qeuler import (
     _closed_form_pair,
     _closed_form_row,
@@ -179,9 +179,20 @@ def thm5_lhs_exact(n: int, r: int, ctx: QContext) -> Fraction:
                          for j in range(1, n * ctx.p + 1) if j % ctx.p)
 
 
-def _outer_coeff(r: int, k: int) -> Fraction:
+def _outer_coeff(r: int, k: int) -> int:
     """(r/(r+k)) binom(-r-1, k); an integer, equal to (-1)^k C(r+k-1, k)."""
-    return Fraction(r, r + k) * binom_int(-r - 1, k)
+    return r * binom_int(-r - 1, k) // (r + k)
+
+
+def _outer_column(r: int, start: PadicNumber, step: PadicNumber,
+                  ctx: QContext) -> Iterator[Parts]:
+    """The parts of -_outer_coeff(r, k) start step^k, k = 0, 1, ..., both k-series'
+    outer factors: :func:`mul_parts` is associative and commutative, so each is
+    the PadicNumber product's in any order (and its negation's, as embed's)."""
+    p, power = ctx.p, start.parts
+    for k in itertools.count():
+        yield mul_parts(p, ctx.embed(-_outer_coeff(r, k)).parts, power)
+        power = mul_parts(p, power, step.parts)
 
 
 def _w_power_char(t: int, p: int) -> DirichletCharacter:
@@ -193,39 +204,28 @@ def thm5_rhs(n: int, r: int, ctx: QContext) -> SeriesResult:
     minus the k-series of correction aggregates, minus the boundary aggregate,
     all with twist exponent -(r+k) and F = p.
 
-    The k-th term of the k-series has valuation >= k, so its guard fires
-    within ctx.column_length terms: _outer_coeff(r, k) is an integer,
-    v_p([pn]^k) = k v_p(pn) >= k, and l_pq and K_full at s = r + k are p-adic
-    integers (chi(a) and the H and K values are)."""
+    The k-series folds the :func:`_outer_column` of (-1)^n [pn]^k against
+    l_pq + K_full at s = r + k, read lazily (none past the stop).  Its k-th
+    term has valuation >= k, so its guard fires within ctx.column_length terms:
+    _outer_coeff(r, k) is an integer, v_p([pn]^k) = k v_p(pn) >= k, and l_pq and
+    K_full at s = r + k are p-adic integers (chi(a) and the H and K values are)."""
     if n < 1 or r < 1:
         raise ValueError("thm5 requires n, r >= 1")
-    p = ctx.p
-    count = ctx.embed(q_int(p * n, ctx.q))
-    sign_n = ctx.embed((-1) ** n)
+    p, count = ctx.p, ctx.embed(q_int(ctx.p * n, ctx.q))
     parts: List[SeriesResult] = []
 
-    def terms():
-        power = ctx.one()
-        k = 0
-        while True:
-            chi = _w_power_char(-(r + k), p)
-            l_part = l_pq(r + k, chi, ctx, F=p)
-            k_part = K_full(n, r + k, chi, ctx)
-            parts.append(l_part)
-            parts.append(k_part)
-            coeff = ctx.embed(_outer_coeff(r, k))
-            yield -(coeff * sign_n * power * (l_part.value + k_part.value))
-            power = power * count
-            k += 1
+    def values():
+        for s in itertools.count(r):
+            chi = _w_power_char(-s, p)
+            parts.append(l_pq(s, chi, ctx, F=p))
+            parts.append(K_full(n, s, chi, ctx))
+            yield add_parts(p, parts[-2].value.parts, parts[-1].value.parts)
 
-    body = sum_guarded(terms(), ctx, description="thm5 rhs k-series")
+    outer = _outer_column(r, ctx.embed((-1) ** n) * ctx.one(), count, ctx)
+    body = sum_products(outer, values(), ctx, description="thm5 rhs k-series")
     t_part = T_full(n, r, _w_power_char(-r, p), ctx)
-    value = body.value - t_part.value
-    merged = merge_series(value, parts + [t_part])
-    return SeriesResult(value=value, last_index=body.last_index,
-                        tail_valuation_bound=min(body.tail_valuation_bound,
-                                                 merged.tail_valuation_bound),
-                        converged=body.converged and merged.converged)
+    merged = merge_series(body.value - t_part.value, [*parts, t_part, body])
+    return replace(merged, last_index=body.last_index)
 
 
 @dataclass(frozen=True)
@@ -337,33 +337,27 @@ def _expansion_group(n: int, r: int, a: int, ctx: QContext,
     twist q^(ak) stays inside, and the series starts at k = 1.  Without the
     correction part it is the bare l-series group, which carries the whole
     sum once q is close enough to 1 for the boundary and correction series
-    to vanish (n even).
+    to vanish (n even).  Folded as :func:`thm5_rhs`'s, from k = 1, the
+    outer step q^a [pn] w^(-1)(a) and H [+ K] read from the tables.
 
     Its k-th term has valuation >= k, so its guard fires within
     ctx.column_length terms: coeff_k is an integer, v_p((q^a [pn])^k) >= k,
     w(a) is a unit and H and K at s = r + k are p-adic integers."""
     p, tables = ctx.p, _tables(ctx.p, ctx)
     ctx.require_q_not_one("H_pq")  # the one check of the H and K values read: a < p is a unit
-    step = ctx.embed(ctx.q**a * q_int(p * n, ctx.q))
     w_inv = teichmuller(a, p, ctx.working_precision) ** -1
+    step = ctx.embed(ctx.q**a * q_int(p * n, ctx.q)) * w_inv
 
-    def terms():
-        # embed((-1)^n _outer_coeff(r, k) q^(ak) [pn]^k) factor by factor: the same parts
-        coeff, power = 1, ctx.embed((-1) ** n)
-        twist = w_inv ** r  # w^(-(r+k)), one factor w^(-1) more per k
-        for k in itertools.count(1):
-            coeff, power = -coeff * (r + k - 1) // k, power * step
-            twist = twist * w_inv
-            piece = tables.series(0, r + k, a).value
+    def values():
+        for s in itertools.count(r + 1):
+            piece = tables.series(0, s, a).value.parts
             if with_correction:
-                piece = piece + tables.series(n, r + k, a).value
-            yield -(ctx.embed(coeff) * power * twist * piece)
+                piece = add_parts(p, piece, tables.series(n, s, a).value.parts)
+            yield piece
 
-    return sum_guarded(terms(), ctx, description="chain k-series").value
-
-
-def _min_valuation(vals: Sequence[Valuation]) -> Valuation:
-    return min(vals) if vals else INF
+    outer = itertools.islice(_outer_column(r, ctx.embed((-1) ** n) * w_inv ** r, step, ctx),
+                             1, None)
+    return sum_products(outer, values(), ctx, description="chain k-series").value
 
 
 def _residual_sentinel(a: PadicNumber, b: PadicNumber) -> Valuation:
@@ -412,9 +406,9 @@ def _thm5_point(n: int, r: int, ctx: QContext, cache: SeriesCache) -> Thm5Report
     eq30_val: Valuation = INF if regrouped == lhs_exact else v_p(regrouped - lhs_exact, ctx.p)
 
     step_residuals: Dict[str, Valuation] = {
-        "eq24": _min_valuation(eq24_vals),
-        "eq26": _min_valuation(eq26_vals),
-        "eq27": _min_valuation(eq27_vals),
+        "eq24": min(eq24_vals, default=INF),
+        "eq26": min(eq26_vals, default=INF),
+        "eq27": min(eq27_vals, default=INF),
         "eq30": eq30_val,
         "assembly": _residual_sentinel(chain_value, printed.value),
     }
@@ -518,13 +512,10 @@ def congruence_scan_eq21(t: int, s_samples: Sequence[int], ctx: QContext) -> dic
     value_vals = {str(s): valuation_json(v.valuation) for s, v in values}
     pair_vals = {}
     min_pair: Valuation = INF
-    for i in range(len(values)):
-        for j in range(i + 1, len(values)):
-            s1, v1 = values[i]
-            s2, v2 = values[j]
-            d = _residual_sentinel(v1, v2)
-            pair_vals[f"{s1},{s2}"] = valuation_json(d)
-            min_pair = min(min_pair, d)
+    for (s1, v1), (s2, v2) in itertools.combinations(values, 2):
+        d = _residual_sentinel(v1, v2)
+        pair_vals[f"{s1},{s2}"] = valuation_json(d)
+        min_pair = min(min_pair, d)
     min_value: Valuation = min((v.valuation for _, v in values), default=INF)
     return {
         "p": ctx.p,

@@ -398,14 +398,19 @@ def test_verify_thm5_default_grid_matches_golden(runner, p):
     ("p5_q-4", ["--p", "5", "--q", "-4", "-n", "1,2"]),
     ("p5_q1/6", ["--p", "5", "--q", "1/6", "-n", "1,2"]),
     ("p3_q10_n123", ["--p", "3", "--q", "10", "-n", "1,2,3"]),
+    ("p7_q50_prec16_n123", ["--p", "7", "--q", "50", "--prec", "16", "-n", "1,2,3"]),
+    ("p3_q10_prec24_n123_r123", ["--p", "3", "--q", "10", "--prec", "24", "-n", "1,2,3",
+                                 "-r", "1,2,3"]),
 ])
 def test_verify_thm5_larger_grids_match_golden(runner, key, options):
     # pinned with exact series terms: the q-Euler residue table must not move
     # a digit at a larger p or a higher precision either.  The q entries (the
     # benchmark's q = 1 + 2p, 1 - p, 1/(1 + p), and q = 10) were pinned with
     # eq24's group 1 as an O(s) convolution and every series as a left fold
-    # of PadicNumber additions
-    result = invoke(runner, ["verify", "thm5", *options, "-r", "1,2", "--json"])
+    # of PadicNumber additions; the last two were pinned with the printed and
+    # chain k-series as folds of PadicNumber terms.  An -r in options replaces
+    # the default 1,2 (click keeps an option's last value)
+    result = invoke(runner, ["verify", "thm5", "-r", "1,2", *options, "--json"])
     assert result.exit_code == 0
     assert json_result(result)["result"] == THM5_GOLDEN[key]
 

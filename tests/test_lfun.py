@@ -41,6 +41,7 @@ from qlfun.numerics import (
     power_column,
     q_int,
     residual_valuation,
+    scan_products,
     sum_guarded,
     sum_products,
     teichmuller,
@@ -525,14 +526,19 @@ def test_series_cache_scope_gives_the_same_values():
     # is a zero, <2> - 1 is not, so each unit has its own
     shapes = len({lfun._unit_table(3, CTX34)[a][0][::2] for a in units})
     assert shapes == len(units)
+    # the shape columns are per shape and length, an integer s's (the zeros
+    # (k v, 0, 0): only the stop is read) apart from a p-adic s's: s = -2's,
+    # the full length's at s = 1 and 3, and the full length's at the p-adic s
+    shape_keys = len({(isinstance(s, int), lfun._series_length(s, CTX34)) for s in s_values})
+    assert shape_keys == 3
     # H, K(2) and K(1) per case and one <a>^(-s) per case, one binomial column
     # per s, one unit table (F = 3), per length one Delta_j column and one
     # unit-free column per n in {0, 1, 2}, one body scan per (n, s), one power
     # scan per (s, shape), integer or p-adic, and one shape column per (shape,
-    # length)
+    # shape key)
     sizes = {"unit_tables": 1, "chi_columns": 0, "binomials": len(s_values),
              "power_scans": len(s_values) * shapes,
-             "shapes": shapes * lengths, "deltas": lengths, "terms": 3 * lengths,
+             "shapes": shapes * shape_keys, "deltas": lengths, "terms": 3 * lengths,
              "scans": 3 * len(s_values), "powers": len(cases), "hk": 3 * len(cases),
              "eq24_free_parts": 0, "eq24_heads": 0}
     keys = sum(sizes.values())
@@ -556,7 +562,7 @@ def test_series_cache_scope_gives_the_same_values():
     # for the unit power, the point q^a/(1-q^a) for the body), all but the
     # first read hits.  Each unit power reads the power scan of its (s, shape),
     # built once per key, and each power scan built the shape column of its
-    # (shape, length), built once per key.  The len(s_values) * shapes power
+    # (shape, shape key), built once per key.  The len(s_values) * shapes power
     # scans and the 3 * len(s_values) body scans built each read the binomial
     # column of their s, one per s: the rest of those reads hit.  The
     # 3 * len(cases) series read their body scan, one per (n, s), and each
@@ -565,7 +571,7 @@ def test_series_cache_scope_gives_the_same_values():
     # of one length share one Delta_j column: 2 hits per length
     assert cache.misses == keys
     hits = (3 * len(cases) + 4 * len(cases) + (3 * len(cases) - 1)
-            + (len(cases) - len(s_values) * shapes) + shapes * (len(s_values) - lengths)
+            + (len(cases) - len(s_values) * shapes) + shapes * (len(s_values) - shape_keys)
             + len(s_values) * (2 + shapes)
             + 3 * (len(cases) - len(s_values)) + 3 * (len(s_values) - lengths)
             + 2 * lengths)
@@ -886,6 +892,28 @@ def test_power_scans_share_one_shape_column_per_shape(monkeypatch):
     assert got == expected
     L = CTX34.column_length
     assert sorted(calls) == sorted(((v, 1, prec), L) for v, prec in shapes)
+
+
+@pytest.mark.parametrize("guard", [2, 3])
+def test_integer_power_scans_keep_the_stop_of_the_unit_shape_scan(guard):
+    # at an integer s the power scan runs over the zeros (k v, 0, 0) and
+    # multiplies no unit: its stop, tail bound and flag, all _unit_pow reads
+    # there, are the scan's over the shape column (p^v)^k, as both depend on
+    # the terms' valuations alone
+    for p, q, F in ((3, Fraction(4), 9), (5, Fraction(-4), 5), (7, Fraction(1, 8), 7)):
+        for precision in (8, 16):
+            ctx = QContext(p=p, q=q, precision=precision, guard=guard)
+            shapes = {angle[::2] for angle, _ in lfun._unit_table(F, ctx).values()}
+            tables = lfun._tables(F, ctx)
+            for s in range(-30, 45):
+                length = lfun._series_length(s, ctx)
+                for v, prec in shapes:
+                    full = scan_products(lfun._binomials(s, ctx), power_column(
+                        p, ctx.one().parts, (v, 1, prec), length), ctx)
+                    zeros = lfun._power_scan(s, v, prec, tables)
+                    assert not any(zeros.terms), (ctx, s, v)
+                    assert (len(zeros.terms), zeros.tail_bound, zeros.error) == \
+                        (len(full.terms), full.tail_bound, full.error), (ctx, s, v)
 
 
 def chain_by_public_calls(n, r, a, ctx):

@@ -1,17 +1,21 @@
 """The verification harness: oracles, identities, and the expansion report."""
 
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
 
 from qlfun import verify
-from qlfun.lfun import H_pq, K_partial, PartialZetaParams, series_cache
+from qlfun.characters import DirichletCharacter
+from qlfun.lfun import H_pq, K_full, K_partial, PartialZetaParams, T_full, l_pq, series_cache
 from qlfun.numerics import (
     INF,
     QContext,
     SeriesDivergenceError,
+    SeriesResult,
     binom_int,
+    merge_series,
     mul_parts,
     q_int,
     residual_valuation,
@@ -284,6 +288,53 @@ def test_outer_k_series_terms_meet_the_proven_bound(p):
                     coeff = _outer_coeff(r, k)
                     assert coeff.denominator == 1, (r, k)
                     assert coeff == (-1) ** k * math.comb(r + k - 1, k)
+
+
+def thm5_rhs_by_padic_terms(n, r, ctx):
+    """The printed expansion with its k-series as PadicNumber terms
+    -(embed(_outer_coeff(r, k)) (-1)^n [pn]^k (l_pq + K_full)(r + k)) through
+    sum_guarded, the reference fold: each factor a PadicNumber, each product and
+    sum PadicNumber's own, the value, stop, tail bound and flag sum_guarded's."""
+    p = ctx.p
+    count = ctx.embed(q_int(p * n, ctx.q))
+    sign_n = ctx.embed((-1) ** n)
+    parts = []
+
+    def w_power(t):
+        return DirichletCharacter.teichmuller_power(t % (p - 1), p)
+
+    def terms():
+        power = ctx.one()
+        for k in itertools.count():
+            l_part = l_pq(r + k, w_power(-(r + k)), ctx, F=p)
+            k_part = K_full(n, r + k, w_power(-(r + k)), ctx)
+            parts.extend((l_part, k_part))
+            coeff = ctx.embed(_outer_coeff(r, k))
+            yield -(coeff * sign_n * power * (l_part.value + k_part.value))
+            power = power * count
+
+    body = sum_guarded(terms(), ctx, description="thm5 rhs k-series")
+    t_part = T_full(n, r, w_power(-r), ctx)
+    value = body.value - t_part.value
+    merged = merge_series(value, parts + [t_part])
+    return SeriesResult(value=value, last_index=body.last_index,
+                        tail_valuation_bound=min(body.tail_valuation_bound,
+                                                 merged.tail_valuation_bound),
+                        converged=body.converged and merged.converged)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_thm5_rhs_equals_the_padic_term_fold(p):
+    # the printed k-series folded over parts (an outer column against the
+    # l + K values) is the reference fold over PadicNumber terms, field for
+    # field; one scope per context, so both read the same series values
+    for q in (Fraction(1 + p), Fraction(1 - p), Fraction(1, 1 + p), Fraction(1 + p**2)):
+        for precision in (8, 16):
+            ctx = QContext(p=p, q=q, precision=precision)
+            with series_cache():
+                for n, r in itertools.product((1, 2, 3), (1, 2)):
+                    assert thm5_rhs(n, r, ctx) == thm5_rhs_by_padic_terms(n, r, ctx), \
+                        (q, precision, n, r)
 
 
 def test_printed_k_series_that_misses_its_guard_raises(monkeypatch):
