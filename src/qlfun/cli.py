@@ -304,7 +304,7 @@ def lfun_lq(k: int, chi: str, q: Optional[str], p: Optional[int], prec: Optional
 @click.option("--q", "q", type=str, default=None)
 @click.option("--prec", type=int, default=None)
 @click.option("--modulus", "-F", "modulus", type=int, default=None,
-              help="odd positive multiple of p (default p * conductor)")
+              help="odd positive multiple of p (default lcm(p, conductor))")
 def lfun_lpq(s: Union[int, Fraction], chi: str, p: int, q: Optional[str], prec: Optional[int],
              modulus: Optional[int]):
     ctx = _context(p, q, prec)

@@ -390,9 +390,9 @@ def _chi_column(chi: DirichletCharacter, F: int, ctx: QContext) -> List[Tuple[in
 def _unit_sum(part: Callable[[SeriesTables, int], SeriesResult],
               chi: DirichletCharacter, F: int, ctx: QContext) -> SeriesResult:
     """2 sum over units a <= F of chi(a) part(tables, a), kept as parts and made a
-    PadicNumber once, behind l_pq, T_full and K_full, which check the series'
-    arguments and conductor(chi) | F (so the units run over whole periods of chi);
-    the units share the (F, ctx) tables."""
+    PadicNumber once, behind l_pq, T_full, K_full and ``verify.thm5_rhs``, which
+    check the series' arguments and conductor(chi) | F (so the units run over
+    whole periods of chi); the units share the (F, ctx) tables."""
     p, tables, acc, parts = ctx.p, _tables(F, ctx), ctx.zero().parts, []
     for a, c in tables.read(tables.chi_columns, chi, _chi_column, chi, F, ctx):
         parts.append(part(tables, a))
@@ -425,6 +425,12 @@ def K_partial(n: int, s: PadicExponent, prm: PartialZetaParams, ctx: QContext) -
         raise ValueError("K_partial requires n >= 1")
     _require_padic_params(prm, ctx, "K_partial")
     return _tables(prm.F, ctx).series(n, s, prm.a)
+
+
+def _hk_series(tables: SeriesTables, n: int, s: PadicExponent, a: int) -> SeriesResult:
+    """H + K of the unit a < F at s from the tables' values, with no check of its own."""
+    h_part, k_part = tables.series(0, s, a), tables.series(n, s, a)
+    return merge_series(h_part.value + k_part.value, [h_part, k_part])
 
 
 def _boundary_series(tables: SeriesTables, n: int, s: PadicExponent, a: int) -> SeriesResult:

@@ -23,12 +23,12 @@ from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .characters import DirichletCharacter
-from .lfun import (K_full, K_partial, PartialZetaParams, SeriesCache, T_full, T_partial, _tables,
-                   l_pq, series_cache)
-from .numerics import (INF, PadicNumber, Parts, QContext, SeriesResult, Valuation, add_parts,
-                       binom_int, exact_sum, exact_sum_pairs, merge_series, mul_parts,
-                       power_column, q_int, require_odd_prime, residual_valuation,
-                       sum_products, teichmuller, v_p, valuation_json)
+from .lfun import (K_partial, PartialZetaParams, SeriesCache, T_partial, _boundary_series,
+                   _hk_series, _tables, _unit_sum, l_pq, series_cache)
+from .numerics import (INF, PadicNumber, Parts, QContext, SeriesResult, Valuation, binom_int,
+                       exact_sum, exact_sum_pairs, merge_series, mul_parts, q_int,
+                       require_odd_prime, residual_valuation, sum_products, teichmuller, v_p,
+                       valuation_json)
 from .qeuler import (
     _closed_form_pair,
     _closed_form_row,
@@ -41,6 +41,7 @@ from .qeuler import (
 )
 
 STEP_LABELS = ("eq24", "eq26", "eq27", "eq30", "assembly")
+LIMIT_SLACK = 1  # the digits v_p(E_{m, 1+p^k} - E_m) may fall short of k
 
 
 # ---------------------------------------------------------------------------
@@ -71,9 +72,8 @@ def classical_euler_number(m: int) -> Fraction:
     return _classical_euler(m, bernoulli_numbers(m + 1))
 
 
-def classical_limit_check(m_max: int, p: int, k_list: Sequence[int],
-                          slack: int = 1) -> dict:
-    """Check v_p(E_{m, 1+p^k} - E_m) >= k - slack over the grid; E_m from the
+def classical_limit_check(m_max: int, p: int, k_list: Sequence[int]) -> dict:
+    """Check v_p(E_{m, 1+p^k} - E_m) >= k - LIMIT_SLACK over the grid; E_m from the
     Bernoulli oracle, one table of B_0..B_{m_max+1} for the whole grid.  Returns a
     report with every observed valuation."""
     require_odd_prime(p)
@@ -86,11 +86,11 @@ def classical_limit_check(m_max: int, p: int, k_list: Sequence[int],
             qk = 1 + Fraction(p) ** k
             diff = euler_number(m, qk) - target
             val = v_p(diff, p)
-            passed = val >= k - slack
+            passed = val >= k - LIMIT_SLACK
             ok = ok and passed
             rows.append({"m": m, "k": k, "valuation": valuation_json(val),
-                         "required": k - slack, "ok": passed})
-    return {"p": p, "m_max": m_max, "k_list": list(k_list), "slack": slack,
+                         "required": k - LIMIT_SLACK, "ok": passed})
+    return {"p": p, "m_max": m_max, "k_list": list(k_list), "slack": LIMIT_SLACK,
             "rows": rows, "ok": ok}
 
 
@@ -146,7 +146,7 @@ def identity_suite() -> Dict[str, bool]:
     values, the multiplication-by-m relation, power-sum closed forms (with
     the misprinted-variant regression pinned), the inverse power-sum
     identity and the binomial coefficient identities."""
-    qs = [Fraction(2), Fraction(1, 2), Fraction(4), Fraction(1 + 3), Fraction(1 + 5)]
+    qs = [Fraction(2), Fraction(1, 2), Fraction(4), Fraction(1 - 3), Fraction(1 + 5)]
     return {
         "poly_paths_agree": all(
             euler_poly(n, x, q) == euler_poly_moments(n, x, q)
@@ -179,24 +179,17 @@ def thm5_lhs_exact(n: int, r: int, ctx: QContext) -> Fraction:
                          for j in range(1, n * ctx.p + 1) if j % ctx.p)
 
 
-def _outer_coeff(r: int, k: int) -> int:
-    """(r/(r+k)) binom(-r-1, k); an integer, equal to (-1)^k C(r+k-1, k)."""
-    return r * binom_int(-r - 1, k) // (r + k)
-
-
-def _outer_column(r: int, start: PadicNumber, step: PadicNumber,
-                  ctx: QContext) -> Iterator[Parts]:
-    """The parts of -_outer_coeff(r, k) start step^k, k = 0, 1, ..., both k-series'
-    outer factors: :func:`mul_parts` is associative and commutative, so each is
-    the PadicNumber product's in any order (and its negation's, as embed's)."""
+def _binomial_column(r: int, start: PadicNumber, step: PadicNumber,
+                     ctx: QContext) -> Iterator[Parts]:
+    """The parts of binom(-r, k) start step^k, k = 0, 1, ..., the outer factors of
+    both k-series and eq24's heads: :func:`mul_parts` is associative and
+    commutative, so each is the PadicNumber product's in any order.  The printed
+    coefficient (r/(r+k)) binom(-r-1, k) is binom(-r, k) (``binom_identities_check``'s
+    third identity at j = 0), an integer, (-1)^k C(r+k-1, k)."""
     p, power = ctx.p, start.parts
     for k in itertools.count():
-        yield mul_parts(p, ctx.embed(-_outer_coeff(r, k)).parts, power)
+        yield mul_parts(p, ctx.embed(binom_int(-r, k)).parts, power)
         power = mul_parts(p, power, step.parts)
-
-
-def _w_power_char(t: int, p: int) -> DirichletCharacter:
-    return DirichletCharacter.teichmuller_power(t % (p - 1), p)
 
 
 def thm5_rhs(n: int, r: int, ctx: QContext) -> SeriesResult:
@@ -204,26 +197,28 @@ def thm5_rhs(n: int, r: int, ctx: QContext) -> SeriesResult:
     minus the k-series of correction aggregates, minus the boundary aggregate,
     all with twist exponent -(r+k) and F = p.
 
-    The k-series folds the :func:`_outer_column` of (-1)^n [pn]^k against
-    l_pq + K_full at s = r + k, read lazily (none past the stop).  Its k-th
-    term has valuation >= k, so its guard fires within ctx.column_length terms:
-    _outer_coeff(r, k) is an integer, v_p([pn]^k) = k v_p(pn) >= k, and l_pq and
-    K_full at s = r + k are p-adic integers (chi(a) and the H and K values are)."""
+    The k-series folds the :func:`_binomial_column` of -(-1)^n [pn]^k against
+    (l + K)(r + k), read lazily (none past the stop) as one unit sum of w^(-r-k)(a)
+    ``lfun._hk_series``; T is the unit sum of ``lfun._boundary_series``, and q != 1 is
+    checked once.  The k-th term has valuation >= k, so its guard fires within
+    ctx.column_length terms: binom(-r, k) is an integer, v_p([pn]^k) >= k, and
+    (l + K)(r + k) is a p-adic integer (chi(a) and the H and K values are)."""
     if n < 1 or r < 1:
         raise ValueError("thm5 requires n, r >= 1")
-    p, count = ctx.p, ctx.embed(q_int(ctx.p * n, ctx.q))
-    parts: List[SeriesResult] = []
+    ctx.require_q_not_one("H_pq")
+    p, parts = ctx.p, []
 
     def values():
         for s in itertools.count(r):
-            chi = _w_power_char(-s, p)
-            parts.append(l_pq(s, chi, ctx, F=p))
-            parts.append(K_full(n, s, chi, ctx))
-            yield add_parts(p, parts[-2].value.parts, parts[-1].value.parts)
+            parts.append(_unit_sum(lambda tables, a: _hk_series(tables, n, s, a),
+                                   DirichletCharacter.teichmuller_power(-s, p), p, ctx))
+            yield parts[-1].value.parts
 
-    outer = _outer_column(r, ctx.embed((-1) ** n) * ctx.one(), count, ctx)
-    body = sum_products(outer, values(), ctx, description="thm5 rhs k-series")
-    t_part = T_full(n, r, _w_power_char(-r, p), ctx)
+    start, step = ctx.embed((-1) ** (n + 1)) * ctx.one(), ctx.embed(q_int(p * n, ctx.q))
+    body = sum_products(_binomial_column(r, start, step, ctx), values(), ctx,
+                        description="thm5 rhs k-series")
+    t_part = _unit_sum(lambda tables, a: _boundary_series(tables, n, r, a),
+                       DirichletCharacter.teichmuller_power(-r, p), p, ctx)
     merged = merge_series(body.value - t_part.value, [*parts, t_part, body])
     return replace(merged, last_index=body.last_index)
 
@@ -308,24 +303,24 @@ def _eq24_free_parts(n: int, ctx: QContext) -> Tuple[List[Parts], List[Parts]]:
 
 
 def _eq24_heads(r: int, a: int, ctx: QContext) -> List[Parts]:
-    """The parts of binom(-r, s) (-[a]^(-r) (-1)^a) (q^a [p]/[a])^s for
-    s < ctx.column_length, one column per (r, a, ctx): as embed(x y) is the
+    """The :func:`_binomial_column` of -[a]^(-r) (-1)^a and q^a [p]/[a], its first
+    ctx.column_length entries, one column per (r, a, ctx): as embed(x y) is the
     :func:`mul_parts` product of embed(x) and embed(y), its product with a
     :func:`_eq24_free_parts` entry is the embedded exact term.  Entry s has
     valuation >= s and the free parts are p-integral (E_{s,Q} = 2 Delta_s/(1-Q)^s
     and ``lfun._term_column``' bound), so eq24's guards fire within the columns."""
-    p, q, count_a = ctx.p, ctx.q, q_int(a, ctx.q)
-    heads = power_column(p, ctx.embed(-count_a ** (-r) * (-1) ** a).parts,
-                         ctx.embed(q**a * q_int(p, q) / count_a).parts, ctx.column_length)
-    return [mul_parts(p, head, ctx.embed(binom_int(-r, s)).parts)
-            for s, head in enumerate(heads)]
+    q, count_a = ctx.q, q_int(a, ctx.q)
+    column = _binomial_column(r, ctx.embed(-count_a ** (-r) * (-1) ** a),
+                              ctx.embed(q**a * q_int(ctx.p, q) / count_a), ctx)
+    return list(itertools.islice(column, ctx.column_length))
 
 
 def _boundary_piece(n: int, r: int, a: int, ctx: QContext) -> PadicNumber:
-    """-(w^(-r)(a)/2) T(n, r, a : p): the boundary term in character form."""
-    w = teichmuller(a, ctx.p, ctx.working_precision)
-    t_part = T_partial(n, r, PartialZetaParams(a, ctx.p), ctx)
-    return -(w ** (-r) * t_part.value) / ctx.embed(2)
+    """-(w^(-r)(a)/2) T(n, r, a : p): the boundary term in character form, T read
+    unchecked from the tables (the point's :func:`thm5_rhs` has refused q = 1)."""
+    w = teichmuller(pow(a, -r, ctx.p), ctx.p, ctx.working_precision)
+    t_part = _boundary_series(_tables(ctx.p, ctx), n, r, a)
+    return -(w * t_part.value) / ctx.embed(2)
 
 
 def _expansion_group(n: int, r: int, a: int, ctx: QContext,
@@ -337,26 +332,24 @@ def _expansion_group(n: int, r: int, a: int, ctx: QContext,
     twist q^(ak) stays inside, and the series starts at k = 1.  Without the
     correction part it is the bare l-series group, which carries the whole
     sum once q is close enough to 1 for the boundary and correction series
-    to vanish (n even).  Folded as :func:`thm5_rhs`'s, from k = 1, the
-    outer step q^a [pn] w^(-1)(a) and H [+ K] read from the tables.
+    to vanish (n even).  Folded as :func:`thm5_rhs`'s, from k = 1, over the
+    :func:`_binomial_column` of -(-1)^n w^(-r)(a) and q^a [pn] w^(-1)(a) (w^t(a)
+    the lift of a^t mod p), with H [+ K] read from the tables.
 
     Its k-th term has valuation >= k, so its guard fires within
     ctx.column_length terms: coeff_k is an integer, v_p((q^a [pn])^k) >= k,
     w(a) is a unit and H and K at s = r + k are p-adic integers."""
-    p, tables = ctx.p, _tables(ctx.p, ctx)
+    p, W, tables = ctx.p, ctx.working_precision, _tables(ctx.p, ctx)
     ctx.require_q_not_one("H_pq")  # the one check of the H and K values read: a < p is a unit
-    w_inv = teichmuller(a, p, ctx.working_precision) ** -1
-    step = ctx.embed(ctx.q**a * q_int(p * n, ctx.q)) * w_inv
+    start = ctx.embed((-1) ** (n + 1)) * teichmuller(pow(a, -r, p), p, W)
+    step = ctx.embed(ctx.q**a * q_int(p * n, ctx.q)) * teichmuller(pow(a, -1, p), p, W)
 
     def values():
         for s in itertools.count(r + 1):
-            piece = tables.series(0, s, a).value.parts
-            if with_correction:
-                piece = add_parts(p, piece, tables.series(n, s, a).value.parts)
-            yield piece
+            piece = _hk_series(tables, n, s, a) if with_correction else tables.series(0, s, a)
+            yield piece.value.parts
 
-    outer = itertools.islice(_outer_column(r, ctx.embed((-1) ** n) * w_inv ** r, step, ctx),
-                             1, None)
+    outer = itertools.islice(_binomial_column(r, start, step, ctx), 1, None)
     return sum_products(outer, values(), ctx, description="chain k-series").value
 
 
@@ -488,7 +481,7 @@ def congruence_check_eq20(n: int, t: int, ctx: QContext) -> Tuple[bool, Valuatio
         raise ValueError("congruence_check_eq20 requires n >= 1")
     if (n - t) % (ctx.p - 1) != 0:
         raise ValueError("congruence_check_eq20 requires n = t mod (p-1)")
-    left = l_pq(-n, _w_power_char(t, ctx.p), ctx, F=ctx.p)
+    left = l_pq(-n, DirichletCharacter.teichmuller_power(t, ctx.p), ctx, F=ctx.p)
     right = (euler_number(n, ctx.q)
              - q_int(ctx.p, ctx.q) ** n * euler_number(n, ctx.q**ctx.p))
     val = residual_valuation(left.value, ctx.embed(right))
@@ -506,8 +499,8 @@ def congruence_scan_eq21(t: int, s_samples: Sequence[int], ctx: QContext) -> dic
     if len(set(s_samples)) < len(s_samples):
         raise ValueError(f"congruence_scan_eq21 needs distinct samples, got {list(s_samples)}")
     with series_cache():
-        values = [(s, l_pq(s, _w_power_char(t, ctx.p), ctx, F=ctx.p).value)
-                  for s in s_samples]
+        chi = DirichletCharacter.teichmuller_power(t, ctx.p)
+        values = [(s, l_pq(s, chi, ctx, F=ctx.p).value) for s in s_samples]
 
     value_vals = {str(s): valuation_json(v.valuation) for s, v in values}
     pair_vals = {}

@@ -326,6 +326,22 @@ def test_lpq_rejects_a_modulus_below_one(runner, modulus):
     assert envelope["result"]["message"] == "l_pq requires an odd positive multiple of p for F"
 
 
+def test_lpq_default_modulus_is_the_lcm_of_p_and_the_conductor(runner):
+    # the help names l_pq's default F = lcm(p, conductor), not p * conductor:
+    # the two differ when p divides the conductor, as for every teich:T atom
+    result = invoke(runner, ["lfun", "lpq", "--help"])
+    assert result.exit_code == 0
+    assert ("-F, --modulus INTEGER odd positive multiple of p (default lcm(p, conductor))"
+            in " ".join(result.output.split()))
+    for p, chi, F in ((3, "teich:1", 3), (3, "quad:3", 3), (3, "quad:5*teich:1", 15),
+                      (5, "quad:3", 15)):
+        args = ["lfun", "lpq", "-s", "1", "--p", str(p), "--chi", chi, "--json"]
+        default = json_result(invoke(runner, args))
+        explicit = json_result(invoke(runner, [*args, "-F", str(F)]))
+        assert default["status"] == explicit["status"] == "ok", (p, chi)
+        assert default["result"] == explicit["result"], (p, chi)
+
+
 @pytest.mark.parametrize("args,message", [
     (["verify", "thm5", "--p", "3", "-n", ",", "-r", "1"], "-n needs at least one"),
     (["verify", "thm5", "--p", "3", "-n", "1", "-r", " "], "-r needs at least one"),
@@ -401,15 +417,19 @@ def test_verify_thm5_default_grid_matches_golden(runner, p):
     ("p7_q50_prec16_n123", ["--p", "7", "--q", "50", "--prec", "16", "-n", "1,2,3"]),
     ("p3_q10_prec24_n123_r123", ["--p", "3", "--q", "10", "--prec", "24", "-n", "1,2,3",
                                  "-r", "1,2,3"]),
+    ("p11", ["--p", "11", "-n", "1,2"]),
+    ("p13_n123", ["--p", "13", "-n", "1,2,3"]),
 ])
 def test_verify_thm5_larger_grids_match_golden(runner, key, options):
     # pinned with exact series terms: the q-Euler residue table must not move
     # a digit at a larger p or a higher precision either.  The q entries (the
     # benchmark's q = 1 + 2p, 1 - p, 1/(1 + p), and q = 10) were pinned with
     # eq24's group 1 as an O(s) convolution and every series as a left fold
-    # of PadicNumber additions; the last two were pinned with the printed and
-    # chain k-series as folds of PadicNumber terms.  An -r in options replaces
-    # the default 1,2 (click keeps an option's last value)
+    # of PadicNumber additions; the last two n = 1,2,3 entries with the
+    # printed and chain k-series as folds of PadicNumber terms; p = 11 and 13,
+    # where the unit loops are longest, with the printed l + K as l_pq plus
+    # K_full and each Teichmuller power a power of one lift.  An -r in options
+    # replaces the default 1,2 (click keeps an option's last value)
     result = invoke(runner, ["verify", "thm5", "-r", "1,2", *options, "--json"])
     assert result.exit_code == 0
     assert json_result(result)["result"] == THM5_GOLDEN[key]

@@ -965,7 +965,8 @@ def test_aggregates_keep_the_per_unit_error_messages(p):
     w1, prm = DirichletCharacter.teichmuller_power(1, p), PartialZetaParams(1, p)
     cases = [
         ([lambda: l_pq(2, w1, one), lambda: verify._expansion_group(1, 1, 1, one),
-          lambda: H_pq(2, prm, one)], "H_pq divides by (1 - q): use classical limit path"),
+          lambda: verify.thm5_rhs(1, 1, one), lambda: H_pq(2, prm, one)],
+         "H_pq divides by (1 - q): use classical limit path"),
         ([lambda: K_full(1, 2, w1, one), lambda: K_partial(1, 2, prm, one)],
          "K_partial divides by (1 - q): use classical limit path"),
         ([lambda: T_full(1, 2, w1, one), lambda: T_partial(1, 2, prm, one)],

@@ -17,6 +17,7 @@ from qlfun.numerics import (
     binom_int,
     merge_series,
     mul_parts,
+    power_column,
     q_int,
     residual_valuation,
     sum_guarded,
@@ -45,7 +46,6 @@ from qlfun.verify import (
     _eq24_free_parts,
     _eq24_heads,
     _expansion_group,
-    _outer_coeff,
     _residual_sentinel,
 )
 
@@ -113,13 +113,19 @@ def test_remark_identity():
         assert remark_check(3, q)
 
 
+def printed_coeff(r, k):
+    """The outer coefficient of the expansion as printed, (r/(r+k)) binom(-r-1, k),
+    written out: the harness folds binom(-r, k) in its place."""
+    return Fraction(r, r + k) * binom_int(-r - 1, k)
+
+
 def test_binom_identity_instances():
     # r=2, k=1, j=1: both sides equal 6
     assert Fraction(2, 3) * Fraction(-3) * Fraction(-3) == 6
-    assert _outer_coeff(2, 1) * Fraction(-3) == 6
+    assert printed_coeff(2, 1) * Fraction(-3) == 6
     # j = 0 reduces the reindexing identity to coeff(r,k) = binom(-r, k)
-    assert _outer_coeff(2, 1) == binom_int(-2, 1)
-    assert _outer_coeff(3, 4) == binom_int(-3, 4)
+    assert printed_coeff(2, 1) == binom_int(-2, 1)
+    assert printed_coeff(3, 4) == binom_int(-3, 4)
 
 
 def test_binom_identities_grid():
@@ -128,7 +134,7 @@ def test_binom_identities_grid():
 
 def test_outer_coeff_at_zero_is_one():
     for r in range(1, 6):
-        assert _outer_coeff(r, 0) == 1
+        assert printed_coeff(r, 0) == binom_int(-r, 0) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +182,38 @@ def test_eq24_group1_closed_form_equals_the_convolution(p, q, n, r):
             [ctx.embed(g1).parts for g1, _ in reference]
 
 
+def eq24_heads_by_power_column(r, a, ctx):
+    """eq24's heads as a power column of (q^a [p]/[a])^s from -[a]^(-r) (-1)^a,
+    each entry times the embedded binom_int(-r, s)."""
+    p, q, count_a = ctx.p, ctx.q, q_int(a, ctx.q)
+    heads = power_column(p, ctx.embed(-count_a ** (-r) * (-1) ** a).parts,
+                         ctx.embed(q**a * q_int(p, q) / count_a).parts, ctx.column_length)
+    return [mul_parts(p, head, ctx.embed(binom_int(-r, s)).parts)
+            for s, head in enumerate(heads)]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_eq24_heads_equal_the_power_column_build(p):
+    # the heads are the binomial-power column of both k-series, cut at the
+    # column length: the parts of a power column times binom(-r, s), field for field
+    for precision in (8, 16):
+        ctx = QContext(p=p, q=Fraction(1 + p), precision=precision)
+        for r in (1, 2, 3):
+            for a in range(1, p):
+                assert _eq24_heads(r, a, ctx) == eq24_heads_by_power_column(r, a, ctx), \
+                    (precision, r, a)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_teichmuller_of_a_power_is_the_power_of_the_lift(p):
+    # the harness reads w(a)^t as the lift of a^t mod p, the one (p-1)-th root
+    # of unity = a^t mod p: the PadicNumber power of the lift of a, field for field
+    for W in (18, 26):
+        for a in range(1, p):
+            for t in range(-6, 7):
+                assert teichmuller(pow(a, t, p), p, W) == teichmuller(a, p, W) ** t, (W, a, t)
+
+
 def eq24_grid():
     # the (p, q) pairs of test_lfun's residue_grid, where F = p
     for p in (3, 5, 7):
@@ -206,7 +244,7 @@ def test_eq24_folds_equal_the_guarded_sums_of_the_exact_terms(p, q):
 
 
 def expansion_group_by_fraction_coefficients(n, r, a, ctx, with_correction):
-    """The chain k-series with each coefficient (-1)^n _outer_coeff(r, k)
+    """The chain k-series with each coefficient (-1)^n printed_coeff(r, k)
     q^(ak) [pn]^k formed as a Fraction and embedded."""
     p = ctx.p
     prm = PartialZetaParams(a, p)
@@ -221,7 +259,7 @@ def expansion_group_by_fraction_coefficients(n, r, a, ctx, with_correction):
             piece = H_pq(r + k, prm, ctx).value
             if with_correction:
                 piece = piece + K_partial(n, r + k, prm, ctx).value
-            coeff = _outer_coeff(r, k) * ctx.q ** (a * k) * count**k
+            coeff = printed_coeff(r, k) * ctx.q ** (a * k) * count**k
             yield -(ctx.embed((-1) ** n * coeff) * twist * piece)
             k += 1
 
@@ -277,22 +315,23 @@ def test_thm5_rhs_truncation_stability():
 
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_outer_k_series_terms_meet_the_proven_bound(p):
-    # the k-th term of thm5's outer series carries _outer_coeff(r, k) [pn]_q^k:
-    # an integer times a power of valuation k v_p(pn) >= k
+    # the k-th term of thm5's outer series carries the printed coefficient
+    # (r/(r+k)) binom(-r-1, k) [pn]_q^k, folded as binom(-r, k) [pn]_q^k: an
+    # integer times a power of valuation k v_p(pn) >= k
     for q in (Fraction(1 + p), Fraction(1 - p), Fraction(1, 1 + p)):
         for n in (1, 2, 3):
             count = q_int(p * n, q)
             for k in range(41):
                 assert v_p(count**k, p) >= k, (q, n, k)
                 for r in (1, 2, 3):
-                    coeff = _outer_coeff(r, k)
+                    coeff = printed_coeff(r, k)
                     assert coeff.denominator == 1, (r, k)
-                    assert coeff == (-1) ** k * math.comb(r + k - 1, k)
+                    assert coeff == binom_int(-r, k) == (-1) ** k * math.comb(r + k - 1, k)
 
 
 def thm5_rhs_by_padic_terms(n, r, ctx):
     """The printed expansion with its k-series as PadicNumber terms
-    -(embed(_outer_coeff(r, k)) (-1)^n [pn]^k (l_pq + K_full)(r + k)) through
+    -(embed(printed_coeff(r, k)) (-1)^n [pn]^k (l_pq + K_full)(r + k)) through
     sum_guarded, the reference fold: each factor a PadicNumber, each product and
     sum PadicNumber's own, the value, stop, tail bound and flag sum_guarded's."""
     p = ctx.p
@@ -309,7 +348,7 @@ def thm5_rhs_by_padic_terms(n, r, ctx):
             l_part = l_pq(r + k, w_power(-(r + k)), ctx, F=p)
             k_part = K_full(n, r + k, w_power(-(r + k)), ctx)
             parts.extend((l_part, k_part))
-            coeff = ctx.embed(_outer_coeff(r, k))
+            coeff = ctx.embed(printed_coeff(r, k))
             yield -(coeff * sign_n * power * (l_part.value + k_part.value))
             power = power * count
 
@@ -341,7 +380,7 @@ def test_printed_k_series_that_misses_its_guard_raises(monkeypatch):
     # coefficients p^(-k) cancel the valuation k of [pn]^k, so every term
     # stays below working precision: the series reads ctx.column_length
     # terms and raises with its partial sum, never a converged value
-    monkeypatch.setattr(verify, "_outer_coeff", lambda r, k: Fraction(1, 3**k))
+    monkeypatch.setattr(verify, "binom_int", lambda t, k: Fraction(1, 3**k))
     L = CTX34.column_length
     with pytest.raises(SeriesDivergenceError,
                        match=f"^thm5 rhs k-series: guard not satisfied within its {L} "
