@@ -20,26 +20,10 @@ from fractions import Fraction
 from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 from .characters import DirichletCharacter, chi_residue, chi_sum
-from .numerics import (
-    PadicExponent,
-    PadicNumber,
-    Parts,
-    QContext,
-    SeriesResult,
-    SeriesScan,
-    _strip_p,
-    add_parts,
-    binom_parts,
-    exact_sum_pairs,
-    merge_series,
-    mul_parts,
-    power_column,
-    q_int,
-    residue_parts,
-    scan_products,
-    unit_residues,
-    v_p,
-)
+from .numerics import (PadicExponent, PadicNumber, Parts, QContext, SeriesParts, SeriesResult,
+                       SeriesScan, _strip_p, add_parts, binom_parts, exact_sum_pairs, int_parts,
+                       merge_stops, mul_parts, neg_parts, power_column, q_int, residue_parts,
+                       scan_products, series_result, unit_residues, v_p)
 from .qeuler import (FractionalArg, _closed_form_pair, _closed_form_row, _twist_base,
                      euler_number, euler_poly_frac)
 
@@ -98,8 +82,9 @@ class SeriesTables:
     ``binomials`` {s}; ``power_scans`` {(s, v, precision)}; ``shapes``
     {(v, precision or None, length)}, the power scans' columns; ``deltas``
     {J}; ``terms`` {(n, J)}; ``scans`` {(n, s)}; ``powers`` {(s, the parts of <a> - 1)};
-    ``hk`` {(n, s, a)}, the H/K values; and eq24's ``eq24_free_parts`` {n} and
-    ``eq24_heads`` {(r, a)}.  :meth:`read` fills one on a miss from its builder."""
+    ``hk`` {(n, s, a)}, the H/K values' :data:`SeriesParts`; and eq24's
+    ``eq24_free_parts`` {n} and ``eq24_heads`` {(r, a)}.  :meth:`read` fills one
+    on a miss from its builder."""
 
     TABLES = ("unit_tables", "chi_columns", "binomials", "power_scans", "shapes", "deltas",
               "terms", "scans", "powers", "hk", "eq24_free_parts", "eq24_heads")
@@ -119,7 +104,7 @@ class SeriesTables:
             self.scope.hits += 1
         return value
 
-    def series(self, n: int, s: PadicExponent, a: int) -> SeriesResult:
+    def series(self, n: int, s: PadicExponent, a: int) -> SeriesParts:
         """H (n = 0) or K (n >= 1) of the unit a < F at s, with no check of its own."""
         return self.read(self.hk, (n, s, a), _twisted_series, n, s, a, self)
 
@@ -232,12 +217,12 @@ def _power_scan(s: PadicExponent, v: int, precision: int, tables: SeriesTables) 
                          description="binomial power series")
 
 
-def _unit_pow(s: PadicExponent, angle: Parts, tables: SeriesTables) -> SeriesResult:
-    """<a>^(-s), the series of ``padic_pow(<a>, -s)``, with ``angle`` = (v, t,
-    precision) the parts of <a> - 1 (:func:`_unit_table`), from the
-    :func:`_power_scan` of (s, v, precision): at a p-adic s the scan at t; at an
-    integer s one modular power, (1 + p^v t)^(-s) mod p^W, W the working
-    precision, with the scan's stop, tail bound and flag, which read the terms'
+def _unit_pow(s: PadicExponent, angle: Parts, tables: SeriesTables) -> SeriesParts:
+    """<a>^(-s), the series of ``padic_pow(<a>, -s)`` as its :data:`SeriesParts`,
+    with ``angle`` = (v, t, precision) the parts of <a> - 1 (:func:`_unit_table`),
+    from the :func:`_power_scan` of (s, v, precision): at a p-adic s the scan at
+    t; at an integer s one modular power, (1 + p^v t)^(-s) mod p^W, W the working
+    precision, with the scan's stop and tail bound, which read the terms'
     valuations alone (a missed guard raises with the power as the partial).
     The series' value is that power whenever every term after its stop has
     valuation >= W; a guard of 1 can stop before a term of lower valuation,
@@ -248,7 +233,7 @@ def _unit_pow(s: PadicExponent, angle: Parts, tables: SeriesTables) -> SeriesRes
     if not isinstance(s, int):
         return scan.at(unit)
     p, W = tables.ctx.p, tables.ctx.working_precision
-    return scan.result(PadicNumber.make(p, 0, pow(1 + p**v * unit, -s, p**W), W))
+    return scan.result(residue_parts(p, 0, pow(1 + p**v * unit, -s, p**W), W))
 
 
 #: digits the Delta_j residues carry beyond N + J e (see :func:`_deltas`)
@@ -353,19 +338,19 @@ def _body_scan(n: int, s: PadicExponent, tables: SeriesTables) -> SeriesScan:
                          ctx, description="K series" if n else "H_pq series")
 
 
-def _twisted_series(n: int, s: PadicExponent, a: int, tables: SeriesTables) -> SeriesResult:
+def _twisted_series(n: int, s: PadicExponent, a: int, tables: SeriesTables) -> SeriesParts:
     """(-1)^a <a>^(-s) sum_j binom(-s, j) (q^a/(1-q^a))^j Delta_j [q^(nFj) - 1],
     the series behind H_pq (n = 0, no last factor) and K_partial (n >= 1),
     whose 2 cancels the paper's 1/2, its body the :func:`_body_scan` at the
-    unit of q^a/(1-q^a), read from unit a's entry of the unit table.  The sign
-    (-1)^a is a negation: the same value as a product with embed(-1), as no
-    factor's precision exceeds embed's."""
+    unit of q^a/(1-q^a), read from unit a's entry of the unit table, all on
+    parts.  The sign (-1)^a is :func:`neg_parts`: the same value as a product
+    with embed(-1), as no factor's precision exceeds embed's."""
     F, ctx = tables.F, tables.ctx
     angle, (_, ratio, _) = tables.read(tables.unit_tables, F, _unit_table, F, ctx)[a]
     unit_pow = tables.read(tables.powers, (s, angle), _unit_pow, s, angle, tables)
     body = tables.read(tables.scans, (n, s), _body_scan, n, s, tables).at(ratio)
-    value = unit_pow.value * body.value
-    return merge_series(-value if a % 2 else value, [unit_pow, body])
+    value = mul_parts(ctx.p, unit_pow[0], body[0])
+    return merge_stops(neg_parts(ctx.p, value) if a % 2 else value, [unit_pow, body])
 
 
 def H_pq(s: PadicExponent, prm: PartialZetaParams, ctx: QContext) -> SeriesResult:
@@ -375,29 +360,29 @@ def H_pq(s: PadicExponent, prm: PartialZetaParams, ctx: QContext) -> SeriesResul
     value is the Teichmuller-twisted exact partial zeta value.
     """
     _require_padic_params(prm, ctx, "H_pq")
-    return _tables(prm.F, ctx).series(0, s, prm.a)
+    return series_result(ctx.p, _tables(prm.F, ctx).series(0, s, prm.a))
 
 
-def _chi_column(chi: DirichletCharacter, F: int, ctx: QContext) -> List[Tuple[int, PadicNumber]]:
-    """(a, chi(a)) over the units a <= F where chi(a) is not zero, from the
-    integer residue :func:`qlfun.characters.chi_residue` that ``chi_eval`` also
-    reads, mod p^(working precision), shared by every s."""
+def _chi_column(chi: DirichletCharacter, F: int, ctx: QContext) -> List[Tuple[int, Parts]]:
+    """(a, the parts of chi(a)) over the units a <= F where chi(a) is not zero,
+    from the integer residue :func:`qlfun.characters.chi_residue` that
+    ``chi_eval`` also reads, mod p^(working precision), shared by every s."""
     p, W = ctx.p, ctx.working_precision
     values = ((a, chi_residue(chi, a, p, W)) for a in range(1, F + 1) if a % p)
-    return [(a, PadicNumber(p, 0, c, W)) for a, c in values if c]
+    return [(a, (0, c, W)) for a, c in values if c]
 
 
-def _unit_sum(part: Callable[[SeriesTables, int], SeriesResult],
+def _unit_sum(part: Callable[[SeriesTables, int], SeriesParts],
               chi: DirichletCharacter, F: int, ctx: QContext) -> SeriesResult:
-    """2 sum over units a <= F of chi(a) part(tables, a), kept as parts and made a
-    PadicNumber once, behind l_pq, T_full, K_full and ``verify.thm5_rhs``, which
-    check the series' arguments and conductor(chi) | F (so the units run over
-    whole periods of chi); the units share the (F, ctx) tables."""
+    """2 sum over units a <= F of chi(a) part(tables, a), on parts, made one
+    SeriesResult at the end, behind l_pq, T_full, K_full and ``verify.thm5_rhs``,
+    which check the series' arguments and conductor(chi) | F (so the units run
+    over whole periods of chi); the units share the (F, ctx) tables."""
     p, tables, acc, parts = ctx.p, _tables(F, ctx), ctx.zero().parts, []
     for a, c in tables.read(tables.chi_columns, chi, _chi_column, chi, F, ctx):
         parts.append(part(tables, a))
-        acc = add_parts(p, acc, mul_parts(p, c.parts, parts[-1].value.parts))
-    return merge_series(PadicNumber(p, *add_parts(p, acc, acc)), parts)
+        acc = add_parts(p, acc, mul_parts(p, c, parts[-1][0]))
+    return series_result(p, merge_stops(add_parts(p, acc, acc), parts))
 
 
 def l_pq(s: PadicExponent, chi: DirichletCharacter, ctx: QContext,
@@ -424,23 +409,25 @@ def K_partial(n: int, s: PadicExponent, prm: PartialZetaParams, ctx: QContext) -
     if n < 1:
         raise ValueError("K_partial requires n >= 1")
     _require_padic_params(prm, ctx, "K_partial")
-    return _tables(prm.F, ctx).series(n, s, prm.a)
+    return series_result(ctx.p, _tables(prm.F, ctx).series(n, s, prm.a))
 
 
-def _hk_series(tables: SeriesTables, n: int, s: PadicExponent, a: int) -> SeriesResult:
+def _hk_series(tables: SeriesTables, n: int, s: PadicExponent, a: int) -> SeriesParts:
     """H + K of the unit a < F at s from the tables' values, with no check of its own."""
     h_part, k_part = tables.series(0, s, a), tables.series(n, s, a)
-    return merge_series(h_part.value + k_part.value, [h_part, k_part])
+    return merge_stops(add_parts(tables.ctx.p, h_part[0], k_part[0]), [h_part, k_part])
 
 
-def _boundary_series(tables: SeriesTables, n: int, s: PadicExponent, a: int) -> SeriesResult:
-    """T_partial of the unit a < F at s from the tables' K and H values."""
+def _boundary_series(tables: SeriesTables, n: int, s: PadicExponent, a: int) -> SeriesParts:
+    """T_partial of the unit a < F at s from the tables' K and H values, on parts."""
     ctx, k_part = tables.ctx, tables.series(n, s, a)
-    twice_k = ctx.embed(2) * k_part.value
+    p, N = ctx.p, ctx.embed_precision
+    twice_k = mul_parts(p, int_parts(2, p, N), k_part[0])
     if n % 2 == 0:
-        return merge_series(twice_k, [k_part])
+        return merge_stops(twice_k, [k_part])
     h_part = tables.series(0, s, a)
-    return merge_series(-(twice_k + ctx.embed(4) * h_part.value), [h_part, k_part])
+    total = add_parts(p, twice_k, mul_parts(p, int_parts(4, p, N), h_part[0]))
+    return merge_stops(neg_parts(p, total), [h_part, k_part])
 
 
 def T_partial(n: int, s: PadicExponent, prm: PartialZetaParams, ctx: QContext) -> SeriesResult:
@@ -457,11 +444,11 @@ def T_partial(n: int, s: PadicExponent, prm: PartialZetaParams, ctx: QContext) -
     if n < 1:
         raise ValueError("T_partial requires n >= 1")
     _require_padic_params(prm, ctx, "T_partial")
-    return _boundary_series(_tables(prm.F, ctx), n, s, prm.a)
+    return series_result(ctx.p, _boundary_series(_tables(prm.F, ctx), n, s, prm.a))
 
 
 def _full_sum(name: str, partial: str, n: int,
-              part: Callable[[SeriesTables, int], SeriesResult],
+              part: Callable[[SeriesTables, int], SeriesParts],
               chi: DirichletCharacter, ctx: QContext) -> SeriesResult:
     """The unit sum at F = p of T_full and K_full, which take no F, after the
     checks of the partial series it sums (T_partial's or K_partial's)."""

@@ -137,6 +137,12 @@ def mul_parts(p: int, x: Parts, y: Parts) -> Parts:
     return v1 + v2, u1 * u2 % _modulus(p, prec), prec
 
 
+def neg_parts(p: int, x: Parts) -> Parts:
+    """The negation of :class:`PadicNumber` on plain parts: the unit negated mod p**precision."""
+    v, unit, prec = x
+    return v, -unit % _modulus(p, prec), prec
+
+
 def residue_parts(p: int, valuation: int, residue: int, precision: int) -> Parts:
     """The parts of ``residue * p**valuation`` known mod p**(valuation + precision),
     normalized: p stripped from the residue mod p**precision, a zero's parts
@@ -295,9 +301,7 @@ class PadicNumber:
             raise PadicError(f"prime mismatch: {self.p} vs {other.p}")
 
     def __neg__(self) -> "PadicNumber":
-        return PadicNumber(p=self.p, valuation=self.valuation,
-                           unit=(-self.unit) % self.p**self.precision,
-                           precision=self.precision)
+        return PadicNumber(self.p, *neg_parts(self.p, self.parts))
 
     def __add__(self, other: "PadicNumber") -> "PadicNumber":
         self._check_same_prime(other)
@@ -497,6 +501,24 @@ class SeriesResult:
         }
 
 
+#: a converged SeriesResult's (value parts, last_index, tail_valuation_bound)
+SeriesParts = Tuple[Parts, int, Valuation]
+
+
+def series_result(p: int, series: SeriesParts) -> SeriesResult:
+    """The converged SeriesResult of a series' parts and stop."""
+    return SeriesResult(PadicNumber(p, *series[0]), *series[1:], True)
+
+
+def merge_stops(value: Parts, series: Iterable[SeriesParts]) -> SeriesParts:
+    """value with :func:`merge_series`' metadata of the series read: the greatest
+    last_index (0 for none) and the least tail bound (inf for none)."""
+    last, bound = 0, INF
+    for _, index, tail in series:
+        last, bound = max(last, index), min(bound, tail)
+    return value, last, bound
+
+
 class SeriesScan(NamedTuple):
     """What :func:`scan_products` read: ``terms[j]`` is u_j p^(v_j - base), u_j the
     unreduced unit product, for a term kept below the bound, else 0."""
@@ -508,12 +530,12 @@ class SeriesScan(NamedTuple):
     tail_bound: Valuation
     error: Optional[str]  # a missed guard's message
 
-    def at(self, rho: int = 1) -> SeriesResult:
+    def at(self, rho: int = 1) -> SeriesParts:
         """The series with its j-th term times rho^j (an integer), by Horner's
-        rule mod p^(bound - base): the scan of (x_j) against (v_j, rho^j u_j mod
-        p^prec_j, prec_j) for the scanned y_j = (v_j, u_j, prec_j), field for
-        field, as no term's valuation or precision moves and a kept term's unit
-        moves mod p^(bound - v_j) only.  A missed guard raises here."""
+        rule mod p^(bound - base), as parts with the scan's stop: the scan of (x_j)
+        against (v_j, rho^j u_j mod p^prec_j, prec_j) for the scanned y_j = (v_j,
+        u_j, prec_j), field for field, as no term's valuation or precision moves
+        and a kept term's unit moves mod p^(bound - v_j) only.  A missed guard raises."""
         p, base, bound, total = self.p, self.base, self.bound, 0
         if bound > base and rho == 1:  # bound <= base: nothing is known below it
             total = sum(self.terms)
@@ -521,16 +543,16 @@ class SeriesScan(NamedTuple):
             mod = _modulus(p, bound - base)
             for term in reversed(self.terms):
                 total = (total * rho + term) % mod
-        return self.result(PadicNumber.make(p, base, total, bound - base) if total
-                           else PadicNumber.zero(p, bound))
+        return self.result(residue_parts(p, base, total, bound - base) if total
+                           else (bound, 0, 0))
 
-    def result(self, value: PadicNumber) -> SeriesResult:
-        """value with this scan's stop, tail bound and flag: a missed guard
-        raises here, value the partial."""
-        result = SeriesResult(value, len(self.terms) - 1, self.tail_bound, not self.error)
+    def result(self, value: Parts) -> SeriesParts:
+        """value's parts with this scan's stop and tail bound: a missed guard
+        raises here, value the partial's (``converged`` False)."""
         if self.error:
-            raise SeriesDivergenceError(self.error, result)
-        return result
+            raise SeriesDivergenceError(self.error, SeriesResult(
+                PadicNumber(self.p, *value), len(self.terms) - 1, self.tail_bound, False))
+        return value, len(self.terms) - 1, self.tail_bound
 
 
 def scan_products(xs: Iterable[Parts], ys: Iterable[Parts], ctx: QContext, *,
@@ -574,7 +596,7 @@ def scan_products(xs: Iterable[Parts], ys: Iterable[Parts], ctx: QContext, *,
 def sum_products(xs: Iterable[Parts], ys: Iterable[Parts], ctx: QContext, *,
                  description: str = "series") -> SeriesResult:
     """The value of :func:`scan_products`: the guarded sum of x_j y_j."""
-    return scan_products(xs, ys, ctx, description=description).at()
+    return series_result(ctx.p, scan_products(xs, ys, ctx, description=description).at())
 
 
 def sum_guarded(terms: Iterable[Union[PadicNumber, Parts]], ctx: QContext, *,

@@ -26,7 +26,7 @@ from .characters import DirichletCharacter
 from .lfun import (K_partial, PartialZetaParams, SeriesCache, T_partial, _boundary_series,
                    _hk_series, _tables, _unit_sum, l_pq, series_cache)
 from .numerics import (INF, PadicNumber, Parts, QContext, SeriesResult, Valuation, binom_int,
-                       exact_sum, exact_sum_pairs, merge_series, mul_parts, q_int,
+                       exact_sum, exact_sum_pairs, int_parts, merge_series, mul_parts, q_int,
                        require_odd_prime, residual_valuation, sum_products, teichmuller, v_p,
                        valuation_json)
 from .qeuler import (
@@ -185,11 +185,12 @@ def _binomial_column(r: int, start: PadicNumber, step: PadicNumber,
     both k-series and eq24's heads: :func:`mul_parts` is associative and
     commutative, so each is the PadicNumber product's in any order.  The printed
     coefficient (r/(r+k)) binom(-r-1, k) is binom(-r, k) (``binom_identities_check``'s
-    third identity at j = 0), an integer, (-1)^k C(r+k-1, k)."""
-    p, power = ctx.p, start.parts
+    third identity at j = 0), an integer, (-1)^k C(r+k-1, k), whose ``ctx.embed``
+    parts are its :func:`int_parts`."""
+    p, N, power, step = ctx.p, ctx.embed_precision, start.parts, step.parts
     for k in itertools.count():
-        yield mul_parts(p, ctx.embed(binom_int(-r, k)).parts, power)
-        power = mul_parts(p, power, step.parts)
+        yield mul_parts(p, int_parts(binom_int(-r, k), p, N), power)
+        power = mul_parts(p, power, step)
 
 
 def thm5_rhs(n: int, r: int, ctx: QContext) -> SeriesResult:
@@ -319,8 +320,8 @@ def _boundary_piece(n: int, r: int, a: int, ctx: QContext) -> PadicNumber:
     """-(w^(-r)(a)/2) T(n, r, a : p): the boundary term in character form, T read
     unchecked from the tables (the point's :func:`thm5_rhs` has refused q = 1)."""
     w = teichmuller(pow(a, -r, ctx.p), ctx.p, ctx.working_precision)
-    t_part = _boundary_series(_tables(ctx.p, ctx), n, r, a)
-    return -(w * t_part.value) / ctx.embed(2)
+    t_parts, _, _ = _boundary_series(_tables(ctx.p, ctx), n, r, a)
+    return -(w * PadicNumber(ctx.p, *t_parts)) / ctx.embed(2)
 
 
 def _expansion_group(n: int, r: int, a: int, ctx: QContext,
@@ -347,7 +348,7 @@ def _expansion_group(n: int, r: int, a: int, ctx: QContext,
     def values():
         for s in itertools.count(r + 1):
             piece = _hk_series(tables, n, s, a) if with_correction else tables.series(0, s, a)
-            yield piece.value.parts
+            yield piece[0]
 
     outer = itertools.islice(_binomial_column(r, start, step, ctx), 1, None)
     return sum_products(outer, values(), ctx, description="chain k-series").value

@@ -442,8 +442,10 @@ TK_GOLDEN = json.loads((Path(__file__).parent / "data" / "tk_golden.json").read_
 def test_lfun_tk_matches_golden(runner, key):
     # pinned when T was summed as its own series; T is now derived from the
     # cached H and K, which moved only p5/n1/s3/a2's T tail_valuation_bound
-    # (19 -> 18, the merged H and K bound)
-    p, n, s, which = key.split("/")
+    # (19 -> 18, the merged H and K bound).  A key is p/n/s/which, and a
+    # fraction s (the p-adic T and K) keeps its own "/": "p5/n2/s1/2/a2"
+    head, which = key.rsplit("/", 1)
+    p, n, s = head.split("/", 2)
     options = ["-a", "2"] if which == "a2" else ["--chi", which]
     result = invoke(runner, ["lfun", "tk", "-n", n[1:], "-s", s[1:], *options,
                              "--p", p[1:], "--json"])

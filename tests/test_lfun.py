@@ -32,6 +32,7 @@ from qlfun.numerics import (
     PadicNumber,
     QContext,
     SeriesDivergenceError,
+    SeriesResult,
     angle_bracket,
     binom_int,
     binom_stream,
@@ -441,6 +442,13 @@ def unit_pow(a, F, s, ctx):
     return lfun._unit_pow(s, lfun._unit_table(F, ctx)[a][0], lfun._tables(F, ctx))
 
 
+def series_parts(result):
+    """A converged SeriesResult as lfun's per-unit (value parts, last_index,
+    tail_valuation_bound)."""
+    assert result.converged
+    return result.value.parts, result.last_index, result.tail_valuation_bound
+
+
 def per_unit_fold(a, F, s, ctx):
     """<a>^(-s) as its own guarded fold over unit a's power column."""
     J = lfun._series_length(s, ctx)
@@ -485,7 +493,8 @@ def large_exponents(p):
 ])
 def test_unit_free_scans_equal_the_per_unit_route(p, q, contexts):
     # H, K (n = 1, 2) and <a>^(-s) at every unit a < F, F in {p, 3p, 5p}, as
-    # dataclasses: one scan per series evaluated at each unit's point gives
+    # dataclasses (<a>^(-s) as its value's parts, stop and tail bound): one
+    # scan per series evaluated at each unit's point gives
     # the per-unit fold's value, stop, tail bound and converged flag, and so
     # does the one modular power <a>^(-s) at an integer s, at large s as well
     # for q = 1 - p and 1/(1 + p) (F = p); at a guard of 1, where the fold can
@@ -503,7 +512,7 @@ def test_unit_free_scans_equal_the_per_unit_route(p, q, contexts):
                             continue
                         prm = PartialZetaParams(a, F)
                         expected = (per_unit_fold if guard > 1 else per_unit_pow)(a, F, s, ctx)
-                        assert unit_pow(a, F, s, ctx) == expected, (ctx, s, a)
+                        assert unit_pow(a, F, s, ctx) == series_parts(expected), (ctx, s, a)
                         assert H_pq(s, prm, ctx) == per_unit_series(0, s, prm, ctx), (ctx, s, a)
                         for n in (1, 2):
                             assert K_partial(n, s, prm, ctx) == per_unit_series(n, s, prm, ctx)
@@ -621,14 +630,14 @@ def test_series_cache_is_dropped_with_its_scope():
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_unit_power_matches_padic_pow(p):
     # <a>^(-s) read from the shared binomial column is padic_pow's own
-    # series, as a dataclass: outside a scope, inside one, and after an H
+    # series, field for field: outside a scope, inside one, and after an H
     # series has read the same column; the unit table covers the units < 2p
     ctx = QContext(p=p, q=Fraction(p + 1), precision=8)
     units = [a for a in range(1, 2 * p) if a % p]
     exponents = [0, 2, -3, ctx.embed(4), ctx.embed(-2),
                  ctx.embed(Fraction(1, 2)), ctx.embed(Fraction(-3, 4))]
     for s in exponents:
-        expected = [padic_pow(angle_bracket(a, ctx), -s, ctx) for a in units]
+        expected = [series_parts(padic_pow(angle_bracket(a, ctx), -s, ctx)) for a in units]
         assert [unit_pow(a, 2 * p, s, ctx) for a in units] == expected
         with series_cache():
             assert [unit_pow(a, 2 * p, s, ctx) for a in units] == expected
@@ -649,10 +658,10 @@ def test_exact_unit_power_mends_only_early_stops(p):
         W = ctx.working_precision
         for s in list(range(-30, 45)) + large_exponents(p):
             for a in range(1, p):
-                got, fold = unit_pow(a, p, s, ctx), per_unit_fold(a, p, s, ctx)
-                assert replace(got, value=fold.value) == fold
-                assert got.value == exact_unit_pow(a, s, ctx)
-                if got.value != fold.value:
+                (got, *stop), fold = unit_pow(a, p, s, ctx), per_unit_fold(a, p, s, ctx)
+                assert series_parts(fold)[1:] == tuple(stop)
+                assert got == exact_unit_pow(a, s, ctx).parts
+                if got != fold.value.parts:
                     differ += 1
                     v = lfun._unit_table(p, ctx)[a][0][0]
                     assert min(v_p(binom_int(-s, k), p) + k * v
@@ -661,8 +670,83 @@ def test_exact_unit_power_mends_only_early_stops(p):
     if p == 3:  # the fold stops at k = 8 (valuation 11) and leaves out k = 9 (10)
         ctx = QContext(p=3, q=Fraction(4), precision=1, guard=1)
         assert per_unit_fold(2, 3, 20, ctx).value.unit == 86791
-        assert unit_pow(2, 3, 20, ctx).value.unit == 27742 == pow(
+        assert unit_pow(2, 3, 20, ctx)[0][1] == 27742 == pow(
             angle_bracket(2, ctx).unit, -20, 3**11)
+
+
+def object_unit_pow(s, angle, tables):
+    """<a>^(-s) on the object route: the power scan's value as a SeriesResult,
+    at an integer s the modular power as a PadicNumber with the scan's stop."""
+    v, unit, precision = angle
+    key = (s, v, precision)
+    scan = tables.read(tables.power_scans, key, lfun._power_scan, *key, tables)
+    if not isinstance(s, int):
+        value, last, bound = scan.at(unit)
+        return SeriesResult(PadicNumber(scan.p, *value), last, bound, True)
+    p, W = tables.ctx.p, tables.ctx.working_precision
+    return SeriesResult(PadicNumber.make(p, 0, pow(1 + p**v * unit, -s, p**W), W),
+                        len(scan.terms) - 1, scan.tail_bound, not scan.error)
+
+
+def object_twisted_series(n, s, a, tables):
+    """H (n = 0) or K of unit a on the object route: PadicNumber products and
+    negation, the metadata by merge_series."""
+    F, ctx = tables.F, tables.ctx
+    angle, (_, ratio, _) = tables.read(tables.unit_tables, F, lfun._unit_table, F, ctx)[a]
+    unit_pow = object_unit_pow(s, angle, tables)
+    scan = tables.read(tables.scans, (n, s), lfun._body_scan, n, s, tables)
+    value, last, bound = scan.at(ratio)
+    body = SeriesResult(PadicNumber(scan.p, *value), last, bound, True)
+    value = unit_pow.value * body.value
+    return merge_series(-value if a % 2 else value, [unit_pow, body])
+
+
+def object_hk_series(tables, n, s, a):
+    h_part, k_part = object_twisted_series(0, s, a, tables), object_twisted_series(n, s, a, tables)
+    return merge_series(h_part.value + k_part.value, [h_part, k_part])
+
+
+def object_boundary_series(tables, n, s, a):
+    ctx, k_part = tables.ctx, object_twisted_series(n, s, a, tables)
+    twice_k = ctx.embed(2) * k_part.value
+    if n % 2 == 0:
+        return merge_series(twice_k, [k_part])
+    h_part = object_twisted_series(0, s, a, tables)
+    return merge_series(-(twice_k + ctx.embed(4) * h_part.value), [h_part, k_part])
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_per_unit_parts_equal_the_object_route(p):
+    # the per-unit H, K, H + K, T and <a>^(-s) on plain parts equal, field for
+    # field, the same series on PadicNumber and SeriesResult with merge_series:
+    # every unit a < F, F in {p, 3p}, n 0-2, integer and p-adic s, q in
+    # {1 + p, 1 - p, 1/(1 + p)} and precision 8/16, and at p = 3 a guard of 1,
+    # where a unit power's fold stops early (s = 20, see
+    # test_exact_unit_power_mends_only_early_stops)
+    contexts = [QContext(p=p, q=q, precision=precision)
+                for q in (Fraction(1 + p), Fraction(1 - p), Fraction(1, 1 + p))
+                for precision in (8, 16)]
+    if p == 3:
+        contexts.append(QContext(p=3, q=Fraction(4), precision=1, guard=1))
+    routes = [(lfun._hk_series, object_hk_series),
+              (lfun._boundary_series, object_boundary_series),
+              (lambda tables, n, s, a: lfun._twisted_series(n, s, a, tables),
+               lambda tables, n, s, a: object_twisted_series(n, s, a, tables))]
+    for ctx in contexts:
+        exponents = [-3, 0, 1, 4, ctx.embed(-2), ctx.embed(Fraction(1, 2))]
+        exponents += [20] if ctx.guard == 1 else []
+        for F in (p, 3 * p):
+            with series_cache():
+                tables, angles = lfun._tables(F, ctx), lfun._unit_table(F, ctx)
+                for s, a in itertools.product(exponents, range(1, F)):
+                    if a % p == 0:
+                        continue
+                    angle = angles[a][0]
+                    assert lfun._unit_pow(s, angle, tables) == series_parts(
+                        object_unit_pow(s, angle, tables)), (ctx, F, s, a)
+                    for (parts_route, object_route), n in itertools.product(routes, (0, 1, 2)):
+                        assert parts_route(tables, n, s, a) == series_parts(
+                            object_route(tables, n, s, a)), (ctx, F, s, a, n)
 
 
 def test_non_integral_exponent_is_refused_on_every_call_in_a_scope():
@@ -1118,7 +1202,8 @@ def test_chi_column_reads_the_integer_residue(p):
             chi = parse_character(spec, p)
             F = math.lcm(p, chi.conductor)
             values = [(a, chi_eval(chi, a, ctx)) for a in range(1, F + 1) if a % p]
-            assert lfun._chi_column(chi, F, ctx) == [(a, c) for a, c in values if not c.is_zero]
+            assert lfun._chi_column(chi, F, ctx) == [(a, c.parts) for a, c in values
+                                                     if not c.is_zero]
 
 
 @pytest.mark.parametrize("p,q,F", list(residue_grid()))

@@ -19,6 +19,7 @@ from qlfun.numerics import (
     mul_parts,
     power_column,
     q_int,
+    reduce_mod_pN,
     residual_valuation,
     sum_guarded,
     sum_products,
@@ -379,8 +380,10 @@ def test_thm5_rhs_equals_the_padic_term_fold(p):
 def test_printed_k_series_that_misses_its_guard_raises(monkeypatch):
     # coefficients p^(-k) cancel the valuation k of [pn]^k, so every term
     # stays below working precision: the series reads ctx.column_length
-    # terms and raises with its partial sum, never a converged value
+    # terms and raises with its partial sum, never a converged value; the
+    # Fraction coefficients are embedded by reduce_mod_pN, as integers are
     monkeypatch.setattr(verify, "binom_int", lambda t, k: Fraction(1, 3**k))
+    monkeypatch.setattr(verify, "int_parts", lambda r, p, N: reduce_mod_pN(r, p, N).parts)
     L = CTX34.column_length
     with pytest.raises(SeriesDivergenceError,
                        match=f"^thm5 rhs k-series: guard not satisfied within its {L} "
