@@ -22,8 +22,8 @@ from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
 from .characters import DirichletCharacter, chi_residue, chi_sum
 from .numerics import (PadicExponent, PadicNumber, Parts, QContext, SeriesParts, SeriesResult,
                        SeriesScan, _strip_p, add_parts, binom_parts, exact_sum_pairs, int_parts,
-                       merge_stops, mul_parts, neg_parts, power_column, q_int, residue_parts,
-                       scan_products, series_result, unit_residues, v_p)
+                       merge_stops, mul_parts, neg_parts, q_int, residue_parts, scan_products,
+                       series_result, unit_residues, v_p)
 from .qeuler import (FractionalArg, _closed_form_pair, _closed_form_row, _twist_base,
                      euler_number, euler_poly_frac)
 
@@ -79,14 +79,13 @@ def lq_neg_series_path(k: int, chi: DirichletCharacter, q=None,
 class SeriesTables:
     """The tables of one (F, ctx) in a series scope, plain dicts keyed by ints, s
     (an int or a PadicNumber) and chi: ``unit_tables`` {F}; ``chi_columns`` {chi};
-    ``binomials`` {s}; ``power_scans`` {(s, v, precision)}; ``shapes``
-    {(v, precision or None, length)}, the power scans' columns; ``deltas``
-    {J}; ``terms`` {(n, J)}; ``scans`` {(n, s)}; ``powers`` {(s, the parts of <a> - 1)};
-    ``hk`` {(n, s, a)}, the H/K values' :data:`SeriesParts`; and eq24's
-    ``eq24_free_parts`` {n} and ``eq24_heads`` {(r, a)}.  :meth:`read` fills one
-    on a miss from its builder."""
+    ``binomials`` {s}; ``power_scans`` {(s, v, precision)}; ``deltas`` {J};
+    ``terms`` {(n, J)}; ``scans`` {(n, s)}; ``powers`` {(s, the parts of <a> - 1)};
+    ``hk`` {(n, s, a)}; and eq24's ``eq24_free_parts`` {n} and ``eq24_heads``
+    {(r, a)}.  They hold plain parts: :data:`Parts` columns and the powers' and
+    H/K values' :data:`SeriesParts`.  :meth:`read` fills one on a miss."""
 
-    TABLES = ("unit_tables", "chi_columns", "binomials", "power_scans", "shapes", "deltas",
+    TABLES = ("unit_tables", "chi_columns", "binomials", "power_scans", "deltas",
               "terms", "scans", "powers", "hk", "eq24_free_parts", "eq24_heads")
 
     def __init__(self, F: int, ctx: QContext, scope: "SeriesCache") -> None:
@@ -201,19 +200,20 @@ def _unit_table(F: int, ctx: QContext) -> Dict[int, Tuple[Parts, Parts]]:
 
 def _power_scan(s: PadicExponent, v: int, precision: int, tables: SeriesTables) -> SeriesScan:
     """The scan of sum_k binom(-s, k) (<a> - 1)^k for every unit a with
-    <a> - 1 = p^v t known to ``precision`` digits (0 for a zero): the shape
-    column (p^v)^k from ``ctx.one()``, shared by every p-adic s, has the
-    valuations and precisions of the (<a> - 1)^k, whose units are t^k, so <a>'s
-    series is this scan at t.  Its k-th term has valuation >= k.  At an integer s
+    <a> - 1 = p^v t known to ``precision`` digits (0 for a zero): the column
+    (p^v)^k from ``ctx.one()``, (0, 1, W) then (k v, 1, min(W, precision)), W
+    the working precision (unit 0 at precision 0, a zero's), has the valuations
+    and precisions of the (<a> - 1)^k, whose units are t^k, so <a>'s series is
+    this scan at t.  Its k-th term has valuation >= k.  At an integer s
     :func:`_unit_pow` reads only its stop, tail bound and flag, from valuations:
-    the column is the zeros (k v, 0, 0), keyed apart as (v, None, length)."""
+    the column is the zeros (k v, 0, 0), so the scan multiplies no unit."""
     ctx, length = tables.ctx, _series_length(s, tables.ctx)
     if isinstance(s, int):
-        key, start, step = (v, None, length), (0, 0, 0), (v, 0, 0)
+        column = [(k * v, 0, 0) for k in range(length)]
     else:
-        key, start, step = (v, precision, length), ctx.one().parts, (v, 1, precision)
-    shape = tables.read(tables.shapes, key, power_column, ctx.p, start, step, length)
-    return scan_products(tables.read(tables.binomials, s, _binomials, s, ctx), shape, ctx,
+        prec = min(ctx.working_precision, precision)
+        column = [ctx.one().parts, *((k * v, 1 if prec else 0, prec) for k in range(1, length))]
+    return scan_products(tables.read(tables.binomials, s, _binomials, s, ctx), column, ctx,
                          description="binomial power series")
 
 
@@ -373,16 +373,16 @@ def _chi_column(chi: DirichletCharacter, F: int, ctx: QContext) -> List[Tuple[in
 
 
 def _unit_sum(part: Callable[[SeriesTables, int], SeriesParts],
-              chi: DirichletCharacter, F: int, ctx: QContext) -> SeriesResult:
-    """2 sum over units a <= F of chi(a) part(tables, a), on parts, made one
-    SeriesResult at the end, behind l_pq, T_full, K_full and ``verify.thm5_rhs``,
-    which check the series' arguments and conductor(chi) | F (so the units run
-    over whole periods of chi); the units share the (F, ctx) tables."""
+              chi: DirichletCharacter, F: int, ctx: QContext) -> SeriesParts:
+    """2 sum over units a <= F of chi(a) part(tables, a), as :data:`SeriesParts`,
+    behind l_pq, T_full, K_full and ``verify.thm5_rhs``, which check the series'
+    arguments and conductor(chi) | F (so the units run over whole periods of
+    chi) and wrap it once; the units share the (F, ctx) tables."""
     p, tables, acc, parts = ctx.p, _tables(F, ctx), ctx.zero().parts, []
     for a, c in tables.read(tables.chi_columns, chi, _chi_column, chi, F, ctx):
         parts.append(part(tables, a))
         acc = add_parts(p, acc, mul_parts(p, c, parts[-1][0]))
-    return series_result(p, merge_stops(add_parts(p, acc, acc), parts))
+    return merge_stops(add_parts(p, acc, acc), parts)
 
 
 def l_pq(s: PadicExponent, chi: DirichletCharacter, ctx: QContext,
@@ -395,7 +395,7 @@ def l_pq(s: PadicExponent, chi: DirichletCharacter, ctx: QContext,
     if F % chi.conductor != 0:
         raise ValueError("l_pq requires conductor(chi) | F")
     ctx.require_q_not_one("H_pq")
-    return _unit_sum(lambda tables, a: tables.series(0, s, a), chi, F, ctx)
+    return series_result(ctx.p, _unit_sum(lambda tables, a: tables.series(0, s, a), chi, F, ctx))
 
 
 def K_partial(n: int, s: PadicExponent, prm: PartialZetaParams, ctx: QContext) -> SeriesResult:
@@ -458,7 +458,7 @@ def _full_sum(name: str, partial: str, n: int,
     if n < 1:
         raise ValueError(f"{partial} requires n >= 1")
     ctx.require_q_not_one(partial)
-    return _unit_sum(part, chi, ctx.p, ctx)
+    return series_result(ctx.p, _unit_sum(part, chi, ctx.p, ctx))
 
 
 def T_full(n: int, s: PadicExponent, chi: DirichletCharacter, ctx: QContext) -> SeriesResult:

@@ -4,9 +4,13 @@ Everything downstream is built on two substrates:
 
 * exact rationals (``fractions.Fraction``) for the closed finite-sum values,
   so that no p-adic cancellation can corrupt a result before it is reduced;
-* :class:`PadicNumber`, a truncated p-adic number carrying an explicit
-  significant-digit count, used once values cross into p-adic territory
-  (Teichmuller lifts, binomial series in a p-adic exponent, guarded series).
+* truncated p-adic numbers carrying an explicit significant-digit count, once
+  values cross into p-adic territory (Teichmuller lifts, binomial series in a
+  p-adic exponent, guarded series).  Their working form is the plain
+  :data:`Parts` triple (valuation, unit, precision), which the rules
+  :func:`mul_parts`, :func:`add_parts` and :func:`neg_parts` combine and a
+  series carries with its stop as :data:`SeriesParts`; :class:`PadicNumber`,
+  p plus its parts, whose operators are those rules, is the public value type.
 
 The ambient parameters (odd prime p, rational q close to 1, target and
 working precision, truncation guard) travel in a :class:`QContext`.
@@ -146,7 +150,7 @@ def neg_parts(p: int, x: Parts) -> Parts:
 def residue_parts(p: int, valuation: int, residue: int, precision: int) -> Parts:
     """The parts of ``residue * p**valuation`` known mod p**(valuation + precision),
     normalized: p stripped from the residue mod p**precision, a zero's parts
-    (valuation + precision, 0, 0) when nothing is left (``PadicNumber.make``)."""
+    (valuation + precision, 0, 0) when nothing is left."""
     if precision <= 0:
         return valuation + precision, 0, 0
     residue %= _modulus(p, precision)
@@ -236,11 +240,6 @@ class PadicNumber:
     @classmethod
     def zero(cls, p: int, bound: Valuation = INF) -> "PadicNumber":
         return cls(p, bound, 0, 0)
-
-    @classmethod
-    def make(cls, p: int, valuation: int, residue: int, precision: int) -> "PadicNumber":
-        """Normalize ``residue * p**valuation`` known mod p**(valuation+precision)."""
-        return cls(p, *residue_parts(p, valuation, residue, precision))
 
     @classmethod
     def one(cls, p: int, precision: int) -> "PadicNumber":
@@ -511,8 +510,8 @@ def series_result(p: int, series: SeriesParts) -> SeriesResult:
 
 
 def merge_stops(value: Parts, series: Iterable[SeriesParts]) -> SeriesParts:
-    """value with :func:`merge_series`' metadata of the series read: the greatest
-    last_index (0 for none) and the least tail bound (inf for none)."""
+    """value with the metadata of the series read: the greatest last_index (0
+    for none) and the least tail bound (inf for none)."""
     last, bound = 0, INF
     for _, index, tail in series:
         last, bound = max(last, index), min(bound, tail)
@@ -597,37 +596,6 @@ def sum_products(xs: Iterable[Parts], ys: Iterable[Parts], ctx: QContext, *,
                  description: str = "series") -> SeriesResult:
     """The value of :func:`scan_products`: the guarded sum of x_j y_j."""
     return series_result(ctx.p, scan_products(xs, ys, ctx, description=description).at())
-
-
-def sum_guarded(terms: Iterable[Union[PadicNumber, Parts]], ctx: QContext, *,
-                description: str = "series") -> SeriesResult:
-    """The guarded sum of :func:`sum_products` over single terms, each a
-    PadicNumber of ctx.p or its parts, paired with the parts (0, 1, inf) of an
-    exact 1: the same stop rule, the same result and at most
-    ``ctx.column_length`` terms drawn."""
-    check = ctx.zero()._check_same_prime
-
-    def parts(term: Union[PadicNumber, Parts]) -> Parts:
-        if type(term) is tuple:
-            return term
-        check(term)
-        return term.parts
-
-    return sum_products(map(parts, terms), itertools.repeat((0, 1, INF)), ctx,
-                        description=description)
-
-
-def merge_series(value: PadicNumber, parts: Iterable[SeriesResult]) -> SeriesResult:
-    """Combine sub-series metadata for a value assembled from several series."""
-    last = 0
-    bound: Valuation = INF
-    converged = True
-    for part in parts:
-        last = max(last, part.last_index)
-        bound = min(bound, part.tail_valuation_bound)
-        converged = converged and part.converged
-    return SeriesResult(value=value, last_index=last,
-                        tail_valuation_bound=bound, converged=converged)
 
 
 # ---------------------------------------------------------------------------

@@ -18,17 +18,17 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .characters import DirichletCharacter
 from .lfun import (K_partial, PartialZetaParams, SeriesCache, T_partial, _boundary_series,
                    _hk_series, _tables, _unit_sum, l_pq, series_cache)
-from .numerics import (INF, PadicNumber, Parts, QContext, SeriesResult, Valuation, binom_int,
-                       exact_sum, exact_sum_pairs, int_parts, merge_series, mul_parts, q_int,
-                       require_odd_prime, residual_valuation, sum_products, teichmuller, v_p,
-                       valuation_json)
+from .numerics import (INF, PadicNumber, Parts, QContext, SeriesResult, Valuation, add_parts,
+                       binom_int, binom_parts, exact_sum, exact_sum_pairs, merge_stops, mul_parts,
+                       neg_parts, q_int, require_odd_prime, residual_valuation, scan_products,
+                       series_result, teichmuller, v_p, valuation_json)
 from .qeuler import (
     _closed_form_pair,
     _closed_form_row,
@@ -179,17 +179,16 @@ def thm5_lhs_exact(n: int, r: int, ctx: QContext) -> Fraction:
                          for j in range(1, n * ctx.p + 1) if j % ctx.p)
 
 
-def _binomial_column(r: int, start: PadicNumber, step: PadicNumber,
-                     ctx: QContext) -> Iterator[Parts]:
+def _binomial_column(r: int, start: Parts, step: Parts, ctx: QContext) -> Iterator[Parts]:
     """The parts of binom(-r, k) start step^k, k = 0, 1, ..., the outer factors of
     both k-series and eq24's heads: :func:`mul_parts` is associative and
     commutative, so each is the PadicNumber product's in any order.  The printed
     coefficient (r/(r+k)) binom(-r-1, k) is binom(-r, k) (``binom_identities_check``'s
     third identity at j = 0), an integer, (-1)^k C(r+k-1, k), whose ``ctx.embed``
-    parts are its :func:`int_parts`."""
-    p, N, power, step = ctx.p, ctx.embed_precision, start.parts, step.parts
-    for k in itertools.count():
-        yield mul_parts(p, int_parts(binom_int(-r, k), p, N), power)
+    parts :func:`binom_parts` gives."""
+    p, power = ctx.p, start
+    for binom in binom_parts(-r, ctx):
+        yield mul_parts(p, binom, power)
         power = mul_parts(p, power, step)
 
 
@@ -201,7 +200,8 @@ def thm5_rhs(n: int, r: int, ctx: QContext) -> SeriesResult:
     The k-series folds the :func:`_binomial_column` of -(-1)^n [pn]^k against
     (l + K)(r + k), read lazily (none past the stop) as one unit sum of w^(-r-k)(a)
     ``lfun._hk_series``; T is the unit sum of ``lfun._boundary_series``, and q != 1 is
-    checked once.  The k-th term has valuation >= k, so its guard fires within
+    checked once; on parts, with the k-series' last_index and the least tail bound
+    read.  The k-th term has valuation >= k, so its guard fires within
     ctx.column_length terms: binom(-r, k) is an integer, v_p([pn]^k) >= k, and
     (l + K)(r + k) is a p-adic integer (chi(a) and the H and K values are)."""
     if n < 1 or r < 1:
@@ -213,15 +213,17 @@ def thm5_rhs(n: int, r: int, ctx: QContext) -> SeriesResult:
         for s in itertools.count(r):
             parts.append(_unit_sum(lambda tables, a: _hk_series(tables, n, s, a),
                                    DirichletCharacter.teichmuller_power(-s, p), p, ctx))
-            yield parts[-1].value.parts
+            yield parts[-1][0]
 
-    start, step = ctx.embed((-1) ** (n + 1)) * ctx.one(), ctx.embed(q_int(p * n, ctx.q))
-    body = sum_products(_binomial_column(r, start, step, ctx), values(), ctx,
-                        description="thm5 rhs k-series")
+    start = mul_parts(p, ctx.embed((-1) ** (n + 1)).parts, ctx.one().parts)
+    step = ctx.embed(q_int(p * n, ctx.q)).parts
+    body = scan_products(_binomial_column(r, start, step, ctx), values(), ctx,
+                         description="thm5 rhs k-series").at()
     t_part = _unit_sum(lambda tables, a: _boundary_series(tables, n, r, a),
                        DirichletCharacter.teichmuller_power(-r, p), p, ctx)
-    merged = merge_series(body.value - t_part.value, [*parts, t_part, body])
-    return replace(merged, last_index=body.last_index)
+    value, _, bound = merge_stops(add_parts(p, body[0], neg_parts(p, t_part[0])),
+                                  [*parts, t_part, body])
+    return series_result(p, (value, body[1], bound))
 
 
 @dataclass(frozen=True)
@@ -311,21 +313,23 @@ def _eq24_heads(r: int, a: int, ctx: QContext) -> List[Parts]:
     valuation >= s and the free parts are p-integral (E_{s,Q} = 2 Delta_s/(1-Q)^s
     and ``lfun._term_column``' bound), so eq24's guards fire within the columns."""
     q, count_a = ctx.q, q_int(a, ctx.q)
-    column = _binomial_column(r, ctx.embed(-count_a ** (-r) * (-1) ** a),
-                              ctx.embed(q**a * q_int(ctx.p, q) / count_a), ctx)
+    column = _binomial_column(r, ctx.embed(-count_a ** (-r) * (-1) ** a).parts,
+                              ctx.embed(q**a * q_int(ctx.p, q) / count_a).parts, ctx)
     return list(itertools.islice(column, ctx.column_length))
 
 
-def _boundary_piece(n: int, r: int, a: int, ctx: QContext) -> PadicNumber:
+def _boundary_piece(n: int, r: int, a: int, ctx: QContext) -> Parts:
     """-(w^(-r)(a)/2) T(n, r, a : p): the boundary term in character form, T read
-    unchecked from the tables (the point's :func:`thm5_rhs` has refused q = 1)."""
-    w = teichmuller(pow(a, -r, ctx.p), ctx.p, ctx.working_precision)
-    t_parts, _, _ = _boundary_series(_tables(ctx.p, ctx), n, r, a)
-    return -(w * PadicNumber(ctx.p, *t_parts)) / ctx.embed(2)
+    unchecked from the tables (the point's :func:`thm5_rhs` has refused q = 1),
+    halved by the parts of embed(1/2) (the division by embed(2), as 2 is a unit)."""
+    p = ctx.p
+    w = teichmuller(pow(a, -r, p), p, ctx.working_precision).parts
+    t_parts, _, _ = _boundary_series(_tables(p, ctx), n, r, a)
+    return mul_parts(p, neg_parts(p, mul_parts(p, w, t_parts)), ctx.embed(Fraction(1, 2)).parts)
 
 
 def _expansion_group(n: int, r: int, a: int, ctx: QContext,
-                     with_correction: bool = True) -> PadicNumber:
+                     with_correction: bool = True) -> Parts:
     """The reindexed k-series for one unit a:
     -(-1)^n sum_{k>=1} coeff_k q^(ak) [pn]^k w^(-r-k)(a) (H [+ K])(r+k, a : p).
 
@@ -342,8 +346,9 @@ def _expansion_group(n: int, r: int, a: int, ctx: QContext,
     w(a) is a unit and H and K at s = r + k are p-adic integers."""
     p, W, tables = ctx.p, ctx.working_precision, _tables(ctx.p, ctx)
     ctx.require_q_not_one("H_pq")  # the one check of the H and K values read: a < p is a unit
-    start = ctx.embed((-1) ** (n + 1)) * teichmuller(pow(a, -r, p), p, W)
-    step = ctx.embed(ctx.q**a * q_int(p * n, ctx.q)) * teichmuller(pow(a, -1, p), p, W)
+    start = mul_parts(p, ctx.embed((-1) ** (n + 1)).parts, teichmuller(pow(a, -r, p), p, W).parts)
+    step = mul_parts(p, ctx.embed(ctx.q**a * q_int(p * n, ctx.q)).parts,
+                     teichmuller(pow(a, -1, p), p, W).parts)
 
     def values():
         for s in itertools.count(r + 1):
@@ -351,49 +356,51 @@ def _expansion_group(n: int, r: int, a: int, ctx: QContext,
             yield piece[0]
 
     outer = itertools.islice(_binomial_column(r, start, step, ctx), 1, None)
-    return sum_products(outer, values(), ctx, description="chain k-series").value
+    return scan_products(outer, values(), ctx, description="chain k-series").at()[0]
 
 
-def _residual_sentinel(a: PadicNumber, b: PadicNumber) -> Valuation:
-    """Residual valuation with the report convention: the infinity sentinel
-    whenever the two values are indistinguishable at the available precision.
-    Reports (and their JSON form) encode that case as ``inf``, where
-    :func:`residual_valuation` returns the zero difference's finite bound."""
-    d = a - b
-    return INF if d.is_zero else d.valuation
+def _residual_sentinel(p: int, a: Parts, b: Parts) -> Valuation:
+    """Residual valuation of two values' parts with the report convention: the
+    infinity sentinel whenever the two values are indistinguishable at the
+    available precision.  Reports (and their JSON form) encode that case as
+    ``inf``, where :func:`residual_valuation` returns the zero difference's
+    finite bound."""
+    valuation, _, precision = add_parts(p, a, neg_parts(p, b))
+    return valuation if precision else INF
 
 
 def _thm5_point(n: int, r: int, ctx: QContext, cache: SeriesCache) -> Thm5Report:
     """One grid point inside the open series scope: exact sum, printed
     expansion, re-derived chain, and per-step residual valuations.  The
-    report counts only this point's own table reads."""
-    hits, misses, tables = cache.hits, cache.misses, _tables(ctx.p, ctx)
+    report counts only this point's own table reads.  Values are carried as parts."""
+    p, hits, misses, tables = ctx.p, cache.hits, cache.misses, _tables(ctx.p, ctx)
     lhs_exact = thm5_lhs_exact(n, r, ctx)
     lhs = ctx.embed(lhs_exact)
     printed = thm5_rhs(n, r, ctx)
+    rhs = printed.value.parts
 
     eq24_vals: List[Valuation] = []
     eq26_vals: List[Valuation] = []
     eq27_vals: List[Valuation] = []
-    chain_total = ctx.zero()
+    chain_total = ctx.zero().parts
     partials: List[Fraction] = []
-    for a in range(1, ctx.p):
+    for a in range(1, p):
         partials.append(_partial_sum_exact(n, r, a, ctx))
-        partial_exact = ctx.embed(partials[-1])
+        partial_exact = ctx.embed(partials[-1]).parts
         # eq24's series and its group 1 alone, folds over the same heads
         heads = tables.read(tables.eq24_heads, (r, a), _eq24_heads, r, a, ctx)
         both, group1_free = tables.read(tables.eq24_free_parts, n, _eq24_free_parts, n, ctx)
-        series24 = sum_products(heads, both, ctx, description="eq24 series")
-        group1 = sum_products(heads, group1_free, ctx, description="group1 series")
-        eq24_vals.append(_residual_sentinel(partial_exact, series24.value))
+        series24 = scan_products(heads, both, ctx, description="eq24 series").at()[0]
+        group1 = scan_products(heads, group1_free, ctx, description="group1 series").at()[0]
+        eq24_vals.append(_residual_sentinel(p, partial_exact, series24))
         boundary = _boundary_piece(n, r, a, ctx)
-        eq26_vals.append(_residual_sentinel(partial_exact, group1.value + boundary))
+        eq26_vals.append(_residual_sentinel(p, partial_exact, add_parts(p, group1, boundary)))
 
         hk_value = _expansion_group(n, r, a, ctx)
-        eq27_vals.append(_residual_sentinel(group1.value, hk_value))
+        eq27_vals.append(_residual_sentinel(p, group1, hk_value))
 
-        chain_total = chain_total + hk_value + boundary
-    chain_value = ctx.embed(2) * chain_total
+        chain_total = add_parts(p, add_parts(p, chain_total, hk_value), boundary)
+    chain_value = mul_parts(p, ctx.embed(2).parts, chain_total)
 
     # regrouping of the exact index set: an exact rational identity
     regrouped = 2 * sum(partials)
@@ -404,7 +411,7 @@ def _thm5_point(n: int, r: int, ctx: QContext, cache: SeriesCache) -> Thm5Report
         "eq26": min(eq26_vals, default=INF),
         "eq27": min(eq27_vals, default=INF),
         "eq30": eq30_val,
-        "assembly": _residual_sentinel(chain_value, printed.value),
+        "assembly": _residual_sentinel(p, chain_value, rhs),
     }
     first_failing = next((label for label in STEP_LABELS
                           if step_residuals[label] < ctx.precision), None)
@@ -412,10 +419,10 @@ def _thm5_point(n: int, r: int, ctx: QContext, cache: SeriesCache) -> Thm5Report
     return Thm5Report(
         lhs=lhs.at_absolute_precision(ctx.precision),
         rhs=printed.value.at_absolute_precision(ctx.precision),
-        residual_valuation=_residual_sentinel(lhs, printed.value),
+        residual_valuation=_residual_sentinel(p, lhs.parts, rhs),
         truncation_index=printed.last_index,
         step_residuals=step_residuals,
-        chain_residual_valuation=_residual_sentinel(lhs, chain_value),
+        chain_residual_valuation=_residual_sentinel(p, lhs.parts, chain_value),
         first_failing_step=first_failing,
         precision=ctx.precision,
         cache_hits=cache.hits - hits,
@@ -446,20 +453,20 @@ def thm5_qone_surrogate(n: int, r: int, ctx: QContext) -> dict:
     """
     if n % 2:
         raise ValueError("the near-classical collapse needs even n")
-    depth = v_p(ctx.q - 1, ctx.p)
-    lhs = ctx.embed(thm5_lhs_exact(n, r, ctx))
-    total = ctx.zero()
+    p, depth = ctx.p, v_p(ctx.q - 1, ctx.p)
+    lhs = ctx.embed(thm5_lhs_exact(n, r, ctx)).parts
+    total = ctx.zero().parts
     boundary_vals: List[Valuation] = []
     correction_vals: List[Valuation] = []
     with series_cache():
-        for a in range(1, ctx.p):
-            prm = PartialZetaParams(a, ctx.p)
+        for a in range(1, p):
+            prm = PartialZetaParams(a, p)
             boundary_vals.append(T_partial(n, r, prm, ctx).value.valuation)
             correction_vals.append(K_partial(n, r + 1, prm, ctx).value.valuation)
-            total = total + _expansion_group(n, r, a, ctx, with_correction=False)
-    residual = _residual_sentinel(lhs, ctx.embed(2) * total)
+            total = add_parts(p, total, _expansion_group(n, r, a, ctx, with_correction=False))
+    residual = _residual_sentinel(p, lhs, mul_parts(p, ctx.embed(2).parts, total))
     return {
-        "p": ctx.p,
+        "p": p,
         "n": n,
         "r": r,
         "depth": valuation_json(depth),
@@ -507,7 +514,7 @@ def congruence_scan_eq21(t: int, s_samples: Sequence[int], ctx: QContext) -> dic
     pair_vals = {}
     min_pair: Valuation = INF
     for (s1, v1), (s2, v2) in itertools.combinations(values, 2):
-        d = _residual_sentinel(v1, v2)
+        d = _residual_sentinel(ctx.p, v1.parts, v2.parts)
         pair_vals[f"{s1},{s2}"] = valuation_json(d)
         min_pair = min(min_pair, d)
     min_value: Valuation = min((v.valuation for _, v in values), default=INF)

@@ -76,6 +76,9 @@ def test_number_value_and_error_message(runner):
      "gen_euler_number: q = 1, use classical limit path"),
     (["lfun", "lq", "-k", "2", "--chi", "quad:5", "--q", "-1"],
      "gen_euler_number: pole at 1 + q^1 = 0"),
+    # the harness refuses q = 1 by its printed route's check, before any series
+    (["verify", "thm5", "--p", "3", "--q", "1", "-n", "1", "-r", "1"],
+     "H_pq divides by (1 - q): use classical limit path"),
 ])
 def test_domain_errors_name_the_refusing_function(runner, args, message):
     result = invoke(runner, args[:2] + ["--json"] + args[2:])

@@ -27,6 +27,7 @@ from qlfun.lfun import (
     series_cache,
 )
 from qlfun.numerics import (
+    INF,
     WORKING_MARGIN,
     PadicError,
     PadicNumber,
@@ -36,14 +37,13 @@ from qlfun.numerics import (
     angle_bracket,
     binom_int,
     binom_stream,
-    merge_series,
     mul_parts,
     padic_pow,
     power_column,
     q_int,
     residual_valuation,
+    residue_parts,
     scan_products,
-    sum_guarded,
     sum_products,
     teichmuller,
     v_p,
@@ -449,6 +449,16 @@ def series_parts(result):
     return result.value.parts, result.last_index, result.tail_valuation_bound
 
 
+def merge_series(value, parts):
+    """value as a SeriesResult with the metadata of the series it is made from:
+    the greatest last_index, the least tail bound, and converged only if every
+    part converged."""
+    parts = list(parts)
+    return SeriesResult(value, max((part.last_index for part in parts), default=0),
+                        min((part.tail_valuation_bound for part in parts), default=INF),
+                        all(part.converged for part in parts))
+
+
 def per_unit_fold(a, F, s, ctx):
     """<a>^(-s) as its own guarded fold over unit a's power column."""
     J = lfun._series_length(s, ctx)
@@ -531,23 +541,16 @@ def test_series_cache_scope_gives_the_same_values():
     lengths = len({lfun._series_length(s, CTX34) for s in s_values})
     assert lengths == 2
     # the power scans are keyed on s and the shape (valuation, precision) of
-    # <a> - 1, their shape columns on the shape and the series length: <1> - 1
-    # is a zero, <2> - 1 is not, so each unit has its own
+    # <a> - 1, each writing its column of that shape: <1> - 1 is a zero, <2> - 1
+    # is not, so each unit has its own
     shapes = len({lfun._unit_table(3, CTX34)[a][0][::2] for a in units})
     assert shapes == len(units)
-    # the shape columns are per shape and length, an integer s's (the zeros
-    # (k v, 0, 0): only the stop is read) apart from a p-adic s's: s = -2's,
-    # the full length's at s = 1 and 3, and the full length's at the p-adic s
-    shape_keys = len({(isinstance(s, int), lfun._series_length(s, CTX34)) for s in s_values})
-    assert shape_keys == 3
     # H, K(2) and K(1) per case and one <a>^(-s) per case, one binomial column
     # per s, one unit table (F = 3), per length one Delta_j column and one
-    # unit-free column per n in {0, 1, 2}, one body scan per (n, s), one power
-    # scan per (s, shape), integer or p-adic, and one shape column per (shape,
-    # shape key)
+    # unit-free column per n in {0, 1, 2}, one body scan per (n, s), and one
+    # power scan per (s, shape), integer or p-adic
     sizes = {"unit_tables": 1, "chi_columns": 0, "binomials": len(s_values),
-             "power_scans": len(s_values) * shapes,
-             "shapes": shapes * shape_keys, "deltas": lengths, "terms": 3 * lengths,
+             "power_scans": len(s_values) * shapes, "deltas": lengths, "terms": 3 * lengths,
              "scans": 3 * len(s_values), "powers": len(cases), "hk": 3 * len(cases),
              "eq24_free_parts": 0, "eq24_heads": 0}
     keys = sum(sizes.values())
@@ -570,17 +573,16 @@ def test_series_cache_scope_gives_the_same_values():
     # built reads the unit table once, for both of its unit's entries (<a> - 1
     # for the unit power, the point q^a/(1-q^a) for the body), all but the
     # first read hits.  Each unit power reads the power scan of its (s, shape),
-    # built once per key, and each power scan built the shape column of its
-    # (shape, shape key), built once per key.  The len(s_values) * shapes power
-    # scans and the 3 * len(s_values) body scans built each read the binomial
-    # column of their s, one per s: the rest of those reads hit.  The
+    # built once per key.  The len(s_values) * shapes power scans and the
+    # 3 * len(s_values) body scans built each read the binomial column of
+    # their s, one per s: the rest of those reads hit.  The
     # 3 * len(cases) series read their body scan, one per (n, s), and each
     # body scan built reads the unit-free column of its (n, length): the first
     # of each key builds it.  Every case has F = 3, so the unit-free columns
     # of one length share one Delta_j column: 2 hits per length
     assert cache.misses == keys
     hits = (3 * len(cases) + 4 * len(cases) + (3 * len(cases) - 1)
-            + (len(cases) - len(s_values) * shapes) + shapes * (len(s_values) - shape_keys)
+            + (len(cases) - len(s_values) * shapes)
             + len(s_values) * (2 + shapes)
             + 3 * (len(cases) - len(s_values)) + 3 * (len(s_values) - lengths)
             + 2 * lengths)
@@ -612,10 +614,10 @@ def test_series_cache_is_dropped_with_its_scope():
         H_pq(1, prm, CTX34)
         with series_cache() as inner:
             H_pq(1, prm, CTX34)
-        # H, the unit table, <a>^(-1), the power scan and the shape and binomial
-        # columns it reads, the body scan, its unit-free column and Delta_j
-        assert inner.misses == outer.misses == 9
-        built = ("unit_tables", "binomials", "power_scans", "shapes", "deltas", "terms",
+        # H, the unit table, <a>^(-1), the power scan and the binomial column
+        # it reads, the body scan, its unit-free column and Delta_j
+        assert inner.misses == outer.misses == 8
+        built = ("unit_tables", "binomials", "power_scans", "deltas", "terms",
                  "scans", "powers", "hk")
         assert outer.sizes() == {name: int(name in built) for name in lfun.SeriesTables.TABLES}
         assert not any(inner.sizes().values())
@@ -684,7 +686,7 @@ def object_unit_pow(s, angle, tables):
         value, last, bound = scan.at(unit)
         return SeriesResult(PadicNumber(scan.p, *value), last, bound, True)
     p, W = tables.ctx.p, tables.ctx.working_precision
-    return SeriesResult(PadicNumber.make(p, 0, pow(1 + p**v * unit, -s, p**W), W),
+    return SeriesResult(PadicNumber(p, *residue_parts(p, 0, pow(1 + p**v * unit, -s, p**W), W)),
                         len(scan.terms) - 1, scan.tail_bound, not scan.error)
 
 
@@ -921,20 +923,20 @@ def test_series_cache_sizes_of_one_l_pq_scope():
     # l_pq(2, w^1) at p = 5 reads the tables of (F = 5, ctx): one unit table,
     # chi column, binomial column, Delta_j column, unit-free H column and body
     # scan, and per unit a < 5 one unit power and one H value; the power scans
-    # and their shape columns are per shape (valuation, precision) of <a> - 1,
-    # three among the four units (<1> - 1 = 0)
+    # are per shape (valuation, precision) of <a> - 1, three among the four
+    # units (<1> - 1 = 0)
     w1 = DirichletCharacter.teichmuller_power(1, 5)
     assert len({lfun._unit_table(5, CTX56)[a][0][::2] for a in range(1, 5)}) == 3
     with series_cache() as cache:
         l_pq(2, w1, CTX56)
         sizes = cache.sizes()
     assert sizes == {"unit_tables": 1, "chi_columns": 1, "binomials": 1, "power_scans": 3,
-                     "shapes": 3, "deltas": 1, "terms": 1, "scans": 1,
+                     "deltas": 1, "terms": 1, "scans": 1,
                      "powers": 4, "hk": 4, "eq24_free_parts": 0, "eq24_heads": 0}
     # every table entry is one miss; the hits are the reads of the tables
     # built once: the unit table (4 series), the body scan (4 units), the
     # binomial column (3 scans and the body scan) and one power scan (4 powers)
-    assert cache.misses == sum(sizes.values()) == 20
+    assert cache.misses == sum(sizes.values()) == 17
     assert cache.hits == 3 + 3 + 3 + 1
 
 
@@ -956,26 +958,33 @@ def test_tables_outside_a_scope_leave_no_cycle():
         gc.enable()
 
 
-def test_power_scans_share_one_shape_column_per_shape(monkeypatch):
-    # at a p-adic s the power scan's column (p^v)^k depends on the shape
-    # (v, precision) of <a> - 1 and the column's length, not on s: one scope
-    # over two p-adic s builds it once per shape
-    units, s_values = (1, 2, 4, 5, 7, 8), [CTX34.embed(Fraction(1, 2)), CTX34.embed(Fraction(-3, 4))]
+def test_power_scans_read_the_power_column_of_their_shape(monkeypatch):
+    # a power scan's column depends on the shape (v, precision) of <a> - 1 and
+    # the column's length, not on the unit: at a p-adic s it is the power_column
+    # (p^v)^k of a unit step from ctx.one(), at an integer s the zeros
+    # (k v, 0, 0); one scope over two p-adic s and one integer s scans each
+    # (s, shape) once, with the values of the calls outside a scope
+    units = (1, 2, 4, 5, 7, 8)
+    s_values = [CTX34.embed(Fraction(1, 2)), CTX34.embed(Fraction(-3, 4)), 2]
     expected = [H_pq(s, PartialZetaParams(a, 9), CTX34) for s in s_values for a in units]
     shapes = {lfun._unit_table(9, CTX34)[a][0][::2] for a in units}
     assert len(shapes) > 1
-    calls = []
+    columns = []
 
-    def counting(p, start, step, length):
-        calls.append((step, length))
-        return power_column(p, start, step, length)
+    def recording(xs, ys, ctx, *, description):
+        if description == "binomial power series":
+            ys = list(ys)
+            columns.append(ys)
+        return scan_products(xs, ys, ctx, description=description)
 
-    monkeypatch.setattr(lfun, "power_column", counting)
+    monkeypatch.setattr(lfun, "scan_products", recording)
     with series_cache():
         got = [H_pq(s, PartialZetaParams(a, 9), CTX34) for s in s_values for a in units]
     assert got == expected
     L = CTX34.column_length
-    assert sorted(calls) == sorted(((v, 1, prec), L) for v, prec in shapes)
+    padic = [power_column(3, CTX34.one().parts, (v, 1, prec), L) for v, prec in shapes]
+    zeros = [[(k * v, 0, 0) for k in range(L)] for v, _ in shapes]
+    assert sorted(columns) == sorted(2 * padic + zeros)
 
 
 @pytest.mark.parametrize("guard", [2, 3])
@@ -1013,7 +1022,8 @@ def chain_by_public_calls(n, r, a, ctx):
             piece = H_pq(r + k, prm, ctx).value + K_partial(n, r + k, prm, ctx).value
             yield -(ctx.embed(coeff) * power * twist * piece)
 
-    return sum_guarded(terms(), ctx, description="chain k-series").value
+    return sum_products((term.parts for term in terms()), itertools.repeat((0, 1, INF)), ctx,
+                        description="chain k-series").value
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -1037,7 +1047,8 @@ def test_unit_sums_equal_the_per_unit_public_route(p):
                 lambda prm: T_partial(n, s, prm, ctx), w1, p, ctx), (s, n)
     for n in (1, 2):
         for a in range(1, p):
-            assert verify._expansion_group(n, 1, a, ctx) == chain_by_public_calls(n, 1, a, ctx)
+            assert verify._expansion_group(n, 1, a, ctx) == \
+                chain_by_public_calls(n, 1, a, ctx).parts
 
 
 @pytest.mark.parametrize("p", [3, 5])
@@ -1338,9 +1349,9 @@ def test_finite_series_read_the_same_terms_from_shorter_columns(monkeypatch, n):
 
 
 def too_short_power(ctx):
-    """The per-unit <a>^(-s) of H(1/2, 2:9) over a power column of 6 entries."""
+    """The per-unit <a>^(-s) of H(1/2, 2:9) over a binomial column of 6 entries."""
     s = ctx.embed(Fraction(1, 2))
-    return sum_products(lfun._binomials(s, ctx), per_unit_powers(2, 9, 21, ctx)[:6], ctx)
+    return sum_products(lfun._binomials(s, ctx)[:6], per_unit_powers(2, 9, 21, ctx), ctx)
 
 
 def too_short_exact_power(ctx):
@@ -1364,7 +1375,7 @@ def too_short_eq24(ctx):
 
 
 @pytest.mark.parametrize("module,column,series,name,reference", [
-    (lfun, "power_column",
+    (lfun, "_binomials",
      lambda ctx: H_pq(ctx.embed(Fraction(1, 2)), PartialZetaParams(2, 9), ctx),
      "binomial power series", too_short_power),
     (lfun, "_binomials", lambda ctx: H_pq(2, PartialZetaParams(2, 9), ctx),

@@ -25,7 +25,7 @@ from qlfun.numerics import (
     q_int,
     reduce_mod_pN,
     residual_valuation,
-    sum_guarded,
+    residue_parts,
     sum_products,
     teichmuller,
     unit_residues,
@@ -256,7 +256,7 @@ def test_arithmetic_keeps_zero_exactly_at_precision_zero(xy, exponent, bound):
 @settings(max_examples=300, deadline=None)
 def test_constructors_keep_zero_exactly_at_precision_zero(p, valuation, residue, shift,
                                                           precision, N, r, a):
-    values = [PadicNumber.make(p, valuation, residue * p**shift, precision),
+    values = [PadicNumber(p, *residue_parts(p, valuation, residue * p**shift, precision)),
               reduce_mod_pN(r, p, N), QContext(p=p, q=Fraction(1 + p), precision=N).one()]
     if a % p:
         values.append(teichmuller(a, p, N))
@@ -614,6 +614,13 @@ def test_binom_parts_equal_the_padic_loop(p):
 # guarded series
 # ---------------------------------------------------------------------------
 
+def sum_guarded(terms, ctx, *, description="series"):
+    """The guarded sum of single PadicNumber terms: sum_products over their
+    parts against the parts (0, 1, inf) of an exact 1."""
+    return sum_products((t.parts for t in terms), repeat((0, 1, inf)), ctx,
+                        description=description)
+
+
 def left_fold(terms, p):
     """The reference sum: PadicNumber.__add__ one term at a time."""
     acc = PadicNumber.zero(p)
@@ -625,7 +632,7 @@ def left_fold(terms, p):
 def fold_nonzero(p: int, low: int, high: int):
     """Nonzero terms of valuation low..high and precision 1..25."""
     return st.integers(1, 25).flatmap(lambda prec: st.builds(
-        lambda v, u: PadicNumber.make(p, v, u if u % p else u + 1, prec),
+        lambda v, u: PadicNumber(p, *residue_parts(p, v, u if u % p else u + 1, prec)),
         st.integers(low, high), st.integers(1, p**prec - 1)))
 
 
@@ -684,18 +691,6 @@ def test_sum_guarded_equals_the_left_fold(exit_kind, data):
     assert result.value == left_fold(terms[:stop + 1], p)
 
 
-@given(data=st.data())
-@settings(max_examples=150, deadline=None)
-def test_sum_guarded_takes_the_parts_of_its_terms(data):
-    # a term given as its (valuation, unit, precision) parts counts as the
-    # PadicNumber it is the parts of, at either exit (guard met, or the
-    # partial result of a series that misses its guard)
-    p = data.draw(st.sampled_from([3, 5, 7]))
-    ctx = QContext(p=p, q=Fraction(1 + p), precision=8)
-    terms = flat(data.draw(st.lists(fold_chunks(p, -2, 25), max_size=15)))
-    assert summed((t.parts for t in terms), ctx) == summed(iter(terms), ctx)
-
-
 def test_sum_guarded_reads_at_most_the_column_length():
     # an endless series that never meets its guard is cut after exactly
     # ctx.column_length terms, with the partial fold of the terms read
@@ -719,14 +714,6 @@ def test_sum_guarded_reads_at_most_the_column_length():
     assert partial.last_index == L - 1
     assert partial.converged is False
     assert partial.tail_valuation_bound == min(t.valuation for t in first[-ctx.guard:])
-
-    # the error contract of the terms: one prime, PadicNumber values only
-    with pytest.raises(PadicError, match="prime mismatch"):
-        sum_guarded(iter([ctx.embed(1), reduce_mod_pN(1, 5, 8)]), ctx)
-    with pytest.raises(PadicError, match="prime mismatch"):
-        sum_guarded(iter([reduce_mod_pN(2, 7, 8)]), ctx)
-    with pytest.raises(TypeError, match="expected PadicNumber"):
-        sum_guarded(iter([ctx.embed(1), Fraction(1)]), ctx)
 
 
 def test_sum_guarded_raises_when_its_column_ends_before_the_guard():
@@ -797,12 +784,11 @@ def test_sum_products_equals_sum_guarded_over_the_products(exit_kind, data):
                                     max_size=12))
         pairs = flat(chunk + low_pair for chunk, low_pair in chunks)
     xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
-    products = [mul_parts(p, x, y) for x, y in pairs]
+    products = [PadicNumber(p, *mul_parts(p, x, y)) for x, y in pairs]
     result = summed_products(iter(xs), iter(ys), ctx)
     assert result == summed(iter(products), ctx)
     assert result.converged is (exit_kind == "guard")
-    assert result.value == left_fold(
-        [PadicNumber(p, *t) for t in products[:result.last_index + 1]], p)
+    assert result.value == left_fold(products[:result.last_index + 1], p)
 
 
 @given(data=st.data())

@@ -5,23 +5,25 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qlfun import verify
 from qlfun.characters import DirichletCharacter
 from qlfun.lfun import H_pq, K_full, K_partial, PartialZetaParams, T_full, l_pq, series_cache
 from qlfun.numerics import (
     INF,
+    PadicNumber,
     QContext,
     SeriesDivergenceError,
     SeriesResult,
     binom_int,
-    merge_series,
     mul_parts,
     power_column,
     q_int,
     reduce_mod_pN,
     residual_valuation,
-    sum_guarded,
+    residue_parts,
     sum_products,
     teichmuller,
     v_p,
@@ -224,10 +226,17 @@ def eq24_grid():
                 yield p, q
 
 
+def fold_terms(terms, ctx, description="series"):
+    """The guarded sum of single PadicNumber terms, the reference fold:
+    sum_products over their parts against the parts (0, 1, inf) of an exact 1."""
+    return sum_products((term.parts for term in terms), itertools.repeat((0, 1, INF)), ctx,
+                        description=description)
+
+
 @pytest.mark.parametrize("p,q", list(eq24_grid()))
 def test_eq24_folds_equal_the_guarded_sums_of_the_exact_terms(p, q):
     # the eq24 series and group 1 alone, as _thm5_point folds them over a head
-    # column and a free-parts column, equal sum_guarded over the embedded
+    # column and a free-parts column, equal the guarded sums of the embedded
     # exact terms: value, stop index, tail bound and convergence
     for precision in (8, 16):
         ctx = QContext(p=p, q=q, precision=precision)
@@ -238,9 +247,9 @@ def test_eq24_folds_equal_the_guarded_sums_of_the_exact_terms(p, q):
                     for a in range(1, p):
                         heads = _eq24_heads(r, a, ctx)
                         terms = eq24_groups_per_term(n, r, a, ctx, ctx.column_length)
-                        assert sum_products(heads, both, ctx) == sum_guarded(
+                        assert sum_products(heads, both, ctx) == fold_terms(
                             (ctx.embed(g1 + g2) for g1, g2 in terms), ctx), (precision, n, r, a)
-                        assert sum_products(heads, group1, ctx) == sum_guarded(
+                        assert sum_products(heads, group1, ctx) == fold_terms(
                             (ctx.embed(g1) for g1, _ in terms), ctx), (precision, n, r, a)
 
 
@@ -264,13 +273,13 @@ def expansion_group_by_fraction_coefficients(n, r, a, ctx, with_correction):
             yield -(ctx.embed((-1) ** n * coeff) * twist * piece)
             k += 1
 
-    return sum_guarded(terms(), ctx, description="chain k-series").value
+    return fold_terms(terms(), ctx, description="chain k-series").value
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_expansion_group_equals_the_fraction_coefficient_loop(p):
     # the running integer coefficient times the running p-adic power has the
-    # parts of the embedded Fraction product: the same PadicNumber
+    # parts of the embedded Fraction product: the same value
     for q in (Fraction(1 + p), Fraction(1 - p), Fraction(1, 1 + p), Fraction(7, 4)):
         if v_p(q - 1, p) < 1:
             continue  # 7/4 is a valid q at p = 3 only
@@ -281,7 +290,7 @@ def test_expansion_group_equals_the_fraction_coefficient_loop(p):
                     for with_correction in (True, False):
                         assert _expansion_group(n, r, a, ctx, with_correction) == \
                             expansion_group_by_fraction_coefficients(
-                                n, r, a, ctx, with_correction), (q, n, r, a)
+                                n, r, a, ctx, with_correction).parts, (q, n, r, a)
 
 
 def test_thm5_lhs_values():
@@ -333,8 +342,9 @@ def test_outer_k_series_terms_meet_the_proven_bound(p):
 def thm5_rhs_by_padic_terms(n, r, ctx):
     """The printed expansion with its k-series as PadicNumber terms
     -(embed(printed_coeff(r, k)) (-1)^n [pn]^k (l_pq + K_full)(r + k)) through
-    sum_guarded, the reference fold: each factor a PadicNumber, each product and
-    sum PadicNumber's own, the value, stop, tail bound and flag sum_guarded's."""
+    fold_terms, the reference fold: each factor a PadicNumber, each product and
+    sum PadicNumber's own, the value, stop and flag the fold's, the tail bound
+    the least of every series read."""
     p = ctx.p
     count = ctx.embed(q_int(p * n, ctx.q))
     sign_n = ctx.embed((-1) ** n)
@@ -353,14 +363,12 @@ def thm5_rhs_by_padic_terms(n, r, ctx):
             yield -(coeff * sign_n * power * (l_part.value + k_part.value))
             power = power * count
 
-    body = sum_guarded(terms(), ctx, description="thm5 rhs k-series")
+    body = fold_terms(terms(), ctx, description="thm5 rhs k-series")
     t_part = T_full(n, r, w_power(-r), ctx)
-    value = body.value - t_part.value
-    merged = merge_series(value, parts + [t_part])
-    return SeriesResult(value=value, last_index=body.last_index,
-                        tail_valuation_bound=min(body.tail_valuation_bound,
-                                                 merged.tail_valuation_bound),
-                        converged=body.converged and merged.converged)
+    series = parts + [t_part, body]
+    return SeriesResult(value=body.value - t_part.value, last_index=body.last_index,
+                        tail_valuation_bound=min(part.tail_valuation_bound for part in series),
+                        converged=all(part.converged for part in series))
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -382,8 +390,9 @@ def test_printed_k_series_that_misses_its_guard_raises(monkeypatch):
     # stays below working precision: the series reads ctx.column_length
     # terms and raises with its partial sum, never a converged value; the
     # Fraction coefficients are embedded by reduce_mod_pN, as integers are
-    monkeypatch.setattr(verify, "binom_int", lambda t, k: Fraction(1, 3**k))
-    monkeypatch.setattr(verify, "int_parts", lambda r, p, N: reduce_mod_pN(r, p, N).parts)
+    monkeypatch.setattr(verify, "binom_parts", lambda t, ctx: (
+        reduce_mod_pN(Fraction(1, 3**k), 3, ctx.embed_precision).parts
+        for k in itertools.count()))
     L = CTX34.column_length
     with pytest.raises(SeriesDivergenceError,
                        match=f"^thm5 rhs k-series: guard not satisfied within its {L} "
@@ -479,7 +488,53 @@ def test_residual_conventions_on_an_indistinguishable_pair():
     # working precision plus the embedding margin); reports encode it as inf
     x = CTX34.embed(Fraction(5, 7))
     assert residual_valuation(x, x) == 28
-    assert _residual_sentinel(x, x) == INF
+    assert _residual_sentinel(3, x.parts, x.parts) == INF
+
+
+def padic_parts(p):
+    """Parts of values of valuation -3..25 and precision 1..25 (a zero when the
+    residue vanishes there), and of zeros whose bound is finite or infinite."""
+    values = st.builds(lambda v, u, prec: residue_parts(p, v, u, prec),
+                       st.integers(-3, 25), st.integers(1, 10**9), st.integers(1, 25))
+    zeros = st.one_of(st.just(INF), st.integers(-3, 25)).map(lambda bound: (bound, 0, 0))
+    return st.one_of(values, values, zeros)
+
+
+def indistinguishable_from(p, a):
+    """Parts of values equal to a below its absolute precision, known further."""
+    v, unit, prec = a
+    if v == INF:
+        return st.just(a)
+    return st.builds(lambda k, extra: residue_parts(p, v, unit + p**prec * k, prec + extra),
+                     st.integers(0, 10**6), st.integers(0, 10))
+
+
+def residual_by_integers(p, a, b):
+    """v_p(a - b) from the integers the parts stand for, known below the lesser
+    absolute precision: inf when the difference vanishes there."""
+    (v1, u1, prec1), (v2, u2, prec2) = a, b
+    bound = min(v1 + prec1, v2 + prec2)
+    base = min((v for v, _, prec in (a, b) if prec), default=INF)
+    if base >= bound:
+        return INF
+    diff = (u1 * p ** (v1 - base) if prec1 else 0) - (u2 * p ** (v2 - base) if prec2 else 0)
+    diff %= p ** (bound - base)
+    return base + v_p(diff, p) if diff else INF
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_residual_sentinel_on_parts_is_the_padic_rule(data):
+    # the report's residual of two values' parts is the PadicNumber rule: inf
+    # for an indistinguishable pair, else the valuation of a - b; and that is
+    # v_p of the integers' difference below the lesser absolute precision
+    p = data.draw(st.sampled_from([3, 5, 7]))
+    a = data.draw(padic_parts(p))
+    b = data.draw(st.one_of(padic_parts(p), st.just(a), indistinguishable_from(p, a)))
+    d = PadicNumber(p, *a) - PadicNumber(p, *b)
+    residual = _residual_sentinel(p, a, b)
+    assert residual == (INF if d.is_zero else d.valuation)
+    assert residual == residual_by_integers(p, a, b)
 
 
 def test_thm5_report_records_its_precision():
