@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, Optional, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from .numerics import PadicNumber, QContext, is_odd_prime, teichmuller
 
@@ -196,26 +196,37 @@ def chi_eval_exact(chi: DirichletCharacter, n: int) -> int:
     return value
 
 
-def chi_residue(chi: DirichletCharacter, n: int, p: int, W: int) -> int:
-    """chi(n) mod p**W as an integer in [0, p**W): 0 when n shares a factor
-    with the conductor, else w(n)^t times the Jacobi signs of the quadratic
-    atoms, t the sum of the Teichmuller exponents.  As w is multiplicative,
-    w(n)^t = w(n^t), read from the memoized lift.  A Teichmuller atom at a
-    prime other than p is a CharacterError."""
+def chi_residues(chi: DirichletCharacter, ns: Iterable[int], p: int, W: int) -> List[int]:
+    """[chi(n) mod p**W for n in ns] as integers in [0, p**W): 0 when n shares a
+    factor with the conductor, else w(n)^t times the Jacobi signs of the
+    quadratic atoms, t the sum of the Teichmuller exponents.  The primes, the
+    conductor, t and the quadratic atoms are read once per call.  As w is
+    multiplicative, w(n)^t = w(n^t), read from the memoized lift, once per n
+    mod p.  A Teichmuller atom at a prime other than p is a CharacterError."""
     for prime in chi.teichmuller_primes():
         if prime != p:
             raise CharacterError(f"character lives at p={prime}, context has p={p}")
-    cond = chi.conductor
-    if cond > 1 and math.gcd(n, cond) > 1:
-        return 0
-    t, sign = 0, 1
-    for atom in chi.factors:
-        if isinstance(atom, TeichmullerPower):
-            t += atom.exponent
-        else:
-            sign *= jacobi_symbol(n, atom.d)
-    value = teichmuller(pow(n, t, p), p, W).unit if t % (p - 1) else 1
-    return value if sign == 1 else p**W - value
+    cond, mod = chi.conductor, p**W
+    t = sum(atom.exponent for atom in chi.factors if isinstance(atom, TeichmullerPower))
+    quads = [atom.d for atom in chi.factors if isinstance(atom, QuadraticSymbol)]
+    lifts: Dict[int, int] = {}  # w(n)^t by n mod p
+    values = []
+    for n in ns:
+        if cond > 1 and math.gcd(n, cond) > 1:
+            values.append(0)
+            continue
+        r = n % p
+        if r not in lifts:
+            lifts[r] = teichmuller(pow(r, t, p), p, W).unit if t % (p - 1) else 1
+        sign = math.prod(jacobi_symbol(n, d) for d in quads)
+        values.append(lifts[r] if sign == 1 else mod - lifts[r])
+    return values
+
+
+def chi_residue(chi: DirichletCharacter, n: int, p: int, W: int) -> int:
+    """chi(n) mod p**W as an integer in [0, p**W): the one value of
+    :func:`chi_residues`."""
+    return chi_residues(chi, (n,), p, W)[0]
 
 
 def chi_eval(chi: DirichletCharacter, n: int, ctx: QContext) -> PadicNumber:
@@ -235,7 +246,7 @@ def chi_sum(chi: DirichletCharacter, indices: Iterable[int],
     exact sum of weights[a] x_a.  A {0,+-1}-valued chi is one class with the
     weights ``chi_eval_exact``: an exact Fraction, with or without a context.
     Any other chi needs a context: one class of weights 1 per distinct nonzero
-    value :func:`chi_residue` (at most p - 1), each class sum embedded once,
+    value of :func:`chi_residues` (at most p - 1), each class sum embedded once,
     exact until then, and multiplied by its value: a PadicNumber mod
     p**working_precision."""
     if chi.is_plus_minus_one_valued:
@@ -243,9 +254,10 @@ def chi_sum(chi: DirichletCharacter, indices: Iterable[int],
     if ctx is None:
         raise ValueError("p-adic-valued characters need a QContext")
     p, W = ctx.p, ctx.working_precision
+    indices = list(indices)
     classes: Dict[int, Dict[int, int]] = {}
-    for a in indices:
-        if c := chi_residue(chi, a, p, W):
+    for a, c in zip(indices, chi_residues(chi, indices, p, W)):
+        if c:
             classes.setdefault(c, {})[a] = 1
     acc = ctx.zero()
     for c, weights in classes.items():

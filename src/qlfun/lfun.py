@@ -6,7 +6,7 @@ closed forms (up to a Teichmuller twist) and extend them to p-adic integer
 arguments through guarded binomial series, whose tables one evaluation scope
 (:func:`series_cache`) holds per (F, ctx) in a :class:`SeriesTables`.  The
 twisted sum at -k reads its character values from ``characters.chi_sum``, one
-class per value; the p-adic unit sums read ``characters.chi_residue``.
+class per value; the p-adic unit sums read ``characters.chi_residues``.
 """
 
 from __future__ import annotations
@@ -19,11 +19,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
 
-from .characters import DirichletCharacter, chi_residue, chi_sum
+from .characters import DirichletCharacter, chi_residues, chi_sum
 from .numerics import (PadicExponent, PadicNumber, Parts, QContext, SeriesParts, SeriesResult,
-                       SeriesScan, _strip_p, add_parts, binom_parts, exact_sum_pairs, int_parts,
-                       merge_stops, mul_parts, neg_parts, q_int, residue_parts, scan_products,
-                       series_result, unit_residues, v_p)
+                       SeriesScan, _modulus, _strip_p, add_parts, binom_parts, exact_sum_pairs,
+                       int_parts, merge_stops, mul_parts, neg_parts, q_int, residue_parts,
+                       scan_products, series_result, unit_residues, v_p)
 from .qeuler import (FractionalArg, _closed_form_pair, _closed_form_row, _twist_base,
                      euler_number, euler_poly_frac)
 
@@ -81,12 +81,13 @@ class SeriesTables:
     (an int or a PadicNumber) and chi: ``unit_tables`` {F}; ``chi_columns`` {chi};
     ``binomials`` {s}; ``power_scans`` {(s, v, precision)}; ``deltas`` {J};
     ``terms`` {(n, J)}; ``scans`` {(n, s)}; ``powers`` {(s, the parts of <a> - 1)};
-    ``hk`` {(n, s, a)}; and eq24's ``eq24_free_parts`` {n} and ``eq24_heads``
-    {(r, a)}.  They hold plain parts: :data:`Parts` columns and the powers' and
-    H/K values' :data:`SeriesParts`.  :meth:`read` fills one on a miss."""
+    ``hk`` {(n, s, a)}; and the thm5 harness's ``hk_sums`` {(n, s)},
+    ``eq24_free_parts`` {n} and ``eq24_heads`` {(r, a)}.  They hold plain parts:
+    :data:`Parts` columns and the powers', H/K values' and unit sums'
+    :data:`SeriesParts`.  :meth:`read` fills one on a miss."""
 
     TABLES = ("unit_tables", "chi_columns", "binomials", "power_scans", "deltas",
-              "terms", "scans", "powers", "hk", "eq24_free_parts", "eq24_heads")
+              "terms", "scans", "powers", "hk", "hk_sums", "eq24_free_parts", "eq24_heads")
 
     def __init__(self, F: int, ctx: QContext, scope: "SeriesCache") -> None:
         self.F, self.ctx, self.scope = F, ctx, scope
@@ -179,6 +180,16 @@ def _binomials(s: PadicExponent, ctx: QContext) -> List[Parts]:
     return list(itertools.islice(binom_parts(-s, ctx), _series_length(s, ctx)))
 
 
+def _inverses(values: List[int], mod: int) -> List[int]:
+    """The inverses mod ``mod`` of the units ``values``, from one ``pow(., -1, mod)``
+    of their product and its prefix products (Montgomery's trick)."""
+    prefix = list(itertools.accumulate(values, lambda x, y: x * y % mod, initial=1))
+    inv, inverses = pow(prefix[-1], -1, mod), [0] * len(values)
+    for k in range(len(values) - 1, -1, -1):  # inv is 1/(values[0] ... values[k]) here
+        inverses[k], inv = inv * prefix[k] % mod, inv * values[k] % mod
+    return inverses
+
+
 def _unit_table(F: int, ctx: QContext) -> Dict[int, Tuple[Parts, Parts]]:
     """{a: (the parts of <a> - 1, of q^a/(1-q^a))} for the units a < F, from
     the integer residues of :func:`qlfun.numerics.unit_residues`, shared by
@@ -186,16 +197,16 @@ def _unit_table(F: int, ctx: QContext) -> Dict[int, Tuple[Parts, Parts]]:
 
     <a> - 1 is ``angle_bracket(a, ctx) - ctx.one()``, known to the working
     precision.  q^a/(1-q^a) = q^a/((1-q)[a]_q) has valuation -v_p(1-q), as
-    [a]_q is a unit, and the unit of ``ctx.embed(q^a/(1-q^a))``: 1 - q is
-    reduced once, and each entry takes one inverse of [a]_q mod p^N.  The
-    series that read the table refuse q = 1 first."""
+    [a]_q is a unit, and the unit of ``ctx.embed(q^a/(1-q^a))``: the unit of
+    1 - q and every [a]_q are inverted mod p^N together, by :func:`_inverses`.
+    The series that read the table refuse q = 1 first."""
     p, W, N = ctx.p, ctx.working_precision, ctx.embed_precision
-    mod = p**N
+    mod = _modulus(p, N)
     v, unit, _ = ctx.embed(1 - ctx.q).parts
-    inverse = pow(unit, -1, mod)
-    return {a: (residue_parts(p, 0, angle - 1, W),
-                (-v, power * pow(bracket, -1, mod) * inverse % mod, N))
-            for a, (angle, power, bracket) in unit_residues(F, ctx).items()}
+    residues = unit_residues(F, ctx)
+    inverse, *inverses = _inverses([unit, *(bracket for _, _, bracket in residues.values())], mod)
+    return {a: (residue_parts(p, 0, angle - 1, W), (-v, power * b * inverse % mod, N))
+            for (a, (angle, power, _)), b in zip(residues.items(), inverses)}
 
 
 def _power_scan(s: PadicExponent, v: int, precision: int, tables: SeriesTables) -> SeriesScan:
@@ -225,8 +236,8 @@ def _unit_pow(s: PadicExponent, angle: Parts, tables: SeriesTables) -> SeriesPar
     precision, with the scan's stop and tail bound, which read the terms'
     valuations alone (a missed guard raises with the power as the partial).
     The series' value is that power whenever every term after its stop has
-    valuation >= W; a guard of 1 can stop before a term of lower valuation,
-    where the series' value is wrong and the power is not."""
+    valuation >= W (a guard of 1, which ``QContext`` refuses, could stop
+    before a term of lower valuation)."""
     v, unit, precision = angle
     key = (s, v, precision)
     scan = tables.read(tables.power_scans, key, _power_scan, *key, tables)
@@ -248,40 +259,42 @@ def _deltas(F: int, J: int, ctx: QContext) -> List[Parts]:
 
     Q = q^F = 1 mod p, so 1 + Q^k = 2 mod p is a unit, and Delta_j mod p^M is
     the j-th difference of the integers 1/(1 + Q^k) mod p^M, from a running
-    Q^k and one ``pow(., -1, p^M)`` (of the row's prefix product), taken in
-    plain integers and reduced mod p^M once (reduction is additive), with
-    M = N + J e + RESIDUE_MARGIN, N = ``ctx.embed_precision`` (the digits
-    ``ctx.embed`` keeps) and e = v_p(Q - 1).  A nonzero residue
-    p^v u gives v = v_p(Delta_j) and u mod p^(M - v), accepted when
-    M - v >= N, so a shorter column is a prefix of a longer one.  The bound
-    v_p(Delta_j) >= j e (proved in :func:`_term_column`) is why that holds almost
-    always; it is checked per value: a zero or short residue takes the exact route.
+    Q^k (Q = (q mod p^M)^F mod p^M, the exact q^F is formed only for the
+    exact route) and :func:`_inverses`, taken in plain integers and reduced
+    mod p^M once (reduction is additive), with M = N + J e + RESIDUE_MARGIN,
+    N = ``ctx.embed_precision`` (the digits ``ctx.embed`` keeps) and
+    e = v_p(Q - 1) = v_p(q - 1) + v_p(F) (lifting the exponent, p odd and
+    q = 1 mod p).  A nonzero residue p^v u gives v = v_p(Delta_j) and
+    u mod p^(M - v), accepted when M - v >= N, so a shorter column is a
+    prefix of a longer one.  The bound v_p(Delta_j) >= j e (proved in
+    :func:`_term_column`) is why that holds almost always: p^(j e) is divided
+    out in one exact division, checked (a residue it does not divide is
+    stripped digit by digit), and a zero or short residue takes the exact route.
     """
-    p, N, Q = ctx.p, ctx.embed_precision, ctx.q**F
-    M = N + J * v_p(Q - 1, p) + RESIDUE_MARGIN
-    mod = p**M
-    Qm = Q.numerator * pow(Q.denominator, -1, mod) % mod
-    dens = [1 + Qk for Qk in itertools.accumulate(
-        itertools.repeat(Qm, J - 1), lambda x, y: x * y % mod, initial=1)]
-    prefix = list(itertools.accumulate(dens, lambda x, y: x * y % mod))
-    inv, row = pow(prefix[-1], -1, mod), [0] * J
-    for k in range(J - 1, 0, -1):  # inv is 1/(dens[0] ... dens[k]) here
-        row[k], inv = inv * prefix[k - 1] % mod, inv * dens[k] % mod
-    row[0] = inv
+    p, N = ctx.p, ctx.embed_precision
+    e = v_p(ctx.q - 1, p) + v_p(F, p)
+    M = N + J * e + RESIDUE_MARGIN
+    mod, step = p**M, p**e
+    Qm = pow(ctx.q.numerator * pow(ctx.q.denominator, -1, mod), F, mod)
+    row = _inverses([1 + Qk for Qk in itertools.accumulate(
+        itertools.repeat(Qm, J - 1), lambda x, y: x * y % mod, initial=1)], mod)
 
-    def value(j: int, delta: int) -> Parts:
+    def value(j: int, delta: int, shift: int) -> Parts:
         if delta:
-            unit, v = _strip_p(delta, p)
+            quotient, rest = divmod(delta, shift)
+            unit, v = _strip_p(delta if rest else quotient, p)
+            v += 0 if rest else j * e
             if M - v >= N:
-                return v, unit % p**N, N
+                return v, unit % _modulus(p, N), N
+        Q = ctx.q**F
         return ctx.embed(euler_number(j, Q) * (1 - Q) ** j / 2).parts
 
     # Delta_j is the first entry after j steps of row[k] - row[k+1], in plain
     # integers: reduction is additive, so each Delta_j is reduced once
-    column = []
+    column, shift = [], 1
     for j in range(J):
-        column.append(value(j, row[0] % mod))
-        row = [x - y for x, y in zip(row, row[1:])]
+        column.append(value(j, row[0] % mod, shift))
+        row, shift = [x - y for x, y in zip(row, row[1:])], shift * step
     return column
 
 
@@ -365,11 +378,11 @@ def H_pq(s: PadicExponent, prm: PartialZetaParams, ctx: QContext) -> SeriesResul
 
 def _chi_column(chi: DirichletCharacter, F: int, ctx: QContext) -> List[Tuple[int, Parts]]:
     """(a, the parts of chi(a)) over the units a <= F where chi(a) is not zero,
-    from the integer residue :func:`qlfun.characters.chi_residue` that
-    ``chi_eval`` also reads, mod p^(working precision), shared by every s."""
+    from one column of the integer residues :func:`qlfun.characters.chi_residues`
+    (``chi_eval``'s, one at a time), mod p^(working precision), shared by every s."""
     p, W = ctx.p, ctx.working_precision
-    values = ((a, chi_residue(chi, a, p, W)) for a in range(1, F + 1) if a % p)
-    return [(a, (0, c, W)) for a, c in values if c]
+    units = [a for a in range(1, F + 1) if a % p]
+    return [(a, (0, c, W)) for a, c in zip(units, chi_residues(chi, units, p, W)) if c]
 
 
 def _unit_sum(part: Callable[[SeriesTables, int], SeriesParts],

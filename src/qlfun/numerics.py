@@ -408,6 +408,8 @@ class QContext:
     ``working_precision``, precision + WORKING_MARGIN, is used internally;
     ``guard`` consecutive high-valuation terms stop a truncated series,
     which reads at most ``column_length`` = working_precision + guard terms.
+    A guard below 2 is refused: one such term can stop a series before a later
+    term of lower valuation, and the value then claims digits it does not have.
     """
 
     p: int
@@ -420,8 +422,8 @@ class QContext:
         require_odd_prime(self.p)
         if self.precision < 1:
             raise ValueError("precision must be >= 1")
-        if self.guard < 1:
-            raise ValueError("guard must be >= 1")
+        if self.guard < 2:
+            raise ValueError("guard must be >= 2")
         if self.working_precision < self.precision + self.guard:
             raise ValueError("working_precision must be >= precision + guard")
         if v_p(self.q - 1, self.p) < 1:

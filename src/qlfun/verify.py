@@ -25,10 +25,10 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 from .characters import DirichletCharacter
 from .lfun import (K_partial, PartialZetaParams, SeriesCache, T_partial, _boundary_series,
                    _hk_series, _tables, _unit_sum, l_pq, series_cache)
-from .numerics import (INF, PadicNumber, Parts, QContext, SeriesResult, Valuation, add_parts,
-                       binom_int, binom_parts, exact_sum, exact_sum_pairs, merge_stops, mul_parts,
-                       neg_parts, q_int, require_odd_prime, residual_valuation, scan_products,
-                       series_result, teichmuller, v_p, valuation_json)
+from .numerics import (INF, PadicNumber, Parts, QContext, SeriesParts, SeriesResult, Valuation,
+                       add_parts, binom_int, binom_parts, exact_sum, exact_sum_pairs, merge_stops,
+                       mul_parts, neg_parts, q_int, require_odd_prime, residual_valuation,
+                       scan_products, series_result, teichmuller, v_p, valuation_json)
 from .qeuler import (
     _closed_form_pair,
     _closed_form_row,
@@ -192,27 +192,34 @@ def _binomial_column(r: int, start: Parts, step: Parts, ctx: QContext) -> Iterat
         power = mul_parts(p, power, step)
 
 
+def _hk_sum(n: int, s: int, ctx: QContext) -> SeriesParts:
+    """(l + K)(s) at F = p: the unit sum of w^(-s)(a) ``lfun._hk_series``."""
+    return _unit_sum(lambda tables, a: _hk_series(tables, n, s, a),
+                     DirichletCharacter.teichmuller_power(-s, ctx.p), ctx.p, ctx)
+
+
 def thm5_rhs(n: int, r: int, ctx: QContext) -> SeriesResult:
     """The expansion exactly as printed: minus the k-series of l-values,
     minus the k-series of correction aggregates, minus the boundary aggregate,
     all with twist exponent -(r+k) and F = p.
 
     The k-series folds the :func:`_binomial_column` of -(-1)^n [pn]^k against
-    (l + K)(r + k), read lazily (none past the stop) as one unit sum of w^(-r-k)(a)
-    ``lfun._hk_series``; T is the unit sum of ``lfun._boundary_series``, and q != 1 is
-    checked once; on parts, with the k-series' last_index and the least tail bound
-    read.  The k-th term has valuation >= k, so its guard fires within
-    ctx.column_length terms: binom(-r, k) is an integer, v_p([pn]^k) >= k, and
-    (l + K)(r + k) is a p-adic integer (chi(a) and the H and K values are)."""
+    (l + K)(r + k), read lazily (none past the stop) from the ``hk_sums`` table
+    of (F = p, ctx), one :func:`_hk_sum` per (n, s) and scope, shared by the
+    points of a grid with the same n; T is the unit sum of
+    ``lfun._boundary_series``, and q != 1 is checked once; on parts, with the
+    k-series' last_index and the least tail bound read.  The k-th term has
+    valuation >= k, so its guard fires within ctx.column_length terms:
+    binom(-r, k) is an integer, v_p([pn]^k) >= k, and (l + K)(r + k) is a
+    p-adic integer (chi(a) and the H and K values are)."""
     if n < 1 or r < 1:
         raise ValueError("thm5 requires n, r >= 1")
     ctx.require_q_not_one("H_pq")
-    p, parts = ctx.p, []
+    p, parts, tables = ctx.p, [], _tables(ctx.p, ctx)
 
     def values():
         for s in itertools.count(r):
-            parts.append(_unit_sum(lambda tables, a: _hk_series(tables, n, s, a),
-                                   DirichletCharacter.teichmuller_power(-s, p), p, ctx))
+            parts.append(tables.read(tables.hk_sums, (n, s), _hk_sum, n, s, ctx))
             yield parts[-1][0]
 
     start = mul_parts(p, ctx.embed((-1) ** (n + 1)).parts, ctx.one().parts)

@@ -14,6 +14,7 @@ from qlfun.characters import (
     chi_eval,
     chi_eval_exact,
     chi_residue,
+    chi_residues,
     chi_sum,
     jacobi_symbol,
     parse_character,
@@ -253,10 +254,14 @@ def test_chi_eval_equals_the_padic_product(p):
         ctx = QContext(p=p, q=Fraction(1 + p), precision=precision)
         W = ctx.working_precision
         for chi in [parse_character(spec, p) for spec in specs] + [doubled]:
+            units = []
             for n in range(0, 2 * chi.conductor + 1):  # two periods
                 expected = chi_eval_reference(chi, n, ctx)
                 assert chi_eval(chi, n, ctx) == expected, (precision, chi, n)
                 assert chi_residue(chi, n, p, W) == expected.unit
+                units.append(expected.unit)
+            # one column call reads each lift once per n mod p
+            assert chi_residues(chi, range(0, 2 * chi.conductor + 1), p, W) == units
 
 
 def test_chi_eval_keeps_its_errors_and_zeros():

@@ -13,7 +13,8 @@ from pathlib import Path
 import pytest
 
 from qlfun import lfun, verify
-from qlfun.characters import DirichletCharacter, chi_eval, chi_residue, parse_character, twist
+from qlfun.characters import (DirichletCharacter, chi_eval, chi_residues,
+                              parse_character, twist)
 from qlfun.lfun import (
     H_pq,
     K_full,
@@ -35,7 +36,6 @@ from qlfun.numerics import (
     SeriesDivergenceError,
     SeriesResult,
     angle_bracket,
-    binom_int,
     binom_stream,
     mul_parts,
     padic_pow,
@@ -490,16 +490,16 @@ def large_exponents(p):
 
 
 @pytest.mark.parametrize("p,q,contexts", [
-    (3, Fraction(4), [(1, 1), (8, 3), (16, 5)]),
+    (3, Fraction(4), [(1, 2), (8, 3), (16, 5)]),
     (3, Fraction(7, 4), [(3, 3)]),
     (5, Fraction(-4), [(1, 3), (8, 5)]),
-    (5, Fraction(1, 6), [(3, 1)]),
-    (7, Fraction(8), [(3, 1), (8, 3)]),
+    (5, Fraction(1, 6), [(3, 2)]),
+    (7, Fraction(8), [(3, 2), (8, 3)]),
     (7, Fraction(50), [(1, 5)]),
-    (3, Fraction(-2), [(4, 1)]),
+    (3, Fraction(-2), [(4, 2)]),
     (3, Fraction(1, 4), [(8, 3)]),
     (7, Fraction(-6), [(3, 3)]),
-    (7, Fraction(1, 8), [(1, 1)]),
+    (7, Fraction(1, 8), [(1, 2)]),
 ])
 def test_unit_free_scans_equal_the_per_unit_route(p, q, contexts):
     # H, K (n = 1, 2) and <a>^(-s) at every unit a < F, F in {p, 3p, 5p}, as
@@ -507,8 +507,7 @@ def test_unit_free_scans_equal_the_per_unit_route(p, q, contexts):
     # scan per series evaluated at each unit's point gives
     # the per-unit fold's value, stop, tail bound and converged flag, and so
     # does the one modular power <a>^(-s) at an integer s, at large s as well
-    # for q = 1 - p and 1/(1 + p) (F = p); at a guard of 1, where the fold can
-    # stop before a term of valuation < W, its value is the exact power
+    # for q = 1 - p and 1/(1 + p) (F = p), at the smallest guard, 2, too
     for precision, guard in contexts:
         ctx = QContext(p=p, q=q, precision=precision, guard=guard)
         exponents = [-7, 0, 3, ctx.embed(-3), ctx.embed(Fraction(1, 2)),
@@ -521,7 +520,7 @@ def test_unit_free_scans_equal_the_per_unit_route(p, q, contexts):
                         if a % p == 0:
                             continue
                         prm = PartialZetaParams(a, F)
-                        expected = (per_unit_fold if guard > 1 else per_unit_pow)(a, F, s, ctx)
+                        expected = per_unit_fold(a, F, s, ctx)
                         assert unit_pow(a, F, s, ctx) == series_parts(expected), (ctx, s, a)
                         assert H_pq(s, prm, ctx) == per_unit_series(0, s, prm, ctx), (ctx, s, a)
                         for n in (1, 2):
@@ -552,7 +551,7 @@ def test_series_cache_scope_gives_the_same_values():
     sizes = {"unit_tables": 1, "chi_columns": 0, "binomials": len(s_values),
              "power_scans": len(s_values) * shapes, "deltas": lengths, "terms": 3 * lengths,
              "scans": 3 * len(s_values), "powers": len(cases), "hk": 3 * len(cases),
-             "eq24_free_parts": 0, "eq24_heads": 0}
+             "hk_sums": 0, "eq24_free_parts": 0, "eq24_heads": 0}
     keys = sum(sizes.values())
 
     def evaluate():
@@ -651,29 +650,31 @@ def test_unit_power_matches_padic_pow(p):
 @pytest.mark.parametrize("p", [3, 5])
 def test_exact_unit_power_mends_only_early_stops(p):
     # at an integer s <a>^(-s) is the exact power mod p^W with the per-unit
-    # fold's stop, tail bound and flag; its value differs from the fold's only
-    # where the fold stopped before a term of valuation < W, which a guard of
-    # 1 allows: the fold's value was wrong there, the power is not
-    differ = 0
-    for precision, guard in ((1, 1), (4, 1), (16, 1), (4, 3), (8, 2)):
+    # fold's stop, tail bound and flag; its value could differ from the fold's
+    # only where the fold stopped before a term of valuation < W, which a
+    # guard of 1 allowed (QContext refuses it): at guards 2 and 3 no value
+    # differs on this grid
+    for precision, guard in ((1, 2), (4, 2), (16, 2), (4, 3), (8, 2)):
         ctx = QContext(p=p, q=Fraction(1 + p), precision=precision, guard=guard)
-        W = ctx.working_precision
         for s in list(range(-30, 45)) + large_exponents(p):
             for a in range(1, p):
                 (got, *stop), fold = unit_pow(a, p, s, ctx), per_unit_fold(a, p, s, ctx)
                 assert series_parts(fold)[1:] == tuple(stop)
-                assert got == exact_unit_pow(a, s, ctx).parts
-                if got != fold.value.parts:
-                    differ += 1
-                    v = lfun._unit_table(p, ctx)[a][0][0]
-                    assert min(v_p(binom_int(-s, k), p) + k * v
-                               for k in range(fold.last_index + 1, W)) < W, (ctx, s, a)
-    assert differ > 0
-    if p == 3:  # the fold stops at k = 8 (valuation 11) and leaves out k = 9 (10)
-        ctx = QContext(p=3, q=Fraction(4), precision=1, guard=1)
-        assert per_unit_fold(2, 3, 20, ctx).value.unit == 86791
-        assert unit_pow(2, 3, 20, ctx)[0][1] == 27742 == pow(
+                assert got == exact_unit_pow(a, s, ctx).parts == fold.value.parts, (ctx, s, a)
+    if p == 3:  # a guard of 1 stopped this fold at k = 8 (valuation 11), before k = 9 (10)
+        ctx = QContext(p=3, q=Fraction(4), precision=1, guard=2)
+        assert per_unit_fold(2, 3, 20, ctx).value.unit == 27742 == pow(
             angle_bracket(2, ctx).unit, -20, 3**11)
+
+
+def test_smallest_guard_keeps_the_digits_a_guard_of_1_lost():
+    # a guard of 1 stopped H_pq(-30, 1:3) at index 6 and read 164884 mod 3^11,
+    # claiming all 11 digits; guards 2 and 3 run on and agree
+    prm = PartialZetaParams(1, 3)
+    results = [H_pq(-30, prm, QContext(p=3, q=Fraction(4), precision=1, guard=guard))
+               for guard in (2, 3)]
+    assert [(r.value.unit, r.value.precision, r.last_index) for r in results] == \
+        [(105835, 11, 11), (105835, 11, 12)]
 
 
 def object_unit_pow(s, angle, tables):
@@ -722,21 +723,21 @@ def test_per_unit_parts_equal_the_object_route(p):
     # the per-unit H, K, H + K, T and <a>^(-s) on plain parts equal, field for
     # field, the same series on PadicNumber and SeriesResult with merge_series:
     # every unit a < F, F in {p, 3p}, n 0-2, integer and p-adic s, q in
-    # {1 + p, 1 - p, 1/(1 + p)} and precision 8/16, and at p = 3 a guard of 1,
-    # where a unit power's fold stops early (s = 20, see
-    # test_exact_unit_power_mends_only_early_stops)
+    # {1 + p, 1 - p, 1/(1 + p)} and precision 8/16, and at p = 3 precision 1
+    # at the smallest guard, 2, with s = 20 (where a guard of 1 stopped a unit
+    # power's fold early, see test_exact_unit_power_mends_only_early_stops)
     contexts = [QContext(p=p, q=q, precision=precision)
                 for q in (Fraction(1 + p), Fraction(1 - p), Fraction(1, 1 + p))
                 for precision in (8, 16)]
     if p == 3:
-        contexts.append(QContext(p=3, q=Fraction(4), precision=1, guard=1))
+        contexts.append(QContext(p=3, q=Fraction(4), precision=1, guard=2))
     routes = [(lfun._hk_series, object_hk_series),
               (lfun._boundary_series, object_boundary_series),
               (lambda tables, n, s, a: lfun._twisted_series(n, s, a, tables),
                lambda tables, n, s, a: object_twisted_series(n, s, a, tables))]
     for ctx in contexts:
         exponents = [-3, 0, 1, 4, ctx.embed(-2), ctx.embed(Fraction(1, 2))]
-        exponents += [20] if ctx.guard == 1 else []
+        exponents += [20] if ctx.precision == 1 else []
         for F in (p, 3 * p):
             with series_cache():
                 tables, angles = lfun._tables(F, ctx), lfun._unit_table(F, ctx)
@@ -830,6 +831,7 @@ def test_residue_differences_meet_the_valuation_bound(p, q, F):
     # v_p(Delta_j) >= j v_p(Q - 1): the bound the residues' modulus rests on
     Q = q**F
     e = v_p(Q - 1, p)
+    assert e == v_p(q - 1, p) + v_p(F, p)  # lifting the exponent: _deltas' e
     for precision in (8, 16, 24, 32):
         ctx = QContext(p=p, q=q, precision=precision)
         deltas = lfun._deltas(F, ctx.column_length, ctx)
@@ -932,7 +934,7 @@ def test_series_cache_sizes_of_one_l_pq_scope():
         sizes = cache.sizes()
     assert sizes == {"unit_tables": 1, "chi_columns": 1, "binomials": 1, "power_scans": 3,
                      "deltas": 1, "terms": 1, "scans": 1,
-                     "powers": 4, "hk": 4, "eq24_free_parts": 0, "eq24_heads": 0}
+                     "powers": 4, "hk": 4, "hk_sums": 0, "eq24_free_parts": 0, "eq24_heads": 0}
     # every table entry is one miss; the hits are the reads of the tables
     # built once: the unit table (4 series), the body scan (4 units), the
     # binomial column (3 scans and the body scan) and one power scan (4 powers)
@@ -1092,11 +1094,12 @@ def test_thm5_grid_evaluates_each_character_value_once(monkeypatch):
     # (chi, F, ctx) column: at most (p - 1)^2 distinct values, each once
     calls = []
 
-    def recording_chi_residue(chi, a, p, W):
-        calls.append((chi, a, p, W))
-        return chi_residue(chi, a, p, W)
+    def recording_chi_residues(chi, ns, p, W):
+        ns = list(ns)
+        calls.extend((chi, a, p, W) for a in ns)
+        return chi_residues(chi, ns, p, W)
 
-    monkeypatch.setattr(lfun, "chi_residue", recording_chi_residue)
+    monkeypatch.setattr(lfun, "chi_residues", recording_chi_residues)
     ctx = QContext(p=5, q=Fraction(6), precision=8)
     thm5_grid([1, 2], [1, 2], ctx)
     assert len(calls) == len(set(calls)) <= (ctx.p - 1) ** 2
@@ -1457,10 +1460,18 @@ def test_l_pq_at_high_precision_matches_the_golden_file():
     # holds Delta_0 .. Delta_45 mod 7^146
     golden = json.loads((Path(__file__).parent / "data" /
                          "lpq_high_precision_golden.json").read_text())
+    got = {}
     ctx = QContext(p=7, q=Fraction(8), precision=32)
     chi = DirichletCharacter.teichmuller_power(1, 7)
     exponents = [("int:1", 1), ("int:-3", -3), ("padic:1/2", ctx.embed(Fraction(1, 2))),
                  ("embedded:-2", ctx.embed(-2))]
-    got = {f"l_pq/p7/prec32/teich1/{name}": l_pq(s, chi, ctx).to_json_dict()
-           for name, s in exponents}
+    for name, s in exponents:
+        got[f"l_pq/p7/prec32/teich1/{name}"] = l_pq(s, chi, ctx).to_json_dict()
+    # F = 35 with 24 units; the columns stop at index 60 (precision 48) and 76 (64)
+    chi = parse_character("quad:5*teich:1", 7)
+    for precision in (48, 64):
+        ctx = QContext(p=7, q=Fraction(8), precision=precision)
+        for name, s in [("int:3", 3), ("int:-3", -3), ("padic:1/2", ctx.embed(Fraction(1, 2)))]:
+            key = f"l_pq/p7/prec{precision}/quad5_teich1/{name}"
+            got[key] = l_pq(s, chi, ctx).to_json_dict()
     assert got == golden

@@ -851,6 +851,8 @@ def test_context_rejects_bad_parameters():
         QContext(p=5, q=Fraction(3))  # v_5(2) = 0
     with pytest.raises(ValueError):
         QContext(p=5, q=Fraction(6), precision=0)
+    with pytest.raises(ValueError, match="^guard must be >= 2$"):
+        QContext(p=5, q=Fraction(6), guard=1)  # one term can stop a series early
     with pytest.raises(ValueError, match="precision \\+ guard"):
         QContext(p=5, q=Fraction(6), precision=8, guard=11)  # working precision 18 < 8 + 11
     assert QContext(p=5, q=Fraction(6), precision=8, guard=10).working_precision == 18

@@ -483,6 +483,26 @@ def test_thm5_grid_computes_shared_series_once(grid34):
     assert sum(rep.cache_misses for rep in shared) < sum(rep.cache_misses for rep in separate)
 
 
+@pytest.mark.parametrize("p,sums", [(3, 40), (5, 44)])
+def test_thm5_grid_sums_each_n_and_s_once(monkeypatch, p, sums):
+    # the default grid's points that share n read one (l + K)(s) unit sum per
+    # s from the scope's hk_sums table: 40 distinct (n, s) at p = 3 and 44 at
+    # p = 5, where each point summing its own made 78 and 82
+    built = []
+    hk_sum = verify._hk_sum
+
+    def recording_hk_sum(n, s, ctx):
+        built.append((n, s))
+        return hk_sum(n, s, ctx)
+
+    monkeypatch.setattr(verify, "_hk_sum", recording_hk_sum)
+    ctx = QContext(p=p, q=Fraction(p + 1), precision=8)
+    reports = thm5_grid([1, 2], [1, 2], ctx)
+    assert len(built) == len(set(built)) == sums
+    assert [rep.to_json_dict() for rep in reports] == \
+        [thm5_report(n, r, ctx).to_json_dict() for n in (1, 2) for r in (1, 2)]
+
+
 def test_residual_conventions_on_an_indistinguishable_pair():
     # residual_valuation returns the zero difference's finite bound (the
     # working precision plus the embedding margin); reports encode it as inf
