@@ -378,8 +378,8 @@ def H_pq(s: PadicExponent, prm: PartialZetaParams, ctx: QContext) -> SeriesResul
 
 def _chi_column(chi: DirichletCharacter, F: int, ctx: QContext) -> List[Tuple[int, Parts]]:
     """(a, the parts of chi(a)) over the units a <= F where chi(a) is not zero,
-    from one column of the integer residues :func:`qlfun.characters.chi_residues`
-    (``chi_eval``'s, one at a time), mod p^(working precision), shared by every s."""
+    from one call of :func:`qlfun.characters.chi_residues` (whose one-value case
+    ``chi_eval`` reads), mod p^(working precision), shared by every s."""
     p, W = ctx.p, ctx.working_precision
     units = [a for a in range(1, F + 1) if a % p]
     return [(a, (0, c, W)) for a, c in zip(units, chi_residues(chi, units, p, W)) if c]
