@@ -223,19 +223,13 @@ def chi_residues(chi: DirichletCharacter, ns: Iterable[int], p: int, W: int) -> 
     return values
 
 
-def chi_residue(chi: DirichletCharacter, n: int, p: int, W: int) -> int:
-    """chi(n) mod p**W as an integer in [0, p**W): the one value of
-    :func:`chi_residues`."""
-    return chi_residues(chi, (n,), p, W)[0]
-
-
 def chi_eval(chi: DirichletCharacter, n: int, ctx: QContext) -> PadicNumber:
-    """Character value at n as a p-adic number mod p**working_precision, read
-    from :func:`chi_residue`: zero when n shares a factor with the conductor."""
+    """Character value at n as a p-adic number mod p**working_precision, the one
+    value of :func:`chi_residues`: zero when n shares a factor with the conductor."""
     if n < 0:
         raise ValueError("chi_eval requires n >= 0")
     W = ctx.working_precision
-    residue = chi_residue(chi, n, ctx.p, W)
+    residue = chi_residues(chi, (n,), ctx.p, W)[0]
     return PadicNumber(ctx.p, 0, residue, W) if residue else ctx.zero()
 
 

@@ -11,6 +11,7 @@ class per value; the p-adic unit sums read ``characters.chi_residues``.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 from contextlib import contextmanager
@@ -23,7 +24,7 @@ from .characters import DirichletCharacter, chi_residues, chi_sum
 from .numerics import (PadicExponent, PadicNumber, Parts, QContext, SeriesParts, SeriesResult,
                        SeriesScan, _modulus, _strip_p, add_parts, binom_parts, exact_sum_pairs,
                        int_parts, merge_stops, mul_parts, neg_parts, q_int, residue_parts,
-                       scan_products, series_result, unit_residues, v_p)
+                       scan_products, series_result, teichmuller, v_p)
 from .qeuler import (FractionalArg, _closed_form_pair, _closed_form_row, _twist_base,
                      euler_number, euler_poly_frac)
 
@@ -78,24 +79,21 @@ def lq_neg_series_path(k: int, chi: DirichletCharacter, q=None,
 
 class SeriesTables:
     """The tables of one (F, ctx) in a series scope, plain dicts keyed by ints, s
-    (an int or a PadicNumber) and chi: ``unit_tables`` {F}; ``chi_columns`` {chi};
-    ``binomials`` {s}; ``power_scans`` {(s, v, precision)}; ``deltas`` {J};
-    ``terms`` {(n, J)}; ``scans`` {(n, s)}; ``powers`` {(s, the parts of <a> - 1)};
-    ``hk`` {(n, s, a)}; and the thm5 harness's ``hk_sums`` {(n, s)},
-    ``eq24_free_parts`` {n} and ``eq24_heads`` {(r, a)}.  They hold plain parts:
-    :data:`Parts` columns and the powers', H/K values' and unit sums'
-    :data:`SeriesParts`.  :meth:`read` fills one on a miss."""
-
-    TABLES = ("unit_tables", "chi_columns", "binomials", "power_scans", "deltas",
-              "terms", "scans", "powers", "hk", "hk_sums", "eq24_free_parts", "eq24_heads")
+    (an int or a PadicNumber) and chi, each made by name on its first
+    :meth:`read`: here ``unit_tables`` {F}; ``chi_columns`` {chi}; ``binomials``
+    {s}; ``power_scans`` {(s, v, precision)}; ``deltas`` {J}; ``terms`` {(n, J)};
+    ``scans`` {(n, s)}; ``powers`` {(s, the parts of <a> - 1)}; ``hk`` {(n, s, a)};
+    and the tables other modules name.  They hold plain parts: :data:`Parts`
+    columns and the powers', H/K values' and unit sums' :data:`SeriesParts`."""
 
     def __init__(self, F: int, ctx: QContext, scope: "SeriesCache") -> None:
         self.F, self.ctx, self.scope = F, ctx, scope
-        for name in self.TABLES:
-            setattr(self, name, {})
+        self.named: Dict[str, dict] = collections.defaultdict(dict)
 
-    def read(self, table: dict, key, build: Callable, *args):
-        """table[key], set to build(*args) on a miss (no table holds None)."""
+    def read(self, name: str, key, build: Callable, *args):
+        """The table ``name``'s entry at key, set to build(*args) on a miss (no
+        table holds None)."""
+        table = self.named[name]
         value = table.get(key)
         if value is None:
             self.scope.misses += 1
@@ -106,7 +104,7 @@ class SeriesTables:
 
     def series(self, n: int, s: PadicExponent, a: int) -> SeriesParts:
         """H (n = 0) or K (n >= 1) of the unit a < F at s, with no check of its own."""
-        return self.read(self.hk, (n, s, a), _twisted_series, n, s, a, self)
+        return self.read("hk", (n, s, a), _twisted_series, n, s, a, self)
 
 
 class SeriesCache:
@@ -118,9 +116,12 @@ class SeriesCache:
         self.hits = self.misses = 0
 
     def sizes(self) -> Dict[str, int]:
-        """Entries per table, over every (F, ctx)."""
-        return {name: sum(len(getattr(tables, name)) for tables in self.tables.values())
-                for name in SeriesTables.TABLES}
+        """Entries per table the scope made, over every (F, ctx)."""
+        sizes: Dict[str, int] = {}
+        for tables in self.tables.values():
+            for name, table in tables.named.items():
+                sizes[name] = sizes.get(name, 0) + len(table)
+        return sizes
 
 
 _ACTIVE_CACHE: ContextVar[Optional[SeriesCache]] = ContextVar(
@@ -192,21 +193,30 @@ def _inverses(values: List[int], mod: int) -> List[int]:
 
 def _unit_table(F: int, ctx: QContext) -> Dict[int, Tuple[Parts, Parts]]:
     """{a: (the parts of <a> - 1, of q^a/(1-q^a))} for the units a < F, from
-    the integer residues of :func:`qlfun.numerics.unit_residues`, shared by
-    every s, n and series length.
+    integer residues mod p^N, N = ``ctx.embed_precision``, built in one pass
+    and shared by every s, n and series length.
 
-    <a> - 1 is ``angle_bracket(a, ctx) - ctx.one()``, known to the working
-    precision.  q^a/(1-q^a) = q^a/((1-q)[a]_q) has valuation -v_p(1-q), as
-    [a]_q is a unit, and the unit of ``ctx.embed(q^a/(1-q^a))``: the unit of
-    1 - q and every [a]_q are inverted mod p^N together, by :func:`_inverses`.
-    The series that read the table refuse q = 1 first."""
+    q^a is a running power and [a]_q = [a-1]_q + q^(a-1) a running sum of
+    residues: reduction mod p^N is a ring map on the p-integral rationals, and
+    [a]_q = a mod p is a unit.  <a> - 1 is ``angle_bracket(a, ctx) - ctx.one()``
+    to the working precision: <a> = [a]_q / w(a) and 1 / w(a) = w(a') for
+    a a' = 1 mod p, one lift per class mod p.  q^a/(1-q^a) = q^a/((1-q)[a]_q)
+    has valuation -v_p(1-q) and the unit of ``ctx.embed(q^a/(1-q^a))``: the
+    unit of 1 - q and every [a]_q are inverted mod p^N together, by
+    :func:`_inverses`.  The series that read the table refuse q = 1 first."""
     p, W, N = ctx.p, ctx.working_precision, ctx.embed_precision
-    mod = _modulus(p, N)
+    mod, q = _modulus(p, N), ctx.embed(ctx.q).unit
+    lifts = {r: teichmuller(pow(r, -1, p), p, N).unit for r in range(1, p)}
+    residues, power, bracket = {}, 1, 0  # q^a and [a]_q at a = 0
+    for a in range(1, F):
+        power, bracket = power * q % mod, (bracket + power) % mod
+        if a % p:
+            residues[a] = power, bracket
     v, unit, _ = ctx.embed(1 - ctx.q).parts
-    residues = unit_residues(F, ctx)
-    inverse, *inverses = _inverses([unit, *(bracket for _, _, bracket in residues.values())], mod)
-    return {a: (residue_parts(p, 0, angle - 1, W), (-v, power * b * inverse % mod, N))
-            for (a, (angle, power, _)), b in zip(residues.items(), inverses)}
+    inverse, *inverses = _inverses([unit, *(bracket for _, bracket in residues.values())], mod)
+    return {a: (residue_parts(p, 0, bracket * lifts[a % p] - 1, W),
+                (-v, power * b * inverse % mod, N))
+            for (a, (power, bracket)), b in zip(residues.items(), inverses)}
 
 
 def _power_scan(s: PadicExponent, v: int, precision: int, tables: SeriesTables) -> SeriesScan:
@@ -224,7 +234,7 @@ def _power_scan(s: PadicExponent, v: int, precision: int, tables: SeriesTables) 
     else:
         prec = min(ctx.working_precision, precision)
         column = [ctx.one().parts, *((k * v, 1 if prec else 0, prec) for k in range(1, length))]
-    return scan_products(tables.read(tables.binomials, s, _binomials, s, ctx), column, ctx,
+    return scan_products(tables.read("binomials", s, _binomials, s, ctx), column, ctx,
                          description="binomial power series")
 
 
@@ -240,7 +250,7 @@ def _unit_pow(s: PadicExponent, angle: Parts, tables: SeriesTables) -> SeriesPar
     before a term of lower valuation)."""
     v, unit, precision = angle
     key = (s, v, precision)
-    scan = tables.read(tables.power_scans, key, _power_scan, *key, tables)
+    scan = tables.read("power_scans", key, _power_scan, *key, tables)
     if not isinstance(s, int):
         return scan.at(unit)
     p, W = tables.ctx.p, tables.ctx.working_precision
@@ -333,7 +343,7 @@ def _term_column(n: int, J: int, tables: SeriesTables) -> List[Parts]:
     first, so that it keeps its relative digits, and embedded once per j."""
     ctx, F = tables.ctx, tables.F
     p, N, v = ctx.p, ctx.embed_precision, v_p(ctx.q - 1, ctx.p)
-    deltas = tables.read(tables.deltas, J, _deltas, F, J, ctx)
+    deltas = tables.read("deltas", J, _deltas, F, J, ctx)
     column = [mul_parts(p, (-j * v, 1, N), delta) for j, delta in enumerate(deltas)]
     if n:
         qnF = ctx.q ** (n * F)
@@ -346,8 +356,8 @@ def _body_scan(n: int, s: PadicExponent, tables: SeriesTables) -> SeriesScan:
     """The scan of the H (n = 0) or K (n >= 1) body, sum_j binom(-s, j) times
     :func:`_term_column`'s j-th entry."""
     ctx, J = tables.ctx, _series_length(s, tables.ctx)
-    return scan_products(tables.read(tables.binomials, s, _binomials, s, ctx),
-                         tables.read(tables.terms, (n, J), _term_column, n, J, tables),
+    return scan_products(tables.read("binomials", s, _binomials, s, ctx),
+                         tables.read("terms", (n, J), _term_column, n, J, tables),
                          ctx, description="K series" if n else "H_pq series")
 
 
@@ -359,9 +369,9 @@ def _twisted_series(n: int, s: PadicExponent, a: int, tables: SeriesTables) -> S
     parts.  The sign (-1)^a is :func:`neg_parts`: the same value as a product
     with embed(-1), as no factor's precision exceeds embed's."""
     F, ctx = tables.F, tables.ctx
-    angle, (_, ratio, _) = tables.read(tables.unit_tables, F, _unit_table, F, ctx)[a]
-    unit_pow = tables.read(tables.powers, (s, angle), _unit_pow, s, angle, tables)
-    body = tables.read(tables.scans, (n, s), _body_scan, n, s, tables).at(ratio)
+    angle, (_, ratio, _) = tables.read("unit_tables", F, _unit_table, F, ctx)[a]
+    unit_pow = tables.read("powers", (s, angle), _unit_pow, s, angle, tables)
+    body = tables.read("scans", (n, s), _body_scan, n, s, tables).at(ratio)
     value = mul_parts(ctx.p, unit_pow[0], body[0])
     return merge_stops(neg_parts(ctx.p, value) if a % 2 else value, [unit_pow, body])
 
@@ -392,7 +402,7 @@ def _unit_sum(part: Callable[[SeriesTables, int], SeriesParts],
     arguments and conductor(chi) | F (so the units run over whole periods of
     chi) and wrap it once; the units share the (F, ctx) tables."""
     p, tables, acc, parts = ctx.p, _tables(F, ctx), ctx.zero().parts, []
-    for a, c in tables.read(tables.chi_columns, chi, _chi_column, chi, F, ctx):
+    for a, c in tables.read("chi_columns", chi, _chi_column, chi, F, ctx):
         parts.append(part(tables, a))
         acc = add_parts(p, acc, mul_parts(p, c, parts[-1][0]))
     return merge_stops(add_parts(p, acc, acc), parts)

@@ -23,7 +23,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple, Union
+from typing import Iterable, Iterator, List, NamedTuple, Optional, Tuple, Union
 
 IntOrRational = Union[int, Fraction]
 Valuation = Union[int, float]  # int, or math.inf for "zero as far as we know"
@@ -664,36 +664,11 @@ def padic_pow(u: PadicNumber, s: PadicExponent, ctx: QContext) -> SeriesResult:
     return sum_products(binom_parts(s, ctx), powers, ctx, description="binomial power series")
 
 
-def unit_residues(F: int, ctx: QContext) -> Dict[int, Tuple[int, int, int]]:
-    """{a: (<a>, q^a, [a]_q)} for the units 0 < a < F, as integer residues mod
-    p**N, N = ``ctx.embed_precision`` (the digits ``ctx.embed`` keeps).
-
-    q is reduced once; q^a is a running power and [a]_q = [a-1]_q + q^(a-1) a
-    running sum.  Reduction mod p**N is a ring map on the p-integral rationals,
-    so each residue is the exact value's, and for p not dividing a,
-    [a]_q = a mod p is a unit: its residue is its unit to all N digits, and the
-    sum, though formed from reduced parts, loses none.  <a> = [a]_q / w(a),
-    with 1 / w(a) = w(a') for a a' = 1 mod p, read from the memoized lift.
-    At q = 1, [a]_q = a."""
-    p, N = ctx.p, ctx.embed_precision
-    mod = _modulus(p, N)
-    q = ctx.q.numerator * pow(ctx.q.denominator, -1, mod) % mod
-    table = {}
-    power, bracket = 1, 0  # q^a and [a]_q at a = 0
-    for a in range(1, F):
-        power, bracket = power * q % mod, (bracket + power) % mod
-        if a % p:
-            inverse_lift = teichmuller(pow(a, -1, p), p, N).unit
-            table[a] = bracket * inverse_lift % mod, power, bracket
-    return table
-
-
 def angle_bracket(a: int, ctx: QContext) -> PadicNumber:
     """Principal-unit part of the base-q count of a unit a:
     q_int(a, q) divided by its Teichmuller lift; congruent to 1 mod p.
-    Read from :func:`unit_residues`, to the digits ``ctx.embed`` keeps."""
+    The Fraction route, to the digits ``ctx.embed`` keeps: the embedded exact
+    [a]_q times w(a'), a a' = 1 mod p, as 1 / w(a) = w(a')."""
     if a % ctx.p == 0:
         raise PadicError("angle_bracket undefined at non-unit")
-    if a < 0:
-        raise ValueError("q_int requires x >= 0")
-    return PadicNumber(ctx.p, 0, unit_residues(a + 1, ctx)[a][0], ctx.embed_precision)
+    return ctx.embed(q_int(a, ctx.q)) * teichmuller(pow(a, -1, ctx.p), ctx.p, ctx.embed_precision)

@@ -219,7 +219,7 @@ def thm5_rhs(n: int, r: int, ctx: QContext) -> SeriesResult:
 
     def values():
         for s in itertools.count(r):
-            parts.append(tables.read(tables.hk_sums, (n, s), _hk_sum, n, s, ctx))
+            parts.append(tables.read("hk_sums", (n, s), _hk_sum, n, s, ctx))
             yield parts[-1][0]
 
     start = mul_parts(p, ctx.embed((-1) ** (n + 1)).parts, ctx.one().parts)
@@ -395,8 +395,8 @@ def _thm5_point(n: int, r: int, ctx: QContext, cache: SeriesCache) -> Thm5Report
         partials.append(_partial_sum_exact(n, r, a, ctx))
         partial_exact = ctx.embed(partials[-1]).parts
         # eq24's series and its group 1 alone, folds over the same heads
-        heads = tables.read(tables.eq24_heads, (r, a), _eq24_heads, r, a, ctx)
-        both, group1_free = tables.read(tables.eq24_free_parts, n, _eq24_free_parts, n, ctx)
+        heads = tables.read("eq24_heads", (r, a), _eq24_heads, r, a, ctx)
+        both, group1_free = tables.read("eq24_free_parts", n, _eq24_free_parts, n, ctx)
         series24 = scan_products(heads, both, ctx, description="eq24 series").at()[0]
         group1 = scan_products(heads, group1_free, ctx, description="group1 series").at()[0]
         eq24_vals.append(_residual_sentinel(p, partial_exact, series24))

@@ -13,7 +13,6 @@ from qlfun.characters import (
     TeichmullerPower,
     chi_eval,
     chi_eval_exact,
-    chi_residue,
     chi_residues,
     chi_sum,
     jacobi_symbol,
@@ -212,7 +211,7 @@ def test_context_prime_mismatch_is_caught():
     with pytest.raises(CharacterError, match="^character lives at p=5, context has p=3$"):
         chi_eval(w1, 2, CTX3)
     with pytest.raises(CharacterError, match="^character lives at p=5, context has p=3$"):
-        chi_residue(w1, 2, 3, CTX3.working_precision)
+        chi_residues(w1, (2,), 3, CTX3.working_precision)
     # checked before the value: also at an n that shares a factor with the conductor
     with pytest.raises(CharacterError):
         chi_eval(w1, 10, CTX3)
@@ -258,7 +257,7 @@ def test_chi_eval_equals_the_padic_product(p):
             for n in range(0, 2 * chi.conductor + 1):  # two periods
                 expected = chi_eval_reference(chi, n, ctx)
                 assert chi_eval(chi, n, ctx) == expected, (precision, chi, n)
-                assert chi_residue(chi, n, p, W) == expected.unit
+                assert chi_residues(chi, (n,), p, W) == [expected.unit]
                 units.append(expected.unit)
             # one column call reads each lift once per n mod p
             assert chi_residues(chi, range(0, 2 * chi.conductor + 1), p, W) == units
@@ -270,7 +269,7 @@ def test_chi_eval_keeps_its_errors_and_zeros():
         chi_eval(chi, -1, CTX5)
     for n in (0, 3, 5, 6, 10, 15, 45):  # a factor shared with the conductor 15
         assert chi_eval(chi, n, CTX5) == CTX5.zero()
-        assert chi_residue(chi, n, 5, CTX5.working_precision) == 0
+        assert chi_residues(chi, (n,), 5, CTX5.working_precision) == [0]
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,7 @@ from qlfun.characters import (
     DirichletCharacter,
     chi_eval,
     chi_eval_exact,
-    chi_residue,
+    chi_residues,
     chi_sum,
     parse_character,
 )
@@ -555,7 +555,7 @@ def test_gen_euler_number_takes_one_closed_form_per_character_value(monkeypatch)
     monkeypatch.setattr(qeuler, "_shifted_sum", counting)
     ctx = QContext(p=7, q=Fraction(8))
     chi = parse_character("quad:5*teich:1", 7)
-    values = {chi_residue(chi, a, 7, ctx.working_precision) for a in range(35)} - {0}
+    values = set(chi_residues(chi, range(35), 7, ctx.working_precision)) - {0}
     gen_euler_number(3, chi, ctx=ctx)
     assert len(calls) == len(values) == 6
     # the classes partition the residues a < 35 prime to 35

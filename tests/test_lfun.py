@@ -547,11 +547,11 @@ def test_series_cache_scope_gives_the_same_values():
     # H, K(2) and K(1) per case and one <a>^(-s) per case, one binomial column
     # per s, one unit table (F = 3), per length one Delta_j column and one
     # unit-free column per n in {0, 1, 2}, one body scan per (n, s), and one
-    # power scan per (s, shape), integer or p-adic
-    sizes = {"unit_tables": 1, "chi_columns": 0, "binomials": len(s_values),
+    # power scan per (s, shape), integer or p-adic; sizes() lists only the
+    # tables the scope made, so no chi column
+    sizes = {"unit_tables": 1, "binomials": len(s_values),
              "power_scans": len(s_values) * shapes, "deltas": lengths, "terms": 3 * lengths,
-             "scans": 3 * len(s_values), "powers": len(cases), "hk": 3 * len(cases),
-             "hk_sums": 0, "eq24_free_parts": 0, "eq24_heads": 0}
+             "scans": 3 * len(s_values), "powers": len(cases), "hk": 3 * len(cases)}
     keys = sum(sizes.values())
 
     def evaluate():
@@ -586,7 +586,7 @@ def test_series_cache_scope_gives_the_same_values():
             + 3 * (len(cases) - len(s_values)) + 3 * (len(s_values) - lengths)
             + 2 * lengths)
     assert cache.hits == hits
-    assert not any(cache.sizes().values())  # dropped with the scope
+    assert cache.sizes() == {}  # dropped with the scope
     # outside a scope nothing is recorded
     evaluate()
     assert (cache.hits, cache.misses) == (hits, keys)
@@ -618,14 +618,14 @@ def test_series_cache_is_dropped_with_its_scope():
         assert inner.misses == outer.misses == 8
         built = ("unit_tables", "binomials", "power_scans", "deltas", "terms",
                  "scans", "powers", "hk")
-        assert outer.sizes() == {name: int(name in built) for name in lfun.SeriesTables.TABLES}
-        assert not any(inner.sizes().values())
+        assert outer.sizes() == {name: 1 for name in built}
+        assert inner.sizes() == {}
         # one hit each: the body scan reads the binomial column that the power
         # scan, computed first, has built
         assert inner.hits == outer.hits == 1
         H_pq(1, prm, CTX34)
         assert outer.hits == 2
-    assert not any(outer.sizes().values())
+    assert outer.sizes() == {}
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -682,7 +682,7 @@ def object_unit_pow(s, angle, tables):
     at an integer s the modular power as a PadicNumber with the scan's stop."""
     v, unit, precision = angle
     key = (s, v, precision)
-    scan = tables.read(tables.power_scans, key, lfun._power_scan, *key, tables)
+    scan = tables.read("power_scans", key, lfun._power_scan, *key, tables)
     if not isinstance(s, int):
         value, last, bound = scan.at(unit)
         return SeriesResult(PadicNumber(scan.p, *value), last, bound, True)
@@ -695,9 +695,9 @@ def object_twisted_series(n, s, a, tables):
     """H (n = 0) or K of unit a on the object route: PadicNumber products and
     negation, the metadata by merge_series."""
     F, ctx = tables.F, tables.ctx
-    angle, (_, ratio, _) = tables.read(tables.unit_tables, F, lfun._unit_table, F, ctx)[a]
+    angle, (_, ratio, _) = tables.read("unit_tables", F, lfun._unit_table, F, ctx)[a]
     unit_pow = object_unit_pow(s, angle, tables)
-    scan = tables.read(tables.scans, (n, s), lfun._body_scan, n, s, tables)
+    scan = tables.read("scans", (n, s), lfun._body_scan, n, s, tables)
     value, last, bound = scan.at(ratio)
     body = SeriesResult(PadicNumber(scan.p, *value), last, bound, True)
     value = unit_pow.value * body.value
@@ -933,8 +933,7 @@ def test_series_cache_sizes_of_one_l_pq_scope():
         l_pq(2, w1, CTX56)
         sizes = cache.sizes()
     assert sizes == {"unit_tables": 1, "chi_columns": 1, "binomials": 1, "power_scans": 3,
-                     "deltas": 1, "terms": 1, "scans": 1,
-                     "powers": 4, "hk": 4, "hk_sums": 0, "eq24_free_parts": 0, "eq24_heads": 0}
+                     "deltas": 1, "terms": 1, "scans": 1, "powers": 4, "hk": 4}
     # every table entry is one miss; the hits are the reads of the tables
     # built once: the unit table (4 series), the body scan (4 units), the
     # binomial column (3 scans and the body scan) and one power scan (4 powers)
@@ -1206,6 +1205,21 @@ def test_unit_tables_equal_the_fraction_routes(p, q):
                 assert lfun._deltas(G, L, ctx) == expected, (precision, G)
 
 
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_unit_table_lifts_once_per_class(monkeypatch, p):
+    # a cold unit table at F = 15p, 15 (p - 1) units, looks up one Teichmuller
+    # lift per nonzero class mod p, not one per unit
+    calls = []
+
+    def counting(a, prime, N):
+        calls.append(a % prime)
+        return teichmuller(a, prime, N)
+    monkeypatch.setattr(lfun, "teichmuller", counting)
+    table = lfun._unit_table(15 * p, QContext(p=p, q=Fraction(1 + p), precision=8))
+    assert len(table) == 15 * (p - 1)
+    assert len(calls) == len(set(calls)) <= p - 1
+
+
 @pytest.mark.parametrize("p", [3, 5, 7, 11])
 def test_chi_column_reads_the_integer_residue(p):
     # chi(a) over the units a <= F, the zeros dropped: chi_eval's values
@@ -1446,6 +1460,14 @@ def golden_cases():
                 yield f"K_partial/p{p}/a2/n{n}/{name}", K_partial(n, s, prm, ctx)
                 yield f"T_partial/p{p}/a2/n{n}/{name}", T_partial(n, s, prm, ctx)
             yield f"l_pq/p{p}/teich1/{name}", l_pq(s, chi, ctx)
+        # units above p, one in every nonzero class mod p, at F = 3p (K at n = 1)
+        # and F = 5p (K at n = 2): a unit and its class no longer coincide
+        for F, n, start in ((3 * p, 1, p), (5 * p, 2, 3 * p)):
+            for a in range(start + 1, start + p):
+                prm = PartialZetaParams(a, F)
+                for name, s in exponents[1:]:
+                    yield f"H_pq/p{p}/F{F}/a{a}/{name}", H_pq(s, prm, ctx)
+                    yield f"K_partial/p{p}/F{F}/a{a}/n{n}/{name}", K_partial(n, s, prm, ctx)
 
 
 def test_series_values_match_the_golden_file():

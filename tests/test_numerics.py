@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qlfun import lfun
 from qlfun.numerics import (
     WORKING_MARGIN,
     PadicError,
@@ -28,7 +29,6 @@ from qlfun.numerics import (
     residue_parts,
     sum_products,
     teichmuller,
-    unit_residues,
     v_p,
 )
 
@@ -529,20 +529,20 @@ def angle_bracket_reference(a, ctx):
 
 @pytest.mark.parametrize("p,q", list(route_grid()))
 def test_unit_residues_equal_the_fraction_route(p, q):
-    # every unit a < 15p: <a>, q^a and [a]_q from the running residues are
-    # the reduced exact values; angle_bracket reads the same table
+    # every unit a < 15p (3p below precision 24): angle_bracket, the embedded
+    # [a]_q times the lift of a^(-1) mod p, is [a]_q divided by the lift of a,
+    # and the unit table's <a> - 1, from running residues and one lift per
+    # class mod p, is angle_bracket's (its q^a/(1-q^a) is checked in
+    # test_lfun.py's test_unit_tables_equal_the_fraction_routes)
     for precision in PRECISIONS:
         ctx = QContext(p=p, q=q, precision=precision)
-        N = ctx.working_precision + WORKING_MARGIN
         F = 15 * p if precision == 24 else 3 * p
-        table = unit_residues(F, ctx)
+        table = lfun._unit_table(F, ctx)
         assert list(table) == [a for a in range(1, F) if a % p]
-        for a, (angle, power, bracket) in table.items():
-            assert PadicNumber(p, 0, angle, N) == angle_bracket_reference(a, ctx), (precision, a)
-            assert (0, power, N) == ctx.embed(q**a).parts
-            assert (0, bracket, N) == ctx.embed(q_int(a, q)).parts
-        for a in (1, 2, p + 1, F - 1):
-            assert angle_bracket(a, ctx) == angle_bracket_reference(a, ctx), (precision, a)
+        for a, (minus_one, _) in table.items():
+            angle = angle_bracket(a, ctx)
+            assert angle == angle_bracket_reference(a, ctx), (precision, a)
+            assert minus_one == (angle - ctx.one()).parts, (precision, a)
 
 
 def test_angle_bracket_at_q_one_is_a_over_its_lift():
